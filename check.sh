@@ -22,7 +22,10 @@
 #            which is reported as such rather than as findings.
 #            internal/analysis is part of ./..., so the suite also
 #            analyzes its own implementation. Per-analyzer wall time
-#            and finding counts are appended to BENCH_orcavet.json.
+#            and finding counts go to a stats file under the temp dir
+#            (never into the tracked BENCH_orcavet.json, which is a
+#            recorded trajectory, not a log); one summary line is
+#            printed.
 #   generate re-runs cmd/optgen via go generate and fails on any diff
 #            in defs/, the *.gen.go outputs, or docs/opmatrix.md —
 #            hand-edited generated code and stale regeneration both
@@ -49,6 +52,13 @@
 #            (internal/memo BenchmarkMemo*) — catches compile rot and
 #            gross regressions; the full -cpu=1,2,4,8 curve is
 #            `cmd/benchmarks -experiment=memo -json` → BENCH_memo.json
+#   search   one pass of BenchmarkOptimizationTime (the 32 TPC-DS
+#            queries through the job scheduler) with -benchmem; fails
+#            when allocs/op exceeds 1.2x gate_allocs_per_pass in
+#            BENCH_search.json. Allocation counts repeat run to run, so
+#            they are gated; wall time is printed, not gated. Regenerate
+#            the file with `go run ./cmd/benchmarks -experiment=search
+#            -scale=1 -json` when a change moves the count on purpose.
 #
 # Run from the repository root: ./check.sh
 set -eu
@@ -96,7 +106,8 @@ if [ "$orcavet_elapsed" -ge 60 ]; then
     echo "orcavet: exceeded the 60s budget (${orcavet_elapsed}s)" >&2
     exit 1
 fi
-cat "$orcavet_tmp/stats.json" >> BENCH_orcavet.json
+sed -E 's/^\{"findings":([0-9]+),"wall_ms":([0-9]+)[^,]*,.*/    orcavet stats: \1 finding(s), \2 ms analysis wall time/' \
+    "$orcavet_tmp/stats.json"
 
 echo "==> go generate drift gate (defs/*.opt -> *.gen.go, docs/opmatrix.md)"
 go generate ./...
@@ -169,5 +180,26 @@ ORCA_CHAOS=1 ORCA_CHAOS_SEED="$chaos_seed" \
 
 echo "==> memo microbenchmarks (smoke pass)"
 go test -run '^$' -bench 'BenchmarkMemo' -benchtime=1000x ./internal/memo/
+
+echo "==> search perf smoke (one TPC-DS pass, allocs/op vs BENCH_search.json)"
+search_gate=$(sed -n 's/.*"gate_allocs_per_pass": *\([0-9][0-9]*\).*/\1/p' BENCH_search.json)
+if [ -z "$search_gate" ]; then
+    echo "search smoke: no gate_allocs_per_pass in BENCH_search.json" >&2
+    exit 1
+fi
+search_line=$(go test -run '^$' -bench 'BenchmarkOptimizationTime$' -benchtime 1x -benchmem . |
+    grep '^BenchmarkOptimizationTime')
+search_allocs=$(echo "$search_line" | sed -n 's/.* \([0-9][0-9]*\) allocs\/op.*/\1/p')
+search_ns=$(echo "$search_line" | awk '{print $3}')
+if [ -z "$search_allocs" ]; then
+    echo "search smoke: could not read allocs/op from: $search_line" >&2
+    exit 1
+fi
+echo "    $search_allocs allocs/pass (gate $search_gate x1.2), $((search_ns / 1000000)) ms/pass (not gated)"
+if [ "$((search_allocs * 10))" -gt "$((search_gate * 12))" ]; then
+    echo "search smoke: $search_allocs allocs/pass exceeds 1.2x the checked-in $search_gate;" >&2
+    echo "find the new allocation with -memprofile, or regenerate BENCH_search.json" >&2
+    exit 1
+fi
 
 echo "All checks passed."

@@ -3,12 +3,13 @@
 //
 // Usage:
 //
-//	benchmarks -experiment=fig12|opttime|fig13|fig14|fig15|taqo|memo|rules|serve|cache|all \
+//	benchmarks -experiment=fig12|opttime|fig13|fig14|fig15|taqo|memo|rules|serve|cache|search|all \
 //	           [-segments=16] [-scale=2] [-budget=8000000] [-seed=N] [-json]
 //
 // With -json, experiments that define a machine-readable artifact write it to
 // the working directory (memo → BENCH_memo.json, rules → BENCH_rules.json,
-// serve → BENCH_serve.json, cache → BENCH_cache.json).
+// serve → BENCH_serve.json, cache → BENCH_cache.json, search →
+// BENCH_search.json).
 package main
 
 import (
@@ -22,7 +23,7 @@ import (
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "fig12, opttime, fig13, fig14, fig15, taqo, memo, rules, serve, cache or all")
+	experiment := flag.String("experiment", "all", "fig12, opttime, fig13, fig14, fig15, taqo, memo, rules, serve, cache, search or all")
 	segments := flag.Int("segments", 16, "number of cluster segments")
 	scale := flag.Int("scale", 2, "data scale factor")
 	budget := flag.Int64("budget", 8_000_000, "execution budget (work units) standing in for the paper's 10000s timeout")
@@ -55,6 +56,7 @@ func main() {
 	run("rules", func(e *experiments.Env) error { return rulesExp(e, *jsonOut) })
 	run("serve", func(e *experiments.Env) error { return serveExp(e, *jsonOut) })
 	run("cache", func(e *experiments.Env) error { return cacheExp(e, *jsonOut) })
+	run("search", func(e *experiments.Env) error { return searchExp(e, *jsonOut) })
 }
 
 func fatal(err error) {

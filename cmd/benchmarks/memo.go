@@ -179,7 +179,7 @@ func memoMicroBenchmarks() []struct {
 			}
 			for _, r := range reqs {
 				g.Context(r)
-				ge.AddCandidate(r, memo.Candidate{Cost: 10})
+				ge.AddCandidate(m.InternReq(r), memo.Candidate{Cost: 10})
 			}
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {

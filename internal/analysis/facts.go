@@ -51,6 +51,9 @@ type FuncFacts struct {
 	// hot-site classes the annotation waives for this function only.
 	Hotpath      bool     `json:"hotpath,omitempty"`
 	HotpathAllow []string `json:"hotpathAllow,omitempty"`
+	// Coldpath marks a //orcavet:coldpath annotation: a declared boundary
+	// the hot-path closure does not cross.
+	Coldpath bool `json:"coldpath,omitempty"`
 	// HotSites counts the body's latency hazards by class — the per-function
 	// allocation summary the hotpath analyzer propagates along warm call
 	// edges (see hotfacts.go).

@@ -38,6 +38,17 @@ import (
 // propagate to callees). A reason is mandatory, as with //orcavet:ignore.
 const hotpathDirective = "orcavet:hotpath"
 
+// coldpathDirective marks a function that is reachable from hot roots but
+// runs rarely by construction (once per Memo group, once per session):
+//
+//	//orcavet:coldpath reason
+//
+// in the doc comment of a function declaration. It is a declared propagation
+// boundary, like polymorphic dispatch: the hot-path closure does not enter
+// the function, so its body and callees answer only to their own
+// annotations. A reason is mandatory; a function cannot be both.
+const coldpathDirective = "orcavet:coldpath"
+
 // Hot-site classes reported by hotpath and counted in FuncFacts.HotSites.
 const (
 	HotFmt      = "fmt"      // call into package fmt
@@ -179,18 +190,20 @@ func parseHotpath(tail string) (allow map[string]bool, malformed string) {
 // quote wraps s in double quotes without pulling fmt into the parse path.
 func quote(s string) string { return `"` + s + `"` }
 
-// hotDirectiveText extracts the directive tail from a comment, or ok=false.
-func hotDirectiveText(c *ast.Comment) (string, bool) {
+// hotDirectiveText extracts the tail after the given directive from a
+// comment, or ok=false.
+func hotDirectiveText(c *ast.Comment, directive string) (string, bool) {
 	text := strings.TrimSpace(strings.TrimSuffix(strings.TrimPrefix(strings.TrimPrefix(c.Text, "//"), "/*"), "*/"))
-	if !strings.HasPrefix(text, hotpathDirective) {
+	if !strings.HasPrefix(text, directive) {
 		return "", false
 	}
-	return text[len(hotpathDirective):], true
+	return text[len(directive):], true
 }
 
-// collectHotDirectives parses //orcavet:hotpath annotations in one file:
-// directives attached to a function declaration's doc comment configure that
-// function's facts; directives anywhere else are floating and reported.
+// collectHotDirectives parses //orcavet:hotpath and //orcavet:coldpath
+// annotations in one file: directives attached to a function declaration's
+// doc comment configure that function's facts; directives anywhere else are
+// floating and reported.
 func (f *Facts) collectHotDirectives(pkg *Package, file *ast.File) {
 	attached := make(map[*ast.Comment]bool)
 	for _, decl := range file.Decls {
@@ -204,7 +217,18 @@ func (f *Facts) collectHotDirectives(pkg *Package, file *ast.File) {
 		}
 		ff := f.Funcs[fn.FullName()]
 		for _, c := range fd.Doc.List {
-			tail, ok := hotDirectiveText(c)
+			if tail, ok := hotDirectiveText(c, coldpathDirective); ok {
+				attached[c] = true
+				switch {
+				case strings.TrimSpace(tail) == "":
+					f.hotIssues = append(f.hotIssues, hotIssue{c.Pos(),
+						"malformed //orcavet:coldpath directive: missing reason"})
+				case ff != nil:
+					ff.Coldpath = true
+				}
+				continue
+			}
+			tail, ok := hotDirectiveText(c, hotpathDirective)
 			if !ok {
 				continue
 			}
@@ -222,12 +246,18 @@ func (f *Facts) collectHotDirectives(pkg *Package, file *ast.File) {
 				ff.HotpathAllow = sortedKeys(allow)
 			}
 		}
+		if ff != nil && ff.Hotpath && ff.Coldpath {
+			f.hotIssues = append(f.hotIssues, hotIssue{fd.Pos(),
+				"function is annotated both //orcavet:hotpath and //orcavet:coldpath"})
+		}
 	}
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
-			if _, ok := hotDirectiveText(c); ok && !attached[c] {
-				f.hotIssues = append(f.hotIssues, hotIssue{c.Pos(),
-					"//orcavet:hotpath directive must be in a function declaration's doc comment"})
+			for _, d := range []string{hotpathDirective, coldpathDirective} {
+				if _, ok := hotDirectiveText(c, d); ok && !attached[c] {
+					f.hotIssues = append(f.hotIssues, hotIssue{c.Pos(),
+						"//" + d + " directive must be in a function declaration's doc comment"})
+				}
 			}
 		}
 	}

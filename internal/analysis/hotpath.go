@@ -20,7 +20,9 @@ import "sort"
 // dispatch is a propagation boundary — the boxing at the boundary is flagged
 // on the caller, per-implementation discipline belongs to the callee's own
 // annotation. Monomorphic interface edges (a single visible implementation)
-// are followed.
+// are followed. A `//orcavet:coldpath reason` function is a declared boundary
+// of the same kind: reachable from a hot root, but rare by construction
+// (once per Memo group, say), so the closure does not enter it.
 //
 // An annotation can waive whole classes for its own function —
 // `//orcavet:hotpath:alloc,lock reason` — but fmt and string concatenation
@@ -61,7 +63,7 @@ func runHotPath(mp *ModulePass) {
 			if _, seen := witness[callee]; seen {
 				return
 			}
-			if f.Funcs[callee] == nil {
+			if cf := f.Funcs[callee]; cf == nil || cf.Coldpath {
 				return
 			}
 			witness[callee] = witness[k]

@@ -103,6 +103,25 @@ func TestTamperMemoInsertSprintf(t *testing.T) {
 		"memo with Sprintf in Insert", "call to fmt.Sprintf")
 }
 
+// TestTamperJobKeySprintf re-adds a fmt.Sprintf to Opt(g, req)'s goal
+// constructor — the string job keys that were 38% of search CPU behind a
+// polymorphic Job.Key() the analyzer could not see through. Goals are now
+// built by annotated concrete constructors, so the regression fails the build.
+func TestTamperJobKeySprintf(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks a production package copy")
+	}
+	ctl := copyPkgDir(t, filepath.Join("..", "search"))
+	wantClean(t, runTamper(t, ctl, "searchkeyctl", HotPath), "untampered search")
+
+	dir := copyPkgDir(t, filepath.Join("..", "search"))
+	mutate(t, dir, "jobs.go",
+		"\treturn JobKey{Kind: JobOpt, Group: g, Req: req}",
+		"\t_ = fmt.Sprintf(\"og:%d:%d\", g.ID, req)\n\treturn JobKey{Kind: JobOpt, Group: g, Req: req}")
+	wantFinding(t, runTamper(t, dir, "searchkeytamper", HotPath),
+		"search with Sprintf in optGroupKey", "call to fmt.Sprintf")
+}
+
 // TestTamperSchedulerWorkerDone deletes the worker goroutine's WaitGroup
 // pairing in Scheduler.Run: the spawned literal then runs an unbounded drain
 // loop with no provable stop path.

@@ -193,3 +193,41 @@ func Floating() {
 	//orcavet:hotpath floating reason // want `//orcavet:hotpath directive must be in a function declaration's doc comment`
 	_ = 0
 }
+
+// deriveOnce is reachable from a hot root but runs once per object: the
+// declared boundary keeps its allocation (and its callees) out of the root's
+// closure.
+//
+//orcavet:coldpath runs once per object, behind a nil check
+func deriveOnce(n int) []int {
+	return buildTable(n)
+}
+
+func buildTable(n int) []int { return make([]int, n) }
+
+// Cached probes a lazily derived table: the derivation is a cold boundary.
+//
+//orcavet:hotpath cached probe stand-in
+func Cached(n int) int {
+	if sink == nil {
+		sink = deriveOnce(n)
+	}
+	return len(sink)
+}
+
+// BadColdNoReason omits the mandatory reason.
+//
+/*orcavet:coldpath*/   // want `malformed //orcavet:coldpath directive: missing reason`
+func BadColdNoReason() {}
+
+// BadBoth claims to be hot and cold at once.
+//
+//orcavet:hotpath contradictory stand-in
+//orcavet:coldpath contradictory stand-in
+func BadBoth() {} // want `function is annotated both //orcavet:hotpath and //orcavet:coldpath`
+
+// FloatingCold hosts a cold directive that is not a function doc comment.
+func FloatingCold() {
+	//orcavet:coldpath floating reason // want `//orcavet:coldpath directive must be in a function declaration's doc comment`
+	_ = 0
+}

@@ -158,7 +158,7 @@ func BenchmarkMemoContextProbe(b *testing.B) {
 	}
 	for _, r := range reqs {
 		ctx, _ := g.Context(r)
-		ge.AddCandidate(r, Candidate{Cost: 10})
+		ge.AddCandidate(m.InternReq(r), Candidate{Cost: 10})
 		ctx.Offer(ge, Candidate{Cost: 10})
 	}
 	b.ResetTimer()

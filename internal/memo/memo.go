@@ -130,10 +130,12 @@ type Memo struct {
 	// child groups, keyed by fingerprint, striped by fingerprint hash.
 	stripes [numFpStripes]fpStripe
 
-	// reqStripes interns optimization requests to dense ReqIDs; nextReq
-	// allocates the IDs.
+	// reqStripes interns optimization requests to dense ReqIDs; reqs is the
+	// reverse table (ReqID -> request), appended under reqMu by the stripe
+	// that interns a new request, so its length is also the next free id.
 	reqStripes [numReqStripes]reqStripe
-	nextReq    atomic.Int32
+	reqMu      sync.Mutex
+	reqs       []props.Required
 
 	// cteProducers maps a CTE id to the group holding its producer side,
 	// recorded when the CTE anchor is inserted. On-demand statistics
@@ -391,9 +393,28 @@ func (m *Memo) InternReq(req props.Required) ReqID {
 			return e.id
 		}
 	}
-	id := ReqID(m.nextReq.Add(1) - 1)
+	m.reqMu.Lock()
+	id := ReqID(len(m.reqs))
+	m.reqs = append(m.reqs, req)
+	m.reqMu.Unlock()
 	s.table[h] = append(s.table[h], reqEntry{req: req, id: id})
 	return id
+}
+
+// Req returns the request interned under id; ok is false for an id this Memo
+// never handed out (and on a nil Memo, so diagnostics can call it blindly).
+//
+//orcavet:hotpath:lock one reverse-table read per materialised Opt job
+func (m *Memo) Req(id ReqID) (req props.Required, ok bool) {
+	if m == nil {
+		return props.Required{}, false
+	}
+	m.reqMu.Lock()
+	defer m.reqMu.Unlock()
+	if id < 0 || int(id) >= len(m.reqs) {
+		return props.Required{}, false
+	}
+	return m.reqs[id], true
 }
 
 // LookupReq returns the interned id of a request without interning it;
@@ -472,11 +493,20 @@ type Group struct {
 	ctxs     map[ReqID]*OptContext
 }
 
+// Memo returns the Memo the group belongs to.
+func (g *Group) Memo() *Memo { return g.memo }
+
 // Exprs returns a snapshot of the group's expressions.
-func (g *Group) Exprs() []*GroupExpr {
+func (g *Group) Exprs() []*GroupExpr { return g.AppendExprs(nil) }
+
+// AppendExprs appends a snapshot of the group's expressions to buf: the
+// allocation-free form of Exprs for callers that own a reusable buffer.
+//
+//orcavet:hotpath:alloc,lock the caller's buffer grows to the largest group once; the group lock guards the copy
+func (g *Group) AppendExprs(buf []*GroupExpr) []*GroupExpr {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return append([]*GroupExpr(nil), g.exprs...)
+	return append(buf, g.exprs...)
 }
 
 // NumExprs returns the current expression count.
@@ -495,6 +525,8 @@ func (g *Group) Expr(i int) *GroupExpr {
 
 // Explored reports whether exploration finished for this group under the
 // given rule-set epoch.
+//
+//orcavet:hotpath:lock the group's own lock, once per Exp(g) step
 func (g *Group) Explored(epoch int) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -502,6 +534,8 @@ func (g *Group) Explored(epoch int) bool {
 }
 
 // SetExplored marks exploration complete for the given rule-set epoch.
+//
+//orcavet:hotpath:alloc,lock the epoch table is allocated once per group
 func (g *Group) SetExplored(epoch int) {
 	g.mu.Lock()
 	if g.explored == nil {
@@ -513,6 +547,8 @@ func (g *Group) SetExplored(epoch int) {
 
 // Implemented reports whether implementation finished for this group under
 // the given rule-set epoch.
+//
+//orcavet:hotpath:lock the group's own lock, once per Imp(g) step
 func (g *Group) Implemented(epoch int) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -520,6 +556,8 @@ func (g *Group) Implemented(epoch int) bool {
 }
 
 // SetImplemented marks implementation complete for the given rule-set epoch.
+//
+//orcavet:hotpath:alloc,lock the epoch table is allocated once per group
 func (g *Group) SetImplemented(epoch int) {
 	g.mu.Lock()
 	if g.impl == nil {
@@ -567,6 +605,8 @@ func (g *Group) Logical() *props.Logical {
 }
 
 // Stats returns the group's statistics object (nil before derivation).
+//
+//orcavet:hotpath:lock the group's own lock, once per Stats(g) step
 func (g *Group) Stats() *stats.Stats {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -606,18 +646,17 @@ type GroupExpr struct {
 	fp    uint64
 
 	mu sync.Mutex
-	// local is the Figure-6 local hash table, keyed by interned request id;
-	// allocated on first candidate (most expressions are never costed).
-	local map[ReqID]*localLink
+	// local is the Figure-6 local hash table, keyed by interned request id:
+	// the alternatives costed for the request (also TAQO's sampling space).
+	// Allocated on first candidate (most expressions are never costed).
+	local map[ReqID][]Candidate
+	// childReqs caches the child-request alternatives of a request-invariant
+	// physical operator (see ChildReqs); immutable once published.
+	childReqs atomic.Pointer[reqAlts]
 	// applied is the rule ledger: a bitset indexed by dense rule ID
 	// (xform.RuleIDFor), grown on demand. No strings are hashed on the
 	// rule-firing check path.
 	applied []uint64
-}
-
-type localLink struct {
-	// alternatives costed for this request (used by TAQO sampling).
-	candidates []Candidate
 }
 
 // Candidate is one costed way of satisfying a request with this expression.
@@ -675,31 +714,67 @@ func (ge *GroupExpr) Applied(rule int) bool {
 	return w < len(ge.applied) && ge.applied[w]&bit != 0
 }
 
-// AddCandidate records a costed alternative for the request in the local
-// hash table. Re-costing the same alternative (same child requests) in a
-// later optimization pass replaces the earlier entry rather than appending a
-// duplicate, so the candidate list stays one entry per distinct alternative.
-func (ge *GroupExpr) AddCandidate(req props.Required, c Candidate) {
-	id := ge.group.memo.InternReq(req)
+// AddCandidate records a costed alternative for the interned request in the
+// local hash table. Re-costing the same alternative (same child requests) in
+// a later optimization pass replaces the earlier entry rather than appending
+// a duplicate, so the candidate list stays one entry per distinct alternative.
+//
+//orcavet:hotpath:alloc,lock the candidate list grows once per distinct alternative, under the expression's own lock
+func (ge *GroupExpr) AddCandidate(id ReqID, c Candidate) {
 	ge.mu.Lock()
 	defer ge.mu.Unlock()
 	if ge.local == nil {
-		ge.local = make(map[ReqID]*localLink)
+		ge.local = make(map[ReqID][]Candidate)
 	}
 	l := ge.local[id]
-	if l == nil {
-		ge.local[id] = &localLink{candidates: []Candidate{c}}
-		ge.group.memo.mem.Charge(candidateSizeBytes(len(c.ChildReqs)))
-		return
-	}
-	for i := range l.candidates {
-		if sameChildReqs(l.candidates[i].ChildReqs, c.ChildReqs) {
-			l.candidates[i] = c
+	for i := range l {
+		if sameChildReqs(l[i].ChildReqs, c.ChildReqs) {
+			l[i] = c
 			return
 		}
 	}
-	l.candidates = append(l.candidates, c)
+	ge.local[id] = append(l, c)
 	ge.group.memo.mem.Charge(candidateSizeBytes(len(c.ChildReqs)))
+}
+
+// reqAlts is a physical operator's child-request alternatives together with
+// their interned ids (alternative-major, one id per child).
+type reqAlts struct {
+	alts [][]props.Required
+	ids  []ReqID
+}
+
+// ChildReqs returns the child-request alternatives of the expression's
+// physical operator under req, and the interned id of every request in them:
+// ids[a*len(ge.Children)+c] is child c's request in alternative a. For a
+// request-invariant operator both are computed once per expression and
+// shared by every request that costs it, so callers must not modify them;
+// otherwise the ids are appended to buf[:0], the caller's scratch.
+//
+//orcavet:hotpath:alloc the shared id slice of a request-invariant operator is allocated once per expression
+func (ge *GroupExpr) ChildReqs(req props.Required, buf []ReqID) (alts [][]props.Required, ids []ReqID) {
+	phys := ge.Op.(ops.Physical)
+	_, invariant := phys.(ops.RequestInvariant)
+	if invariant {
+		if c := ge.childReqs.Load(); c != nil {
+			return c.alts, c.ids
+		}
+	}
+	alts = phys.ChildReqs(req)
+	ids = buf[:0]
+	if invariant {
+		ids = make([]ReqID, 0, len(alts)*len(ge.Children))
+	}
+	for _, alt := range alts {
+		for _, creq := range alt {
+			ids = append(ids, ge.group.memo.InternReq(creq))
+		}
+	}
+	if invariant {
+		// Racing jobs compute equal values; whichever lands first is kept.
+		ge.childReqs.CompareAndSwap(nil, &reqAlts{alts: alts, ids: ids})
+	}
+	return alts, ids
 }
 
 func sameChildReqs(a, b []props.Required) bool {
@@ -722,10 +797,7 @@ func (ge *GroupExpr) Candidates(req props.Required) []Candidate {
 	}
 	ge.mu.Lock()
 	defer ge.mu.Unlock()
-	if l := ge.local[id]; l != nil {
-		return append([]Candidate(nil), l.candidates...)
-	}
-	return nil
+	return append([]Candidate(nil), ge.local[id]...)
 }
 
 // IsEnforcer reports whether the expression is an enforcer operator.

@@ -245,7 +245,7 @@ func TestCandidateLinkage(t *testing.T) {
 	ge := m.Group(root).Exprs()[0]
 	req := props.Required{Dist: props.SingletonDist}
 	cand := Candidate{ChildReqs: []props.Required{{Dist: props.AnyDist}, {Dist: props.ReplicatedDist}}, Cost: 9}
-	ge.AddCandidate(req, cand)
+	ge.AddCandidate(m.InternReq(req), cand)
 	got := ge.Candidates(req)
 	if len(got) != 1 || got[0].Cost != 9 || len(got[0].ChildReqs) != 2 {
 		t.Errorf("candidates = %+v", got)

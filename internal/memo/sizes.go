@@ -46,7 +46,7 @@ func optCtxSizeBytes() int64 {
 
 // candidateSizeBytes is the accounted size of one costed candidate appended
 // to an expression's local table: the Candidate value, its child-request
-// slice, and its share of the localLink map entry.
+// slice, and its share of the local map entry.
 func candidateSizeBytes(childReqs int) int64 {
 	return int64(unsafe.Sizeof(Candidate{})) +
 		int64(childReqs)*int64(unsafe.Sizeof(props.Required{})) +

@@ -193,17 +193,26 @@ func outAndFree(e *Expr) (out, free base.ColSet) {
 // Conjuncts splits a predicate into its top-level AND terms; a nil predicate
 // yields nil.
 func Conjuncts(pred ScalarExpr) []ScalarExpr {
+	return appendConjuncts(nil, pred)
+}
+
+// appendConjuncts flattens into one output slice, so a flat AND — the shape
+// the join rules split over and over — costs a single allocation.
+func appendConjuncts(out []ScalarExpr, pred ScalarExpr) []ScalarExpr {
 	if pred == nil {
-		return nil
-	}
-	if b, ok := pred.(*BoolOp); ok && b.Kind == BoolAnd {
-		var out []ScalarExpr
-		for _, a := range b.Args {
-			out = append(out, Conjuncts(a)...)
-		}
 		return out
 	}
-	return []ScalarExpr{pred}
+	b, ok := pred.(*BoolOp)
+	if !ok || b.Kind != BoolAnd {
+		return append(out, pred)
+	}
+	if out == nil && len(b.Args) > 0 {
+		out = make([]ScalarExpr, 0, len(b.Args))
+	}
+	for _, a := range b.Args {
+		out = appendConjuncts(out, a)
+	}
+	return out
 }
 
 // EquiKeys extracts hash-joinable column pairs from a join predicate given

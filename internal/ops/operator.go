@@ -52,6 +52,15 @@ type Physical interface {
 	physical()
 }
 
+// RequestInvariant marks physical operators whose ChildReqs ignores the
+// incoming request: the alternatives are a function of the operator alone,
+// so search computes them once per group expression
+// (memo.GroupExpr.ChildReqs) instead of once per costed request.
+type RequestInvariant interface {
+	Physical
+	requestInvariant()
+}
+
 // Enforcer marks the enforcer operators (Sort, Gather, GatherMerge,
 // Redistribute, Broadcast, Spool) that the optimizer plugs into groups to
 // deliver required properties; plan explains render them distinctly, as the

@@ -37,6 +37,8 @@ func suffixFor(t JoinType) string {
 //  3. broadcast the outer side (inner joins only — broadcasting the
 //     row-preserving side of an outer/semi/anti join would duplicate it),
 //  4. gather both sides to a single host.
+//
+// The request is ignored, which requestInvariant declares.
 func (j *HashJoin) ChildReqs(props.Required) [][]props.Required {
 	var alts [][]props.Required
 	if len(j.LeftKeys) > 0 {
@@ -61,6 +63,8 @@ func (j *HashJoin) ChildReqs(props.Required) [][]props.Required {
 	})
 	return alts
 }
+
+func (*HashJoin) requestInvariant() {}
 
 // Derive implements Physical.
 func (j *HashJoin) Derive(children []props.Derived) props.Derived {
@@ -116,16 +120,19 @@ func (j *NLJoin) Name() string { return "Inner" + suffixFor(j.Type) + "NLJoin" }
 // on a single host. NLJoin preserves the outer child's sort order, which is
 // how an order-preserving NL join avoids a Sort enforcer (paper §4.1).
 func (j *NLJoin) ChildReqs(req props.Required) [][]props.Required {
-	return [][]props.Required{
-		{
-			{Dist: props.AnyDist, Order: req.Order},
-			{Dist: props.ReplicatedDist, Rewindable: true},
-		},
-		{
-			{Dist: props.SingletonDist, Order: req.Order},
-			{Dist: props.SingletonDist, Rewindable: true},
-		},
-	}
+	// One allocation holds both alternatives and their four requests: this
+	// runs once per costed (expression, request) pair.
+	a := &struct {
+		alts [2][]props.Required
+		reqs [4]props.Required
+	}{reqs: [4]props.Required{
+		{Dist: props.AnyDist, Order: req.Order},
+		{Dist: props.ReplicatedDist, Rewindable: true},
+		{Dist: props.SingletonDist, Order: req.Order},
+		{Dist: props.SingletonDist, Rewindable: true},
+	}}
+	a.alts[0], a.alts[1] = a.reqs[0:2:2], a.reqs[2:4:4]
+	return a.alts[:]
 }
 
 // Derive implements Physical: distribution combines like a hash join; the

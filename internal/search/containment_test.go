@@ -19,13 +19,14 @@ func panicInsideJob() {
 
 func TestSchedulerContainsJobPanic(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		bomb := &stepJob{key: "bomb", steps: []func() ([]Job, bool, error){
-			func() ([]Job, bool, error) {
+		tb := newJobTable()
+		bomb := tb.goal(&stepJob{key: "bomb", steps: []stepFn{
+			func() ([]JobKey, bool, error) {
 				panicInsideJob()
 				return nil, true, nil
 			},
-		}}
-		s := NewScheduler(workers)
+		}})
+		s := tb.scheduler(workers)
 		err := s.Run(bomb)
 		if err == nil {
 			t.Fatalf("workers=%d: want error from panicking job", workers)
@@ -38,7 +39,7 @@ func TestSchedulerContainsJobPanic(t *testing.T) {
 			t.Errorf("workers=%d: want %s/%s, got %s/%s",
 				workers, gpos.CompSearch, gpos.CodePanic, ex.Comp, ex.Code)
 		}
-		if !strings.Contains(ex.Msg, "opt job") || !strings.Contains(ex.Msg, "bomb") {
+		if !strings.Contains(ex.Msg, "opt job") || !strings.Contains(ex.Msg, bomb.String()) {
 			t.Errorf("workers=%d: message should name kind and key: %q", workers, ex.Msg)
 		}
 		if len(ex.Stack) == 0 || !strings.Contains(ex.Stack[0], "panicInsideJob") {
@@ -50,14 +51,15 @@ func TestSchedulerContainsJobPanic(t *testing.T) {
 func TestSchedulerPanicFailsOnlyThisRun(t *testing.T) {
 	// After a contained panic the same process can run a fresh scheduler —
 	// §6.1's "fail the query, not the process".
-	bomb := &stepJob{key: "bomb", steps: []func() ([]Job, bool, error){
-		func() ([]Job, bool, error) { panic("first run dies") },
-	}}
-	if err := NewScheduler(2).Run(bomb); err == nil {
+	tb := newJobTable()
+	bomb := tb.goal(&stepJob{key: "bomb", steps: []stepFn{
+		func() ([]JobKey, bool, error) { panic("first run dies") },
+	}})
+	if err := tb.scheduler(2).Run(bomb); err == nil {
 		t.Fatal("want error from panicking run")
 	}
 	var hits int32
-	if err := NewScheduler(2).Run(leaf("ok", &hits)); err != nil || hits != 1 {
+	if err := tb.scheduler(2).Run(tb.goal(leaf("ok", &hits))); err != nil || hits != 1 {
 		t.Fatalf("follow-up run broken: err=%v hits=%d", err, hits)
 	}
 }
@@ -68,8 +70,9 @@ func TestSchedulerJobExecFaultPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer disarm()
+	tb := newJobTable()
 	var hits int32
-	runErr := NewScheduler(1).Run(leaf("victim", &hits))
+	runErr := tb.scheduler(1).Run(tb.goal(leaf("victim", &hits)))
 	ex := gpos.AsException(runErr)
 	if ex == nil || ex.Comp != gpos.CompSearch || ex.Code != fault.CodeInjected {
 		t.Fatalf("want injected search fault, got %v", runErr)
@@ -85,8 +88,9 @@ func TestSchedulerJobExecPanicFaultContained(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer disarm()
+	tb := newJobTable()
 	var hits int32
-	runErr := NewScheduler(4).Run(leaf("victim", &hits))
+	runErr := tb.scheduler(4).Run(tb.goal(leaf("victim", &hits)))
 	ex := gpos.AsException(runErr)
 	if ex == nil || ex.Code != gpos.CodePanic {
 		t.Fatalf("want contained panic exception, got %v", runErr)
@@ -101,14 +105,15 @@ func TestSchedulerQuotaAbortDrains(t *testing.T) {
 	// error through the drain path, recognizable via Drained.
 	var steps int32
 	quotaErr := fmt.Errorf("87 groups over limit: %w", ErrBudget)
-	s := NewScheduler(2)
+	tb := newJobTable()
+	s := tb.scheduler(2)
 	s.SetQuotaCheck(func() error {
 		if atomic.LoadInt32(&steps) >= 5 {
 			return quotaErr
 		}
 		return nil
 	})
-	err := s.Run(spawnForeverJob(&steps))
+	err := s.Run(spawnForeverJob(tb, &steps))
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("want ErrBudget through quota, got %v", err)
 	}
@@ -119,14 +124,14 @@ func TestSchedulerQuotaAbortDrains(t *testing.T) {
 
 // spawnForeverJob endlessly spawns fresh children, simulating an unbounded
 // search.
-func spawnForeverJob(counter *int32) *stepJob {
+func spawnForeverJob(tb *jobTable, counter *int32) JobKey {
 	n := atomic.AddInt32(counter, 1)
-	return &stepJob{key: fmt.Sprintf("spawn%d", n), steps: []func() ([]Job, bool, error){
-		func() ([]Job, bool, error) {
-			return []Job{spawnForeverJob(counter)}, false, nil
+	return tb.goal(&stepJob{key: fmt.Sprintf("spawn%d", n), steps: []stepFn{
+		func() ([]JobKey, bool, error) {
+			return []JobKey{spawnForeverJob(tb, counter)}, false, nil
 		},
-		func() ([]Job, bool, error) { return nil, true, nil },
-	}}
+		func() ([]JobKey, bool, error) { return nil, true, nil },
+	}})
 }
 
 func TestDrained(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"orca/internal/memo"
 	"orca/internal/ops"
 	"orca/internal/props"
+	"orca/internal/stats"
 	"orca/internal/xform"
 )
 
@@ -56,12 +57,12 @@ type StageParams struct {
 // Memo then still holds the best plan found so far, extractable via
 // Memo.ExtractPlan).
 func (o *Optimizer) RunStage(root memo.GroupID, req props.Required, p StageParams) (float64, Stats, error) {
-	s := NewScheduler(p.Workers)
+	s := NewScheduler(p.Workers, o.newJob)
 	s.SetDeadline(p.Deadline)
 	s.SetStepLimit(p.StepLimit)
 	s.SetQuotaCheck(p.Quota)
 	g := o.Memo.Group(root)
-	err := s.Run(&optGroupJob{o: o, g: g, req: req})
+	err := s.Run(optGroupKey(g, o.Memo.InternReq(req)))
 	st := s.Stats()
 	if err != nil && !Drained(err) {
 		return memo.InfCost, st, err
@@ -76,164 +77,189 @@ func (o *Optimizer) RunStage(root memo.GroupID, req props.Required, p StageParam
 	return ctx.BestCost(), st, err
 }
 
-// ---------------------------------------------------------------------------
-// Exp(g): generate logically equivalent expressions of all group expressions
-// in group g.
+// Goal constructors: value composition only — no formatting, no allocation;
+// they run once per spawned child, duplicates included.
 
-type expGroupJob struct {
-	o         *Optimizer
-	g         *memo.Group
-	processed int
+//orcavet:hotpath goal constructor: Exp(g), Imp(g) or Stats(g)
+func groupKey(kind JobKind, g *memo.Group) JobKey { return JobKey{Kind: kind, Group: g} }
+
+//orcavet:hotpath goal constructor: Exp(gexpr) or Imp(gexpr)
+func exprKey(kind JobKind, ge *memo.GroupExpr) JobKey { return JobKey{Kind: kind, Expr: ge} }
+
+//orcavet:hotpath goal constructor: Opt(g, req)
+func optGroupKey(g *memo.Group, req memo.ReqID) JobKey {
+	return JobKey{Kind: JobOpt, Group: g, Req: req}
 }
 
-func (j *expGroupJob) Key() string   { return fmt.Sprintf("eg:%d", j.g.ID) }
-func (j *expGroupJob) Kind() JobKind { return JobExp }
+//orcavet:hotpath goal constructor: Opt(gexpr, req)
+func optExprKey(ge *memo.GroupExpr, req memo.ReqID) JobKey {
+	return JobKey{Kind: JobOpt, Expr: ge, Req: req}
+}
 
-func (j *expGroupJob) Step(*Scheduler) ([]Job, bool, error) {
-	if j.g.Explored(j.o.XCtx.Epoch()) {
-		return nil, true, nil
+//orcavet:hotpath goal constructor: Xform(gexpr, t)
+func xformKey(ge *memo.GroupExpr, rule int) JobKey {
+	return JobKey{Kind: JobXform, Expr: ge, Rule: int32(rule)}
+}
+
+// job is what every search job starts from: its goal (Group or Expr, and
+// Req for Opt goals) and how far it got.
+type job struct {
+	o *Optimizer
+	JobKey
+	phase int
+}
+
+// newJob materialises the job behind a goal the scheduler has not seen.
+//
+//orcavet:hotpath:alloc one job object per distinct goal
+func (o *Optimizer) newJob(k JobKey) Job {
+	group := k.Expr == nil
+	switch {
+	case k.Kind == JobExp && group:
+		return &expGroupJob{o: o, JobKey: k}
+	case k.Kind == JobExp:
+		return &expGexprJob{o: o, JobKey: k}
+	case k.Kind == JobImp && group:
+		return &impGroupJob{o: o, JobKey: k}
+	case k.Kind == JobImp:
+		return &impGexprJob{o: o, JobKey: k}
+	case k.Kind == JobStats:
+		return &statsGroupJob{o: o, JobKey: k}
+	case k.Kind == JobXform:
+		rule, _ := o.XCtx.ActiveRule(int(k.Rule))
+		return &xformJob{job: job{o: o, JobKey: k}, rule: rule}
 	}
-	exprs := j.g.Exprs()
-	var children []Job
-	for ; j.processed < len(exprs); j.processed++ {
-		ge := exprs[j.processed]
+	req, _ := o.Memo.Req(k.Req)
+	if group {
+		return &optGroupJob{job: job{o: o, JobKey: k}, req: req}
+	}
+	return &optGexprJob{job: job{o: o, JobKey: k}, req: req}
+}
+
+// ---------------------------------------------------------------------------
+// Exp(g): generate logically equivalent expressions of all group expressions
+// in group g. phase counts the expressions already handed to Exp(gexpr).
+
+type expGroupJob job
+
+//orcavet:hotpath Exp(g) step
+func (j *expGroupJob) Step(w *Worker) (bool, error) {
+	if j.Group.Explored(j.o.XCtx.Epoch()) {
+		return true, nil
+	}
+	w.exprs = j.Group.AppendExprs(w.exprs[:0])
+	for ; j.phase < len(w.exprs); j.phase++ {
+		ge := w.exprs[j.phase]
 		if _, ok := ge.Op.(ops.Logical); ok {
-			children = append(children, &expGexprJob{o: j.o, ge: ge})
+			w.Spawn(exprKey(JobExp, ge))
 		}
 	}
-	if len(children) > 0 {
+	if len(w.children) > 0 {
 		// Transformations may add new expressions; re-check on resume.
-		return children, false, nil
+		return false, nil
 	}
-	j.g.SetExplored(j.o.XCtx.Epoch())
-	return nil, true, nil
+	j.Group.SetExplored(j.o.XCtx.Epoch())
+	return true, nil
 }
 
 // Exp(gexpr): explore one group expression — explore its children first so
 // multi-level rule patterns can bind, then fire the exploration rules.
 
-type expGexprJob struct {
-	o     *Optimizer
-	ge    *memo.GroupExpr
-	phase int
-}
+type expGexprJob job
 
-func (j *expGexprJob) Key() string   { return fmt.Sprintf("ex:%p", j.ge) }
-func (j *expGexprJob) Kind() JobKind { return JobExp }
-
-func (j *expGexprJob) Step(*Scheduler) ([]Job, bool, error) {
+//orcavet:hotpath Exp(gexpr) step
+func (j *expGexprJob) Step(w *Worker) (bool, error) {
 	switch j.phase {
 	case 0:
 		j.phase = 1
-		var children []Job
-		for _, cid := range j.ge.Children {
-			children = append(children, &expGroupJob{o: j.o, g: j.o.Memo.Group(cid)})
+		for _, cid := range j.Expr.Children {
+			w.Spawn(groupKey(JobExp, j.o.Memo.Group(cid)))
 		}
-		if len(children) > 0 {
-			return children, false, nil
+		if len(w.children) > 0 {
+			return false, nil
 		}
 		fallthrough
 	case 1:
 		j.phase = 2
-		var children []Job
-		for _, r := range j.o.XCtx.Explorations() {
-			if !j.ge.Applied(r.ID) && r.Matches(j.ge) {
-				children = append(children, &xformJob{o: j.o, ge: j.ge, rule: r})
-			}
-		}
-		if len(children) > 0 {
-			return children, false, nil
+		spawnRules(w, j.Expr, j.o.XCtx.Explorations())
+	}
+	return len(w.children) == 0, nil
+}
+
+// spawnRules spawns Xform(ge, t) for every active rule t that matches ge and
+// has not fired on it.
+func spawnRules(w *Worker, ge *memo.GroupExpr, rules []xform.ActiveRule) {
+	for _, r := range rules {
+		if !ge.Applied(r.ID) && r.Matches(ge) {
+			w.Spawn(xformKey(ge, r.ID))
 		}
 	}
-	return nil, true, nil
 }
 
 // ---------------------------------------------------------------------------
 // Imp(g) / Imp(gexpr)
 
-type impGroupJob struct {
-	o     *Optimizer
-	g     *memo.Group
-	phase int
-}
+type impGroupJob job
 
-func (j *impGroupJob) Key() string   { return fmt.Sprintf("ig:%d", j.g.ID) }
-func (j *impGroupJob) Kind() JobKind { return JobImp }
-
-func (j *impGroupJob) Step(*Scheduler) ([]Job, bool, error) {
-	if j.g.Implemented(j.o.XCtx.Epoch()) {
-		return nil, true, nil
+//orcavet:hotpath Imp(g) step
+func (j *impGroupJob) Step(w *Worker) (bool, error) {
+	if j.Group.Implemented(j.o.XCtx.Epoch()) {
+		return true, nil
 	}
 	switch j.phase {
 	case 0:
 		j.phase = 1
-		return []Job{&expGroupJob{o: j.o, g: j.g}}, false, nil
+		w.Spawn(groupKey(JobExp, j.Group))
+		return false, nil
 	case 1:
 		j.phase = 2
-		var children []Job
-		for _, ge := range j.g.Exprs() {
+		w.exprs = j.Group.AppendExprs(w.exprs[:0])
+		for _, ge := range w.exprs {
 			if _, ok := ge.Op.(ops.Logical); ok {
-				children = append(children, &impGexprJob{o: j.o, ge: ge})
+				w.Spawn(exprKey(JobImp, ge))
 			}
 		}
-		if len(children) > 0 {
-			return children, false, nil
+		if len(w.children) > 0 {
+			return false, nil
 		}
 		fallthrough
 	default:
-		j.g.SetImplemented(j.o.XCtx.Epoch())
-		return nil, true, nil
+		j.Group.SetImplemented(j.o.XCtx.Epoch())
+		return true, nil
 	}
 }
 
-type impGexprJob struct {
-	o     *Optimizer
-	ge    *memo.GroupExpr
-	phase int
-}
+type impGexprJob job
 
-func (j *impGexprJob) Key() string   { return fmt.Sprintf("ix:%p", j.ge) }
-func (j *impGexprJob) Kind() JobKind { return JobImp }
-
-func (j *impGexprJob) Step(*Scheduler) ([]Job, bool, error) {
+//orcavet:hotpath Imp(gexpr) step
+func (j *impGexprJob) Step(w *Worker) (bool, error) {
 	if j.phase == 0 {
 		j.phase = 1
-		var children []Job
-		for _, r := range j.o.XCtx.Implementations() {
-			if !j.ge.Applied(r.ID) && r.Matches(j.ge) {
-				children = append(children, &xformJob{o: j.o, ge: j.ge, rule: r})
-			}
-		}
-		if len(children) > 0 {
-			return children, false, nil
-		}
+		spawnRules(w, j.Expr, j.o.XCtx.Implementations())
 	}
-	return nil, true, nil
+	return len(w.children) == 0, nil
 }
 
 // ---------------------------------------------------------------------------
 // Xform(gexpr, t)
 
 type xformJob struct {
-	o    *Optimizer
-	ge   *memo.GroupExpr
+	job
 	rule xform.ActiveRule
 }
 
-func (j *xformJob) Key() string   { return fmt.Sprintf("xf:%p:%s", j.ge, j.rule.Name()) }
-func (j *xformJob) Kind() JobKind { return JobXform }
-
-func (j *xformJob) Step(*Scheduler) ([]Job, bool, error) {
-	if j.ge.MarkApplied(j.rule.ID) {
+//orcavet:hotpath Xform(gexpr, t) step; the rule body is behind a polymorphic Apply
+func (j *xformJob) Step(*Worker) (bool, error) {
+	if j.Expr.MarkApplied(j.rule.ID) {
 		if err := fault.Inject(fault.PointSearchXformApply); err != nil {
-			return nil, false, err
+			return false, err
 		}
-		if err := j.rule.Apply(j.o.XCtx, j.ge); err != nil {
-			return nil, false, err
+		if err := j.rule.Apply(j.o.XCtx, j.Expr); err != nil {
+			return false, err
 		}
 		j.o.RulesFired.Add(1)
 	}
-	return nil, true, nil
+	return true, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -242,85 +268,74 @@ func (j *xformJob) Step(*Scheduler) ([]Job, bool, error) {
 // after dependency jobs derived the statistics of the input groups — the
 // promising expression's children and, for CTE consumers, the producer group.
 
-type statsGroupJob struct {
-	o     *Optimizer
-	g     *memo.Group
-	phase int
-}
+type statsGroupJob job
 
-func (j *statsGroupJob) Key() string   { return fmt.Sprintf("sg:%d", j.g.ID) }
-func (j *statsGroupJob) Kind() JobKind { return JobStats }
-
-func (j *statsGroupJob) Step(*Scheduler) ([]Job, bool, error) {
-	if j.g.Stats() != nil {
-		return nil, true, nil
+//orcavet:hotpath Stats(g) step; derivation itself is a declared cold boundary
+func (j *statsGroupJob) Step(w *Worker) (bool, error) {
+	if j.Group.Stats() != nil {
+		return true, nil
 	}
 	if j.phase == 0 {
 		j.phase = 1
-		var children []Job
-		for _, src := range j.o.Memo.StatsSources(j.g.ID, j.o.XCtx.Stats) {
-			children = append(children, &statsGroupJob{o: j.o, g: j.o.Memo.Group(src)})
+		for _, src := range j.o.Memo.StatsSources(j.Group.ID, j.o.XCtx.Stats) {
+			w.Spawn(groupKey(JobStats, j.o.Memo.Group(src)))
 		}
-		if len(children) > 0 {
-			return children, false, nil
+		if len(w.children) > 0 {
+			return false, nil
 		}
 	}
-	_, err := j.o.Memo.DeriveStats(j.g.ID, j.o.XCtx.Stats)
-	return nil, err == nil, err
+	_, err := j.o.Memo.DeriveStats(j.Group.ID, j.o.XCtx.Stats)
+	return err == nil, err
 }
 
 // ---------------------------------------------------------------------------
 // Opt(g, req): find the least-cost plan rooted in group g satisfying req.
 
 type optGroupJob struct {
-	o     *Optimizer
-	g     *memo.Group
-	req   props.Required
-	phase int
+	job
+	req props.Required
+	ctx *memo.OptContext
 }
 
-func (j *optGroupJob) Key() string {
-	return fmt.Sprintf("og:%d:%x:%s", j.g.ID, j.req.Hash(), j.req)
-}
-func (j *optGroupJob) Kind() JobKind { return JobOpt }
-
-func (j *optGroupJob) Step(*Scheduler) ([]Job, bool, error) {
-	ctx, _ := j.g.Context(j.req)
-	if ctx.Done(j.o.XCtx.Epoch()) {
-		return nil, true, nil
+//orcavet:hotpath Opt(g, req) step
+func (j *optGroupJob) Step(w *Worker) (bool, error) {
+	if j.ctx == nil {
+		j.ctx, _ = j.Group.Context(j.req)
+	}
+	if j.ctx.Done(j.o.XCtx.Epoch()) {
+		return true, nil
 	}
 	switch j.phase {
 	case 0:
 		j.phase = 1
-		return []Job{&impGroupJob{o: j.o, g: j.g}}, false, nil
+		w.Spawn(groupKey(JobImp, j.Group))
+		return false, nil
 	case 1:
 		j.phase = 2
 		// Statistics become necessary the moment this group's expressions are
 		// costed; deriving them as a dependency job (rather than an eager
 		// whole-Memo sweep) keeps derivation to groups search actually reaches.
-		return []Job{&statsGroupJob{o: j.o, g: j.g}}, false, nil
+		w.Spawn(groupKey(JobStats, j.Group))
+		return false, nil
 	case 2:
 		j.phase = 3
-		if err := j.g.AddEnforcers(j.req); err != nil {
-			return nil, false, err
+		if err := j.Group.AddEnforcers(j.req); err != nil {
+			return false, err
 		}
-		var children []Job
-		for _, ge := range j.g.Exprs() {
-			if _, ok := ge.Op.(ops.Physical); !ok {
-				continue
+		w.exprs = j.Group.AppendExprs(w.exprs[:0])
+		for _, ge := range w.exprs {
+			_, phys := ge.Op.(ops.Physical)
+			if phys && (!ge.IsEnforcer() || memo.EnforcerUseful(ge.Op, j.req)) {
+				w.Spawn(optExprKey(ge, j.Req))
 			}
-			if ge.IsEnforcer() && !memo.EnforcerUseful(ge.Op, j.req) {
-				continue
-			}
-			children = append(children, &optGexprJob{o: j.o, ge: ge, req: j.req})
 		}
-		if len(children) > 0 {
-			return children, false, nil
+		if len(w.children) > 0 {
+			return false, nil
 		}
 		fallthrough
 	default:
-		ctx.MarkDone(j.o.XCtx.Epoch())
-		return nil, true, nil
+		j.ctx.MarkDone(j.o.XCtx.Epoch())
+		return true, nil
 	}
 }
 
@@ -328,60 +343,54 @@ func (j *optGroupJob) Step(*Scheduler) ([]Job, bool, error) {
 // its child-request alternatives.
 
 type optGexprJob struct {
-	o   *Optimizer
-	ge  *memo.GroupExpr
+	job // phase is the alternative in flight
 	req props.Required
-
-	init    bool
+	ctx *memo.OptContext // the owning group's context for req
+	// alts are the child-request alternatives and ids their interned
+	// requests (memo.GroupExpr.ChildReqs): shared and read-only, unless ids
+	// is backed by idBuf, where two alternatives of a binary operator fit.
 	alts    [][]props.Required
-	altIdx  int
+	ids     []memo.ReqID
+	idBuf   [4]memo.ReqID
 	spawned bool
 }
 
-func (j *optGexprJob) Key() string {
-	return fmt.Sprintf("ox:%p:%x:%s", j.ge, j.req.Hash(), j.req)
-}
-func (j *optGexprJob) Kind() JobKind { return JobOpt }
-
-func (j *optGexprJob) Step(*Scheduler) ([]Job, bool, error) {
-	phys := j.ge.Op.(ops.Physical)
-	if !j.init {
-		j.init = true
-		for _, alt := range phys.ChildReqs(j.req) {
-			if j.selfCycle(alt) {
-				continue
-			}
-			j.alts = append(j.alts, alt)
-		}
+//orcavet:hotpath Opt(gexpr, req) step: the most frequent job step of a search
+func (j *optGexprJob) Step(w *Worker) (bool, error) {
+	if j.ctx == nil {
+		j.ctx = j.Expr.Group().ContextByID(j.Req) // created by the Opt(g, req) job that spawned this goal
+		j.alts, j.ids = j.Expr.ChildReqs(j.req, j.idBuf[:0])
 	}
-	for j.altIdx < len(j.alts) {
-		alt := j.alts[j.altIdx]
+	n := len(j.Expr.Children)
+	for ; j.phase < len(j.alts); j.phase++ {
+		ids := j.ids[j.phase*n : (j.phase+1)*n]
+		if j.selfCycle(ids) {
+			continue
+		}
 		if !j.spawned {
 			j.spawned = true
-			var children []Job
-			for i, creq := range alt {
-				children = append(children, &optGroupJob{o: j.o, g: j.o.Memo.Group(j.ge.Children[i]), req: creq})
+			for i, id := range ids {
+				w.Spawn(optGroupKey(j.o.Memo.Group(j.Expr.Children[i]), id))
 			}
-			if len(children) > 0 {
-				return children, false, nil
+			if n > 0 {
+				return false, nil
 			}
 		}
 		// Children optimized: evaluate this alternative.
-		if err := j.evaluate(alt); err != nil {
-			return nil, false, err
+		if err := j.evaluate(w, j.alts[j.phase], ids); err != nil {
+			return false, err
 		}
-		j.altIdx++
 		j.spawned = false
 	}
-	return nil, true, nil
+	return true, nil
 }
 
 // selfCycle reports whether an alternative asks this expression's own group
 // for the very request being optimized (possible only for enforcers), which
 // would recurse forever.
-func (j *optGexprJob) selfCycle(alt []props.Required) bool {
-	for i, creq := range alt {
-		if j.ge.Children[i] == j.ge.Group().ID && creq.Equal(j.req) {
+func (j *optGexprJob) selfCycle(ids []memo.ReqID) bool {
+	for i, id := range ids {
+		if j.Expr.Children[i] == j.Expr.Group().ID && id == j.Req {
 			return true
 		}
 	}
@@ -391,15 +400,12 @@ func (j *optGexprJob) selfCycle(alt []props.Required) bool {
 // evaluate combines the children's best plans for one alternative, checks
 // delivered properties against the request, costs the plan and offers it to
 // the group's context (paper §4.1 step 4).
-func (j *optGexprJob) evaluate(alt []props.Required) error {
+func (j *optGexprJob) evaluate(w *Worker, alt []props.Required, ids []memo.ReqID) error {
 	o := j.o
-	n := len(j.ge.Children)
-	childDerived := make([]props.Derived, n)
-	childRows := make([]float64, n)
+	childDerived, childRows := w.derived[:0], w.rows[:0]
 	total := 0.0
-	for i, creq := range alt {
-		cg := o.Memo.Group(j.ge.Children[i])
-		cctx := cg.LookupContext(creq)
+	for i, cid := range j.Expr.Children {
+		cctx := o.Memo.Group(cid).ContextByID(ids[i])
 		if cctx == nil {
 			return nil // child not optimizable under this request
 		}
@@ -407,18 +413,19 @@ func (j *optGexprJob) evaluate(alt []props.Required) error {
 		if !ok {
 			return nil
 		}
-		childDerived[i] = cand.Delivered
-		if cg.Stats() == nil {
-			// Fallback: enforcer insertion can create expressions whose child
-			// groups were never reached by a stats job on this path.
-			if _, err := o.Memo.DeriveStats(cg.ID, o.XCtx.Stats); err != nil {
-				return err
-			}
+		childDerived = append(childDerived, cand.Delivered)
+		// Normally a Stats job derived these already (DeriveStats then just
+		// returns them); enforcer insertion can create expressions whose child
+		// groups were never reached by a stats job on this path.
+		cs, err := o.Memo.DeriveStats(cid, o.XCtx.Stats)
+		if err != nil {
+			return err
 		}
-		childRows[i] = cg.Rows()
+		childRows = append(childRows, cs.Rows)
 		total += cand.Cost
 	}
-	phys := j.ge.Op.(ops.Physical)
+	w.derived, w.rows = childDerived, childRows // keep the grown buffers
+	phys := j.Expr.Op.(ops.Physical)
 	delivered := phys.Derive(childDerived)
 	if !delivered.Satisfies(j.req) {
 		return nil
@@ -426,36 +433,23 @@ func (j *optGexprJob) evaluate(alt []props.Required) error {
 	if err := fault.Inject(fault.PointCostCompute); err != nil {
 		return err
 	}
-	g := j.ge.Group()
-	if g.Stats() == nil {
-		if _, err := o.Memo.DeriveStats(g.ID, o.XCtx.Stats); err != nil {
-			return err
-		}
+	gs, err := o.Memo.DeriveStats(j.Expr.Group().ID, o.XCtx.Stats)
+	if err != nil {
+		return err
 	}
-	in := cost.Inputs{
-		OutRows:   g.Rows(),
-		ChildRows: childRows,
-		Delivered: delivered,
-		Skew:      j.skew(delivered),
-	}
-	local := o.Cost.LocalCost(j.ge.Op, in)
-	cand := memo.Candidate{
-		ChildReqs: alt,
-		LocalCost: local,
-		Cost:      local + total,
-		Delivered: delivered,
-	}
-	j.ge.AddCandidate(j.req, cand)
-	ctx, _ := g.Context(j.req)
-	ctx.Offer(j.ge, cand)
+	local := o.Cost.LocalCost(j.Expr.Op, cost.Inputs{
+		OutRows: gs.Rows, ChildRows: childRows, Delivered: delivered, Skew: j.skew(gs, delivered)})
+	cand := memo.Candidate{ChildReqs: alt, LocalCost: local, Cost: local + total, Delivered: delivered}
+	j.Expr.AddCandidate(j.Req, cand)
+	j.ctx.Offer(j.Expr, cand)
 	return nil
 }
 
 // skew estimates the data-skew multiplier for operators that hash-partition
-// data, from the histogram of the first hashing column.
-func (j *optGexprJob) skew(delivered props.Derived) float64 {
+// data, from the group's histogram of the first hashing column.
+func (j *optGexprJob) skew(gs *stats.Stats, delivered props.Derived) float64 {
 	var col base.ColID = -1
-	switch op := j.ge.Op.(type) {
+	switch op := j.Expr.Op.(type) {
 	case *ops.Redistribute:
 		if len(op.Cols) > 0 {
 			col = op.Cols[0]
@@ -470,10 +464,8 @@ func (j *optGexprJob) skew(delivered props.Derived) float64 {
 	if col < 0 {
 		return 1
 	}
-	if s := j.ge.Group().Stats(); s != nil {
-		if h := s.Hist(col); h != nil {
-			return h.SkewRatio()
-		}
+	if h := gs.Hist(col); h != nil {
+		return h.SkewRatio()
 	}
 	return 1
 }

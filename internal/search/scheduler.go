@@ -6,7 +6,9 @@
 // workers) and resumes when they all finish. Jobs are deduplicated by goal:
 // when a job with some goal is already active, later jobs with the same goal
 // attach as waiters instead of redoing the work, which is the paper's group
-// job queue.
+// job queue. A goal is a small comparable value (JobKey); the job object
+// behind it is materialised only for a goal the registry has not seen, on
+// the worker that first runs it.
 package search
 
 import (
@@ -17,6 +19,9 @@ import (
 
 	"orca/internal/fault"
 	"orca/internal/gpos"
+	"orca/internal/memo"
+	"orca/internal/props"
+	"orca/internal/xform"
 )
 
 // ErrTimeout reports that the optimization stage exceeded its deadline or
@@ -56,20 +61,10 @@ const NumJobKinds = 5
 
 // String names the kind for telemetry output.
 func (k JobKind) String() string {
-	switch k {
-	case JobExp:
-		return "exp"
-	case JobImp:
-		return "imp"
-	case JobOpt:
-		return "opt"
-	case JobXform:
-		return "xform"
-	case JobStats:
-		return "stats"
-	default:
+	if int(k) >= NumJobKinds {
 		return "unknown"
 	}
+	return [NumJobKinds]string{"exp", "imp", "opt", "xform", "stats"}[k]
 }
 
 // Stats is one scheduler run's telemetry. Multi-stage sessions merge the
@@ -124,21 +119,69 @@ func (s *Stats) Merge(o Stats) {
 	s.Wall += o.Wall
 }
 
-// Job is one re-entrant unit of optimization work. Step performs as much
-// work as possible without blocking; to wait for other jobs, it returns them
-// as children and will be re-entered once they all complete.
-type Job interface {
-	// Key identifies the job's goal for deduplication.
-	Key() string
-	// Kind classifies the job for telemetry.
-	Kind() JobKind
-	// Step advances the job. done reports completion; children are jobs the
-	// job must wait for before being re-entered.
-	Step(s *Scheduler) (children []Job, done bool, err error)
+// JobKey is a job's goal and its identity in the scheduler registry: a
+// comparable value, hashed as a run of machine words with no formatting.
+// Group is set on group-level goals (Exp(g), Imp(g), Opt(g, req), Stats(g))
+// and Expr on expression-level ones; Req (Opt goals) is the Memo-interned
+// request, so Equal requests built from different slices are one key; Rule
+// (Xform goals) is the dense rule id.
+type JobKey struct {
+	Group *memo.Group
+	Expr  *memo.GroupExpr
+	Req   memo.ReqID
+	Rule  int32
+	Kind  JobKind
 }
 
+// String renders the goal for diagnostics, e.g. "opt(g3, {Singleton, <1>})".
+// It resolves the request text through the Memo: cold paths only.
+func (k JobKey) String() string {
+	g, target := k.Group, ""
+	if k.Expr != nil {
+		g, target = k.Expr.Group(), ": "+k.Expr.String()
+	}
+	switch k.Kind {
+	case JobOpt:
+		if req, ok := g.Memo().Req(k.Req); ok {
+			target += ", " + req.String()
+		} else {
+			target += fmt.Sprintf(", req#%d", k.Req)
+		}
+	case JobXform:
+		target += ", " + xform.RuleNameFor(int(k.Rule))
+	}
+	return fmt.Sprintf("%s(g%d%s)", k.Kind, g.ID, target)
+}
+
+// Job is one re-entrant unit of optimization work. Step performs as much
+// work as possible without blocking; to wait for other goals it spawns them
+// on the worker and returns not-done, and is re-entered once they have all
+// completed (immediately, when it spawned none).
+type Job interface {
+	Step(w *Worker) (done bool, err error)
+}
+
+// Worker is one scheduler worker's step-local state, handed to Job.Step. The
+// buffers are reused across every step the worker runs, so describing
+// children and costing an alternative allocate nothing in steady state; a
+// job must not retain them past its Step.
+type Worker struct {
+	children []JobKey
+	derived  []props.Derived
+	rows     []float64
+	exprs    []*memo.GroupExpr
+}
+
+// Spawn makes the running job wait for the goal k.
+//
+//orcavet:hotpath:alloc the children buffer grows to the widest fan-out once per worker
+func (w *Worker) Spawn(k JobKey) { w.children = append(w.children, k) }
+
 type jobState struct {
-	job     Job
+	key JobKey
+	job Job // materialised by the first worker to run the goal
+	// Waiters, in arrival order: most goals only ever have the first.
+	parent  *jobState
 	parents []*jobState
 	pending int
 	done    bool
@@ -146,32 +189,36 @@ type jobState struct {
 	running bool
 }
 
+// jobStateChunk is how many jobState nodes one allocation holds.
+const jobStateChunk = 64
+
 // Scheduler runs jobs on a fixed number of workers.
 type Scheduler struct {
 	workers   int
+	newJob    func(JobKey) Job
 	deadline  time.Time
 	stepLimit int64
 	quota     func() error
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	registry map[string]*jobState
+	registry map[JobKey]*jobState
+	slab     []jobState // unused tail of the current jobState chunk
 	queue    []*jobState
 	active   int
 	err      error
 	stopped  bool
 	stats    Stats
-
-	// JobsRun counts job steps for diagnostics.
-	JobsRun int64
 }
 
 // NewScheduler builds a scheduler with the given parallelism (minimum 1).
-func NewScheduler(workers int) *Scheduler {
+// newJob materialises the job behind a goal; it is called once per distinct
+// goal, outside the scheduler mutex.
+func NewScheduler(workers int, newJob func(JobKey) Job) *Scheduler {
 	if workers < 1 {
 		workers = 1
 	}
-	s := &Scheduler{workers: workers, registry: make(map[string]*jobState)}
+	s := &Scheduler{workers: workers, newJob: newJob, registry: make(map[JobKey]*jobState)}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
@@ -198,12 +245,12 @@ func (s *Scheduler) Stats() Stats {
 	return s.stats
 }
 
-// Run executes the root job (and its transitively spawned children) to
+// Run executes the root goal (and its transitively spawned children) to
 // completion. It returns the first error encountered, or ErrTimeout when the
 // deadline or step limit cut the search short. On timeout the scheduler
 // drains: in-flight job steps finish (their results land in the Memo), only
 // queued work is abandoned.
-func (s *Scheduler) Run(root Job) error {
+func (s *Scheduler) Run(root JobKey) error {
 	start := time.Now()
 	s.mu.Lock()
 	s.enqueueLocked(root, nil)
@@ -225,22 +272,28 @@ func (s *Scheduler) Run(root Job) error {
 	return s.err
 }
 
-// enqueueLocked registers a job (deduplicating by key) and attaches the
+// enqueueLocked registers a goal (deduplicating by key) and attaches the
 // parent as a waiter. It returns whether the parent must wait.
 //
-//orcavet:hotpath:alloc the jobState node is allocated once per distinct job key
-func (s *Scheduler) enqueueLocked(j Job, parent *jobState) (wait bool) {
-	st, ok := s.registry[j.Key()]
+//orcavet:hotpath:alloc jobState nodes come from a chunk allocated once per jobStateChunk distinct goals
+func (s *Scheduler) enqueueLocked(k JobKey, parent *jobState) (wait bool) {
+	st, ok := s.registry[k]
 	if !ok {
-		st = &jobState{job: j}
-		s.registry[j.Key()] = st
+		if len(s.slab) == 0 {
+			s.slab = make([]jobState, jobStateChunk)
+		}
+		st, s.slab = &s.slab[0], s.slab[1:]
+		st.key = k
+		s.registry[k] = st
 		s.pushLocked(st)
 		s.cond.Broadcast()
 	}
 	if st.done {
 		return false
 	}
-	if parent != nil {
+	if st.parent == nil {
+		st.parent = parent
+	} else if parent != nil {
 		st.parents = append(st.parents, parent)
 	}
 	return true
@@ -260,37 +313,31 @@ func (s *Scheduler) pushLocked(st *jobState) {
 //
 //orcavet:hotpath:lock the scheduler mutex and condvar are the drain protocol
 func (s *Scheduler) worker() {
+	var w Worker
 	for {
 		s.mu.Lock()
 		for len(s.queue) == 0 && s.active > 0 && !s.stopped {
 			s.cond.Wait()
 		}
-		if s.stopped || (len(s.queue) == 0 && s.active == 0) {
-			s.stopped = true
-			s.cond.Broadcast()
+		if s.stopped || len(s.queue) == 0 { // ended by another worker, or drained
+			s.stopLocked(nil)
 			s.mu.Unlock()
 			return
 		}
-		if s.stepLimit > 0 && s.JobsRun >= s.stepLimit ||
-			!s.deadline.IsZero() && time.Now().After(s.deadline) {
-			if s.err == nil {
-				s.err = ErrTimeout
-			}
-			s.stopped = true
-			s.cond.Broadcast()
+		// One clock read serves the deadline check and starts the step's busy
+		// interval; the second read, before re-taking the mutex, ends it.
+		stepStart := time.Now()
+		var stop error
+		if s.stepLimit > 0 && s.stats.TotalSteps() >= s.stepLimit ||
+			!s.deadline.IsZero() && stepStart.After(s.deadline) {
+			stop = ErrTimeout
+		} else if s.quota != nil {
+			stop = s.quota()
+		}
+		if stop != nil {
+			s.stopLocked(stop)
 			s.mu.Unlock()
 			return
-		}
-		if s.quota != nil {
-			if qerr := s.quota(); qerr != nil {
-				if s.err == nil {
-					s.err = qerr
-				}
-				s.stopped = true
-				s.cond.Broadcast()
-				s.mu.Unlock()
-				return
-			}
 		}
 		// LIFO pop keeps the search depth-first, bounding live jobs.
 		st := s.queue[len(s.queue)-1]
@@ -298,36 +345,30 @@ func (s *Scheduler) worker() {
 		st.queued = false
 		st.running = true
 		s.active++
-		s.JobsRun++
-		s.stats.Steps[st.job.Kind()]++
+		s.stats.Steps[st.key.Kind]++
 		s.mu.Unlock()
 
-		stepStart := time.Now()
-		children, done, err := s.step(st)
+		w.children = w.children[:0]
+		done, err := s.step(st, &w)
+		busy := time.Since(stepStart)
 
 		s.mu.Lock()
-		s.stats.Busy += time.Since(stepStart)
+		s.stats.Busy += busy
 		st.running = false
 		s.active--
 		if err != nil {
-			if s.err == nil {
-				s.err = err
-			}
-			s.stopped = true
-			s.cond.Broadcast()
+			s.stopLocked(err)
 			s.mu.Unlock()
 			return
 		}
 		if done {
 			s.completeLocked(st)
 		} else {
-			waiting := 0
-			for _, c := range children {
+			for _, c := range w.children {
 				if s.enqueueLocked(c, st) {
-					waiting++
+					st.pending++
 				}
 			}
-			st.pending += waiting
 			if st.pending == 0 {
 				// Children all finished already (or none): rerun.
 				s.pushLocked(st)
@@ -336,6 +377,16 @@ func (s *Scheduler) worker() {
 		s.cond.Broadcast()
 		s.mu.Unlock()
 	}
+}
+
+// stopLocked ends the run — recording err if it is the first — and wakes
+// the other workers so they drain.
+func (s *Scheduler) stopLocked(err error) {
+	if err != nil && s.err == nil {
+		s.err = err
+	}
+	s.stopped = true
+	s.cond.Broadcast()
 }
 
 // step executes one job step with panic containment (paper §6.1's "fail the
@@ -347,18 +398,24 @@ func (s *Scheduler) worker() {
 // the AMPERe capture hook take it from there.
 //
 //orcavet:hotpath:closure the deferred recover closure is the §6.1 panic containment itself
-func (s *Scheduler) step(st *jobState) (children []Job, done bool, err error) {
+func (s *Scheduler) step(st *jobState, w *Worker) (done bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			ex := gpos.PanicException(gpos.CompSearch, r)
-			ex.Msg = fmt.Sprintf("panic in %s job %q: %v", st.job.Kind(), st.job.Key(), r)
-			children, done, err = nil, false, ex
+			ex.Msg = fmt.Sprintf("panic in %s job %q: %v", st.key.Kind, st.key, r)
+			done, err = false, ex
 		}
 	}()
 	if err := fault.Inject(fault.PointSearchJobExec); err != nil {
-		return nil, false, err
+		return false, err
 	}
-	return st.job.Step(s)
+	if st.job == nil {
+		// First run of this goal: only now does it cost a job object. The
+		// worker running st is its sole owner until the bookkeeping under the
+		// scheduler mutex, which orders this write before any later step.
+		st.job = s.newJob(st.key)
+	}
+	return st.job.Step(w)
 }
 
 func (s *Scheduler) completeLocked(st *jobState) {
@@ -366,11 +423,19 @@ func (s *Scheduler) completeLocked(st *jobState) {
 		return
 	}
 	st.done = true
-	for _, p := range st.parents {
-		p.pending--
-		if p.pending == 0 && !p.done && !p.queued && !p.running {
-			s.pushLocked(p)
-		}
+	if st.parent != nil {
+		s.resumeLocked(st.parent)
 	}
-	st.parents = nil
+	for _, p := range st.parents {
+		s.resumeLocked(p)
+	}
+	st.parent, st.parents = nil, nil
+}
+
+// resumeLocked tells a waiting parent that one of its children completed.
+func (s *Scheduler) resumeLocked(p *jobState) {
+	p.pending--
+	if p.pending == 0 && !p.done && !p.queued && !p.running {
+		s.pushLocked(p)
+	}
 }

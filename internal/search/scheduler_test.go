@@ -7,29 +7,67 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"orca/internal/memo"
 )
 
-// stepJob is a configurable test job.
+type stepFn = func() ([]JobKey, bool, error)
+
+// stepJob is a configurable test job, named by a string.
 type stepJob struct {
 	key   string
-	steps []func() ([]Job, bool, error)
+	steps []stepFn
 	calls int32
 }
 
-func (j *stepJob) Key() string   { return j.key }
-func (j *stepJob) Kind() JobKind { return JobOpt }
-
-func (j *stepJob) Step(*Scheduler) ([]Job, bool, error) {
+func (j *stepJob) Step(w *Worker) (bool, error) {
 	n := atomic.AddInt32(&j.calls, 1)
 	if int(n) > len(j.steps) {
-		return nil, true, nil
+		return true, nil
 	}
-	return j.steps[n-1]()
+	children, done, err := j.steps[n-1]()
+	for _, c := range children {
+		w.Spawn(c)
+	}
+	return done, err
+}
+
+// jobTable gives string-named test jobs goal identities: every distinct name
+// is an Opt goal on a stand-in group of its own, and the first job registered
+// under a name is the one the scheduler materialises for that goal.
+type jobTable struct {
+	mu   sync.Mutex
+	keys map[string]JobKey
+	jobs map[JobKey]*stepJob
+}
+
+func newJobTable() *jobTable {
+	return &jobTable{keys: map[string]JobKey{}, jobs: map[JobKey]*stepJob{}}
+}
+
+func (tb *jobTable) goal(j *stepJob) JobKey {
+	tb.mu.Lock()
+	defer tb.mu.Unlock()
+	k, ok := tb.keys[j.key]
+	if !ok {
+		k = JobKey{Kind: JobOpt, Group: &memo.Group{ID: memo.GroupID(len(tb.keys))}}
+		tb.keys[j.key] = k
+		tb.jobs[k] = j
+	}
+	return k
+}
+
+func (tb *jobTable) scheduler(workers int) *Scheduler {
+	return NewScheduler(workers, func(k JobKey) Job {
+		tb.mu.Lock()
+		defer tb.mu.Unlock()
+		return tb.jobs[k]
+	})
 }
 
 func leaf(key string, hit *int32) *stepJob {
-	return &stepJob{key: key, steps: []func() ([]Job, bool, error){
-		func() ([]Job, bool, error) {
+	return &stepJob{key: key, steps: []stepFn{
+		func() ([]JobKey, bool, error) {
 			atomic.AddInt32(hit, 1)
 			return nil, true, nil
 		},
@@ -38,12 +76,13 @@ func leaf(key string, hit *int32) *stepJob {
 
 func TestSchedulerRunsDependencyTree(t *testing.T) {
 	for _, workers := range []int{1, 4} {
+		tb := newJobTable()
 		var hits int32
-		children := []Job{leaf("a", &hits), leaf("b", &hits), leaf("c", &hits)}
+		children := []JobKey{tb.goal(leaf("a", &hits)), tb.goal(leaf("b", &hits)), tb.goal(leaf("c", &hits))}
 		var resumed int32
-		root := &stepJob{key: "root", steps: []func() ([]Job, bool, error){
-			func() ([]Job, bool, error) { return children, false, nil },
-			func() ([]Job, bool, error) {
+		root := &stepJob{key: "root", steps: []stepFn{
+			func() ([]JobKey, bool, error) { return children, false, nil },
+			func() ([]JobKey, bool, error) {
 				// All children must have completed before the parent resumes.
 				if atomic.LoadInt32(&hits) != 3 {
 					return nil, false, errors.New("parent resumed early")
@@ -52,8 +91,8 @@ func TestSchedulerRunsDependencyTree(t *testing.T) {
 				return nil, true, nil
 			},
 		}}
-		s := NewScheduler(workers)
-		if err := s.Run(root); err != nil {
+		s := tb.scheduler(workers)
+		if err := s.Run(tb.goal(root)); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if hits != 3 || resumed != 1 {
@@ -65,21 +104,22 @@ func TestSchedulerRunsDependencyTree(t *testing.T) {
 func TestSchedulerDeduplicatesByKey(t *testing.T) {
 	// Two parents wait on the same child goal: the child must run once and
 	// both parents must resume — the paper's group job queue (§4.2).
+	tb := newJobTable()
 	var childRuns int32
-	mkParent := func(name string) *stepJob {
-		return &stepJob{key: name, steps: []func() ([]Job, bool, error){
-			func() ([]Job, bool, error) {
-				return []Job{leaf("shared-goal", &childRuns)}, false, nil
+	mkParent := func(name string) JobKey {
+		return tb.goal(&stepJob{key: name, steps: []stepFn{
+			func() ([]JobKey, bool, error) {
+				return []JobKey{tb.goal(leaf("shared-goal", &childRuns))}, false, nil
 			},
-			func() ([]Job, bool, error) { return nil, true, nil },
-		}}
+			func() ([]JobKey, bool, error) { return nil, true, nil },
+		}})
 	}
-	root := &stepJob{key: "root", steps: []func() ([]Job, bool, error){
-		func() ([]Job, bool, error) { return []Job{mkParent("p1"), mkParent("p2")}, false, nil },
-		func() ([]Job, bool, error) { return nil, true, nil },
+	root := &stepJob{key: "root", steps: []stepFn{
+		func() ([]JobKey, bool, error) { return []JobKey{mkParent("p1"), mkParent("p2")}, false, nil },
+		func() ([]JobKey, bool, error) { return nil, true, nil },
 	}}
-	s := NewScheduler(4)
-	if err := s.Run(root); err != nil {
+	s := tb.scheduler(4)
+	if err := s.Run(tb.goal(root)); err != nil {
 		t.Fatal(err)
 	}
 	if childRuns != 1 {
@@ -88,34 +128,36 @@ func TestSchedulerDeduplicatesByKey(t *testing.T) {
 }
 
 func TestSchedulerPropagatesErrors(t *testing.T) {
+	tb := newJobTable()
 	boom := errors.New("boom")
-	bad := &stepJob{key: "bad", steps: []func() ([]Job, bool, error){
-		func() ([]Job, bool, error) { return nil, false, boom },
+	bad := &stepJob{key: "bad", steps: []stepFn{
+		func() ([]JobKey, bool, error) { return nil, false, boom },
 	}}
-	root := &stepJob{key: "root", steps: []func() ([]Job, bool, error){
-		func() ([]Job, bool, error) { return []Job{bad}, false, nil },
+	root := &stepJob{key: "root", steps: []stepFn{
+		func() ([]JobKey, bool, error) { return []JobKey{tb.goal(bad)}, false, nil },
 	}}
-	s := NewScheduler(2)
-	if err := s.Run(root); !errors.Is(err, boom) {
+	s := tb.scheduler(2)
+	if err := s.Run(tb.goal(root)); !errors.Is(err, boom) {
 		t.Errorf("error not propagated: %v", err)
 	}
 }
 
 func TestSchedulerTimeout(t *testing.T) {
 	// An endless chain of jobs must be cut off by the deadline.
+	tb := newJobTable()
 	var counter int64
-	var mk func(i int64) Job
-	mk = func(i int64) Job {
-		return &stepJob{key: fmt.Sprintf("j%d", i), steps: []func() ([]Job, bool, error){
-			func() ([]Job, bool, error) {
+	var mk func(i int64) JobKey
+	mk = func(i int64) JobKey {
+		return tb.goal(&stepJob{key: fmt.Sprintf("j%d", i), steps: []stepFn{
+			func() ([]JobKey, bool, error) {
 				atomic.AddInt64(&counter, 1)
 				time.Sleep(200 * time.Microsecond)
-				return []Job{mk(i + 1)}, false, nil
+				return []JobKey{mk(i + 1)}, false, nil
 			},
-			func() ([]Job, bool, error) { return nil, true, nil },
-		}}
+			func() ([]JobKey, bool, error) { return nil, true, nil },
+		}})
 	}
-	s := NewScheduler(1)
+	s := tb.scheduler(1)
 	s.SetDeadline(time.Now().Add(30 * time.Millisecond))
 	err := s.Run(mk(0))
 	if !errors.Is(err, ErrTimeout) {
@@ -126,18 +168,19 @@ func TestSchedulerTimeout(t *testing.T) {
 func TestSchedulerStepLimit(t *testing.T) {
 	// The step budget is the deterministic analogue of the deadline: an
 	// endless chain must be cut off with ErrTimeout after exactly the budget.
+	tb := newJobTable()
 	var counter int64
-	var mk func(i int64) Job
-	mk = func(i int64) Job {
-		return &stepJob{key: fmt.Sprintf("s%d", i), steps: []func() ([]Job, bool, error){
-			func() ([]Job, bool, error) {
+	var mk func(i int64) JobKey
+	mk = func(i int64) JobKey {
+		return tb.goal(&stepJob{key: fmt.Sprintf("s%d", i), steps: []stepFn{
+			func() ([]JobKey, bool, error) {
 				atomic.AddInt64(&counter, 1)
-				return []Job{mk(i + 1)}, false, nil
+				return []JobKey{mk(i + 1)}, false, nil
 			},
-			func() ([]Job, bool, error) { return nil, true, nil },
-		}}
+			func() ([]JobKey, bool, error) { return nil, true, nil },
+		}})
 	}
-	s := NewScheduler(1)
+	s := tb.scheduler(1)
 	s.SetStepLimit(25)
 	err := s.Run(mk(0))
 	if !errors.Is(err, ErrTimeout) {
@@ -150,15 +193,16 @@ func TestSchedulerStepLimit(t *testing.T) {
 
 func TestSchedulerStats(t *testing.T) {
 	// A root fanning out to 3 leaves, all JobOpt: 3 leaf steps + 2 root steps.
+	tb := newJobTable()
 	var hits int32
-	root := &stepJob{key: "root", steps: []func() ([]Job, bool, error){
-		func() ([]Job, bool, error) {
-			return []Job{leaf("a", &hits), leaf("b", &hits), leaf("c", &hits)}, false, nil
+	root := &stepJob{key: "root", steps: []stepFn{
+		func() ([]JobKey, bool, error) {
+			return []JobKey{tb.goal(leaf("a", &hits)), tb.goal(leaf("b", &hits)), tb.goal(leaf("c", &hits))}, false, nil
 		},
-		func() ([]Job, bool, error) { return nil, true, nil },
+		func() ([]JobKey, bool, error) { return nil, true, nil },
 	}}
-	s := NewScheduler(2)
-	if err := s.Run(root); err != nil {
+	s := tb.scheduler(2)
+	if err := s.Run(tb.goal(root)); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
@@ -201,21 +245,22 @@ func TestJobKindString(t *testing.T) {
 func TestSchedulerDeepRecursion(t *testing.T) {
 	// A deep linear dependency chain exercises suspend/resume bookkeeping.
 	const depth = 2000
+	tb := newJobTable()
 	var done int32
-	var mk func(i int) Job
-	mk = func(i int) Job {
-		return &stepJob{key: fmt.Sprintf("d%d", i), steps: []func() ([]Job, bool, error){
-			func() ([]Job, bool, error) {
+	var mk func(i int) JobKey
+	mk = func(i int) JobKey {
+		return tb.goal(&stepJob{key: fmt.Sprintf("d%d", i), steps: []stepFn{
+			func() ([]JobKey, bool, error) {
 				if i == depth {
 					atomic.AddInt32(&done, 1)
 					return nil, true, nil
 				}
-				return []Job{mk(i + 1)}, false, nil
+				return []JobKey{mk(i + 1)}, false, nil
 			},
-			func() ([]Job, bool, error) { return nil, true, nil },
-		}}
+			func() ([]JobKey, bool, error) { return nil, true, nil },
+		}})
 	}
-	s := NewScheduler(2)
+	s := tb.scheduler(2)
 	if err := s.Run(mk(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -225,31 +270,32 @@ func TestSchedulerDeepRecursion(t *testing.T) {
 }
 
 func TestSchedulerManyParallelLeaves(t *testing.T) {
+	tb := newJobTable()
 	var hits int32
-	var children []Job
+	var children []JobKey
 	for i := 0; i < 500; i++ {
-		children = append(children, leaf(fmt.Sprintf("leaf%d", i), &hits))
+		children = append(children, tb.goal(leaf(fmt.Sprintf("leaf%d", i), &hits)))
 	}
 	var mu sync.Mutex
 	resumeCount := 0
-	root := &stepJob{key: "root", steps: []func() ([]Job, bool, error){
-		func() ([]Job, bool, error) { return children, false, nil },
-		func() ([]Job, bool, error) {
+	root := &stepJob{key: "root", steps: []stepFn{
+		func() ([]JobKey, bool, error) { return children, false, nil },
+		func() ([]JobKey, bool, error) {
 			mu.Lock()
 			resumeCount++
 			mu.Unlock()
 			return nil, true, nil
 		},
 	}}
-	s := NewScheduler(8)
-	if err := s.Run(root); err != nil {
+	s := tb.scheduler(8)
+	if err := s.Run(tb.goal(root)); err != nil {
 		t.Fatal(err)
 	}
 	if hits != 500 || resumeCount != 1 {
 		t.Errorf("hits=%d resume=%d", hits, resumeCount)
 	}
-	if s.JobsRun < 501 {
-		t.Errorf("JobsRun = %d", s.JobsRun)
+	if got := s.Stats().TotalSteps(); got != 502 {
+		t.Errorf("TotalSteps = %d, want 502 (500 leaves + 2 root steps)", got)
 	}
 }
 
@@ -262,37 +308,38 @@ func TestSchedulerStressSharedGoals(t *testing.T) {
 		fanout  = 20
 		sharing = 4 // distinct goals per level that all parents contend on
 	)
+	tb := newJobTable()
 	var runs int32
-	var mk func(level, i int) Job
-	mk = func(level, i int) Job {
+	var mk func(level, i int) JobKey
+	mk = func(level, i int) JobKey {
 		key := fmt.Sprintf("L%d/g%d", level, i%sharing)
-		return &stepJob{key: key, steps: []func() ([]Job, bool, error){
-			func() ([]Job, bool, error) {
+		return tb.goal(&stepJob{key: key, steps: []stepFn{
+			func() ([]JobKey, bool, error) {
 				atomic.AddInt32(&runs, 1)
 				if level == levels {
 					return nil, true, nil
 				}
-				var deps []Job
+				var deps []JobKey
 				for j := 0; j < fanout; j++ {
 					deps = append(deps, mk(level+1, i*fanout+j))
 				}
 				return deps, false, nil
 			},
-			func() ([]Job, bool, error) { return nil, true, nil },
-		}}
+			func() ([]JobKey, bool, error) { return nil, true, nil },
+		}})
 	}
-	root := &stepJob{key: "stress-root", steps: []func() ([]Job, bool, error){
-		func() ([]Job, bool, error) {
-			var deps []Job
+	root := &stepJob{key: "stress-root", steps: []stepFn{
+		func() ([]JobKey, bool, error) {
+			var deps []JobKey
 			for i := 0; i < fanout; i++ {
 				deps = append(deps, mk(1, i))
 			}
 			return deps, false, nil
 		},
-		func() ([]Job, bool, error) { return nil, true, nil },
+		func() ([]JobKey, bool, error) { return nil, true, nil },
 	}}
-	s := NewScheduler(16)
-	if err := s.Run(root); err != nil {
+	s := tb.scheduler(16)
+	if err := s.Run(tb.goal(root)); err != nil {
 		t.Fatal(err)
 	}
 	// Each of the `sharing` keys per level must run exactly once (the root

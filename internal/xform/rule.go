@@ -118,6 +118,7 @@ type Context struct {
 	epochs          map[string]int
 	explorations    []ActiveRule
 	implementations []ActiveRule
+	byID            []ActiveRule // active rules indexed by dense id; zero Rule = inactive
 }
 
 // SetRuleSet installs the stage's enabled rules (all rules minus the
@@ -129,6 +130,7 @@ type Context struct {
 func (ctx *Context) SetRuleSet(rules []Rule, disabled map[string]bool) int {
 	ctx.explorations = ctx.explorations[:0]
 	ctx.implementations = ctx.implementations[:0]
+	clear(ctx.byID)
 	var sig []uint64
 	for _, r := range rules {
 		if disabled[r.Name()] {
@@ -140,6 +142,10 @@ func (ctx *Context) SetRuleSet(rules []Rule, disabled map[string]bool) int {
 		}
 		sig[id>>6] |= uint64(1) << (id & 63)
 		ar := ActiveRule{Rule: r, ID: id}
+		for len(ctx.byID) <= id {
+			ctx.byID = append(ctx.byID, ActiveRule{})
+		}
+		ctx.byID[id] = ar
 		switch r.Kind() {
 		case Exploration:
 			ctx.explorations = append(ctx.explorations, ar)
@@ -173,6 +179,15 @@ func (ctx *Context) Explorations() []ActiveRule { return ctx.explorations }
 // Implementations returns the active implementation rules with their dense
 // ids.
 func (ctx *Context) Implementations() []ActiveRule { return ctx.implementations }
+
+// ActiveRule returns the active rule with the given dense id; ok is false
+// when the rule is not part of the stage's rule set.
+func (ctx *Context) ActiveRule(id int) (ar ActiveRule, ok bool) {
+	if id < 0 || id >= len(ctx.byID) || ctx.byID[id].Rule == nil {
+		return ActiveRule{}, false
+	}
+	return ctx.byID[id], true
+}
 
 // Rule is one transformation. Rules fire at most once per group expression
 // (tracked on the expression); Apply inserts its results into the source
