@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"os"
 	"time"
 
 	"orca/internal/core"
@@ -208,15 +207,8 @@ func cacheExp(env *experiments.Env, jsonOut bool) error {
 	fmt.Printf("pass: p50-speedup-10x=%v hit-ratio-90=%v zero-stale-hits=%v\n\n",
 		report.Pass.P50Speedup10x, report.Pass.HitRatio90, report.Pass.ZeroStaleHits)
 
-	if jsonOut {
-		data, err := json.MarshalIndent(&report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile("BENCH_cache.json", append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Println("wrote BENCH_cache.json")
+	if err := writeArtifact(jsonOut, "BENCH_cache.json", &report); err != nil {
+		return err
 	}
 	if !report.Pass.P50Speedup10x || !report.Pass.HitRatio90 || !report.Pass.ZeroStaleHits {
 		return fmt.Errorf("cache experiment: acceptance floor missed: %+v", report.Pass)

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -64,6 +65,23 @@ func fatal(err error) {
 		fmt.Fprintln(os.Stderr, "benchmarks:", err)
 		os.Exit(1)
 	}
+}
+
+// writeArtifact writes an experiment's machine-readable report to the
+// working directory when -json was given.
+func writeArtifact(jsonOut bool, name string, report any) error {
+	if !jsonOut {
+		return nil
+	}
+	data, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(name, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Println("wrote " + name)
+	return nil
 }
 
 func header(title string) {

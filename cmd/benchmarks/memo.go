@@ -9,9 +9,7 @@ package main
 // of the contention-free design is part of the artifact.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -282,15 +280,8 @@ func memoExp(env *experiments.Env, jsonOut bool) error {
 	runtime.GOMAXPROCS(prev)
 	fmt.Println()
 
-	if jsonOut {
-		data, err := json.MarshalIndent(&report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile("BENCH_memo.json", append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Println("wrote BENCH_memo.json")
+	if err := writeArtifact(jsonOut, "BENCH_memo.json", &report); err != nil {
+		return err
 	}
 	return nil
 }

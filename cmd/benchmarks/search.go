@@ -14,9 +14,7 @@ package main
 // (-scale=1 matches bench_test.go's testbed, which the check.sh smoke runs).
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"testing"
 
@@ -67,7 +65,7 @@ type searchReport struct {
 	GateAllocsPerPass int64 `json:"gate_allocs_per_pass"`
 }
 
-// searchBefore is the parent commit (string job keys in a
+// searchBefore is commit 3d6bc02 (string job keys in a
 // map[string]*jobState, built twice per enqueue) measured with these same
 // bodies on the 2-core reference host, -scale=1.
 var searchBefore = searchRow{
@@ -166,18 +164,10 @@ func searchExp(env *experiments.Env, jsonOut bool) error {
 		Scale:      env.Cfg.Scale,
 		Note: "q25_worker_ladder is truncated to host_num_cpu: a rung above the real core count " +
 			"measures oversubscription, not scaling. Wall times are informative; check.sh gates " +
-			"only gate_allocs_per_pass (x1.2). The before row is the parent commit measured with " +
+			"only gate_allocs_per_pass (x1.2). The before row is the recorded commit measured with " +
 			"identical bodies on the 2-core reference host.",
 		Rows:              []searchRow{searchBefore, after},
 		GateAllocsPerPass: after.Pass.AllocsPerOp,
 	}
-	data, err := json.MarshalIndent(&report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_search.json", append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_search.json")
-	return nil
+	return writeArtifact(true, "BENCH_search.json", &report)
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -329,15 +328,8 @@ func serveExp(env *experiments.Env, jsonOut bool) error {
 			report.Drain.DroppedInFlight, report.Drain.CleanShutdown, shutdownErr)
 	}
 
-	if jsonOut {
-		data, err := json.MarshalIndent(&report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile("BENCH_serve.json", append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Println("wrote BENCH_serve.json")
+	if err := writeArtifact(jsonOut, "BENCH_serve.json", &report); err != nil {
+		return err
 	}
 	return nil
 }

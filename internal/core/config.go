@@ -13,6 +13,7 @@ import (
 	"orca/internal/fault"
 	"orca/internal/gpos"
 	"orca/internal/md"
+	"orca/internal/xform"
 )
 
 // Stage configures one optimization stage (paper §4.1 "Multi-Stage
@@ -36,6 +37,10 @@ type Stage struct {
 	CostThreshold float64
 }
 
+// CodeUnknownRule is the exception code Validate and Optimize return for a
+// DisabledRules entry that names no transformation rule.
+const CodeUnknownRule = "UnknownRule"
+
 // Config controls one optimization session.
 type Config struct {
 	// Segments is the number of segments in the target cluster.
@@ -46,9 +51,6 @@ type Config struct {
 	// DisabledRules switches off transformation rules globally, in addition
 	// to any per-stage subsets.
 	DisabledRules []string
-	// JoinOrderDPLimit caps exhaustive dynamic-programming join ordering;
-	// larger joins fall back to the greedy cardinality-based rule.
-	JoinOrderDPLimit int
 	// Stages optionally splits optimization into stages; empty means one
 	// unrestricted stage.
 	Stages []Stage
@@ -96,9 +98,8 @@ type Config struct {
 // given segment count.
 func DefaultConfig(segments int) Config {
 	return Config{
-		Segments:         segments,
-		Workers:          1,
-		JoinOrderDPLimit: 10,
+		Segments: segments,
+		Workers:  1,
 	}
 }
 
@@ -116,9 +117,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("core: config: Workers = %d; want >= 0 (0 means the default of 1)", c.Workers)
-	}
-	if c.JoinOrderDPLimit < 0 {
-		return fmt.Errorf("core: config: JoinOrderDPLimit = %d; want >= 0", c.JoinOrderDPLimit)
 	}
 	if c.MemoryBudget < 0 {
 		return fmt.Errorf("core: config: MemoryBudget = %d bytes; want >= 0 (0 means unlimited)", c.MemoryBudget)
@@ -145,6 +143,32 @@ func (c *Config) Validate() error {
 		}
 		if st.CostThreshold < 0 {
 			return fmt.Errorf("core: config: stage %d (%s): CostThreshold = %v; want >= 0", i, st.Name, st.CostThreshold)
+		}
+	}
+	if ex := c.unknownRule(); ex != nil {
+		return ex
+	}
+	return nil
+}
+
+// unknownRule reports the first DisabledRules entry, global or per-stage,
+// that is not a rule declared in defs/rules.opt. Rule names are a closed
+// set; a stale or misspelt name would otherwise disable nothing and the
+// search would silently be wider than the caller configured. Validate and
+// OptimizeContext both run it; it is free when both lists are empty.
+func (c *Config) unknownRule() *gpos.Exception {
+	for _, name := range c.DisabledRules {
+		if _, ok := xform.RuleIDFor(name); !ok {
+			return gpos.Raise(gpos.CompOptimizer, CodeUnknownRule,
+				"config: DisabledRules names %q, which is not a transformation rule", name)
+		}
+	}
+	for i, st := range c.Stages {
+		for _, name := range st.DisabledRules {
+			if _, ok := xform.RuleIDFor(name); !ok {
+				return gpos.Raise(gpos.CompOptimizer, CodeUnknownRule,
+					"config: stage %d (%s): DisabledRules names %q, which is not a transformation rule", i, st.Name, name)
+			}
 		}
 	}
 	return nil

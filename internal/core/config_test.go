@@ -4,7 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"orca/internal/gpos"
 	"orca/internal/md"
+	"orca/internal/xform"
 )
 
 func TestMultiStageConfig(t *testing.T) {
@@ -12,10 +14,10 @@ func TestMultiStageConfig(t *testing.T) {
 	if got := cfg.effectiveStages(); len(got) != 1 || got[0].Name != "full" {
 		t.Errorf("default stages = %v", got)
 	}
-	cfg.DisabledRules = []string{"A"}
-	cfg.Stages = []Stage{{Name: "s1", DisabledRules: []string{"B"}}}
+	cfg.DisabledRules = []string{"JoinCommutativity"}
+	cfg.Stages = []Stage{{Name: "s1", DisabledRules: []string{"Join2NLJoin"}}}
 	d := cfg.disabled(&cfg.Stages[0])
-	if !d["A"] || !d["B"] || d["C"] {
+	if !d["JoinCommutativity"] || !d["Join2NLJoin"] || d["Join2HashJoin"] {
 		t.Errorf("disabled set = %v", d)
 	}
 }
@@ -27,7 +29,9 @@ func TestConfigValidate(t *testing.T) {
 		cfg.MaxGroups = 100
 		cfg.MDLookupTimeout = time.Second
 		cfg.MDRetry = md.RetryPolicy{MaxAttempts: 3, InitialBackoff: time.Millisecond}
-		cfg.Stages = []Stage{{Name: "s", Timeout: time.Second, StepLimit: 100}}
+		cfg.DisabledRules = []string{"ExpandNAryJoinLeftDeep"}
+		cfg.Stages = []Stage{{Name: "s", Timeout: time.Second, StepLimit: 100,
+			DisabledRules: []string{"JoinAssociativity", "Join2NLJoin"}}}
 		if mut != nil {
 			mut(&cfg)
 		}
@@ -50,7 +54,6 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"negative segments", func(c *Config) { c.Segments = -1 }},
 		{"negative workers", func(c *Config) { c.Workers = -2 }},
-		{"negative dp limit", func(c *Config) { c.JoinOrderDPLimit = -1 }},
 		{"negative memory budget", func(c *Config) { c.MemoryBudget = -1 }},
 		{"negative group cap", func(c *Config) { c.MaxGroups = -5 }},
 		{"negative md timeout", func(c *Config) { c.MDLookupTimeout = -time.Second }},
@@ -65,6 +68,51 @@ func TestConfigValidate(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted a nonsensical config", tc.name)
 		}
+	}
+}
+
+// TestUnknownRuleNames checks the rule namespace is closed everywhere a name
+// is configured: Validate and Optimize both refuse a DisabledRules entry,
+// global or per-stage, that is not declared in defs/rules.opt — a deleted
+// rule, a misspelling, a wrong case — with a typed exception, before any
+// search or degradation rung runs.
+func TestUnknownRuleNames(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"stale name", func(c *Config) { c.DisabledRules = []string{"JoinAssociativityMirror"} }},
+		{"misspelt beside a real one", func(c *Config) { c.DisabledRules = []string{"JoinCommutativity", "JoinComutativity"} }},
+		{"wrong case", func(c *Config) { c.DisabledRules = []string{"join2hashjoin"} }},
+		{"empty name", func(c *Config) { c.DisabledRules = []string{""} }},
+		{"per-stage", func(c *Config) {
+			c.Stages = []Stage{{Name: "ok"}, {Name: "bad", DisabledRules: []string{"Join2MergeJoin"}}}
+		}},
+	}
+	for _, tc := range cases {
+		cfg := DefaultConfig(16)
+		captured := false
+		cfg.DumpCapture = func(*Query, Config, *gpos.Exception) string { captured = true; return "" }
+		tc.mut(&cfg)
+		if ex := gpos.AsException(cfg.Validate()); ex == nil || ex.Code != CodeUnknownRule {
+			t.Errorf("%s: Validate = %v, want a %s exception", tc.name, cfg.Validate(), CodeUnknownRule)
+		}
+		q, _ := paperExample(t)
+		res, err := Optimize(q, cfg)
+		if ex := gpos.AsException(err); res != nil || ex == nil || ex.Code != CodeUnknownRule {
+			t.Errorf("%s: Optimize = %v, %v, want a %s exception and no plan", tc.name, res, err, CodeUnknownRule)
+		}
+		if captured {
+			t.Errorf("%s: a misconfiguration engaged the degradation ladder", tc.name)
+		}
+	}
+
+	// Every declared rule name is accepted in both positions.
+	cfg := DefaultConfig(16)
+	cfg.DisabledRules = xform.RuleNames(xform.DefaultRules())
+	cfg.Stages = []Stage{{Name: "all", DisabledRules: cfg.DisabledRules}}
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("Validate rejected the declared rule names: %v", err)
 	}
 }
 

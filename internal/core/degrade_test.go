@@ -149,11 +149,7 @@ func threeWayExample(t *testing.T) (*Query, *md.ColumnFactory) {
 // cap trips during a later, wider stage; the stage is marked Aborted and the
 // session still returns the best plan found before the guard fired.
 func TestMaxGroupsAbortsBestSoFar(t *testing.T) {
-	heuristicOff := []string{
-		"JoinCommutativity", "JoinAssociativity", "JoinAssociativityRight",
-		"JoinAssociativityExchange", "PushSelectThroughJoin", "PushSelectThroughGbAgg",
-		"ExpandNAryJoinDP", "ExpandNAryJoinLeftDeep",
-	}
+	heuristicOff := heuristicDisabled()
 
 	// Calibrate: how many groups does the light stage alone need?
 	q0, _ := threeWayExample(t)

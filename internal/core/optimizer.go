@@ -140,6 +140,10 @@ func Optimize(q *Query, cfg Config) (*Result, error) {
 // failure; with degradation enabled the ladder still runs, which is
 // intentional — a degraded plan beats no plan even for an impatient caller.
 func OptimizeContext(ctx context.Context, q *Query, cfg Config) (*Result, error) {
+	// A misconfiguration, not an optimization failure: no ladder, no dump.
+	if ex := cfg.unknownRule(); ex != nil {
+		return nil, ex
+	}
 	if len(cfg.Faults) > 0 {
 		disarm, err := fault.Arm(cfg.Faults)
 		if err != nil {
@@ -175,10 +179,7 @@ func OptimizeContext(ctx context.Context, q *Query, cfg Config) (*Result, error)
 	hcfg.DisableDegradation = true
 	hcfg.Workers = 1
 	hcfg.Stages = []Stage{{Name: "degraded-heuristic"}}
-	hcfg.DisabledRules = append(append([]string(nil), cfg.DisabledRules...),
-		"JoinCommutativity", "JoinAssociativity", "JoinAssociativityRight",
-		"JoinAssociativityExchange", "PushSelectThroughJoin",
-		"PushSelectThroughGbAgg", "ExpandNAryJoinDP", "ExpandNAryJoinLeftDeep")
+	hcfg.DisabledRules = append(append([]string(nil), cfg.DisabledRules...), heuristicDisabled()...)
 	if hres, herr := containedPass(ctx, q, hcfg); herr == nil {
 		hres.Degraded = true
 		hres.DegradedRung = RungHeuristic
@@ -205,6 +206,20 @@ func OptimizeContext(ctx context.Context, q *Query, cfg Config) (*Result, error)
 		Failure:      failure,
 		DumpPath:     dumpPath,
 	}, nil
+}
+
+// heuristicDisabled lists what the heuristic rung switches off: every
+// exploration rule except the greedy n-ary join expansion, which alone turns
+// an NAryJoin into one implementable binary tree. Derived from the rule set
+// so a rule added to or removed from defs/rules.opt cannot desynchronise it.
+func heuristicDisabled() []string {
+	var names []string
+	for _, r := range xform.DefaultRules() {
+		if _, greedy := r.(*xform.ExpandNAryJoinGreedy); r.Kind() == xform.Exploration && !greedy {
+			names = append(names, r.Name())
+		}
+	}
+	return names
 }
 
 // containedPass runs optimizePass behind a panic-containment boundary: the
@@ -267,12 +282,11 @@ func optimizePass(ctx context.Context, q *Query, cfg Config) (*Result, error) {
 
 	sctx := stats.NewContext(q.Accessor)
 	xctx := &xform.Context{
-		Memo:             m,
-		Stats:            sctx,
-		Accessor:         q.Accessor,
-		ColFactory:       q.Factory,
-		Segments:         cfg.Segments,
-		JoinOrderDPLimit: cfg.JoinOrderDPLimit,
+		Memo:       m,
+		Stats:      sctx,
+		Accessor:   q.Accessor,
+		ColFactory: q.Factory,
+		Segments:   cfg.Segments,
 	}
 	segments := cfg.Segments
 	if segments < 1 {

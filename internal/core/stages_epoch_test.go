@@ -8,8 +8,8 @@ import "testing"
 // Memo's exploration markers are epoch-scoped, so the full stage must
 // re-explore the groups the restricted stage finished under its own epoch.
 var joinOrderFamily = []string{
-	"JoinCommutativity", "JoinAssociativity", "JoinAssociativityRight",
-	"JoinAssociativityExchange", "PushSelectThroughJoin", "PushSelectThroughGbAgg",
+	"JoinCommutativity", "JoinAssociativity",
+	"PushSelectThroughJoin", "PushSelectThroughGbAgg",
 }
 
 // TestStagedRuleEpochsParallel runs a two-stage session — join reordering

@@ -1,8 +1,8 @@
 package optgen
 
 // genXform emits internal/xform/rules.gen.go: the dense compile-time rule ID
-// const block (satellite of ISSUE 7 — SetRuleSet resolves IDs without
-// touching the runtime registry's mutex), the name<->ID tables, one rule
+// const block, the name<->ID tables (together the closed set of rule names
+// xform.RuleIDFor resolves and core.Config validates against), one rule
 // struct per declaration whose Matches does the type assertion (plus the
 // hand-written match predicate when the declaration carries `check`) and
 // whose Apply delegates to the hand-written apply function, and the
@@ -20,12 +20,9 @@ func genXform(cat *Catalog) ([]byte, error) {
 	g.p("")
 
 	// Dense IDs in declaration order. These index the Memo's per-expression
-	// applied-rule bitsets and form rule-set epoch signatures; keeping them
-	// compile-time constants removes the registry mutex from SetRuleSet's
-	// hot path.
-	g.p("// Generated dense rule IDs, in defs/ declaration order. Dynamically")
-	g.p("// registered rules (tests, extensions) get IDs from")
-	g.p("// NumGeneratedRuleIDs upward via the runtime registry.")
+	// applied-rule bitsets and form rule-set epoch signatures.
+	g.p("// Generated dense rule IDs, in defs/ declaration order. The set is")
+	g.p("// closed: no rule is registered at run time.")
 	g.p("const (")
 	for i, r := range cat.Rules {
 		if i == 0 {

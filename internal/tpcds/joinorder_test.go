@@ -10,11 +10,11 @@ import (
 )
 
 // joinOrderFamily is the generated join-reordering rule family from
-// defs/rules.opt: the two rotations, the bushy exchange, commutativity, and
-// select pushdown through joins.
+// defs/rules.opt: commutativity, the left rotation, and select pushdown
+// through joins and aggregates.
 var joinOrderFamily = []string{
-	"JoinCommutativity", "JoinAssociativity", "JoinAssociativityRight",
-	"JoinAssociativityExchange", "PushSelectThroughJoin", "PushSelectThroughGbAgg",
+	"JoinCommutativity", "JoinAssociativity",
+	"PushSelectThroughJoin", "PushSelectThroughGbAgg",
 }
 
 // TestJoinOrderEnumerationTPCDS optimizes 3- and 5-relation TPC-DS star

@@ -9,7 +9,6 @@ package xform
 import (
 	"strconv"
 	"strings"
-	"sync"
 
 	"orca/internal/md"
 	"orca/internal/memo"
@@ -29,57 +28,28 @@ const (
 // ---------------------------------------------------------------------------
 // Rule registry: stable dense IDs
 
-// The generated rules (defs/rules.opt) get their dense IDs at generation
-// time: the RuleID* const block in rules.gen.go assigns one compile-time
-// constant per rule in declaration order, and generatedRuleIDs /
-// generatedRuleNames are read-only after package init. RuleIDFor therefore
-// resolves every generated rule without taking a lock — the common case on
-// the search hot path. Only rules registered dynamically (tests,
-// extensions) fall through to the mutex-guarded runtime registry, which
-// hands out IDs from NumGeneratedRuleIDs upward.
-var dynRegistry = struct {
-	mu    sync.Mutex
-	ids   map[string]int
-	names []string
-}{ids: make(map[string]int)}
+// Rule names are a closed set: every rule is declared in defs/rules.opt, and
+// the RuleID* const block in rules.gen.go assigns one compile-time constant
+// per rule in declaration order. generatedRuleIDs / generatedRuleNames are
+// read-only after package init, so both lookups below are lock-free; nothing
+// registers a rule at run time. Removing a rule from defs/ therefore removes
+// its RuleID constant (a compile error wherever it is used) and makes its
+// name unknown to RuleIDFor (a validation error wherever it is configured).
 
-// RuleIDFor returns the dense id of a rule name, assigning the next free id
-// on first use. IDs are process-stable: a name always maps to the same id,
-// and generated rules (the RuleID* constants) resolve lock-free.
-func RuleIDFor(name string) int {
-	if id, ok := generatedRuleIDs[name]; ok {
-		return id
-	}
-	dynRegistry.mu.Lock()
-	defer dynRegistry.mu.Unlock()
-	if id, ok := dynRegistry.ids[name]; ok {
-		return id
-	}
-	id := NumGeneratedRuleIDs + len(dynRegistry.names)
-	dynRegistry.ids[name] = id
-	dynRegistry.names = append(dynRegistry.names, name)
-	return id
+// RuleIDFor returns the dense id of a declared rule name; ok is false for any
+// other string.
+func RuleIDFor(name string) (id int, ok bool) {
+	id, ok = generatedRuleIDs[name]
+	return id, ok
 }
 
-// RuleNameFor returns the name registered for a dense rule id, or "" when
-// the id was never assigned.
+// RuleNameFor returns the name of a dense rule id, or "" when the id is out
+// of range.
 func RuleNameFor(id int) string {
-	if id >= 0 && id < NumGeneratedRuleIDs {
-		return generatedRuleNames[id]
-	}
-	dynRegistry.mu.Lock()
-	defer dynRegistry.mu.Unlock()
-	if id < NumGeneratedRuleIDs || id >= NumGeneratedRuleIDs+len(dynRegistry.names) {
+	if id < 0 || id >= NumGeneratedRuleIDs {
 		return ""
 	}
-	return dynRegistry.names[id-NumGeneratedRuleIDs]
-}
-
-// NumRuleIDs returns the number of assigned rule ids.
-func NumRuleIDs() int {
-	dynRegistry.mu.Lock()
-	defer dynRegistry.mu.Unlock()
-	return NumGeneratedRuleIDs + len(dynRegistry.names)
+	return generatedRuleNames[id]
 }
 
 // ActiveRule is a rule activated for the current stage together with its
@@ -110,9 +80,6 @@ type Context struct {
 	Accessor   *md.Accessor
 	ColFactory *md.ColumnFactory
 	Segments   int
-	// JoinOrderDPLimit is the largest n-ary join the DP rule enumerates
-	// exhaustively; larger joins use the greedy rule.
-	JoinOrderDPLimit int
 
 	epoch           int
 	epochs          map[string]int
@@ -136,7 +103,10 @@ func (ctx *Context) SetRuleSet(rules []Rule, disabled map[string]bool) int {
 		if disabled[r.Name()] {
 			continue
 		}
-		id := RuleIDFor(r.Name())
+		id, ok := RuleIDFor(r.Name())
+		if !ok {
+			panic("xform: rule " + r.Name() + " is not declared in defs/rules.opt")
+		}
 		for len(sig) <= id>>6 {
 			sig = append(sig, 0)
 		}
@@ -238,9 +208,9 @@ func (ctx *Context) Insert(n *Node, target memo.GroupID) (*memo.GroupExpr, error
 	}
 	// Fresh inner-join subtrees register in canonical orientation (smaller
 	// group id on the left). The subtree registry creates one group per
-	// distinct (operator, children) shape, so without this the rotation
-	// rules — which synthesize the same subset pair in path-dependent
-	// orientations — seed duplicate groups for one logical sub-goal, and
+	// distinct (operator, children) shape, so without this JoinAssociativity
+	// — which synthesizes the same subset pair in path-dependent
+	// orientations — seeds duplicate groups for one logical sub-goal, and
 	// every parent expression then multiplies across the duplicates. An
 	// inner join's predicate is a symmetric conjunction, so the swap
 	// preserves semantics; JoinCommutativity still adds the mirrored

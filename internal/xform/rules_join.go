@@ -36,8 +36,12 @@ func applyJoinCommutativity(ctx *Context, ge *memo.GroupExpr) error {
 // ---------------------------------------------------------------------------
 // JoinAssociativity: (A ⋈ B) ⋈ C → A ⋈ (B ⋈ C), redistributing predicate
 // conjuncts to the lowest join where their columns are available. Together
-// with commutativity it spans the full join-order space; the n-ary
-// expansion rules below cover large joins without exhaustive exploration.
+// with commutativity it spans the full cross-product-free join-order space:
+// the mirror rotation and the bushy exchange are each a short composition of
+// these two through connected intermediates, so their results dedup in the
+// Memo (TestJoinEnumerationComplete in internal/tpcds is the contract). The
+// n-ary expansion rules below cover large joins without exhaustive
+// exploration.
 
 func matchJoinAssociativity(j *ops.Join, _ *memo.GroupExpr) bool {
 	return j.Type == ops.InnerJoin
@@ -74,8 +78,8 @@ func applyJoinAssociativity(ctx *Context, ge *memo.GroupExpr) error {
 
 // canonAnd conjoins predicates in canonical order (by structural hash).
 // Rules that rebuild a predicate concatenate conjuncts in a path-dependent
-// order, and BoolOp hashing is order-sensitive; without canonicalization the
-// two rotation rules regenerate the same conjunct set in ever-new orders and
+// order, and BoolOp hashing is order-sensitive; without canonicalization
+// repeated rotations regenerate the same conjunct set in ever-new orders and
 // the memo never dedups them — a factorial blowup on 6-way joins.
 func canonAnd(preds []ops.ScalarExpr) ops.ScalarExpr {
 	if len(preds) < 2 {
@@ -110,83 +114,6 @@ func splitJoinPreds(all []ops.ScalarExpr, lCols, rCols base.ColSet) (inner, oute
 		return nil, nil, false
 	}
 	return canonAnd(innerPreds), canonAnd(outerPreds), true
-}
-
-// ---------------------------------------------------------------------------
-// JoinAssociativityRight: A ⋈ (B ⋈ C) → (A ⋈ B) ⋈ C — the mirror rotation.
-// With commutativity alone the left rotation eventually reaches the same
-// shapes, but the mirror rule reaches them in one step, which matters when
-// exploration is bounded by stage rule subsets.
-
-func matchJoinAssociativityRight(j *ops.Join, _ *memo.GroupExpr) bool {
-	return j.Type == ops.InnerJoin
-}
-
-func applyJoinAssociativityRight(ctx *Context, ge *memo.GroupExpr) error {
-	top := ge.Op.(*ops.Join)
-	aGroup := ge.Children[0]
-	aCols := ctx.Memo.Group(aGroup).Logical().OutputCols
-	rightGroup := ctx.Memo.Group(ge.Children[1])
-
-	for _, lower := range rightGroup.Exprs() {
-		rj, ok := lower.Op.(*ops.Join)
-		if !ok || rj.Type != ops.InnerJoin {
-			continue
-		}
-		bGroup, cGroup := lower.Children[0], lower.Children[1]
-		bCols := ctx.Memo.Group(bGroup).Logical().OutputCols
-
-		all := append(ops.Conjuncts(top.Pred), ops.Conjuncts(rj.Pred)...)
-		inner, outer, ok := splitJoinPreds(all, aCols, bCols)
-		if !ok {
-			continue
-		}
-		innerNode := Op(&ops.Join{Type: ops.InnerJoin, Pred: inner}, Leaf(aGroup), Leaf(bGroup))
-		if _, err := ctx.Insert(
-			Op(&ops.Join{Type: ops.InnerJoin, Pred: outer}, innerNode, Leaf(cGroup)),
-			ge.Group().ID); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// JoinAssociativityExchange: (A ⋈ B) ⋈ C → (A ⋈ C) ⋈ B, when predicates
-// link A with C. The exchange step produces bushy alternatives the two
-// rotations only reach via intermediate shapes.
-
-func matchJoinAssociativityExchange(j *ops.Join, _ *memo.GroupExpr) bool {
-	return j.Type == ops.InnerJoin
-}
-
-func applyJoinAssociativityExchange(ctx *Context, ge *memo.GroupExpr) error {
-	top := ge.Op.(*ops.Join)
-	leftGroup := ctx.Memo.Group(ge.Children[0])
-	cGroup := ge.Children[1]
-	cCols := ctx.Memo.Group(cGroup).Logical().OutputCols
-
-	for _, lower := range leftGroup.Exprs() {
-		lj, ok := lower.Op.(*ops.Join)
-		if !ok || lj.Type != ops.InnerJoin {
-			continue
-		}
-		aGroup, bGroup := lower.Children[0], lower.Children[1]
-		aCols := ctx.Memo.Group(aGroup).Logical().OutputCols
-
-		all := append(ops.Conjuncts(top.Pred), ops.Conjuncts(lj.Pred)...)
-		inner, outer, ok := splitJoinPreds(all, aCols, cCols)
-		if !ok {
-			continue
-		}
-		innerNode := Op(&ops.Join{Type: ops.InnerJoin, Pred: inner}, Leaf(aGroup), Leaf(cGroup))
-		if _, err := ctx.Insert(
-			Op(&ops.Join{Type: ops.InnerJoin, Pred: outer}, innerNode, Leaf(bGroup)),
-			ge.Group().ID); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -382,16 +309,16 @@ func (g *joinGraph) combine(ctx *Context, l, r *joinTree) *joinTree {
 	}
 }
 
+// joinOrderDPLimit is the largest n-ary join the DP rule enumerates
+// exhaustively (2^n subsets); larger joins are left to the greedy rule.
+const joinOrderDPLimit = 10
+
 // applyExpandNAryJoinDP enumerates bushy join trees over connected
 // subgraphs with dynamic programming (DPsub) and copies the cheapest tree
 // into the group.
 func applyExpandNAryJoinDP(ctx *Context, ge *memo.GroupExpr) error {
 	n := len(ge.Children)
-	limit := ctx.JoinOrderDPLimit
-	if limit <= 0 {
-		limit = 10
-	}
-	if n < 2 || n > limit {
+	if n < 2 || n > joinOrderDPLimit {
 		return nil
 	}
 	g, err := buildJoinGraph(ctx, ge)

@@ -43,7 +43,7 @@ func newEnv(t testing.TB) *env {
 	return &env{
 		ctx: &Context{
 			Memo: m, Stats: stats.NewContext(acc), Accessor: acc,
-			ColFactory: f, Segments: 4, JoinOrderDPLimit: 10,
+			ColFactory: f, Segments: 4,
 		},
 		f:    f,
 		gets: gets,
