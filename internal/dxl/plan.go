@@ -2,6 +2,7 @@ package dxl
 
 import (
 	"fmt"
+	"strconv"
 
 	"orca/internal/ops"
 )
@@ -28,8 +29,8 @@ func serializePlanNode(e *ops.Expr) *Node {
 		if !e.Phys.Order.IsAny() {
 			n.Set("Order", e.Phys.Order.String())
 		}
-		n.Setf("Rows", "%.0f", e.Rows)
-		n.Setf("Cost", "%.0f", e.Cost)
+		n.Set("Rows", strconv.FormatFloat(e.Rows, 'f', 0, 64))
+		n.Set("Cost", strconv.FormatFloat(e.Cost, 'f', 0, 64))
 	}
 	serializePhysParams(n, e.Op)
 	for _, c := range e.Children {
@@ -49,7 +50,7 @@ func serializePlanNode(e *ops.Expr) *Node {
 // serializeProjElem renders one projection element.
 func serializeProjElem(e ops.ProjElem) *Node {
 	return El("ProjElem").
-		Setf("ColId", "%d", e.Col.ID).
+		Set("ColId", strconv.Itoa(int(e.Col.ID))).
 		Set("Name", e.Col.Name).
 		Add(SerializeScalar(e.Expr))
 }
@@ -57,7 +58,7 @@ func serializeProjElem(e ops.ProjElem) *Node {
 // serializeWinElem renders one window-function element.
 func serializeWinElem(w ops.WinElem) *Node {
 	wn := El("WinElem").
-		Setf("ColId", "%d", w.Col.ID).
+		Set("ColId", strconv.Itoa(int(w.Col.ID))).
 		Set("Name", w.Col.Name).
 		Set("Fn", w.Fn.Name)
 	if w.Fn.Arg != nil {

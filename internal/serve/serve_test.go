@@ -131,18 +131,20 @@ func TestOptimizeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestOptimizeDXLRoundTrip(t *testing.T) {
-	// Build the DXL query document the way a client database would: bind the
-	// SQL once out-of-band and serialize the bound query.
-	p := demoProvider()
-	acc := md.NewAccessor(md.NewCache(&gpos.MemoryAccountant{}), p)
-	f := md.NewColumnFactory()
-	q, err := sql.Bind(demoSQL, acc, f)
+// demoDXL builds demoSQL's DXL query document the way a client database
+// would: bind the SQL once out-of-band and serialize the bound query.
+func demoDXL(t *testing.T) string {
+	t.Helper()
+	acc := md.NewAccessor(md.NewCache(&gpos.MemoryAccountant{}), demoProvider())
+	q, err := sql.Bind(demoSQL, acc, md.NewColumnFactory())
 	if err != nil {
 		t.Fatalf("Bind: %v", err)
 	}
-	doc := dxl.SerializeQuery(q).Render()
+	return dxl.SerializeQuery(q).Render()
+}
 
+func TestOptimizeDXLRoundTrip(t *testing.T) {
+	doc := demoDXL(t)
 	s := newTestServer(t, nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -218,6 +220,19 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("status %d, want 400", resp.StatusCode)
 		}
 		parseTaxonomy(t, data)
+	})
+	t.Run("two-root dxl", func(t *testing.T) {
+		// A valid query followed by a second root, which must not be dropped.
+		doc := demoDXL(t) + "<dxl:C><dxl:D/></dxl:C>"
+		resp, err := http.Post(ts.URL+"/optimize/dxl", "application/xml", strings.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, _ := io.ReadAll(resp.Body)
+		if apiErr := parseTaxonomy(t, data); resp.StatusCode != http.StatusBadRequest || apiErr.Code != CodeBadRequest {
+			t.Errorf("status %d code %q, want 400 %q", resp.StatusCode, apiErr.Code, CodeBadRequest)
+		}
 	})
 }
 
