@@ -9,7 +9,6 @@ package orca
 // cmd/benchmarks prints the same experiments as paper-style tables.
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 
@@ -360,35 +359,4 @@ func BenchmarkStageResume(b *testing.B) {
 
 func benchName(prefix string, n int) string {
 	return prefix + "-" + string(rune('0'+n))
-}
-
-// BenchmarkOptimizeScalability is the Figure-7-style whole-query speedup
-// curve: one full optimization of the paper's join-order example (q25) with
-// the scheduler parallelism set to GOMAXPROCS. Run with -cpu=1,2,4,8 to
-// reproduce the curve; the speedup between -cpu points is bounded by how
-// little the shared Memo serializes the workers (paper §6.2, Figure 7).
-func BenchmarkOptimizeScalability(b *testing.B) {
-	e := env(b)
-	sqlText := ""
-	for _, wq := range tpcds.Workload() {
-		if wq.Name == "q25" {
-			sqlText = wq.SQL
-		}
-	}
-	cfg := core.DefaultConfig(16)
-	cfg.Workers = runtime.GOMAXPROCS(0)
-	for i := 0; i < b.N; i++ {
-		q, err := sql.Bind(sqlText, md.NewAccessor(e.Cache, e.Provider), md.NewColumnFactory())
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := core.Optimize(q, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(res.Groups), "groups")
-			b.ReportMetric(float64(res.GroupExprs), "gexprs")
-		}
-	}
 }

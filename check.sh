@@ -4,32 +4,20 @@
 #   build    go build ./...
 #   format   gofmt -l on all tracked Go files
 #   vet      go vet ./...
-#   orcavet  the project's own static analyzers (cmd/orcavet): the
-#            per-package suite (memoimmut, lockcheck, opexhaustive,
-#            errdrop, faultpoint) plus the interprocedural passes
-#            (atomicpub, ctxflow, opclosure, hotpath, golifetime) and
-#            the serving-tier passes (lockorder, pubimmut, respwrite) —
-#            thirteen analyzers total. opclosure also cross-checks the
-#            defs/*.opt declarations against the Go operator inventory
-#            and the hand-written rule legs (apply<Rule> / match<Rule>)
-#            in internal/xform. The binary is compiled once to a temp
-#            path so the 60s budget times only the analysis, not the
-#            toolchain. One module-wide pass emitting SARIF, gated
-#            against orcavet.baseline.json: any non-baselined finding,
-#            stale //orcavet:ignore, or stale baseline entry (one that
-#            matches no live finding) fails the build with exit 1;
-#            exit 2 means the analysis itself broke (loader error),
-#            which is reported as such rather than as findings.
+#   orcavet  the project's own static analyzers (cmd/orcavet): locks,
+#            publish, hotpath, golifetime, ctxflow, errdrop and
+#            opexhaustive — one check per invariant that neither the
+#            compiler, go vet nor a generated test already enforces (see
+#            DESIGN.md §8). The binary is compiled once to a temp path so
+#            the 60s budget times only the analysis; exit 1 means findings
+#            (or a stale //orcavet:ignore), exit 2 means the analysis itself
+#            broke (loader error), which is reported as such.
 #            internal/analysis is part of ./..., so the suite also
-#            analyzes its own implementation. Per-analyzer wall time
-#            and finding counts go to a stats file under the temp dir
-#            (never into the tracked BENCH_orcavet.json, which is a
-#            recorded trajectory, not a log); one summary line is
-#            printed.
+#            analyzes its own implementation.
 #   generate re-runs cmd/optgen via go generate and fails on any diff
-#            in defs/, the *.gen.go outputs, or docs/opmatrix.md —
-#            hand-edited generated code and stale regeneration both
-#            show up here.
+#            in defs/, the *.gen.go and *.gen_test.go outputs, or
+#            docs/opmatrix.md — hand-edited generated code and stale
+#            regeneration both show up here.
 #   test     go test ./...
 #   race     go test -race over the concurrency-heavy packages
 #            (search scheduler, memo, gpos worker pool, core — the
@@ -50,8 +38,7 @@
 #            -run TestServeCacheChaos, both ./internal/serve/)
 #   membench one short pass over the Memo hot-path microbenchmarks
 #            (internal/memo BenchmarkMemo*) — catches compile rot and
-#            gross regressions; the full -cpu=1,2,4,8 curve is
-#            `cmd/benchmarks -experiment=memo -json` → BENCH_memo.json
+#            gross regressions
 #   search   one pass of BenchmarkOptimizationTime (the 32 TPC-DS
 #            queries through the job scheduler) with -benchmem; fails
 #            when allocs/op exceeds 1.2x gate_allocs_per_pass in
@@ -59,6 +46,14 @@
 #            they are gated; wall time is printed, not gated. Regenerate
 #            the file with `go run ./cmd/benchmarks -experiment=search
 #            -scale=1 -json` when a change moves the count on purpose.
+#   plans    the benchmark of record with 3 s timed phases (`go run
+#            ./benchmark --seconds 3`); fails, printing a per-workload
+#            diff, when plan_work_units, serve.failed or any of
+#            verify.plans/wrong_plans/known_wrong_plans/nondeterministic
+#            differs from BENCH_plans.json. These counters are exact and
+#            independent of host speed and seed, so any difference means a
+#            plan or a verified reply changed; update the file in the same
+#            change that moves a plan on purpose.
 #
 # Run from the repository root: ./check.sh
 set -eu
@@ -78,23 +73,20 @@ fi
 echo "==> go vet"
 go vet ./...
 
-echo "==> orcavet (compiled once; SARIF, gated on orcavet.baseline.json)"
+echo "==> orcavet (compiled once)"
 orcavet_tmp=$(mktemp -d)
 trap 'rm -rf "$orcavet_tmp"' EXIT
 go build -o "$orcavet_tmp/orcavet" ./cmd/orcavet
 orcavet_start=$(date +%s)
 orcavet_rc=0
-"$orcavet_tmp/orcavet" -sarif -timings \
-    -baseline orcavet.baseline.json \
-    -stats "$orcavet_tmp/stats.json" \
-    ./... > /dev/null || orcavet_rc=$?
+"$orcavet_tmp/orcavet" ./... || orcavet_rc=$?
 orcavet_elapsed=$(($(date +%s) - orcavet_start))
 echo "    orcavet analysis finished in ${orcavet_elapsed}s (compile excluded)"
 case "$orcavet_rc" in
 0) ;;
 1)
-    echo "orcavet: non-baselined finding(s) or stale baseline entry(ies) —" >&2
-    echo "fix/remove them or regenerate orcavet.baseline.json with -write-baseline" >&2
+    echo "orcavet: finding(s) above — fix them, or waive one with" >&2
+    echo "//orcavet:ignore:<analyzer> <reason>" >&2
     exit 1
     ;;
 *)
@@ -106,12 +98,10 @@ if [ "$orcavet_elapsed" -ge 60 ]; then
     echo "orcavet: exceeded the 60s budget (${orcavet_elapsed}s)" >&2
     exit 1
 fi
-sed -E 's/^\{"findings":([0-9]+),"wall_ms":([0-9]+)[^,]*,.*/    orcavet stats: \1 finding(s), \2 ms analysis wall time/' \
-    "$orcavet_tmp/stats.json"
 
-echo "==> go generate drift gate (defs/*.opt -> *.gen.go, docs/opmatrix.md)"
+echo "==> go generate drift gate (defs/*.opt -> *.gen.go, *.gen_test.go, docs/opmatrix.md)"
 go generate ./...
-if ! git diff --exit-code -- defs '*.gen.go' docs/opmatrix.md; then
+if ! git diff --exit-code -- defs '*.gen.go' '*.gen_test.go' docs/opmatrix.md; then
     echo "generate: generated outputs are stale or hand-edited; commit the" >&2
     echo "result of 'go generate ./...' (cmd/optgen) instead" >&2
     exit 1
@@ -201,5 +191,19 @@ if [ "$((search_allocs * 10))" -gt "$((search_gate * 12))" ]; then
     echo "find the new allocation with -memprofile, or regenerate BENCH_search.json" >&2
     exit 1
 fi
+
+echo "==> plan gate (go run ./benchmark --seconds 3 vs BENCH_plans.json)"
+go run ./benchmark --seconds 3 > "$orcavet_tmp/bench.txt"
+sed -n 's/^ *"\([a-z_]*\) \([a-z_.]*\)": *\([0-9][0-9]*\),\{0,1\}$/\1 \2 \3/p' BENCH_plans.json |
+    sort > "$orcavet_tmp/plans.want"
+awk 'NF == 4 && $2 ~ /^(plan_work_units|serve\.failed|verify\.(plans|wrong_plans|known_wrong_plans|nondeterministic))$/ {
+    printf "%s %s %d\n", $1, $2, $3 }' "$orcavet_tmp/bench.txt" | sort > "$orcavet_tmp/plans.got"
+if [ ! -s "$orcavet_tmp/plans.want" ] || ! diff -u "$orcavet_tmp/plans.want" "$orcavet_tmp/plans.got"; then
+    echo "plan gate: the benchmark's exact plan counters differ from BENCH_plans.json" >&2
+    echo "(- expected, + this run; lines are 'workload metric value'); a moved plan" >&2
+    echo "or verified reply must be explained, and the file updated in the same change" >&2
+    exit 1
+fi
+echo "    $(wc -l < "$orcavet_tmp/plans.got") exact counters match BENCH_plans.json"
 
 echo "All checks passed."

@@ -1,105 +1,59 @@
 // Command orcavet runs the orca-specific static analyzers over the module:
 //
-//	go run ./cmd/orcavet ./...
+//	go run ./cmd/orcavet [-run name,...] [packages]
 //
-// It prints one line per finding. Exit codes are distinct so CI can tell a
-// failed gate from a broken run:
+// It prints one `file:line:col: analyzer: message` line per finding. Exit
+// codes are distinct so CI can tell a failed gate from a broken run:
 //
 //	0  clean — no finding remains after //orcavet:ignore:<analyzer>
-//	   suppression and baseline filtering, and no baseline entry is stale
-//	1  findings — the gate fired (new findings, or on full-suite runs a
-//	   stale baseline entry that matches no live finding)
-//	2  internal error — loader/type-check failure, unknown analyzer,
-//	   unwritable artifact; the findings gate did not run
+//	   suppression
+//	1  findings — the gate fired
+//	2  internal error — loader/type-check failure or an unknown analyzer;
+//	   the findings gate did not run
 //
 // See internal/analysis for the analyzer suite, the interprocedural facts
 // store, and the ignore mechanism.
-//
-// CI integration:
-//
-//	-only NAME        run exactly one analyzer (fast local iteration;
-//	                  -run NAME,... selects a subset)
-//	-json             machine-readable findings on stdout
-//	-sarif            SARIF 2.1.0 log on stdout (for code-scanning upload)
-//	-baseline FILE    filter out reviewed findings; gate only on new ones
-//	-write-baseline FILE   accept the current findings as the new baseline
-//	-opmatrix FILE    write the opclosure operator-coverage matrix
-//	                  (markdown when FILE ends in .md, JSON otherwise)
-//	-facts FILE       export the interprocedural facts store (JSON)
-//	-stats FILE       write per-analyzer finding counts and wall time (JSON)
-//	-timings          print per-analyzer wall time to stderr
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"orca/internal/analysis"
 )
 
 func main() {
-	var (
-		list          = flag.Bool("analyzers", false, "print the analyzer suite and exit")
-		only          = flag.String("run", "", "comma-separated analyzer names to run (default all)")
-		single        = flag.String("only", "", "run exactly one analyzer by name (fast local iteration)")
-		jsonOut       = flag.Bool("json", false, "print findings as JSON")
-		sarifOut      = flag.Bool("sarif", false, "print findings as SARIF 2.1.0")
-		baselinePath  = flag.String("baseline", "", "baseline file; findings listed there do not fail the run")
-		writeBaseline = flag.String("write-baseline", "", "write the current findings to this baseline file and exit 0")
-		opmatrixPath  = flag.String("opmatrix", "", "write the operator coverage matrix to this file (.md for markdown, JSON otherwise)")
-		factsPath     = flag.String("facts", "", "export the interprocedural facts store (JSON) to this file")
-		statsPath     = flag.String("stats", "", "write per-analyzer finding counts and wall time (JSON) to this file")
-		timings       = flag.Bool("timings", false, "print per-analyzer wall time to stderr")
-		defsDir       = flag.String("defs", "defs", "operator/rule definition directory for the opclosure .opt cross-check, relative to the module root (empty disables)")
-	)
+	only := flag.String("run", "", "comma-separated analyzer names to run (default all)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: orcavet [flags] [packages]\n\n")
+		fmt.Fprintf(os.Stderr, "usage: orcavet [-run name,...] [packages]\n\n")
 		fmt.Fprintf(os.Stderr, "Runs the Orca invariant analyzers over the given go list patterns\n")
 		fmt.Fprintf(os.Stderr, "(default ./...). Suppress a finding with a //orcavet:ignore:<analyzer>\n")
 		fmt.Fprintf(os.Stderr, "<reason> comment on the offending line, or alone on the line above it;\n")
 		fmt.Fprintf(os.Stderr, "directives that suppress nothing are themselves reported.\n\n")
 		flag.PrintDefaults()
+		fmt.Fprintf(os.Stderr, "\nAnalyzers:\n")
+		for _, a := range analysis.All() {
+			fmt.Fprintf(os.Stderr, "  %-13s %s\n", a.Name, a.Doc)
+		}
 	}
 	flag.Parse()
 
 	suite := analysis.All()
-	if *list {
-		for _, a := range suite {
-			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-	if *single != "" {
-		if *only != "" {
-			fmt.Fprintf(os.Stderr, "orcavet: -only and -run are mutually exclusive\n")
-			os.Exit(2)
-		}
-		if strings.Contains(*single, ",") {
-			fmt.Fprintf(os.Stderr, "orcavet: -only takes a single analyzer name; use -run for a comma-separated subset\n")
-			os.Exit(2)
-		}
-		*only = *single
-	}
-	fullSuite := true
 	if *only != "" {
 		byName := make(map[string]*analysis.Analyzer)
 		for _, a := range suite {
 			byName[a.Name] = a
 		}
-		suite = suite[:0]
+		suite = nil
 		for _, name := range strings.Split(*only, ",") {
 			a, ok := byName[strings.TrimSpace(name)]
 			if !ok {
-				fmt.Fprintf(os.Stderr, "orcavet: unknown analyzer %q\n", name)
-				os.Exit(2)
+				fatal(fmt.Errorf("unknown analyzer %q", name))
 			}
 			suite = append(suite, a)
 		}
-		fullSuite = len(suite) == len(byName)
 	}
 
 	patterns := flag.Args()
@@ -117,102 +71,13 @@ func main() {
 	cfg := analysis.DefaultConfig()
 	// Unused-ignore reporting needs the full suite: a directive scoped to an
 	// analyzer excluded by -run is legitimately idle.
-	cfg.ReportUnusedIgnores = fullSuite
-	cfg.DefsDir = *defsDir
-	if cfg.DefsDir != "" && !filepath.IsAbs(cfg.DefsDir) {
-		cfg.DefsDir = filepath.Join(loader.ModuleDir, cfg.DefsDir)
-	}
-	diags, stats := analysis.RunModuleTimed(pkgs, suite, cfg)
-	if *timings {
-		for _, s := range stats {
-			fmt.Fprintf(os.Stderr, "orcavet: %-14s %8.1fms %5d finding(s)\n", s.Name, s.WallMS, s.Findings)
-		}
-	}
-	if *statsPath != "" {
-		if err := writeStats(*statsPath, diags, stats); err != nil {
-			fatal(err)
-		}
-	}
-
-	if *factsPath != "" {
-		data, err := analysis.ComputeFacts(pkgs, cfg).Export()
-		if err == nil {
-			err = os.WriteFile(*factsPath, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fatal(err)
-		}
-	}
-	if *opmatrixPath != "" {
-		matrix := analysis.BuildOpMatrix(pkgs, cfg)
-		marshal := analysis.MarshalOpMatrix
-		if strings.HasSuffix(*opmatrixPath, ".md") {
-			marshal = analysis.MarshalOpMatrixMarkdown
-		}
-		data, err := marshal(matrix)
-		if err == nil {
-			if data[len(data)-1] != '\n' {
-				data = append(data, '\n')
-			}
-			err = os.WriteFile(*opmatrixPath, data, 0o644)
-		}
-		if err != nil {
-			fatal(err)
-		}
-	}
-
-	root := loader.ModuleDir
-	if *writeBaseline != "" {
-		if err := analysis.WriteBaseline(*writeBaseline, diags, root); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "orcavet: wrote %d finding(s) to %s\n", len(diags), *writeBaseline)
-		return
-	}
-	var stale []analysis.BaselineEntry
-	if *baselinePath != "" {
-		b, err := analysis.LoadBaseline(*baselinePath)
-		if err != nil {
-			fatal(err)
-		}
-		// Stale entries gate only full-suite runs: under -run/-only, entries
-		// belonging to the excluded analyzers are legitimately unmatched.
-		diags, stale = b.Filter(diags, root)
-		if !fullSuite {
-			stale = nil
-		}
-	}
-
-	switch {
-	case *sarifOut:
-		data, err := analysis.MarshalSARIF(diags, suite, root)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(string(data))
-	case *jsonOut:
-		data, err := analysis.MarshalJSONDiagnostics(diags, root)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(string(data))
-	default:
-		for _, d := range diags {
-			fmt.Println(d)
-		}
-	}
-	for _, e := range stale {
-		fmt.Fprintf(os.Stderr, "orcavet: stale baseline entry matches no finding: %s: [%s] %s\n",
-			e.File, e.Analyzer, e.Message)
-	}
-	if len(stale) > 0 {
-		fmt.Fprintf(os.Stderr, "orcavet: %d stale entry(ies) in %s — remove them or regenerate with -write-baseline\n",
-			len(stale), *baselinePath)
+	cfg.ReportUnusedIgnores = len(suite) == len(analysis.All())
+	diags := analysis.RunModule(pkgs, suite, cfg)
+	for _, d := range diags {
+		fmt.Println(d)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "orcavet: %d finding(s)\n", len(diags))
-	}
-	if len(diags) > 0 || len(stale) > 0 {
 		os.Exit(1)
 	}
 }
@@ -220,23 +85,4 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "orcavet:", err)
 	os.Exit(2)
-}
-
-// writeStats records one run's per-analyzer finding counts and wall times as
-// a single JSON object (one line, so CI can append it to a benchmark log).
-func writeStats(path string, diags []analysis.Diagnostic, stats []analysis.AnalyzerStats) error {
-	var total float64
-	for _, s := range stats {
-		total += s.WallMS
-	}
-	out := struct {
-		Findings  int                      `json:"findings"`
-		WallMS    float64                  `json:"wall_ms"`
-		Analyzers []analysis.AnalyzerStats `json:"analyzers"`
-	}{len(diags), total, stats}
-	data, err := json.Marshal(out)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

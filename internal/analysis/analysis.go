@@ -1,20 +1,19 @@
-// Package analysis implements orcavet, a static-analysis suite enforcing
-// optimizer invariants the Go compiler cannot check: Memo immutability,
-// scheduler lock/condvar discipline, exhaustive operator-kind handling,
-// non-discarded errors from the GPOS/DXL layers, sync/atomic publication
-// discipline, context propagation through request paths, cross-package
-// closure of the operator registries, global lock-acquisition ordering,
-// immutability of objects past their publication point, and exactly-once
-// response commit in the serving tier. The suite is built directly on the
-// stdlib go/ast + go/types packages (no external dependencies); the loader
-// shells out to `go list -export` for package metadata and export data,
-// mirroring how the go vet driver loads packages.
+// Package analysis implements orcavet, the static analyzers for optimizer
+// invariants that neither the compiler, go vet, nor a generated test already
+// enforces: mutex discipline and lock ordering (locks), immutability of
+// objects once published (publish), allocation-free hot paths (hotpath),
+// bounded goroutine lifetimes (golifetime), context propagation through
+// request paths (ctxflow), non-discarded GPOS/DXL errors (errdrop) and
+// exhaustive operator-kind switches (opexhaustive). The suite is built
+// directly on the stdlib go/ast + go/types packages (no external
+// dependencies); the loader shells out to `go list -export` for package
+// metadata and export data, mirroring how the go vet driver loads packages.
 //
 // Analyzers come in two shapes. Per-package analyzers (Run) see one
 // type-checked package at a time. Module analyzers (RunModule) see every
 // loaded package at once plus the shared Facts store — per-function
 // interprocedural summaries ("drops its ctx", "carries a gpos/dxl error",
-// "locks its receiver's mutex") computed once per run and also consulted by
+// "takes these lock classes") computed once per run and also consulted by
 // the per-package analyzers to reason across function boundaries.
 //
 // A diagnostic can be suppressed with a scoped
@@ -30,46 +29,42 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Analyzer is one named invariant check. Exactly one of Run (per-package)
 // and RunModule (whole-module) is set.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics ("memoimmut", ...).
+	// Name identifies the analyzer in diagnostics and in
+	// //orcavet:ignore:<analyzer> directives ("locks", ...).
 	Name string
 	// Doc is a one-paragraph description shown by `orcavet -help`.
 	Doc string
 	// Run reports the analyzer's findings on one package.
 	Run func(*Pass)
 	// RunModule reports findings over all loaded packages at once, for
-	// checks that are inherently cross-package (operator-registry closure,
-	// call-graph reachability).
+	// checks that are inherently cross-package (lock ordering, call-graph
+	// reachability).
 	RunModule func(*ModulePass)
 }
+
+// Package paths whose invariants the analyzers enforce.
+const (
+	memoPkgPath      = "orca/internal/memo"
+	opsPkgPath       = "orca/internal/ops"
+	gposPkgPath      = "orca/internal/gpos"
+	dxlPkgPath       = "orca/internal/dxl"
+	searchPkgPath    = "orca/internal/search"
+	mdPkgPath        = "orca/internal/md"
+	servePkgPath     = "orca/internal/serve"
+	plancachePkgPath = "orca/internal/plancache"
+)
 
 // Config points the interprocedural analyzers at the packages playing each
 // architectural role. The zero value is unusable; use DefaultConfig. Tests
 // substitute fixture package paths.
 type Config struct {
-	// OpsPkgPath hosts the operator inventory (the Logical / Physical /
-	// Enforcer / ScalarExpr interfaces and their implementations).
-	OpsPkgPath string
-	// Consumer packages whose references establish opclosure legs.
-	XformPkgPath  string
-	StatsPkgPath  string
-	CostPkgPath   string
-	EnginePkgPath string
-	DXLPkgPath    string
 	// MDPkgPath hosts the Provider interface and the Accessor timeout layer.
 	MDPkgPath string
-	// ServePkgPath hosts the HTTP serving tier whose handler functions
-	// respwrite holds to the exactly-once response-commit contract.
-	ServePkgPath string
-	// GPOSPkgPath hosts Raise/Wrap, the exception constructors whose
-	// component/code pairs respwrite cross-checks against the serve error
-	// taxonomy.
-	GPOSPkgPath string
 	// RootPkgPaths are the packages whose exported functions are optimizer
 	// entry points; ctxflow reachability starts there. Fixture packages
 	// (orcavet.test/...) are always treated as roots.
@@ -79,33 +74,26 @@ type Config struct {
 	// for single-analyzer fixture runs, where directives scoped to other
 	// analyzers are legitimately idle.
 	ReportUnusedIgnores bool
-	// DefsDir points at the defs/*.opt operator/rule declarations; when set
-	// (and the directory exists), opclosure cross-checks the declarations
-	// against the Go inventory and the hand-written rule legs, reporting at
-	// .opt positions. Empty disables the cross-check (fixture runs).
-	DefsDir string
 }
 
 // DefaultConfig returns the configuration matching the repo's layout.
 func DefaultConfig() *Config {
 	return &Config{
-		OpsPkgPath:    opsPkgPath,
-		XformPkgPath:  "orca/internal/xform",
-		StatsPkgPath:  "orca/internal/stats",
-		CostPkgPath:   "orca/internal/cost",
-		EnginePkgPath: "orca/internal/engine",
-		DXLPkgPath:    dxlPkgPath,
-		MDPkgPath:     mdPkgPath,
-		ServePkgPath:  "orca/internal/serve",
-		GPOSPkgPath:   gposPkgPath,
-		RootPkgPaths:  []string{mdPkgPath, "orca/internal/core", searchPkgPath, gposPkgPath, "orca/internal/serve", "orca/internal/plancache"},
-		DefsDir:       "defs",
+		MDPkgPath:    mdPkgPath,
+		RootPkgPaths: []string{mdPkgPath, "orca/internal/core", searchPkgPath, gposPkgPath, servePkgPath, plancachePkgPath},
 	}
 }
 
 // fixturePkgPrefix marks testdata fixture packages, which are self-rooted:
-// their exported functions count as entry points without configuration.
+// their exported functions count as entry points without configuration,
+// and they may stand in for the memo, plancache and serve packages.
 const fixturePkgPrefix = "orcavet.test/"
+
+// isPkg reports whether path is the given package or a fixture standing in
+// for it.
+func isPkg(path, want string) bool {
+	return path == want || strings.HasPrefix(path, fixturePkgPrefix)
+}
 
 // isRootPkg reports whether pkgPath's exported functions are entry points.
 func (c *Config) isRootPkg(pkgPath string) bool {
@@ -151,16 +139,6 @@ func (mp *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ReportPosf records a module-analyzer finding at an explicit file position —
-// used for findings anchored outside Go sources (the defs/*.opt files).
-func (mp *ModulePass) ReportPosf(pos token.Position, format string, args ...any) {
-	*mp.diags = append(*mp.diags, Diagnostic{
-		Pos:      pos,
-		Analyzer: mp.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
 // Diagnostic is one finding at a source position.
 type Diagnostic struct {
 	Pos      token.Position
@@ -187,47 +165,18 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Pkg.Info.TypeOf(e) }
 // ObjectOf returns the object denoted by the identifier, or nil.
 func (p *Pass) ObjectOf(id *ast.Ident) types.Object { return p.Pkg.Info.ObjectOf(id) }
 
-// Run applies the analyzers to one package with a default configuration.
-// Fixture tests and single-package callers use it; whole-module runs go
-// through RunModule so cross-package facts see every function.
-func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	return RunModule([]*Package{pkg}, analyzers, nil)
-}
-
-// AnalyzerStats records one analyzer's contribution to a module pass: its
-// post-suppression finding count and the wall-clock time of its run. The
-// pseudo-entry "facts" carries the one-time interprocedural facts
-// computation shared by the whole suite.
-type AnalyzerStats struct {
-	Name     string  `json:"name"`
-	Findings int     `json:"findings"`
-	WallMS   float64 `json:"wall_ms"`
-}
-
 // RunModule applies the analyzers to the loaded packages and returns their
 // findings: facts are computed once over all packages, per-package analyzers
 // run on each package, module analyzers run once, suppressed diagnostics are
 // filtered out (marking their directives used), and — when the config asks —
 // unused directives are reported. The result is sorted by position.
 func RunModule(pkgs []*Package, analyzers []*Analyzer, cfg *Config) []Diagnostic {
-	diags, _ := RunModuleTimed(pkgs, analyzers, cfg)
-	return diags
-}
-
-// RunModuleTimed is RunModule plus per-analyzer statistics, in run order
-// with the shared facts computation first. Finding counts are taken after
-// suppression and sorting, so they match what the caller reports.
-func RunModuleTimed(pkgs []*Package, analyzers []*Analyzer, cfg *Config) ([]Diagnostic, []AnalyzerStats) {
 	if cfg == nil {
 		cfg = DefaultConfig()
 	}
-	stats := make([]AnalyzerStats, 0, len(analyzers)+1)
-	factsStart := time.Now()
 	facts := ComputeFacts(pkgs, cfg)
-	stats = append(stats, AnalyzerStats{Name: "facts", WallMS: wallMS(factsStart)})
 	var diags []Diagnostic
 	for _, a := range analyzers {
-		start := time.Now()
 		if a.RunModule != nil {
 			mp := &ModulePass{Analyzer: a, Pkgs: pkgs, Facts: facts, Config: cfg, diags: &diags}
 			if len(pkgs) > 0 {
@@ -240,7 +189,6 @@ func RunModuleTimed(pkgs []*Package, analyzers []*Analyzer, cfg *Config) ([]Diag
 				a.Run(pass)
 			}
 		}
-		stats = append(stats, AnalyzerStats{Name: a.Name, WallMS: wallMS(start)})
 	}
 	byFile := make(map[string]*Package)
 	for _, pkg := range pkgs {
@@ -271,28 +219,12 @@ func RunModuleTimed(pkgs []*Package, analyzers []*Analyzer, cfg *Config) ([]Diag
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	counts := make(map[string]int, len(kept))
-	for _, d := range kept {
-		counts[d.Analyzer]++
-	}
-	for i := range stats {
-		stats[i].Findings = counts[stats[i].Name]
-	}
-	return kept, stats
-}
-
-// wallMS returns the elapsed time since start in milliseconds.
-func wallMS(start time.Time) float64 {
-	return float64(time.Since(start)) / float64(time.Millisecond)
+	return kept
 }
 
 // All returns the orcavet analyzer suite.
 func All() []*Analyzer {
-	return []*Analyzer{
-		MemoImmut, LockCheck, OpExhaustive, ErrDrop, FaultPoint,
-		AtomicPub, CtxFlow, OpClosure, HotPath, GoLifetime,
-		LockOrder, PubImmut, RespWrite,
-	}
+	return []*Analyzer{Locks, Publish, HotPath, GoLifetime, CtxFlow, ErrDrop, OpExhaustive}
 }
 
 // ---------------------------------------------------------------------------
@@ -345,35 +277,23 @@ func isNamed(t types.Type, pkgPath, name string) bool {
 
 // calleeObj resolves the called function or method object of a call, or nil
 // (e.g. for calls through function-typed variables or conversions).
-func (p *Pass) calleeObj(call *ast.CallExpr) types.Object {
+func (p *Pass) calleeObj(call *ast.CallExpr) types.Object { return calleeObjPkg(p.Pkg, call) }
+
+// calleeObjPkg is calleeObj without a Pass (module analyzers and facts
+// collection resolve callees per package).
+func calleeObjPkg(pkg *Package, call *ast.CallExpr) types.Object {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		if o := p.Pkg.Info.Uses[fun]; o != nil {
-			if _, ok := o.(*types.Func); ok {
-				return o
-			}
+		if o, ok := pkg.Info.Uses[fun].(*types.Func); ok {
+			return o
 		}
 	case *ast.SelectorExpr:
-		if sel, ok := p.Pkg.Info.Selections[fun]; ok {
+		if sel, ok := pkg.Info.Selections[fun]; ok {
 			return sel.Obj()
 		}
 		// Package-qualified call: pkg.F(...).
-		if o := p.Pkg.Info.Uses[fun.Sel]; o != nil {
-			if _, ok := o.(*types.Func); ok {
-				return o
-			}
-		}
-	}
-	return nil
-}
-
-// enclosingFunc returns the innermost function declaration or literal in the
-// ancestor stack, or nil at package scope.
-func enclosingFunc(stack []ast.Node) ast.Node {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch stack[i].(type) {
-		case *ast.FuncDecl, *ast.FuncLit:
-			return stack[i]
+		if o, ok := pkg.Info.Uses[fun.Sel].(*types.Func); ok {
+			return o
 		}
 	}
 	return nil

@@ -2,6 +2,9 @@ package analysis
 
 import (
 	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -13,8 +16,9 @@ import (
 // comment listing regexps that must each match one diagnostic reported on
 // that line. Lines without a want comment must stay silent. Fixtures live in
 // testdata/src/<name>/ and are loaded as a package outside the module graph,
-// so they may contain deliberate invariant violations without breaking the
-// build.
+// so they may contain deliberate invariant violations — or, for invariants
+// the type system now carries, deliberate type errors — without breaking
+// the build.
 
 var (
 	loaderOnce sync.Once
@@ -39,14 +43,7 @@ var wantRe = regexp.MustCompile(`//\s*want\s+(.*)$`)
 // diagnostics against the // want expectations.
 func runFixture(t *testing.T, a *Analyzer, fixture string) {
 	t.Helper()
-	runFixtureCfg(t, a, fixture, nil)
-}
-
-// runFixtureCfg is runFixture with an analysis config, for analyzers whose
-// anchor packages (ops, md, ...) must point into the fixture itself.
-func runFixtureCfg(t *testing.T, a *Analyzer, fixture string, cfg *Config) {
-	t.Helper()
-	runFixtureDirs(t, a, cfg, fixture, "")
+	runFixtureDirs(t, a, nil, fixture, "")
 }
 
 // runFixtureDirs loads one fixture package per subdir (in order, so earlier
@@ -70,31 +67,67 @@ func runFixtureDirs(t *testing.T, a *Analyzer, cfg *Config, fixture string, subd
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	diags := RunModule(pkgs, []*Analyzer{a}, cfg)
+	var files []*ast.File
+	for _, pkg := range pkgs {
+		files = append(files, pkg.Files...)
+	}
+	checkWants(t, pkgs[0].Fset, files, RunModule(pkgs, []*Analyzer{a}, cfg))
+}
 
-	// Collect expectations: file:line -> regexps.
+// runTypeErrorFixture type-checks testdata/src/<fixture> against the real
+// module packages and checks the type errors against the // want
+// expectations: the fixture seeds misuse that the compiler now rejects.
+func runTypeErrorFixture(t *testing.T, fixture string) {
+	t.Helper()
+	dir := filepath.Join("testdata", "src", fixture)
+	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil || len(names) == 0 {
+		t.Fatalf("fixture %s: %v", dir, err)
+	}
+	fset := token.NewFileSet()
+	var files []*ast.File
+	for _, name := range names {
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	var diags []Diagnostic
+	conf := types.Config{Importer: sharedLoader(t), Error: func(err error) {
+		te := err.(types.Error)
+		diags = append(diags, Diagnostic{Pos: te.Fset.Position(te.Pos), Analyzer: "compiler", Message: te.Msg})
+	}}
+	if _, err := conf.Check(fixturePkgPrefix+fixture, fset, files, nil); err == nil {
+		t.Fatalf("fixture %s type-checks; want the seeded errors", fixture)
+	}
+	checkWants(t, fset, files, diags)
+}
+
+// checkWants matches diagnostics one-to-one against the // want
+// expectations of the files.
+func checkWants(t *testing.T, fset *token.FileSet, files []*ast.File, diags []Diagnostic) {
+	t.Helper()
 	type key struct {
 		file string
 		line int
 	}
 	wants := make(map[key][]*regexp.Regexp)
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			name := pkg.Fset.Position(f.Pos()).Filename
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					m := wantRe.FindStringSubmatch(c.Text)
-					if m == nil {
-						continue
+	for _, f := range files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				m := wantRe.FindStringSubmatch(c.Text)
+				if m == nil {
+					continue
+				}
+				pos := fset.Position(c.Pos())
+				for _, pat := range splitQuoted(t, c, m[1]) {
+					rx, err := regexp.Compile(pat)
+					if err != nil {
+						t.Fatalf("%s:%d: bad want regexp %q: %v", pos.Filename, pos.Line, pat, err)
 					}
-					line := pkg.Fset.Position(c.Pos()).Line
-					for _, pat := range splitQuoted(t, c, m[1]) {
-						rx, err := regexp.Compile(pat)
-						if err != nil {
-							t.Fatalf("%s:%d: bad want regexp %q: %v", name, line, pat, err)
-						}
-						wants[key{name, line}] = append(wants[key{name, line}], rx)
-					}
+					k := key{pos.Filename, pos.Line}
+					wants[k] = append(wants[k], rx)
 				}
 			}
 		}

@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"sort"
-	"strings"
-)
+import "strings"
 
 // CtxFlow tracks context.Context through the call chains rooted at the
 // optimizer's entry points (the exported functions of internal/md,
@@ -68,16 +65,6 @@ func callsTimedLookup(ff *FuncFacts, mdPath string) bool {
 		}
 	}
 	return false
-}
-
-// factKeys returns the function keys in deterministic order.
-func factKeys(f *Facts) []string {
-	keys := make([]string, 0, len(f.Funcs))
-	for k := range f.Funcs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // shortKey trims the module path prefix for readable diagnostics.

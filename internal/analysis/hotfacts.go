@@ -18,14 +18,13 @@ package analysis
 //     unbounded loops) the classification consults.
 //
 // Everything here is computed once per run inside ComputeFacts, mirroring
-// how atomicpub and ctxflow consume the shared store.
+// how locks and ctxflow consume the shared store.
 
 import (
 	"go/ast"
 	"go/constant"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -49,7 +48,7 @@ const hotpathDirective = "orcavet:hotpath"
 // annotations. A reason is mandatory; a function cannot be both.
 const coldpathDirective = "orcavet:coldpath"
 
-// Hot-site classes reported by hotpath and counted in FuncFacts.HotSites.
+// Hot-site classes reported by hotpath.
 const (
 	HotFmt      = "fmt"      // call into package fmt
 	HotConcat   = "concat"   // string concatenation via + / +=
@@ -92,18 +91,12 @@ type hotIssue struct {
 // SpawnFact describes one `go` statement: golifetime's spawn-site table.
 type SpawnFact struct {
 	// Target is the spawned function's key, or "func literal".
-	Target string `json:"target"`
-	// Pos is the spawn's source position ("file:line:col"), stable across
-	// runs over the same tree.
-	Pos string `json:"pos"`
-	// Captures lists the enclosing-function variables a spawned literal
-	// captures, sorted.
-	Captures []string `json:"captures,omitempty"`
+	Target string
 	// Stop classifies the provable stop path: "waitgroup" (the goroutine
 	// signals a sync.WaitGroup), "select" (it blocks in a select with a
 	// receive arm — the ctx.Done / done-channel pattern), "bounded" (neither,
 	// but no unbounded loop in the body or its static callees), or "none".
-	Stop string `json:"stop"`
+	Stop string
 
 	pos         token.Pos
 	wgDone      bool
@@ -124,17 +117,16 @@ type chanRange struct {
 	ok       bool   // already proven stoppable (local close / parameter)
 }
 
-// accessorPinNames is the union of function names blessed by lockcheck's
-// accessor-pin table: their lock acquisitions implement the documented
-// Memo index protocol and are not re-reported by hotpath.
-func accessorPinNames() map[string]bool {
-	names := make(map[string]bool)
+// isAccessorPin reports a function name blessed by the locks analyzer's
+// accessor-pin table: its lock acquisitions implement the documented Memo
+// index protocol and are not re-reported by hotpath.
+func isAccessorPin(name string) bool {
 	for _, fns := range memoIndexAccessors {
-		for name := range fns {
-			names[name] = true
+		if fns[name] {
+			return true
 		}
 	}
-	return names
+	return false
 }
 
 // errorIfaceType returns the universe error interface.
@@ -242,8 +234,6 @@ func (f *Facts) collectHotDirectives(pkg *Package, file *ast.File) {
 			if ff != nil {
 				ff.Hotpath = true
 				ff.hotAllow = allow
-				ff.hotpathPos = c.Pos()
-				ff.HotpathAllow = sortedKeys(allow)
 			}
 		}
 		if ff != nil && ff.Hotpath && ff.Coldpath {
@@ -315,7 +305,7 @@ func (f *Facts) summarizeHotLife(pkg *Package, fd *ast.FuncDecl, fn *types.Func,
 	w := &hotWalk{
 		f: f, pkg: pkg, fd: fd, ff: ff,
 		factory:    isErrorFactory(fn),
-		blessed:    f.pins[fd.Name.Name],
+		blessed:    isAccessorPin(fd.Name.Name),
 		freshObjs:  make(map[types.Object]*freshAlloc),
 		trackedRHS: make(map[ast.Expr]bool),
 		chanBuf:    make(map[types.Object]bool),
@@ -438,14 +428,10 @@ func (w *hotWalk) trackableAlloc(e ast.Expr) (hotSite, bool) {
 
 // finalizeHotLife resolves the facts that need the whole module: ranges over
 // channel fields check the module-wide close set, the loops-forever fixpoint
-// closes over static call edges, every spawn gets its stop classification,
-// and the per-function hot-site summaries are exported.
+// closes over static call edges, and every spawn gets its stop
+// classification.
 func (f *Facts) finalizeHotLife() {
-	keys := make([]string, 0, len(f.Funcs))
-	for k := range f.Funcs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := factKeys(f)
 	for _, k := range keys {
 		ff := f.Funcs[k]
 		for _, cr := range ff.chanRanges {
@@ -485,12 +471,6 @@ func (f *Facts) finalizeHotLife() {
 				}
 			}
 			sp.Stop = f.classifySpawn(sp)
-		}
-		if len(ff.hotSites) > 0 {
-			ff.HotSites = make(map[string]int, 4)
-			for _, s := range ff.hotSites {
-				ff.HotSites[s.class]++
-			}
 		}
 	}
 }

@@ -1,7 +1,5 @@
 package analysis
 
-import "sort"
-
 // HotPath enforces the allocation-free hot-path contract behind the Memo's
 // §6.2 performance story: a `//orcavet:hotpath reason` annotation marks a
 // latency-critical function (Memo.Insert, the group-index and
@@ -11,8 +9,8 @@ import "sort"
 // (escaping make/new/composite literals, fmt calls, string concatenation,
 // capturing closures, interface boxing at call boundaries), defer inside
 // loops, map iteration feeding ordered output, and mutex acquisition outside
-// lockcheck's accessor pins. Per-function hot-site summaries are computed
-// once in the facts layer and propagated here, mirroring atomicpub.
+// the locks analyzer's accessor pins. Per-function hot-site summaries are
+// computed once in the facts layer and propagated here.
 //
 // Propagation is deliberate about its edges: failure-path plumbing (blocks
 // ending in a raise or panic, recover guards, error factories) is pruned,
@@ -79,12 +77,7 @@ func runHotPath(mp *ModulePass) {
 		}
 	}
 
-	keys := make([]string, 0, len(witness))
-	for k := range witness {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range sortedKeys(witness) {
 		ff := f.Funcs[k]
 		root := witness[k]
 		for _, s := range ff.hotSites {

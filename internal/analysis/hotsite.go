@@ -7,6 +7,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // hotSite classifies one warm node as a latency hazard, if it is one.
@@ -49,12 +50,8 @@ func (w *hotWalk) hotCall(call *ast.CallExpr, stack []ast.Node) {
 	}
 	// Interface dispatch: record the warm interface edge; boxing of the
 	// arguments is checked below like any other call.
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if s, ok := w.pkg.Info.Selections[sel]; ok && s.Kind() == types.MethodVal && types.IsInterface(s.Recv()) {
-			if id := ifaceMethodID(s.Recv(), sel.Sel.Name); id != "" {
-				w.warmIface[id] = true
-			}
-		}
+	if id, _ := ifaceCall(w.pkg, call); id != "" {
+		w.warmIface[id] = true
 	}
 	if fn, _ := calleeObjPkg(w.pkg, call).(*types.Func); fn != nil {
 		if fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
@@ -133,7 +130,7 @@ func (w *hotWalk) hotComposite(lit *ast.CompositeLit, stack []ast.Node) {
 }
 
 // hotLock flags Lock/RLock on sync mutexes. Accessor-pin functions (the
-// lockcheck-blessed Memo index protocol) are exempt wholesale; everything
+// Memo index protocol the locks analyzer pins) are exempt wholesale; everything
 // else needs a :lock allowance on the annotated root.
 func (w *hotWalk) hotLock(call *ast.CallExpr) {
 	if w.blessed {
@@ -245,7 +242,7 @@ func (w *hotWalk) hotClosure(lit *ast.FuncLit, stack []ast.Node) {
 	if len(caps) == 0 {
 		return
 	}
-	w.site(lit.Pos(), HotClosure, "closure captures "+joinNames(caps))
+	w.site(lit.Pos(), HotClosure, "closure captures "+strings.Join(caps, ", "))
 }
 
 // literalCaptures returns the sorted names of enclosing-function variables
@@ -276,17 +273,6 @@ func (w *hotWalk) literalCaptures(lit *ast.FuncLit, loopVars map[types.Object]bo
 		return true
 	})
 	return sortedKeys(caps)
-}
-
-func joinNames(names []string) string {
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += ", "
-		}
-		out += n
-	}
-	return out
 }
 
 // hasLoopAncestor reports a for/range statement among the ancestors.
@@ -392,13 +378,12 @@ func (w *hotWalk) isConst(e ast.Expr) bool {
 func (w *hotWalk) recordSpawn(gs *ast.GoStmt, stack []ast.Node) {
 	sp := &SpawnFact{
 		Target: "unknown",
-		Pos:    w.pkg.Fset.Position(gs.Pos()).String(),
 		pos:    gs.Pos(),
 	}
 	if lit, ok := gs.Call.Fun.(*ast.FuncLit); ok {
 		sp.Target = "func literal"
 		w.curSpawn = sp
-		sp.Captures = w.literalCaptures(lit, loopVarObjs(w.pkg, stack))
+		w.literalCaptures(lit, loopVarObjs(w.pkg, stack))
 		w.spawnLitFacts(lit, sp)
 		w.curSpawn = nil
 	} else if fn, _ := calleeObjPkg(w.pkg, gs.Call).(*types.Func); fn != nil {

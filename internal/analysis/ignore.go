@@ -2,30 +2,27 @@ package analysis
 
 import (
 	"go/token"
-	"sort"
 	"strings"
 )
 
-// ignoreDirective is the comment prefix that suppresses orcavet findings.
+// ignoreDirective is the comment prefix that suppresses orcavet findings,
+// the suite's only waiver mechanism.
 //
 //	stmt() //orcavet:ignore:<analyzer>[,<analyzer>] reason
 //
 // suppresses findings of the named analyzers on its own line; a standalone
-// directive comment suppresses the next line. The bare form
-// `//orcavet:ignore reason` suppresses every analyzer and exists for
-// whole-line waivers; scoped directives are preferred because they keep the
-// waiver from hiding findings of unrelated analyzers. A reason is required so
-// suppressions stay auditable, and a directive that never suppresses anything
-// is itself reported (see unusedIgnores) so stale waivers cannot rot in the
-// tree.
+// directive comment suppresses the next line. The analyzer scope is required
+// so a waiver cannot hide findings of unrelated analyzers, a reason is
+// required so suppressions stay auditable, and a directive that never
+// suppresses anything is itself reported (see unusedIgnores) so stale
+// waivers cannot rot in the tree.
 const ignoreDirective = "orcavet:ignore"
 
 // ignoreEntry is one parsed //orcavet:ignore directive.
 type ignoreEntry struct {
-	pos       token.Position  // directive position (for unused-ignore reports)
-	line      int             // source line the directive suppresses
-	analyzers map[string]bool // nil = all analyzers (bare form)
-	reason    string
+	pos       token.Position // directive position (for unused-ignore reports)
+	line      int            // source line the directive suppresses
+	analyzers map[string]bool
 	malformed string // non-empty: the directive itself is invalid
 	used      bool
 }
@@ -60,31 +57,27 @@ func (p *Package) ignoreEntries() map[string][]*ignoreEntry {
 	return p.ignores
 }
 
-// parseIgnore parses the directive tail after "orcavet:ignore": an optional
-// ":a1,a2" analyzer scope followed by the mandatory free-text reason.
+// parseIgnore parses the directive tail after "orcavet:ignore": the
+// mandatory ":a1,a2" analyzer scope followed by the mandatory free-text
+// reason.
 func parseIgnore(tail string) *ignoreEntry {
-	e := &ignoreEntry{}
-	if strings.HasPrefix(tail, ":") {
-		rest := tail[1:]
-		scope := rest
-		if i := strings.IndexAny(rest, " \t"); i >= 0 {
-			scope, rest = rest[:i], rest[i:]
-		} else {
-			rest = ""
-		}
-		e.analyzers = make(map[string]bool)
-		for _, name := range strings.Split(scope, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				e.malformed = "empty analyzer name in scope"
-				continue
-			}
-			e.analyzers[name] = true
-		}
-		tail = rest
+	e := &ignoreEntry{analyzers: make(map[string]bool)}
+	scope, ok := strings.CutPrefix(tail, ":")
+	if !ok {
+		e.malformed = "missing :<analyzer> scope"
+		return e
 	}
-	e.reason = strings.TrimSpace(tail)
-	if e.reason == "" && e.malformed == "" {
+	reason := ""
+	if i := strings.IndexAny(scope, " \t"); i >= 0 {
+		scope, reason = scope[:i], scope[i:]
+	}
+	for _, name := range strings.Split(scope, ",") {
+		if name == "" {
+			e.malformed = "empty analyzer name in scope"
+		}
+		e.analyzers[name] = true
+	}
+	if strings.TrimSpace(reason) == "" && e.malformed == "" {
 		e.malformed = "missing reason"
 	}
 	return e
@@ -95,10 +88,7 @@ func parseIgnore(tail string) *ignoreEntry {
 func (p *Package) suppress(d Diagnostic) bool {
 	hit := false
 	for _, e := range p.ignoreEntries()[d.Pos.Filename] {
-		if e.malformed != "" || e.line != d.Pos.Line {
-			continue
-		}
-		if e.analyzers != nil && !e.analyzers[d.Analyzer] {
+		if e.malformed != "" || e.line != d.Pos.Line || !e.analyzers[d.Analyzer] {
 			continue
 		}
 		e.used = true
@@ -107,30 +97,13 @@ func (p *Package) suppress(d Diagnostic) bool {
 	return hit
 }
 
-// Suppressed reports whether a diagnostic of any analyzer at pos would be
-// silenced. It exists for callers that only have a position; Run uses the
-// analyzer-scoped suppress path.
-func (p *Package) Suppressed(pos token.Position) bool {
-	for _, e := range p.ignoreEntries()[pos.Filename] {
-		if e.malformed == "" && e.line == pos.Line && e.analyzers == nil {
-			return true
-		}
-	}
-	return false
-}
-
 // unusedIgnores reports malformed directives and directives that suppressed
 // nothing in this run, as "ignore" diagnostics: an ignore that stops matching
 // (the finding was fixed, the analyzer renamed) must be deleted, not carried.
 func unusedIgnores(pkgs []*Package) []Diagnostic {
 	var out []Diagnostic
 	for _, pkg := range pkgs {
-		files := make([]string, 0, len(pkg.ignoreEntries()))
-		for name := range pkg.ignoreEntries() {
-			files = append(files, name)
-		}
-		sort.Strings(files)
-		for _, name := range files {
+		for _, name := range sortedKeys(pkg.ignoreEntries()) {
 			for _, e := range pkg.ignoreEntries()[name] {
 				switch {
 				case e.malformed != "":

@@ -36,8 +36,7 @@ type Package struct {
 // under analysis are parsed and checked from source, exactly like the go
 // vet driver. Loader is not safe for concurrent use.
 type Loader struct {
-	ModuleDir  string
-	ModulePath string
+	ModuleDir string
 
 	fset    *token.FileSet
 	imp     types.Importer
@@ -84,11 +83,6 @@ func NewLoader(dir string) (*Loader, error) {
 		extra:     make(map[string]*types.Package),
 		srcPkgs:   make(map[string]*Package),
 	}
-	out, err := l.goList("list", "-m")
-	if err != nil {
-		return nil, fmt.Errorf("analysis: resolving module path: %w", err)
-	}
-	l.ModulePath = strings.TrimSpace(string(out))
 	l.imp = importer.ForCompiler(l.fset, "gc", l.lookupExport)
 	return l, nil
 }
@@ -203,8 +197,9 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		}
 		// Register the source-checked package so later packages in the
 		// dependency-ordered listing import *this* types.Package rather than
-		// its export-data twin. Object identity must hold across packages:
-		// opclosure matches ops.TypeName objects seen from consumer packages.
+		// its export-data twin. Type identity must hold across packages:
+		// interface devirtualization compares method signatures that
+		// mention types of other loaded packages.
 		l.extra[r.ImportPath] = pkg.Types
 		l.srcPkgs[r.ImportPath] = pkg
 		pkgs = append(pkgs, pkg)

@@ -1,17 +1,20 @@
 package analysis
 
 import (
+	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// The tamper tests prove the new analyzers guard real repo invariants, not
-// just fixture shapes: each copies a production package into a temp dir,
-// verifies the untampered copy is clean (control), applies a minimal
-// regression a reviewer could plausibly let through, and demands the
-// analyzer fail the build.
+// The tamper tests are the caught-bug set: each applies a minimal regression
+// a reviewer could plausibly let through to a real package and demands that
+// the build fail. The test comment names the mechanism that catches it —
+// an orcavet analyzer (the copy is loaded as a fixture package, after an
+// untampered control copy loads clean), the compiler, go vet or go test
+// (the regression is overlaid on the package with `go -overlay`).
 
 // copyPkgDir copies the non-test .go files of a real package directory into
 // a fresh temp dir the test may mutate.
@@ -88,6 +91,7 @@ func wantFinding(t *testing.T, diags []Diagnostic, what, substr string) {
 // TestTamperMemoInsertSprintf re-adds a fmt.Sprintf to Memo.Insert — the
 // exact regression the //orcavet:hotpath annotation exists to catch. The
 // :alloc allowance on Insert must not waive it: fmt is never waivable.
+// Caught by orcavet's hotpath analyzer.
 func TestTamperMemoInsertSprintf(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks a production package copy")
@@ -107,6 +111,7 @@ func TestTamperMemoInsertSprintf(t *testing.T) {
 // constructor — the string job keys that were 38% of search CPU behind a
 // polymorphic Job.Key() the analyzer could not see through. Goals are now
 // built by annotated concrete constructors, so the regression fails the build.
+// Caught by orcavet's hotpath analyzer.
 func TestTamperJobKeySprintf(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks a production package copy")
@@ -124,7 +129,7 @@ func TestTamperJobKeySprintf(t *testing.T) {
 
 // TestTamperSchedulerWorkerDone deletes the worker goroutine's WaitGroup
 // pairing in Scheduler.Run: the spawned literal then runs an unbounded drain
-// loop with no provable stop path.
+// loop with no provable stop path. Caught by orcavet's golifetime analyzer.
 func TestTamperSchedulerWorkerDone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks a production package copy")
@@ -142,7 +147,8 @@ func TestTamperSchedulerWorkerDone(t *testing.T) {
 
 // TestTamperWorkerPoolLoop strips the gpos worker pool's two stop guarantees
 // at once — the wg.Done pairing and the close-terminated range — leaving a
-// bare receive loop no caller can ever stop.
+// bare receive loop no caller can ever stop. Caught by orcavet's golifetime
+// analyzer.
 func TestTamperWorkerPoolLoop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks a production package copy")
@@ -161,52 +167,128 @@ func TestTamperWorkerPoolLoop(t *testing.T) {
 // TestTamperSingleflightUnlock deletes the waiter-path unlock in
 // FlightGroup.Do, leaving the group mutex held across the select that waits
 // for the flight leader — one stuck leader would then wedge every flight.
+// Caught by orcavet's locks analyzer.
 func TestTamperSingleflightUnlock(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks a production package copy")
 	}
 	ctl := copyPkgDir(t, filepath.Join("..", "plancache"))
-	wantClean(t, runTamper(t, ctl, "plancachectl", LockOrder), "untampered plancache")
+	wantClean(t, runTamper(t, ctl, "plancachectl", Locks), "untampered plancache")
 
 	dir := copyPkgDir(t, filepath.Join("..", "plancache"))
 	mutate(t, dir, "singleflight.go",
 		"\tif f, ok := g.flights[k]; ok {\n\t\tg.mu.Unlock()\n",
 		"\tif f, ok := g.flights[k]; ok {\n")
-	wantFinding(t, runTamper(t, dir, "plancachetamper", LockOrder),
+	wantFinding(t, runTamper(t, dir, "plancachetamper", Locks),
 		"singleflight waiting under the group mutex", "held across")
 }
 
 // TestTamperEntryAfterAdmit mutates a plan-cache entry after Admit published
-// it to the shard — the exact post-publication write class the PR 9 review
-// caught by hand, now a build failure.
+// it to the shard — a post-publication write class once caught only in
+// review. Caught by orcavet's publish analyzer.
 func TestTamperEntryAfterAdmit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks a production package copy")
 	}
 	ctl := copyPkgDir(t, filepath.Join("..", "serve"))
-	wantClean(t, runTamper(t, ctl, "servectl", PubImmut), "untampered serve")
+	wantClean(t, runTamper(t, ctl, "servectl", Publish), "untampered serve")
 
 	dir := copyPkgDir(t, filepath.Join("..", "serve"))
 	mutate(t, dir, "plancache.go",
 		"\tif !s.plans.Admit(key, e) {\n\t\treturn nil\n\t}\n\treturn e",
 		"\tif !s.plans.Admit(key, e) {\n\t\treturn nil\n\t}\n\te.NParams = e.NParams + 1\n\treturn e")
-	wantFinding(t, runTamper(t, dir, "servetamper", PubImmut),
+	wantFinding(t, runTamper(t, dir, "servetamper", Publish),
 		"entry mutated after shard admission", "after it escaped")
 }
 
 // TestTamperDoubleWriteHeader duplicates the status write in the serve
 // tier's writeJSON — every handler would then double-commit its response.
+// Caught by go test: serve's commit-once ResponseWriter check.
 func TestTamperDoubleWriteHeader(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs a test binary of a tampered package")
+	}
+	out, err := goOverlay(t, filepath.Join("..", "serve"), "server.go",
+		"\tw.WriteHeader(status)\n",
+		"\tw.WriteHeader(status)\n\tw.WriteHeader(status)\n",
+		"test", "-count=1", "-run", "TestHandlersCommitOnce")
+	if err == nil || !strings.Contains(out, "committed more than once") {
+		t.Errorf("go test did not catch a doubled WriteHeader in writeJSON (err %v):\n%s", err, out)
+	}
+}
+
+// TestTamperAdHocFaultPoint names the Memo's fault point by its string
+// instead of the registered fault.Point. Caught by the compiler: the copy
+// no longer type-checks.
+func TestTamperAdHocFaultPoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks a production package copy")
 	}
-	ctl := copyPkgDir(t, filepath.Join("..", "serve"))
-	wantClean(t, runTamper(t, ctl, "serverespctl", RespWrite), "untampered serve")
+	l := sharedLoader(t)
+	if _, err := l.LoadDir(copyPkgDir(t, filepath.Join("..", "memo")), "orcavet.test/tamper/memofaultctl"); err != nil {
+		t.Fatalf("untampered memo: %v", err)
+	}
+	dir := copyPkgDir(t, filepath.Join("..", "memo"))
+	mutate(t, dir, "memo.go", "fault.Inject(fault.PointMemoInsert)", `fault.Inject("memo/insert")`)
+	_, err := l.LoadDir(dir, "orcavet.test/tamper/memofault")
+	if err == nil || !strings.Contains(err.Error(), `cannot use "memo/insert"`) {
+		t.Errorf("ad-hoc fault point type-checked (err %v)", err)
+	}
+}
 
-	dir := copyPkgDir(t, filepath.Join("..", "serve"))
-	mutate(t, dir, "server.go",
-		"\tw.WriteHeader(status)\n",
-		"\tw.WriteHeader(status)\n\tw.WriteHeader(status)\n")
-	wantFinding(t, runTamper(t, dir, "serveresptamper", RespWrite),
-		"writeJSON with a second WriteHeader", "committed more than once")
+// TestTamperCopyLocks copies a Memo group, which holds a sync.Mutex, and the
+// Memo's atomic group count. Caught by go vet's copylocks check.
+func TestTamperCopyLocks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs go vet over a tampered package")
+	}
+	out, err := goOverlay(t, filepath.Join("..", "memo"), "zz_copylocks.go", "",
+		"package memo\n\nfunc copyGroup(g *Group) Group { return *g }\n\n"+
+			"func groupCount(m *Memo) int64 {\n\tn := m.groupN\n\treturn n.Load()\n}\n",
+		"vet")
+	for _, want := range []string{"return copies lock value", "assignment copies lock value to n: sync/atomic.Int64"} {
+		if err == nil || !strings.Contains(out, want) {
+			t.Errorf("go vet did not report %q (err %v):\n%s", want, err, out)
+		}
+	}
+}
+
+// goOverlay runs `go <verb> -overlay=... <args> .` in pkgDir with file
+// replaced by its content with old rewritten to new (once), or added with
+// content new when old is empty, and returns the combined output. The tree
+// on disk is untouched.
+func goOverlay(t *testing.T, pkgDir, file, old, new, verb string, args ...string) (string, error) {
+	t.Helper()
+	path, err := filepath.Abs(filepath.Join(pkgDir, file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := new
+	if old != "" {
+		orig, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(orig), old) {
+			t.Fatalf("tamper anchor %q not found in %s; update the tamper test alongside the source", old, file)
+		}
+		src = strings.Replace(string(orig), old, new, 1)
+	}
+	tmp := t.TempDir()
+	replacement := filepath.Join(tmp, file)
+	overlay, err := json.Marshal(map[string]map[string]string{"Replace": {path: replacement}})
+	if err == nil {
+		err = os.WriteFile(replacement, []byte(src), 0o644)
+	}
+	if err == nil {
+		err = os.WriteFile(filepath.Join(tmp, "overlay.json"), overlay, 0o644)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	args = append([]string{verb, "-overlay=" + filepath.Join(tmp, "overlay.json")}, args...)
+	cmd := exec.Command("go", append(args, ".")...)
+	cmd.Dir = filepath.Dir(path)
+	out, err := cmd.CombinedOutput()
+	return string(out), err
 }

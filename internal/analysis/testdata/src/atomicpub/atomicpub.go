@@ -1,40 +1,10 @@
-// Package atomicpub exercises the atomicpub analyzer: mixed plain/atomic
-// field access, copies of declared-atomic fields, and publish-then-wire
-// ordering around atomic stores.
+// Package atomicpub exercises the publish analyzer's atomic publication
+// rule: every write to shared state must precede the atomic store that
+// publishes it. (Plain access to a typed atomic does not compile, and go
+// vet's copylocks check reports copies of one.)
 package atomicpub
 
 import "sync/atomic"
-
-// Counter uses old-style atomics for its field; every other access must too.
-type Counter struct {
-	n int64
-}
-
-func (c *Counter) Incr() {
-	atomic.AddInt64(&c.n, 1)
-}
-
-func (c *Counter) Snapshot() int64 {
-	return atomic.LoadInt64(&c.n)
-}
-
-func (c *Counter) Racy() int64 {
-	return c.n // want `plain access to orcavet.test/atomicpub\.Counter\.n, which is accessed via sync/atomic elsewhere`
-}
-
-// Gauge declares its field atomic; only method access and address-taking are
-// sanctioned.
-type Gauge struct {
-	v atomic.Int64
-}
-
-func (g *Gauge) Set(x int64) { g.v.Store(x) }
-
-func (g *Gauge) Addr() *atomic.Int64 { return &g.v }
-
-func (g *Gauge) Leak() atomic.Int64 {
-	return g.v // want `atomic-typed field orcavet.test/atomicpub\.Gauge\.v copied or reassigned without sync/atomic`
-}
 
 // node is shared state published through an atomic pointer.
 type node struct {

@@ -1,26 +1,11 @@
-// Package faultpointfix seeds violations and legal uses for the faultpoint
-// analyzer: Inject call-site discipline against the real fault package, and
-// the central-table declaration checks against a mimicked Registered table.
+// Package faultpointfix seeds fault-point misuse that no longer compiles:
+// fault.Inject and fault.Spec take a fault.Point, which only package fault
+// can construct, so every line carrying a want comment is a type error.
 package faultpointfix
 
 import "orca/internal/fault"
 
-// The declaration checks key off any package declaring a
-// `Registered map[string]string` table, so the fixture mimics the fault
-// package's shape.
-const (
-	PointGood = "fix/good"
-	PointDupe = "fix/good" // want `fault point PointDupe duplicates the name "fix/good" of PointGood`
-	PointLost = "fix/lost" // want `fault point PointLost \("fix/lost"\) is missing from the Registered table`
-)
-
-const stray = "fix/stray"
-
-var Registered = map[string]string{
-	PointGood: "a properly declared and registered point",
-	"fix/raw": "raw literal key", // want `Registered key does not reference a Point constant`
-	stray:     "non-Point key",   // want `Registered key does not reference a Point constant`
-}
+const pointGood = "memo/insert"
 
 func okInject() error {
 	if err := fault.Inject(fault.PointMemoInsert); err != nil {
@@ -30,8 +15,10 @@ func okInject() error {
 }
 
 func badInject(dynamic string) {
-	_ = fault.Inject("memo/insert")       // want `fault point named by a raw string literal "memo/insert"`
-	_ = fault.Inject(PointGood)           // want `fault point constant PointGood is not declared in the fault package`
-	_ = fault.Inject(dynamic)             // want `must be a fault\.Point\* constant, not a dynamic expression`
-	_ = fault.Default.Inject("dxl/parse") // want `raw string literal`
+	_ = fault.Inject("memo/insert")                  // want `cannot use "memo/insert"`
+	_ = fault.Inject(pointGood)                      // want `cannot use pointGood`
+	_ = fault.Inject(dynamic)                        // want `cannot use dynamic`
+	_ = fault.Default.Inject("dxl/parse")            // want `cannot use "dxl/parse"`
+	_ = fault.Spec{Point: "no/such/point"}           // want `cannot use "no/such/point"`
+	_ = fault.Inject(fault.Point{name: "fix/adhoc"}) // want `unexported field name`
 }

@@ -1,41 +1,38 @@
 // Package ignores exercises the //orcavet:ignore directive machinery: scoped
-// suppression, standalone (next-line) suppression, mandatory reasons, and
-// unused-directive reporting. The test runs only atomicpub over it with
-// ReportUnusedIgnores on.
+// suppression, standalone (next-line) suppression, mandatory scope and
+// reason, and unused-directive reporting. The test runs only errdrop over it
+// with ReportUnusedIgnores on.
 package ignores
 
-import "sync/atomic"
-
-type counter struct {
-	n int64
-}
-
-func (c *counter) incr() {
-	atomic.AddInt64(&c.n, 1)
-}
+import "orca/internal/gpos"
 
 // read is suppressed by a scoped inline directive.
-func (c *counter) read() int64 {
-	return c.n //orcavet:ignore:atomicpub fixture exercises scoped inline suppression
+func read(t *gpos.Task) {
+	t.Err() //orcavet:ignore:errdrop fixture exercises scoped inline suppression
 }
 
 // peek is suppressed by a standalone directive covering the next line.
-func (c *counter) peek() int64 {
-	//orcavet:ignore:atomicpub fixture exercises standalone suppression
-	return c.n
+func peek(t *gpos.Task) {
+	//orcavet:ignore:errdrop fixture exercises standalone suppression
+	t.Err()
 }
 
 // wrongScope carries a directive naming a different analyzer: the finding
 // still fires and the directive is reported unused.
-func (c *counter) wrongScope() int64 {
-	return c.n //orcavet:ignore:errdrop fixture wrong analyzer scope // want `plain access to orcavet.test/ignores\.counter\.n` `unused //orcavet:ignore directive`
+func wrongScope(t *gpos.Task) {
+	t.Err() //orcavet:ignore:locks fixture wrong analyzer scope // want `error result of Task\.Err is discarded` `unused //orcavet:ignore directive`
 }
 
-//orcavet:ignore:atomicpub fixture stale waiver suppressing nothing // want `unused //orcavet:ignore directive \(suppresses no finding\)`
-func (c *counter) clean() int64 {
-	return atomic.LoadInt64(&c.n)
+// unscoped carries the scope-less form, which waives nothing.
+func unscoped(t *gpos.Task) {
+	t.Err() //orcavet:ignore fixture without a scope // want `error result of Task\.Err is discarded` `malformed //orcavet:ignore directive: missing :<analyzer> scope`
 }
 
-func (c *counter) alsoClean() { /*orcavet:ignore:atomicpub*/ // want `malformed //orcavet:ignore directive: missing reason`
-	atomic.AddInt64(&c.n, 1)
+//orcavet:ignore:errdrop fixture stale waiver suppressing nothing // want `unused //orcavet:ignore directive \(suppresses no finding\)`
+func clean(t *gpos.Task) error {
+	return t.Err()
+}
+
+func alsoClean(t *gpos.Task) error { /*orcavet:ignore:errdrop*/ // want `malformed //orcavet:ignore directive: missing reason`
+	return t.Err()
 }

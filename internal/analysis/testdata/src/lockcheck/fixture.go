@@ -1,5 +1,6 @@
 // Package lockcheckfix seeds violations and legal near-misses for the
-// lockcheck analyzer.
+// per-function rules of the locks analyzer. Copies of lock-holding values are
+// go vet's copylocks check and are not seeded here.
 package lockcheckfix
 
 import "sync"
@@ -72,37 +73,31 @@ func (q *queue) okManualOnEveryPath(x bool) {
 	q.mu.Unlock()
 }
 
-// holder embeds a mutex; copying it breaks mutual exclusion.
-type holder struct {
-	mu sync.Mutex
-	v  int
+// flush write-locks its receiver's mutex; calling it with that mutex held
+// self-deadlocks.
+func (q *queue) flush() {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.n = 0
 }
 
-func (h holder) badValueRecv() int { // want `value receiver of type .*holder`
-	return h.v
+func (q *queue) badRelock() {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.flush() // want `call to flush while q\.mu is held`
 }
 
-func badAssignCopy(h *holder) {
-	cp := *h // want `assignment copies a value of type .*holder`
-	cp.v++
+func (q *queue) okRelockAfterUnlock() {
+	q.mu.Lock()
+	q.n++
+	q.mu.Unlock()
+	q.flush()
 }
 
-func badRangeCopy(hs []holder) int {
-	total := 0
-	for _, h := range hs { // want `range copies values of type .*holder`
-		total += h.v
-	}
-	return total
-}
-
-func sink(holder) {}
-
-func badArgCopy(h *holder) {
-	sink(*h) // want `call passes a value of type .*holder by value`
-}
-
-func okPointerUse(h *holder) *holder {
-	p := h // copying the pointer is fine
-	sink(holder{})
-	return p
+// A goroutine's body is a function of its own: its lock must pair inside it.
+func (q *queue) badGoroutineLock() {
+	go func() {
+		q.mu.Lock() // want `q\.mu\.Lock without a matching q\.mu\.Unlock in the same function`
+		q.n++
+	}()
 }

@@ -1,8 +1,8 @@
 package lockcheckfix
 
-// Fixtures for the memoindex and ruleledger rules: a stand-in Memo struct
-// carrying the guarded field names (the rule keys on the struct name, so the
-// fixture does not need to import internal/memo).
+// Fixtures for the memoindex rule: a stand-in Memo struct carrying the
+// guarded field names (the rule keys on the struct name, so the fixture does
+// not need to import internal/memo).
 
 type fpStripeFix struct{ n int }
 
@@ -56,22 +56,4 @@ func badReqSteal(m *Memo) int {
 
 func okMethodValue(m *Memo) func() int {
 	return m.NumGroups
-}
-
-// ruleledger: the applied ledger must be a bitset over dense rule IDs.
-
-type badExpr struct {
-	applied map[string]bool // want `field applied is a string-keyed map`
-}
-
-type okExpr struct {
-	applied []uint64 // dense bitset: legal
-}
-
-type okOtherMap struct {
-	applied map[int]bool // int-keyed: not the string-hashing regression
-}
-
-func useFixtureFields(b *badExpr, o *okExpr, m *okOtherMap) int {
-	return len(b.applied) + len(o.applied) + len(m.applied)
 }

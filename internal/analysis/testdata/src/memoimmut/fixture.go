@@ -1,5 +1,6 @@
 // Package memoimmutfix seeds violations and legal near-misses for the
-// memoimmut analyzer.
+// publish analyzer's Memo publication sites: memo structures outside
+// internal/memo, and child slices handed to Memo.InsertExpr.
 package memoimmutfix
 
 import (
@@ -48,8 +49,8 @@ func badRetention(m *memo.Memo, children []memo.GroupID) {
 	if _, err := m.InsertExpr(&ops.Get{}, children, -1); err != nil {
 		return
 	}
-	children[0] = 1                // want `mutation of slice children after it was passed to Memo\.InsertExpr`
-	children = append(children, 2) // want `append to slice children after it was passed to Memo\.InsertExpr`
+	children[0] = 1                // want `children is written after it escaped through Memo\.InsertExpr, which retains it`
+	children = append(children, 2) // want `append to children after it escaped through Memo\.InsertExpr`
 	_ = children
 }
 

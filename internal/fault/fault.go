@@ -6,7 +6,8 @@
 // paths, the AMPERe capture machinery and the fallback logic without waiting
 // for real failures.
 //
-// A fault point is a named call to Inject at an instrumented site:
+// A fault point is a registered Point (see points.go) passed to Inject at an
+// instrumented site:
 //
 //	if err := fault.Inject(fault.PointMemoInsert); err != nil {
 //	    return nil, err
@@ -66,8 +67,8 @@ const CodeInjected = "FaultInjected"
 // Spec arms one fault point. The zero trigger fields mean "fire on every
 // hit, forever"; Every, Limit and Prob restrict that deterministically.
 type Spec struct {
-	// Point is the registered fault-point name.
-	Point string
+	// Point is the registered fault point.
+	Point Point
 	// Action selects error, panic or delay.
 	Action Action
 	// Delay is the injected latency for ActDelay.
@@ -99,13 +100,13 @@ type armedFault struct {
 // registries exist only for tests of the framework itself.
 type Registry struct {
 	mu     sync.Mutex
-	armed  map[string][]*armedFault
+	armed  map[Point][]*armedFault
 	nArmed atomic.Int32
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{armed: make(map[string][]*armedFault)}
+	return &Registry{armed: make(map[Point][]*armedFault)}
 }
 
 // Default is the process-global registry used by Inject.
@@ -122,7 +123,7 @@ func (r *Registry) Arm(specs []Spec) (disarm func(), err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, s := range specs {
-		if _, ok := Registered[s.Point]; !ok {
+		if _, ok := registered[s.Point.name]; !ok {
 			for _, a := range added {
 				r.removeLocked(a)
 			}
@@ -172,7 +173,7 @@ func (r *Registry) Enabled() bool { return r.nArmed.Load() != 0 }
 // Inject evaluates the fault point: it returns nil when the point is not
 // armed or its trigger does not fire, returns a *gpos.Exception for ActError,
 // panics for ActPanic, and sleeps then returns nil for ActDelay.
-func (r *Registry) Inject(point string) error {
+func (r *Registry) Inject(point Point) error {
 	if r.nArmed.Load() == 0 {
 		return nil
 	}
@@ -191,12 +192,12 @@ func (r *Registry) Inject(point string) error {
 	}
 	switch fired.Action {
 	case ActPanic:
-		injectPanic(point)
+		injectPanic(point.name)
 	case ActDelay:
 		time.Sleep(fired.Delay)
 		return nil
 	}
-	return gpos.Raise(componentFor(point), CodeInjected, "injected fault at %s", point)
+	return gpos.Raise(componentFor(point.name), CodeInjected, "injected fault at %s", point.name)
 }
 
 // eligible advances the trigger state and reports whether the fault fires on
@@ -249,7 +250,7 @@ func componentFor(point string) gpos.Component {
 }
 
 // Inject evaluates the fault point against the Default registry.
-func Inject(point string) error { return Default.Inject(point) }
+func Inject(point Point) error { return Default.Inject(point) }
 
 // Arm arms specs in the Default registry.
 func Arm(specs []Spec) (disarm func(), err error) { return Default.Arm(specs) }

@@ -55,14 +55,15 @@ func TestArmErrorAction(t *testing.T) {
 
 func TestArmUnknownPoint(t *testing.T) {
 	r := NewRegistry()
-	if _, err := r.Arm([]Spec{{Point: "no/such/point", Action: ActError}}); err == nil {
+	unknown := Point{"no/such/point"}
+	if _, err := r.Arm([]Spec{{Point: unknown, Action: ActError}}); err == nil {
 		t.Fatal("Arm accepted unknown point")
 	}
 	// A failed Arm must leave nothing armed, including earlier specs in the
 	// same batch.
 	if _, err := r.Arm([]Spec{
 		{Point: PointMemoInsert, Action: ActError},
-		{Point: "no/such/point", Action: ActError},
+		{Point: unknown, Action: ActError},
 	}); err == nil {
 		t.Fatal("Arm accepted batch with unknown point")
 	}
@@ -141,7 +142,7 @@ func TestPanicAction(t *testing.T) {
 		if v == nil {
 			t.Fatal("no panic")
 		}
-		if !strings.Contains(fmt.Sprint(v), PointSearchJobExec) {
+		if !strings.Contains(fmt.Sprint(v), PointSearchJobExec.String()) {
 			t.Errorf("panic value %v does not name the point", v)
 		}
 	}()
@@ -195,14 +196,25 @@ func TestConcurrentInject(t *testing.T) {
 
 func TestPointsTableConsistent(t *testing.T) {
 	pts := Points()
-	if len(pts) != len(Registered) {
-		t.Fatalf("Points() returned %d names for %d registered", len(pts), len(Registered))
+	if len(pts) != len(registered) {
+		t.Fatalf("Points() returned %d names for %d registered", len(pts), len(registered))
 	}
 	for _, p := range pts {
-		if Registered[p] == "" {
+		if registered[p.name] == "" {
 			t.Errorf("point %q has no description", p)
 		}
 	}
+}
+
+// TestRegisterDuplicatePanics: two points cannot share a name, so a copy-
+// pasted declaration fails at package initialisation.
+func TestRegisterDuplicatePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("register accepted a duplicate point name")
+		}
+	}()
+	register(PointMemoInsert.String(), "a second memo/insert")
 }
 
 func TestParseSpecsRoundTrip(t *testing.T) {
@@ -270,7 +282,7 @@ func TestRandomScheduleReproducible(t *testing.T) {
 		t.Errorf("schedule has %d specs", len(a))
 	}
 	for _, s := range a {
-		if _, ok := Registered[s.Point]; !ok {
+		if _, ok := registered[s.Point.name]; !ok {
 			t.Errorf("schedule references unknown point %q", s.Point)
 		}
 	}

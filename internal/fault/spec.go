@@ -56,10 +56,11 @@ func parseOne(raw string) (Spec, error) {
 	if len(parts) < 2 {
 		return Spec{}, fmt.Errorf("fault: spec %q: want <point>:<action>[:opt=val]*", raw)
 	}
-	s := Spec{Point: parts[0]}
-	if _, ok := Registered[s.Point]; !ok {
-		return Spec{}, fmt.Errorf("fault: spec %q: unknown fault point %q", raw, s.Point)
+	point, ok := lookupPoint(parts[0])
+	if !ok {
+		return Spec{}, fmt.Errorf("fault: spec %q: unknown fault point %q", raw, parts[0])
 	}
+	s := Spec{Point: point}
 	action := parts[1]
 	switch {
 	case action == "error":
@@ -113,7 +114,7 @@ func FormatSpecs(specs []Spec) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(s.Point)
+		b.WriteString(s.Point.name)
 		b.WriteByte(':')
 		if s.Action == ActDelay {
 			b.WriteString("delay=")

@@ -12,8 +12,7 @@ package memo
 //     (Context/LookupContext/AddCandidate/Candidates)
 //
 // Run the curve with: go test -run '^$' -bench 'BenchmarkMemo' -cpu=1,2,4,8
-// -benchmem ./internal/memo/. cmd/benchmarks -experiment=memo -json emits the
-// same measurements as BENCH_memo.json.
+// -benchmem ./internal/memo/.
 
 import (
 	"sync/atomic"

@@ -59,7 +59,7 @@ type groupChunk [groupChunkSize]*Group
 // chunk boundary, install a new chunk) before publishing the count that
 // reveals it, so a reader holding any view can index every group below its n
 // without synchronization. Only groupSnapshot/publishGroup may touch the raw
-// structure (enforced by the lockcheck analyzer's memoindex rule).
+// structure (enforced by orcavet's locks analyzer).
 type groupIndex struct {
 	chunks []*groupChunk
 	n      int

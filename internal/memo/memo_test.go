@@ -1,6 +1,7 @@
 package memo
 
 import (
+	"reflect"
 	"testing"
 
 	"orca/internal/base"
@@ -59,7 +60,7 @@ func TestInsertCreatesGroupsBottomUp(t *testing.T) {
 }
 
 // mustValidate asserts the Memo's structural invariants (see validate.go);
-// it cross-covers the memoimmut static analyzer at runtime.
+// it cross-covers orcavet's publish analyzer at runtime.
 func mustValidate(t *testing.T, m *Memo) {
 	t.Helper()
 	if err := m.Validate(); err != nil {
@@ -252,5 +253,15 @@ func TestCandidateLinkage(t *testing.T) {
 	}
 	if ge.Candidates(props.Required{Dist: props.AnyDist}) != nil {
 		t.Error("candidates leaked across requests")
+	}
+}
+
+// TestAppliedLedgerIsBitset pins the applied-rule ledger's representation:
+// a bitset over the dense generated rule IDs. A string-keyed map would put
+// string hashing back on every rule-firing check.
+func TestAppliedLedgerIsBitset(t *testing.T) {
+	f, ok := reflect.TypeOf((*GroupExpr)(nil)).Elem().FieldByName("applied")
+	if !ok || f.Type != reflect.TypeOf([]uint64(nil)) {
+		t.Fatalf("GroupExpr.applied is %v, want []uint64 (a bitset over dense rule IDs)", f.Type)
 	}
 }

@@ -5,8 +5,8 @@ import (
 )
 
 // Validate checks the Memo's structural invariants and returns the first
-// violation found, or nil. It is the runtime counterpart of the memoimmut
-// static analyzer (internal/analysis): the analyzer forbids out-of-package
+// violation found, or nil. It is the runtime counterpart of orcavet's
+// publish analyzer (internal/analysis): the analyzer forbids out-of-package
 // mutation at compile time, Validate catches corruption that slips past it
 // (e.g. through retained slices or unsafe code). Tests call it after
 // exercising the Memo; it is cheap enough for debug builds but quadratic in

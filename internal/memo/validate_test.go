@@ -10,7 +10,7 @@ import (
 )
 
 // The corruption tests below reach into unexported state on purpose: they
-// simulate exactly the out-of-package mutations the memoimmut analyzer
+// simulate exactly the out-of-package mutations the publish analyzer
 // forbids, proving the static and runtime checks cross-cover each other.
 
 func validatedMemo(t *testing.T) *Memo {

@@ -1269,3 +1269,19 @@ func (x *SubPlanProject) ParamEqual(other Operator) bool {
 	o, ok := other.(*SubPlanProject)
 	return ok && o == x
 }
+
+// The hand-written operators declared in defs/: each must exist with
+// the declared kind.
+var (
+	_ ScalarExpr = (*Ident)(nil)
+	_ ScalarExpr = (*Const)(nil)
+	_ ScalarExpr = (*Param)(nil)
+	_ ScalarExpr = (*Cmp)(nil)
+	_ ScalarExpr = (*BoolOp)(nil)
+	_ ScalarExpr = (*BinOp)(nil)
+	_ ScalarExpr = (*Func)(nil)
+	_ ScalarExpr = (*Case)(nil)
+	_ ScalarExpr = (*IsNull)(nil)
+	_ ScalarExpr = (*InList)(nil)
+	_ ScalarExpr = (*Subquery)(nil)
+)

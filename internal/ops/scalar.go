@@ -676,9 +676,7 @@ func (k SubqueryKind) String() string {
 // representation keeps these first-class until decorrelation rewrites them
 // into (semi/anti/scalar) joins — the normalizer in internal/core does the
 // same here; a Subquery that survives to plan time becomes a SubPlan only in
-// the legacy Planner baseline.
-//
-//orcavet:ignore:opclosure the engine never sees a Subquery: normalization rewrites every kind into joins or SubPlan operators before plan time
+// the legacy Planner baseline. The engine therefore never evaluates one.
 type Subquery struct {
 	Kind   SubqueryKind
 	Input  *Expr // logical tree

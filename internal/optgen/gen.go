@@ -60,6 +60,7 @@ func Outputs(cat *Catalog) (map[string][]byte, error) {
 		{"internal/cost/dispatch.gen.go", genCostDispatch},
 		{"internal/stats/dispatch.gen.go", genStatsDispatch},
 		{"internal/engine/dispatch.gen.go", genEngineDispatch},
+		{"internal/engine/legs.gen_test.go", genLegs},
 		{"docs/opmatrix.md", genOpMatrix},
 	}
 	for _, j := range jobs {

@@ -1,11 +1,10 @@
 package optgen
 
 // The dispatch generators emit the per-package operator switch that routes
-// each operator to its hand-written semantic handler. The switches are the
-// "registry legs" opclosure verifies: because they are generated from the
-// same catalog as the operator structs, a declared operator with a missing
-// handler is a compile error in the consuming package, not a latent runtime
-// panic.
+// each operator to its hand-written semantic handler. Because they are
+// generated from the same catalog as the operator structs, a declared
+// operator with a missing handler is a compile error in the consuming
+// package, not a latent runtime panic.
 
 // genCostDispatch emits internal/cost/dispatch.gen.go. Physical and
 // enforcer operators each get a cost<Op> method on Model.

@@ -6,11 +6,10 @@ import (
 )
 
 // genOpMatrix emits docs/opmatrix.md: the operator and rule inventory as a
-// generated artifact. The coverage legs that used to be verified after the
-// fact (and drift-gated) are now guaranteed by construction — the generated
-// dispatch switches in cost/stats/engine/dxl reference every declared
-// operator, so a missing hand-written handler is a compile error. The
-// opclosure analyzer still cross-checks the Go surface against defs/.
+// generated artifact. The coverage legs are guaranteed by construction: the
+// generated dispatch switches in cost/stats/engine/dxl reference every
+// declared operator, so a missing hand-written handler is a compile error,
+// and the generated TestOperatorLegs covers the rest.
 func genOpMatrix(cat *Catalog) ([]byte, error) {
 	var b strings.Builder
 	b.WriteString("# Operator coverage matrix\n\n")
@@ -19,11 +18,13 @@ func genOpMatrix(cat *Catalog) ([]byte, error) {
 	b.WriteString("on drift.\n\n")
 	b.WriteString("Legs per kind — logical: xform + stats + dxl-serialize + dxl-parse;\n")
 	b.WriteString("physical/enforcer: cost + engine + dxl-serialize; scalar: engine +\n")
-	b.WriteString("dxl-serialize + dxl-parse. The cost, stats, engine and dxl-serialize\n")
-	b.WriteString("legs are generated dispatch switches: a declared operator without its\n")
-	b.WriteString("hand-written handler fails `go build`. The xform leg is satisfied by\n")
-	b.WriteString("the rules listed below; the remaining legs are verified by the\n")
-	b.WriteString("opclosure analyzer.\n\n")
+	b.WriteString("dxl-serialize + dxl-parse. The cost, stats, engine and physical\n")
+	b.WriteString("dxl-serialize legs are generated dispatch switches: a declared operator\n")
+	b.WriteString("without its hand-written handler fails `go build`. Every logical\n")
+	b.WriteString("operator must be matched by one of the rules listed below, or\n")
+	b.WriteString("`go generate` fails. The DXL query round trip and scalar evaluation\n")
+	b.WriteString("legs are checked by the generated TestOperatorLegs\n")
+	b.WriteString("(internal/engine/legs.gen_test.go).\n\n")
 
 	b.WriteString("| operator | kind | children | identity params | struct |\n")
 	b.WriteString("|---|---|---|---|---|\n")

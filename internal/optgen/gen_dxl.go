@@ -44,9 +44,7 @@ func genDXL(cat *Catalog) ([]byte, error) {
 	}
 	g.p("\tdefault:")
 	g.p("\t\t// Logical and scalar operators never appear in a finished")
-	g.p("\t\t// physical plan; the Params hash attribute still covers any")
-	g.p("\t\t// future operator until it is declared in defs/ (opclosure")
-	g.p("\t\t// enforces that it is).")
+	g.p("\t\t// physical plan.")
 	g.p("\t}")
 	g.p("}")
 	return g.gofmt()

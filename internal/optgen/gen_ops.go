@@ -23,15 +23,34 @@ func genOps(cat *Catalog) ([]byte, error) {
 		g.p(")")
 		g.p("")
 	}
+	var hand []*OpDef
 	for _, o := range cat.Ops {
 		if o.Hand {
+			hand = append(hand, o)
 			continue
 		}
 		if err := genOpDef(&g, o); err != nil {
 			return nil, err
 		}
 	}
+	if len(hand) > 0 {
+		g.p("// The hand-written operators declared in defs/: each must exist with")
+		g.p("// the declared kind.")
+		g.p("var (")
+		for _, o := range hand {
+			g.p("\t_ %s = (*%s)(nil)", kindIface[o.Kind], o.Name)
+		}
+		g.p(")")
+	}
 	return g.gofmt()
+}
+
+// kindIface names the interface each operator kind implements.
+var kindIface = map[string]string{
+	KindLogical:  "Logical",
+	KindPhysical: "Physical",
+	KindEnforcer: "Enforcer",
+	KindScalar:   "ScalarExpr",
 }
 
 // opsImports computes the import list from the field types in use.

@@ -25,7 +25,9 @@
 //
 // Operator flags: CustomName (Name() stays hand-written), PtrIdentity
 // (ParamEqual compares pointers), Hand (declaration only — the struct and
-// its methods stay hand-written; used by the scalar expression types).
+// its methods stay hand-written; used by the scalar expression types),
+// Normalized (the normalizer rewrites every instance before plan time, so
+// the operator has no execution-engine leg).
 // Field option noident excludes a field from ParamHash/ParamEqual and from
 // DXL parameter serialization (derived or display-only state); dxl= renames
 // the serialized attribute.
@@ -53,6 +55,7 @@ type OpDef struct {
 	CustomName  bool
 	PtrIdentity bool
 	Hand        bool
+	Normalized  bool
 	Fields      []*FieldDef
 	File        string
 	Line        int
@@ -180,6 +183,7 @@ func (c *Catalog) validate() error {
 		}
 	}
 	ruleNames := make(map[string]bool)
+	matched := make(map[string]bool)
 	for _, r := range c.Rules {
 		if ruleNames[r.Name] {
 			return fmt.Errorf("%s:%d: rule %s redeclared", r.File, r.Line, r.Name)
@@ -193,11 +197,20 @@ func (c *Catalog) validate() error {
 			return fmt.Errorf("%s:%d: rule %s matches %s operator %s (rules fire on logical expressions)",
 				r.File, r.Line, r.Name, op.Kind, r.Match)
 		}
+		matched[r.Match] = true
+	}
+	for _, o := range c.Ops {
+		if o.Kind == KindLogical && !matched[o.Name] {
+			return fmt.Errorf("%s:%d: logical operator %s is matched by no rule, so no plan can implement it", o.File, o.Line, o.Name)
+		}
+		if (o.Kind == KindScalar) != o.Hand {
+			return fmt.Errorf("%s:%d: operator %s: scalar operators, and only they, are Hand", o.File, o.Line, o.Name)
+		}
 	}
 	return nil
 }
 
-// Operator kinds; values match internal/analysis (opclosure).
+// Operator kinds.
 const (
 	KindLogical  = "logical"
 	KindPhysical = "physical"

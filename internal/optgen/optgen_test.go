@@ -3,6 +3,9 @@ package optgen
 import (
 	"bytes"
 	"flag"
+	"go/ast"
+	goparser "go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
@@ -73,6 +76,8 @@ func TestParseErrors(t *testing.T) {
 		{"rule-physical-op", "[Physical] define X {\nchildren 0\n}\n[Exploration] rule R {\nmatch X\n}\n", "rules fire on logical expressions"},
 		{"stray-text", "define X {\n", "expected declaration"},
 		{"bad-decl", "[Logical] defne X {\n}\n", "expected `define` or `rule`"},
+		{"unmatched-logical", "[Logical] define X {\nchildren 0\n}\n", "matched by no rule"},
+		{"hand-logical", "[Logical, Hand] define X {\n}\n[Implementation] rule R {\nmatch X\n}\n", "only they, are Hand"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -158,5 +163,67 @@ func TestRepoDefsRoundTrip(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s is stale: run go generate ./...", rel)
 		}
+	}
+}
+
+// TestOpsInventoryDeclared closes the operator inventory from the Go side:
+// internal/ops may hold no operator that defs/*.opt does not declare. Every
+// hand-written type with a kind marker (an embedded logicalBase,
+// physicalBase or enforcerBase, or its own logical/physical/enforcer method)
+// or a scalar Equal(ScalarExpr) method must be a declared Hand operator;
+// the generated operators are declared by construction.
+func TestOpsInventoryDeclared(t *testing.T) {
+	root := filepath.Join("..", "..")
+	cat, err := ParseDir(filepath.Join(root, "defs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	pkgs, err := goparser.ParseDir(fset, filepath.Join(root, "internal", "ops"), func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go") && !strings.HasSuffix(fi.Name(), ".gen.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(pos token.Pos, name string) {
+		if o := cat.Op(name); o == nil || !o.Hand {
+			t.Errorf("%s: operator %s is hand-written but not declared Hand in defs/*.opt", fset.Position(pos), name)
+		}
+	}
+	markers := map[string]bool{"logical": true, "physical": true, "enforcer": true}
+	bases := map[string]bool{"logicalBase": true, "physicalBase": true, "enforcerBase": true}
+	for _, f := range pkgs["ops"].Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				if st, ok := n.Type.(*ast.StructType); ok && !bases[n.Name.Name] {
+					for _, field := range st.Fields.List {
+						if id, ok := field.Type.(*ast.Ident); ok && len(field.Names) == 0 && bases[id.Name] {
+							check(n.Pos(), n.Name.Name)
+						}
+					}
+				}
+			case *ast.FuncDecl:
+				if n.Recv == nil {
+					return false
+				}
+				recv := n.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				name := recv.(*ast.Ident).Name
+				params := n.Type.Params.List
+				isEqual := n.Name.Name == "Equal" && len(params) == 1
+				if isEqual {
+					id, ok := params[0].Type.(*ast.Ident)
+					isEqual = ok && id.Name == "ScalarExpr"
+				}
+				if isEqual || (markers[n.Name.Name] && !bases[name]) {
+					check(n.Pos(), name)
+				}
+				return false
+			}
+			return true
+		})
 	}
 }

@@ -137,6 +137,8 @@ func (p *parser) parseDefine(start int, tags []string, name string, doc []string
 			o.PtrIdentity = true
 		case "Hand":
 			o.Hand = true
+		case "Normalized":
+			o.Normalized = true
 		default:
 			return p.errf(start, "unknown operator tag %q", tag)
 		}

@@ -14,8 +14,6 @@ func serializePhysParams(n *Node, op ops.Operator) {
 		n.Setf("Table", "%d", x.Rel.Mdid.OID)
 	default:
 		// Logical and scalar operators never appear in a finished
-		// physical plan; the Params hash attribute still covers any
-		// future operator until it is declared in defs/ (opclosure
-		// enforces that it is).
+		// physical plan.
 	}
 }

@@ -176,9 +176,9 @@ func TestInternReqBounded(t *testing.T) {
 // TestLookupFaultDiscard: the plancache/* chaos points make a found entry
 // untrustworthy — the probe must evict it and report a miss, never serve it.
 func TestLookupFaultDiscard(t *testing.T) {
-	for _, point := range []string{fault.PointPlanCacheCorrupt, fault.PointPlanCacheStale} {
-		t.Run(point, func(t *testing.T) {
-			specs, err := fault.ParseSpecs(point + ":error:every=1")
+	for _, point := range []fault.Point{fault.PointPlanCacheCorrupt, fault.PointPlanCacheStale} {
+		t.Run(point.String(), func(t *testing.T) {
+			specs, err := fault.ParseSpecs(point.String() + ":error:every=1")
 			if err != nil {
 				t.Fatal(err)
 			}

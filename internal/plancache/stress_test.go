@@ -23,8 +23,8 @@ func TestStressAdmitLookupMDBump(t *testing.T) {
 		t.Skip("multi-goroutine stress loop")
 	}
 	specs, err := fault.ParseSpecs(
-		fault.PointPlanCacheCorrupt + ":error:prob=0.05:seed=17," +
-			fault.PointPlanCacheStale + ":error:prob=0.05:seed=29")
+		fault.PointPlanCacheCorrupt.String() + ":error:prob=0.05:seed=17," +
+			fault.PointPlanCacheStale.String() + ":error:prob=0.05:seed=29")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -308,8 +308,8 @@ func TestServeCacheChaos(t *testing.T) {
 	// varying how often each point fires across days.
 	corruptEvery := 2 + seed%3
 	staleEvery := 3 + seed%4
-	schedule := fault.PointPlanCacheCorrupt + ":error:every=" + strconv.FormatInt(corruptEvery, 10) +
-		"," + fault.PointPlanCacheStale + ":error:every=" + strconv.FormatInt(staleEvery, 10)
+	schedule := fault.PointPlanCacheCorrupt.String() + ":error:every=" + strconv.FormatInt(corruptEvery, 10) +
+		"," + fault.PointPlanCacheStale.String() + ":error:every=" + strconv.FormatInt(staleEvery, 10)
 	t.Logf("chaos seed %d: %s", seed, schedule)
 	armFaults(t, schedule)
 

@@ -532,7 +532,7 @@ func TestStormShedsBounded(t *testing.T) {
 // never mislabeled as scheduled fault injection, which would hide a real
 // admission bug behind the chaos schedule.
 func TestAdmitPanicLabeled(t *testing.T) {
-	armFaults(t, fault.PointServeAdmit+":panic:limit=1")
+	armFaults(t, fault.PointServeAdmit.String()+":panic:limit=1")
 	vars := &Counters{}
 	a := newAdmission(AdmissionConfig{MaxInFlight: 1}, make(chan struct{}), vars)
 
@@ -562,7 +562,7 @@ func TestAdmitPanicLabeled(t *testing.T) {
 	release()
 
 	// An injected (non-panic) rejection keeps its own distinct reason.
-	armFaults(t, fault.PointServeAdmit+":error:limit=1")
+	armFaults(t, fault.PointServeAdmit.String()+":error:limit=1")
 	if _, err := a.admit(context.Background()); err == nil {
 		t.Fatal("injected rejection did not shed")
 	} else if shed, ok := err.(*ShedError); !ok || shed.Reason != ShedInjected {

@@ -10,12 +10,8 @@ import (
 )
 
 // joinOrderFamily is the generated join-reordering rule family from
-// defs/rules.opt: commutativity, the left rotation, and select pushdown
-// through joins and aggregates.
-var joinOrderFamily = []string{
-	"JoinCommutativity", "JoinAssociativity",
-	"PushSelectThroughJoin", "PushSelectThroughGbAgg",
-}
+// defs/rules.opt: commutativity and the left rotation.
+var joinOrderFamily = []string{"JoinCommutativity", "JoinAssociativity"}
 
 // TestJoinOrderEnumerationTPCDS optimizes 3- and 5-relation TPC-DS star
 // joins twice — once unrestricted, once with the join-reordering family

@@ -13,8 +13,6 @@ import (
 const (
 	RuleIDJoinCommutativity = iota
 	RuleIDJoinAssociativity
-	RuleIDPushSelectThroughJoin
-	RuleIDPushSelectThroughGbAgg
 	RuleIDExpandNAryJoinDP
 	RuleIDExpandNAryJoinGreedy
 	RuleIDExpandNAryJoinLeftDeep
@@ -42,8 +40,6 @@ const (
 var generatedRuleNames = [NumGeneratedRuleIDs]string{
 	RuleIDJoinCommutativity:      "JoinCommutativity",
 	RuleIDJoinAssociativity:      "JoinAssociativity",
-	RuleIDPushSelectThroughJoin:  "PushSelectThroughJoin",
-	RuleIDPushSelectThroughGbAgg: "PushSelectThroughGbAgg",
 	RuleIDExpandNAryJoinDP:       "ExpandNAryJoinDP",
 	RuleIDExpandNAryJoinGreedy:   "ExpandNAryJoinGreedy",
 	RuleIDExpandNAryJoinLeftDeep: "ExpandNAryJoinLeftDeep",
@@ -70,8 +66,6 @@ var generatedRuleNames = [NumGeneratedRuleIDs]string{
 var generatedRuleIDs = map[string]int{
 	"JoinCommutativity":      RuleIDJoinCommutativity,
 	"JoinAssociativity":      RuleIDJoinAssociativity,
-	"PushSelectThroughJoin":  RuleIDPushSelectThroughJoin,
-	"PushSelectThroughGbAgg": RuleIDPushSelectThroughGbAgg,
 	"ExpandNAryJoinDP":       RuleIDExpandNAryJoinDP,
 	"ExpandNAryJoinGreedy":   RuleIDExpandNAryJoinGreedy,
 	"ExpandNAryJoinLeftDeep": RuleIDExpandNAryJoinLeftDeep,
@@ -132,50 +126,6 @@ func (*JoinAssociativity) Matches(ge *memo.GroupExpr) bool {
 // Apply implements Rule; the transformation body is hand-written.
 func (*JoinAssociativity) Apply(ctx *Context, ge *memo.GroupExpr) error {
 	return applyJoinAssociativity(ctx, ge)
-}
-
-// PushSelectThroughJoin pushes the conjuncts of a Select over an inner
-// join down to the side whose columns cover them:
-// σ(A ⋈ B) → σ'(σ_a(A) ⋈ σ_b(B)).
-type PushSelectThroughJoin struct{}
-
-// Name implements Rule.
-func (*PushSelectThroughJoin) Name() string { return "PushSelectThroughJoin" }
-
-// Kind implements Rule.
-func (*PushSelectThroughJoin) Kind() Kind { return Exploration }
-
-// Matches implements Rule.
-func (*PushSelectThroughJoin) Matches(ge *memo.GroupExpr) bool {
-	op, ok := ge.Op.(*ops.Select)
-	return ok && matchPushSelectThroughJoin(op, ge)
-}
-
-// Apply implements Rule; the transformation body is hand-written.
-func (*PushSelectThroughJoin) Apply(ctx *Context, ge *memo.GroupExpr) error {
-	return applyPushSelectThroughJoin(ctx, ge)
-}
-
-// PushSelectThroughGbAgg moves conjuncts that reference only grouping
-// columns below the aggregation: σ(Γ(X)) → σ'(Γ(σ_g(X))) — groups are
-// filtered before they are built.
-type PushSelectThroughGbAgg struct{}
-
-// Name implements Rule.
-func (*PushSelectThroughGbAgg) Name() string { return "PushSelectThroughGbAgg" }
-
-// Kind implements Rule.
-func (*PushSelectThroughGbAgg) Kind() Kind { return Exploration }
-
-// Matches implements Rule.
-func (*PushSelectThroughGbAgg) Matches(ge *memo.GroupExpr) bool {
-	op, ok := ge.Op.(*ops.Select)
-	return ok && matchPushSelectThroughGbAgg(op, ge)
-}
-
-// Apply implements Rule; the transformation body is hand-written.
-func (*PushSelectThroughGbAgg) Apply(ctx *Context, ge *memo.GroupExpr) error {
-	return applyPushSelectThroughGbAgg(ctx, ge)
 }
 
 // ExpandNAryJoinDP enumerates join trees for an NAryJoin with dynamic
@@ -555,8 +505,6 @@ func DefaultRules() []Rule {
 	return []Rule{
 		&JoinCommutativity{},
 		&JoinAssociativity{},
-		&PushSelectThroughJoin{},
-		&PushSelectThroughGbAgg{},
 		&ExpandNAryJoinDP{},
 		&ExpandNAryJoinGreedy{},
 		&ExpandNAryJoinLeftDeep{},

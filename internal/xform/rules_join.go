@@ -117,106 +117,6 @@ func splitJoinPreds(all []ops.ScalarExpr, lCols, rCols base.ColSet) (inner, oute
 }
 
 // ---------------------------------------------------------------------------
-// PushSelectThroughJoin: σ(A ⋈ B) → σ'(σ_a(A) ⋈ σ_b(B)) — conjuncts whose
-// columns one join side covers move below the join, shrinking the
-// intermediate result before the join runs.
-
-func matchPushSelectThroughJoin(s *ops.Select, _ *memo.GroupExpr) bool {
-	return s.Pred != nil
-}
-
-func applyPushSelectThroughJoin(ctx *Context, ge *memo.GroupExpr) error {
-	sel := ge.Op.(*ops.Select)
-	childGroup := ctx.Memo.Group(ge.Children[0])
-
-	for _, lower := range childGroup.Exprs() {
-		j, ok := lower.Op.(*ops.Join)
-		if !ok || j.Type != ops.InnerJoin {
-			continue
-		}
-		lGroup, rGroup := lower.Children[0], lower.Children[1]
-		lCols := ctx.Memo.Group(lGroup).Logical().OutputCols
-		rCols := ctx.Memo.Group(rGroup).Logical().OutputCols
-
-		var leftPreds, rightPreds, residual []ops.ScalarExpr
-		for _, p := range ops.Conjuncts(sel.Pred) {
-			switch pc := p.Cols(); {
-			case pc.SubsetOf(lCols):
-				leftPreds = append(leftPreds, p)
-			case pc.SubsetOf(rCols):
-				rightPreds = append(rightPreds, p)
-			default:
-				residual = append(residual, p)
-			}
-		}
-		if len(leftPreds) == 0 && len(rightPreds) == 0 {
-			continue // nothing moves; re-inserting would just duplicate
-		}
-		lNode := Leaf(lGroup)
-		if len(leftPreds) > 0 {
-			lNode = Op(&ops.Select{Pred: canonAnd(leftPreds)}, lNode)
-		}
-		rNode := Leaf(rGroup)
-		if len(rightPreds) > 0 {
-			rNode = Op(&ops.Select{Pred: canonAnd(rightPreds)}, rNode)
-		}
-		result := Op(&ops.Join{Type: ops.InnerJoin, Pred: j.Pred}, lNode, rNode)
-		if len(residual) > 0 {
-			result = Op(&ops.Select{Pred: canonAnd(residual)}, result)
-		}
-		if _, err := ctx.Insert(result, ge.Group().ID); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// PushSelectThroughGbAgg: σ(Γ(X)) → σ'(Γ(σ_g(X))) — conjuncts referencing
-// only grouping columns filter groups identically before and after
-// aggregation, so they move below it and shrink the aggregation input.
-
-func matchPushSelectThroughGbAgg(s *ops.Select, _ *memo.GroupExpr) bool {
-	return s.Pred != nil
-}
-
-func applyPushSelectThroughGbAgg(ctx *Context, ge *memo.GroupExpr) error {
-	sel := ge.Op.(*ops.Select)
-	childGroup := ctx.Memo.Group(ge.Children[0])
-
-	for _, lower := range childGroup.Exprs() {
-		agg, ok := lower.Op.(*ops.GbAgg)
-		if !ok || len(agg.GroupCols) == 0 {
-			continue
-		}
-		var gcols base.ColSet
-		for _, c := range agg.GroupCols {
-			gcols.Add(c)
-		}
-		var movable, residual []ops.ScalarExpr
-		for _, p := range ops.Conjuncts(sel.Pred) {
-			if p.Cols().SubsetOf(gcols) {
-				movable = append(movable, p)
-			} else {
-				residual = append(residual, p)
-			}
-		}
-		if len(movable) == 0 {
-			continue // nothing moves; re-inserting would just duplicate
-		}
-		filtered := Op(&ops.Select{Pred: canonAnd(movable)}, Leaf(lower.Children[0]))
-		result := Op(&ops.GbAgg{GroupCols: agg.GroupCols, Aggs: agg.Aggs}, filtered)
-		if len(residual) > 0 {
-			result = Op(&ops.Select{Pred: canonAnd(residual)}, result)
-		}
-		if _, err := ctx.Insert(result, ge.Group().ID); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
 // N-ary join expansion (paper §7.2.2 "Join Ordering": "a number of join
 // ordering optimizations based on dynamic programming, left-deep join trees
 // and cardinality-based join ordering")

@@ -95,153 +95,6 @@ func TestJoinAssociativityLeftToRight(t *testing.T) {
 	}
 }
 
-func TestPushSelectThroughJoin(t *testing.T) {
-	e := newEnv(t)
-	lt := func(tab string, v int64) ops.ScalarExpr {
-		return ops.NewCmp(ops.CmpLt, ops.NewIdent(e.key(tab, 1), base.TInt), ops.NewConst(base.NewInt(v)))
-	}
-	join := ops.NewExpr(
-		&ops.Join{Type: ops.InnerJoin, Pred: e.eq("big", 0, "mid", 0)},
-		ops.NewExpr(e.gets["big"]), ops.NewExpr(e.gets["mid"]))
-	// One conjunct per side plus a cross-side residual.
-	pred := ops.And(lt("big", 10), lt("mid", 5),
-		ops.Eq(ops.NewIdent(e.key("big", 1), base.TInt), ops.NewIdent(e.key("mid", 1), base.TInt)))
-	ge := e.insertJoin(t, ops.NewExpr(&ops.Select{Pred: pred}, join))
-
-	rule := &PushSelectThroughJoin{}
-	if !rule.Matches(ge) {
-		t.Fatal("pushdown does not match a select with a predicate")
-	}
-	if err := rule.Apply(e.ctx, ge); err != nil {
-		t.Fatal(err)
-	}
-	g := ge.Group()
-	if g.NumExprs() != 2 {
-		t.Fatalf("group exprs = %d, want original select + pushed alternative", g.NumExprs())
-	}
-	// The alternative keeps the cross-side conjunct in a residual select
-	// above the join, with per-side selects below it.
-	alt := g.Exprs()[1]
-	res, ok := alt.Op.(*ops.Select)
-	if !ok {
-		t.Fatalf("alternative root is %T, want residual *ops.Select", alt.Op)
-	}
-	if n := len(ops.Conjuncts(res.Pred)); n != 1 {
-		t.Errorf("residual conjuncts = %d, want 1", n)
-	}
-	joinGroup := e.ctx.Memo.Group(alt.Children[0])
-	var pushed *memo.GroupExpr
-	for _, x := range joinGroup.Exprs() {
-		if _, ok := x.Op.(*ops.Join); ok {
-			pushed = x
-		}
-	}
-	if pushed == nil {
-		t.Fatal("no join under the residual select")
-	}
-	for i, side := range []string{"left", "right"} {
-		childGroup := e.ctx.Memo.Group(pushed.Children[i])
-		found := false
-		for _, x := range childGroup.Exprs() {
-			if _, ok := x.Op.(*ops.Select); ok {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("no select pushed onto the %s join input", side)
-		}
-	}
-
-	// Termination: a select whose conjuncts all cross both sides moves
-	// nothing, and applying the rule must not re-insert an identical tree.
-	e2 := newEnv(t)
-	join2 := ops.NewExpr(
-		&ops.Join{Type: ops.InnerJoin, Pred: e2.eq("big", 0, "mid", 0)},
-		ops.NewExpr(e2.gets["big"]), ops.NewExpr(e2.gets["mid"]))
-	cross := ops.Eq(ops.NewIdent(e2.key("big", 1), base.TInt), ops.NewIdent(e2.key("mid", 1), base.TInt))
-	ge2 := e2.insertJoin(t, ops.NewExpr(&ops.Select{Pred: cross}, join2))
-	before := ge2.Group().NumExprs()
-	if err := (&PushSelectThroughJoin{}).Apply(e2.ctx, ge2); err != nil {
-		t.Fatal(err)
-	}
-	if after := ge2.Group().NumExprs(); after != before {
-		t.Errorf("no-op pushdown grew the group: %d -> %d exprs", before, after)
-	}
-}
-
-func TestPushSelectThroughGbAgg(t *testing.T) {
-	e := newEnv(t)
-	cnt := e.f.NewComputedColumn("cnt", base.TInt)
-	agg := ops.NewExpr(
-		&ops.GbAgg{GroupCols: []base.ColID{e.key("big", 0)},
-			Aggs: []ops.AggElem{{Col: cnt, Agg: &ops.AggFunc{Name: "count"}}}},
-		ops.NewExpr(e.gets["big"]))
-	// One conjunct on the grouping column (moves) and one on the computed
-	// aggregate output (stays above).
-	pred := ops.And(
-		ops.NewCmp(ops.CmpLt, ops.NewIdent(e.key("big", 0), base.TInt), ops.NewConst(base.NewInt(5))),
-		ops.NewCmp(ops.CmpGt, ops.NewIdent(cnt.ID, base.TInt), ops.NewConst(base.NewInt(1))))
-	ge := e.insertJoin(t, ops.NewExpr(&ops.Select{Pred: pred}, agg))
-
-	rule := &PushSelectThroughGbAgg{}
-	if !rule.Matches(ge) {
-		t.Fatal("pushdown does not match a select with a predicate")
-	}
-	if err := rule.Apply(e.ctx, ge); err != nil {
-		t.Fatal(err)
-	}
-	g := ge.Group()
-	if g.NumExprs() != 2 {
-		t.Fatalf("group exprs = %d, want original select + pushed alternative", g.NumExprs())
-	}
-	alt := g.Exprs()[1]
-	res, ok := alt.Op.(*ops.Select)
-	if !ok {
-		t.Fatalf("alternative root is %T, want residual *ops.Select", alt.Op)
-	}
-	if n := len(ops.Conjuncts(res.Pred)); n != 1 {
-		t.Errorf("residual conjuncts = %d, want the aggregate-output one", n)
-	}
-	aggGroup := e.ctx.Memo.Group(alt.Children[0])
-	var pushedAgg *memo.GroupExpr
-	for _, x := range aggGroup.Exprs() {
-		if _, ok := x.Op.(*ops.GbAgg); ok {
-			pushedAgg = x
-		}
-	}
-	if pushedAgg == nil {
-		t.Fatal("no aggregation under the residual select")
-	}
-	input := e.ctx.Memo.Group(pushedAgg.Children[0])
-	foundSel := false
-	for _, x := range input.Exprs() {
-		if _, ok := x.Op.(*ops.Select); ok {
-			foundSel = true
-		}
-	}
-	if !foundSel {
-		t.Error("no select pushed below the aggregation")
-	}
-
-	// A predicate entirely on aggregate outputs moves nothing and must not
-	// re-insert an identical tree.
-	e2 := newEnv(t)
-	cnt2 := e2.f.NewComputedColumn("cnt", base.TInt)
-	agg2 := ops.NewExpr(
-		&ops.GbAgg{GroupCols: []base.ColID{e2.key("big", 0)},
-			Aggs: []ops.AggElem{{Col: cnt2, Agg: &ops.AggFunc{Name: "count"}}}},
-		ops.NewExpr(e2.gets["big"]))
-	stuck := ops.NewCmp(ops.CmpGt, ops.NewIdent(cnt2.ID, base.TInt), ops.NewConst(base.NewInt(1)))
-	ge2 := e2.insertJoin(t, ops.NewExpr(&ops.Select{Pred: stuck}, agg2))
-	before := ge2.Group().NumExprs()
-	if err := (&PushSelectThroughGbAgg{}).Apply(e2.ctx, ge2); err != nil {
-		t.Fatal(err)
-	}
-	if after := ge2.Group().NumExprs(); after != before {
-		t.Errorf("no-op pushdown grew the group: %d -> %d exprs", before, after)
-	}
-}
-
 func TestSplitJoinPreds(t *testing.T) {
 	e := newEnv(t)
 	var lCols, rCols base.ColSet
@@ -279,7 +132,7 @@ func TestRuleIDStability(t *testing.T) {
 	want := map[string]int{
 		"JoinCommutativity":     RuleIDJoinCommutativity,
 		"JoinAssociativity":     RuleIDJoinAssociativity,
-		"PushSelectThroughJoin": RuleIDPushSelectThroughJoin,
+		"ExpandNAryJoinDP":      RuleIDExpandNAryJoinDP,
 		"Window2PhysicalWindow": RuleIDWindow2PhysicalWindow,
 	}
 	for name, id := range want {
