@@ -19,6 +19,10 @@
 #            docs/opmatrix.md — hand-edited generated code and stale
 #            regeneration both show up here.
 #   test     go test ./...
+#   fuzz     10 s of FuzzParseXML: the DXL scanner against its
+#            encoding/xml reference (internal/dxl/node_ref_test.go) — both
+#            reject a document or both return equal trees; go test ./...
+#            already ran the seed corpus
 #   race     go test -race over the concurrency-heavy packages
 #            (search scheduler, memo, gpos worker pool, core — the
 #            multi-stage driver shares one Memo across scheduler runs —
@@ -109,6 +113,9 @@ fi
 
 echo "==> go test"
 go test ./...
+
+echo "==> fuzz (ParseXML vs its encoding/xml reference, 10 s)"
+go test -run '^$' -fuzz '^FuzzParseXML$' -fuzztime 10s ./internal/dxl/
 
 echo "==> go test -race (scheduler / memo / gpos / core / serve / plancache)"
 go test -race ./internal/search/... ./internal/memo/... ./internal/gpos/... ./internal/core/... ./internal/serve/... ./internal/plancache/...

@@ -88,8 +88,8 @@ func (d *Dump) Render() string {
 		thread.Add(st)
 	}
 	flags := dxl.El("TraceFlags").
-		Setf("Segments", "%d", d.Segments).
-		Setf("Workers", "%d", d.Workers)
+		Set("Segments", strconv.Itoa(d.Segments)).
+		Set("Workers", strconv.Itoa(d.Workers))
 	if len(d.DisabledRules) > 0 {
 		flags.Set("DisabledRules", strings.Join(d.DisabledRules, ","))
 	}

@@ -127,6 +127,25 @@ func TestTamperJobKeySprintf(t *testing.T) {
 		"search with Sprintf in optGroupKey", "call to fmt.Sprintf")
 }
 
+// TestTamperParseXMLSprintf formats inside the DXL scanner's token loop,
+// which runs once per tag, text run and comment of every /optimize/dxl
+// request. Caught by orcavet's hotpath analyzer.
+func TestTamperParseXMLSprintf(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks a production package copy")
+	}
+	ctl := copyPkgDir(t, filepath.Join("..", "dxl"))
+	wantClean(t, runTamper(t, ctl, "dxlctl", HotPath), "untampered dxl")
+
+	dir := copyPkgDir(t, filepath.Join("..", "dxl"))
+	mutate(t, dir, "parse.go", "import (\n\t\"bytes\"\n", "import (\n\t\"bytes\"\n\t\"fmt\"\n")
+	mutate(t, dir, "parse.go",
+		"\tfor s.pos < len(s.doc) {\n",
+		"\tfor s.pos < len(s.doc) {\n\t\t_ = fmt.Sprintf(\"token at %d\", s.pos)\n")
+	wantFinding(t, runTamper(t, dir, "dxltamper", HotPath),
+		"dxl with Sprintf in the scanner loop", "call to fmt.Sprintf")
+}
+
 // TestTamperSchedulerWorkerDone deletes the worker goroutine's WaitGroup
 // pairing in Scheduler.Run: the spawned literal then runs an unbounded drain
 // loop with no provable stop path. Caught by orcavet's golifetime analyzer.

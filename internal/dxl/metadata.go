@@ -20,8 +20,8 @@ func SerializeMetadata(objects []md.Object) *Node {
 				Set("Mdid", o.Mdid.String()).
 				Set("Name", o.Name).
 				Set("Base", o.Base.String()).
-				Setf("IsRedistributable", "%t", o.IsRedistributable).
-				Setf("Length", "%d", o.Length))
+				Set("IsRedistributable", strconv.FormatBool(o.IsRedistributable)).
+				Set("Length", strconv.Itoa(o.Length)))
 		case *md.Relation:
 			meta.Add(serializeRelation(o))
 		case *md.RelStats:
@@ -32,7 +32,7 @@ func SerializeMetadata(objects []md.Object) *Node {
 				Set("Name", o.Name).
 				Set("RelMdid", o.RelMdid.String()).
 				Set("KeyCols", intList(o.KeyCols)).
-				Setf("IsUnique", "%t", o.IsUnique))
+				Set("IsUnique", strconv.FormatBool(o.IsUnique)))
 		}
 	}
 	return meta
@@ -53,13 +53,13 @@ func serializeRelation(r *md.Relation) *Node {
 	for _, c := range r.Columns {
 		cols.Add(El("Column").
 			Set("Name", c.Name).
-			Setf("Attno", "%d", c.Attno).
+			Set("Attno", strconv.Itoa(c.Attno)).
 			Set("Type", c.Type.String()).
-			Setf("Nullable", "%t", c.Nullable))
+			Set("Nullable", strconv.FormatBool(c.Nullable)))
 	}
 	n.Add(cols)
 	if r.IsPartitioned() {
-		parts := El("Partitions").Setf("PartCol", "%d", r.PartCol)
+		parts := El("Partitions").Set("PartCol", strconv.Itoa(r.PartCol))
 		for _, p := range r.Parts {
 			parts.Add(El("Partition").
 				Set("Name", p.Name).
@@ -82,20 +82,20 @@ func serializeRelStats(s *md.RelStats) *Node {
 	n := El("RelStats").
 		Set("Mdid", s.Mdid.String()).
 		Set("Name", s.RelName).
-		Setf("Rows", "%g", s.Rows)
+		Set("Rows", strconv.FormatFloat(s.Rows, 'g', -1, 64))
 	for i := range s.Cols {
 		cs := &s.Cols[i]
 		cn := El("ColStats").
 			Set("Name", cs.ColName).
-			Setf("Ordinal", "%d", cs.Ordinal).
-			Setf("NDV", "%g", cs.NDV).
-			Setf("NullFrac", "%g", cs.NullFrac)
+			Set("Ordinal", strconv.Itoa(cs.Ordinal)).
+			Set("NDV", strconv.FormatFloat(cs.NDV, 'g', -1, 64)).
+			Set("NullFrac", strconv.FormatFloat(cs.NullFrac, 'g', -1, 64))
 		for _, b := range cs.Buckets {
 			cn.Add(El("Bucket").
 				Set("Lo", datumString(b.Lo)).
 				Set("Hi", datumString(b.Hi)).
-				Setf("Rows", "%g", b.Rows).
-				Setf("Distincts", "%g", b.Distincts))
+				Set("Rows", strconv.FormatFloat(b.Rows, 'g', -1, 64)).
+				Set("Distincts", strconv.FormatFloat(b.Distincts, 'g', -1, 64)))
 		}
 		n.Add(cn)
 	}
@@ -260,12 +260,18 @@ func parseRelStats(n *Node) (*md.RelStats, error) {
 // ---------------------------------------------------------------------------
 // Shared scalar encodings
 
-func intList(v []int) string {
-	parts := make([]string, len(v))
+// intList renders integers, column ids among them, as a comma-separated
+// list.
+func intList[T ~int | ~int32](v []T) string {
+	var buf [64]byte
+	b := buf[:0]
 	for i, x := range v {
-		parts[i] = strconv.Itoa(x)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(x), 10)
 	}
-	return strings.Join(parts, ",")
+	return string(b)
 }
 
 func parseIntList(s string) ([]int, error) {
@@ -284,14 +290,6 @@ func parseIntList(s string) ([]int, error) {
 	return out, nil
 }
 
-func colIDList(v []base.ColID) string {
-	parts := make([]string, len(v))
-	for i, x := range v {
-		parts[i] = strconv.Itoa(int(x))
-	}
-	return strings.Join(parts, ",")
-}
-
 func parseColIDList(s string) ([]base.ColID, error) {
 	ints, err := parseIntList(s)
 	if err != nil {
@@ -306,15 +304,16 @@ func parseColIDList(s string) ([]base.ColID, error) {
 
 // datumString encodes a datum with a type prefix for lossless round-trips.
 func datumString(d base.Datum) string {
+	var buf [32]byte
 	switch d.Kind {
 	case base.DNull:
 		return "null:"
 	case base.DInt:
-		return "int:" + strconv.FormatInt(d.I, 10)
+		return string(strconv.AppendInt(append(buf[:0], "int:"...), d.I, 10))
 	case base.DFloat:
-		return "float:" + strconv.FormatFloat(d.F, 'g', -1, 64)
+		return string(strconv.AppendFloat(append(buf[:0], "float:"...), d.F, 'g', -1, 64))
 	case base.DString:
-		return "str:" + d.S
+		return string(append(append(buf[:0], "str:"...), d.S...))
 	case base.DBool:
 		if d.I != 0 {
 			return "bool:true"

@@ -8,23 +8,17 @@
 // the hot path of each DXL request. A Node keeps its attributes as a slice
 // sorted by key, which is the order Render writes them in: no map per node
 // and no sort per render. Render writes straight into one pre-sized builder
-// through a shared attribute escaper. ParseXML reads raw tokens (no
-// namespace translation; consumers strip the dxl: prefix anyway) and so
-// makes the well-formedness checks that encoding/xml's Token would have
-// made itself: close tags match their open tags, no element is left open at
-// EOF, and nothing but whitespace, comments and processing instructions
+// through a shared attribute escaper. ParseXML is a single pass over the
+// document (parse.go) that builds the tree directly; it accepts exactly the
+// XML subset encoding/xml's RawToken accepted, plus the checks a DXL
+// document needs: close tags match their open tags, no element is left open
+// at EOF, and nothing but whitespace, comments and processing instructions
 // appears outside the single root element.
 package dxl
 
 import (
-	"bytes"
 	"encoding/xml"
-	"errors"
-	"fmt"
-	"io"
 	"strings"
-
-	"orca/internal/fault"
 )
 
 // Node is a generic XML element; the serializers build Node trees and the
@@ -43,12 +37,16 @@ type Attr struct {
 }
 
 // El builds an element.
+//
+//orcavet:hotpath:alloc the element is what the serializers build
 func El(name string, children ...*Node) *Node {
 	return &Node{Name: name, Children: children}
 }
 
 // Set sets an attribute, keeping Attrs sorted by key (an existing key is
 // overwritten), and returns the node for chaining.
+//
+//orcavet:hotpath:alloc the attribute list starts with room for four
 func (n *Node) Set(key, val string) *Node {
 	i := 0
 	for i < len(n.Attrs) && n.Attrs[i].Key < key {
@@ -65,11 +63,6 @@ func (n *Node) Set(key, val string) *Node {
 	copy(n.Attrs[i+1:], n.Attrs[i:])
 	n.Attrs[i] = Attr{Key: key, Val: val}
 	return n
-}
-
-// Setf sets a formatted attribute.
-func (n *Node) Setf(key, format string, args ...any) *Node {
-	return n.Set(key, fmt.Sprintf(format, args...))
 }
 
 // Add appends children and returns the node.
@@ -153,6 +146,7 @@ func writeIndent(b *strings.Builder, depth int) {
 	}
 }
 
+//orcavet:hotpath every DXL reply is rendered here, into one pre-sized builder
 func (n *Node) render(b *strings.Builder, depth int) {
 	writeIndent(b, depth)
 	b.WriteString("<dxl:")
@@ -184,92 +178,4 @@ func (n *Node) render(b *strings.Builder, depth int) {
 	b.WriteString("</dxl:")
 	b.WriteString(n.Name)
 	b.WriteString(">\n")
-}
-
-// ParseXML reads a DXL document into a Node tree. The document must hold
-// exactly one root element; see the package comment for the checks made.
-func ParseXML(doc string) (*Node, error) {
-	if err := fault.Inject(fault.PointDXLParse); err != nil {
-		return nil, err
-	}
-	dec := xml.NewDecoder(strings.NewReader(doc))
-	var stack []*Node
-	var names []xml.Name // raw names of the open elements, parallel to stack
-	var root *Node
-	for {
-		tok, err := dec.RawToken()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dxl: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if root != nil && len(stack) == 0 {
-				return nil, fmt.Errorf("dxl: second root element <%s> after <%s>", t.Name.Local, root.Name)
-			}
-			n := &Node{Name: stripNS(t.Name.Local)}
-			for _, a := range t.Attr {
-				if a.Name.Local == "dxl" || a.Name.Space == "xmlns" {
-					continue
-				}
-				if n.Attrs == nil {
-					n.Attrs = make([]Attr, 0, len(t.Attr))
-				}
-				n.Set(a.Name.Local, a.Value)
-			}
-			if len(stack) > 0 {
-				parent := stack[len(stack)-1]
-				parent.Children = append(parent.Children, n)
-			} else {
-				root = n
-			}
-			stack = append(stack, n)
-			names = append(names, t.Name)
-		case xml.EndElement:
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("dxl: unexpected close tag </%s>", t.Name.Local)
-			}
-			if open := names[len(names)-1]; open != t.Name {
-				return nil, fmt.Errorf("dxl: element <%s> closed by </%s>", rawName(open), rawName(t.Name))
-			}
-			stack, names = stack[:len(stack)-1], names[:len(names)-1]
-		case xml.CharData:
-			s := bytes.TrimSpace(t)
-			if len(s) == 0 {
-				continue
-			}
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("dxl: text %q outside the root element", s)
-			}
-			stack[len(stack)-1].Text += string(s)
-		case xml.Directive:
-			if root != nil {
-				return nil, fmt.Errorf("dxl: directive after the root element")
-			}
-		}
-	}
-	if len(stack) > 0 {
-		return nil, fmt.Errorf("dxl: unexpected EOF: element <%s> not closed", rawName(names[len(names)-1]))
-	}
-	if root == nil {
-		return nil, fmt.Errorf("dxl: empty document")
-	}
-	return root, nil
-}
-
-// rawName renders a raw token name with its prefix for error messages.
-func rawName(n xml.Name) string {
-	if n.Space == "" {
-		return n.Local
-	}
-	return n.Space + ":" + n.Local
-}
-
-func stripNS(name string) string {
-	if i := strings.Index(name, ":"); i >= 0 {
-		return name[i+1:]
-	}
-	return name
 }

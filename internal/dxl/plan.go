@@ -1,8 +1,9 @@
 package dxl
 
 import (
-	"fmt"
+	"math"
 	"strconv"
+	"strings"
 
 	"orca/internal/ops"
 )
@@ -21,16 +22,18 @@ func SerializePlan(plan *ops.Expr) *Node {
 	return El("DXLMessage").Add(msg)
 }
 
+//orcavet:hotpath:alloc every DXL reply serializes its plan here; the node's attribute list is sized once
 func serializePlanNode(e *ops.Expr) *Node {
-	n := El("PhysicalOp").Set("Name", e.Op.Name())
+	n := &Node{Name: "PhysicalOp", Attrs: make([]Attr, 0, 8)}
+	n.Set("Name", e.Op.Name())
 	n.Set("Params", paramString(e.Op))
 	if e.Phys != nil {
 		n.Set("Dist", e.Phys.Dist.String())
 		if !e.Phys.Order.IsAny() {
 			n.Set("Order", e.Phys.Order.String())
 		}
-		n.Set("Rows", strconv.FormatFloat(e.Rows, 'f', 0, 64))
-		n.Set("Cost", strconv.FormatFloat(e.Cost, 'f', 0, 64))
+		n.Set("Rows", roundedString(e.Rows))
+		n.Set("Cost", roundedString(e.Cost))
 	}
 	serializePhysParams(n, e.Op)
 	for _, c := range e.Children {
@@ -67,9 +70,28 @@ func serializeWinElem(w ops.WinElem) *Node {
 	return wn
 }
 
-// paramString renders operator parameters canonically.
+// paramString renders operator parameters canonically: the parameter hash
+// in hex, a colon, and the operator's description.
 func paramString(op ops.Operator) string {
-	return fmt.Sprintf("%x:%s", op.ParamHash(), ops.Describe(op))
+	desc := ops.Describe(op)
+	var b strings.Builder
+	b.Grow(len("ffffffffffffffff:") + len(desc))
+	var hex [16]byte
+	b.Write(strconv.AppendUint(hex[:0], op.ParamHash(), 16))
+	b.WriteByte(':')
+	b.WriteString(desc)
+	return b.String()
+}
+
+// roundedString renders x rounded to an integer, as strconv.FormatFloat(x,
+// 'f', 0, 64) does. Non-negative estimates below 2^53 take an integer path
+// that skips FormatFloat's arbitrary-precision rounding; both round half to
+// even.
+func roundedString(x float64) string {
+	if 0 <= x && x < 1<<53 && !math.Signbit(x) {
+		return strconv.FormatInt(int64(math.RoundToEven(x)), 10)
+	}
+	return strconv.FormatFloat(x, 'f', 0, 64)
 }
 
 // PlanFingerprint returns a canonical string for plan-equality comparison.

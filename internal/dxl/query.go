@@ -22,12 +22,12 @@ func SerializeQuery(q *core.Query) *Node {
 		if i < len(q.OutNames) {
 			name = q.OutNames[i]
 		}
-		outs.Add(El("Ident").Setf("ColId", "%d", c).Set("Name", name))
+		outs.Add(El("Ident").Set("ColId", strconv.Itoa(int(c))).Set("Name", name))
 	}
 	msg.Add(outs)
 	sorts := El("SortingColumnList")
 	for _, it := range q.Order.Items {
-		sorts.Add(El("SortingColumn").Setf("ColId", "%d", it.Col).Setf("Desc", "%t", it.Desc))
+		sorts.Add(El("SortingColumn").Set("ColId", strconv.Itoa(int(it.Col))).Set("Desc", strconv.FormatBool(it.Desc)))
 	}
 	msg.Add(sorts)
 	msg.Add(El("Distribution").Set("Type", "Singleton"))
@@ -39,11 +39,11 @@ func serializeColRefs(name string, cols []*md.ColRef) *Node {
 	n := El(name)
 	for _, c := range cols {
 		cn := El("Ident").
-			Setf("ColId", "%d", c.ID).
+			Set("ColId", strconv.Itoa(int(c.ID))).
 			Set("Name", c.Name).
 			Set("Type", c.Type.String())
 		if c.RelMdid.IsValid() {
-			cn.Set("RelMdid", c.RelMdid.String()).Setf("Ordinal", "%d", c.Ordinal)
+			cn.Set("RelMdid", c.RelMdid.String()).Set("Ordinal", strconv.Itoa(c.Ordinal))
 		}
 		n.Add(cn)
 	}
@@ -53,7 +53,7 @@ func serializeColRefs(name string, cols []*md.ColRef) *Node {
 func serializeOrder(name string, o props.OrderSpec) *Node {
 	n := El(name)
 	for _, it := range o.Items {
-		n.Add(El("SortingColumn").Setf("ColId", "%d", it.Col).Setf("Desc", "%t", it.Desc))
+		n.Add(El("SortingColumn").Set("ColId", strconv.Itoa(int(it.Col))).Set("Desc", strconv.FormatBool(it.Desc)))
 	}
 	return n
 }
@@ -74,7 +74,7 @@ func serializeTree(e *ops.Expr) *Node {
 		n = El("LogicalProject")
 		for _, el := range op.Elems {
 			n.Add(El("ProjElem").
-				Setf("ColId", "%d", el.Col.ID).
+				Set("ColId", strconv.Itoa(int(el.Col.ID))).
 				Set("Name", el.Col.Name).
 				Set("Type", el.Col.Type.String()).
 				Add(SerializeScalar(el.Expr)))
@@ -90,35 +90,35 @@ func serializeTree(e *ops.Expr) *Node {
 			n.Add(El("Predicate").Add(SerializeScalar(p)))
 		}
 	case *ops.GbAgg:
-		n = El("LogicalGbAgg").Set("GroupCols", colIDList(op.GroupCols))
+		n = El("LogicalGbAgg").Set("GroupCols", intList(op.GroupCols))
 		for _, a := range op.Aggs {
 			n.Add(serializeAggElem(a))
 		}
 	case *ops.Limit:
 		n = El("LogicalLimit").
-			Setf("Count", "%d", op.Count).
-			Setf("Offset", "%d", op.Offset).
-			Setf("HasCount", "%t", op.HasCount).
+			Set("Count", strconv.FormatInt(op.Count, 10)).
+			Set("Offset", strconv.FormatInt(op.Offset, 10)).
+			Set("HasCount", strconv.FormatBool(op.HasCount)).
 			Add(serializeOrder("SortingColumnList", op.Order))
 	case *ops.UnionAll:
 		n = El("LogicalUnionAll").Add(serializeColRefs("OutputColumns", op.OutCols))
 		for _, cols := range op.InCols {
-			n.Add(El("InputColumns").Set("Cols", colIDList(cols)))
+			n.Add(El("InputColumns").Set("Cols", intList(cols)))
 		}
 	case *ops.CTEAnchor:
-		n = El("LogicalCTEAnchor").Setf("CTEId", "%d", op.ID).
+		n = El("LogicalCTEAnchor").Set("CTEId", strconv.Itoa(op.ID)).
 			Add(serializeColRefs("ProducerColumns", op.Cols))
 	case *ops.CTEConsumer:
-		n = El("LogicalCTEConsumer").Setf("CTEId", "%d", op.ID).
-			Set("ProducerCols", colIDList(op.ProducerCols)).
+		n = El("LogicalCTEConsumer").Set("CTEId", strconv.Itoa(op.ID)).
+			Set("ProducerCols", intList(op.ProducerCols)).
 			Add(serializeColRefs("OutputColumns", op.Cols))
 	case *ops.Window:
 		n = El("LogicalWindow").
-			Set("PartitionCols", colIDList(op.PartitionCols)).
+			Set("PartitionCols", intList(op.PartitionCols)).
 			Add(serializeOrder("SortingColumnList", op.Order))
 		for _, w := range op.Wins {
 			wn := El("WindowFunc").
-				Setf("ColId", "%d", w.Col.ID).
+				Set("ColId", strconv.Itoa(int(w.Col.ID))).
 				Set("Name", w.Fn.Name).
 				Set("ColName", w.Col.Name).
 				Set("Type", w.Col.Type.String())
@@ -138,11 +138,11 @@ func serializeTree(e *ops.Expr) *Node {
 
 func serializeAggElem(a ops.AggElem) *Node {
 	n := El("AggElem").
-		Setf("ColId", "%d", a.Col.ID).
+		Set("ColId", strconv.Itoa(int(a.Col.ID))).
 		Set("Name", a.Col.Name).
 		Set("Type", a.Col.Type.String()).
 		Set("AggName", a.Agg.Name).
-		Setf("Distinct", "%t", a.Agg.Distinct)
+		Set("Distinct", strconv.FormatBool(a.Agg.Distinct))
 	if a.Agg.Arg != nil {
 		n.Add(SerializeScalar(a.Agg.Arg))
 	}

@@ -12,14 +12,14 @@ import (
 func SerializeScalar(e ops.ScalarExpr) *Node {
 	switch x := e.(type) {
 	case *ops.Ident:
-		return El("Ident").Setf("ColId", "%d", x.Col).Set("Type", x.Type.String())
+		return El("Ident").Set("ColId", strconv.Itoa(int(x.Col))).Set("Type", x.Type.String())
 	case *ops.Const:
 		return El("Const").Set("Val", datumString(x.Val))
 	case *ops.Param:
 		// Defensive: rebinding replaces every Param with a Const before a
 		// plan leaves the plan cache, but a serialized placeholder must
 		// still round-trip for diagnostics.
-		return El("Param").Setf("Ord", "%d", x.Ord)
+		return El("Param").Set("Ord", strconv.Itoa(x.Ord))
 	case *ops.Cmp:
 		return El("Comparison").Set("Operator", x.Op.String()).
 			Add(SerializeScalar(x.L), SerializeScalar(x.R))
@@ -57,25 +57,32 @@ func SerializeScalar(e ops.ScalarExpr) *Node {
 		}
 		return n
 	case *ops.IsNull:
-		return El("IsNull").Setf("Negated", "%t", x.Negated).Add(SerializeScalar(x.Arg))
+		return El("IsNull").Set("Negated", strconv.FormatBool(x.Negated)).Add(SerializeScalar(x.Arg))
 	case *ops.InList:
-		n := El("InList").Setf("Negated", "%t", x.Negated).Add(SerializeScalar(x.Arg))
+		n := El("InList").Set("Negated", strconv.FormatBool(x.Negated)).Add(SerializeScalar(x.Arg))
 		for _, v := range x.Vals {
 			n.Add(SerializeScalar(v))
 		}
 		return n
 	case *ops.Subquery:
 		n := El("Subquery").
-			Setf("Kind", "%d", x.Kind).
-			Setf("OutCol", "%d", x.OutCol)
+			Set("Kind", strconv.Itoa(int(x.Kind))).
+			Set("OutCol", strconv.Itoa(int(x.OutCol)))
 		n.Add(El("SubqueryInput").Add(serializeTree(x.Input)))
 		if x.Test != nil {
 			n.Add(El("SubqueryTest").Add(SerializeScalar(x.Test)))
 		}
 		return n
 	default:
-		return El("UnknownScalar").Set("Go", fmt.Sprintf("%T", e))
+		return unknownScalar(e)
 	}
+}
+
+// unknownScalar renders a scalar type SerializeScalar has no case for.
+//
+//orcavet:coldpath every scalar operator has its own case in SerializeScalar
+func unknownScalar(e ops.ScalarExpr) *Node {
+	return El("UnknownScalar").Set("Go", fmt.Sprintf("%T", e))
 }
 
 var cmpByName = map[string]ops.CmpOp{

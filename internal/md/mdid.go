@@ -34,7 +34,12 @@ func (id MDId) IsValid() bool { return id.OID != 0 }
 
 // String renders the canonical dotted form used in DXL documents.
 func (id MDId) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", id.Sys, id.OID, id.Major, id.Minor)
+	var buf [48]byte
+	b := strconv.AppendInt(buf[:0], int64(id.Sys), 10)
+	b = strconv.AppendInt(append(b, '.'), id.OID, 10)
+	b = strconv.AppendInt(append(b, '.'), int64(id.Major), 10)
+	b = strconv.AppendInt(append(b, '.'), int64(id.Minor), 10)
+	return string(b)
 }
 
 // Bumped returns the same object id at the next major version; the cache

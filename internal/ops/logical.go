@@ -120,8 +120,15 @@ func (t JoinType) String() string {
 	case AntiJoin:
 		return "Anti"
 	default:
-		return fmt.Sprintf("JoinType(%d)", t)
+		return invalidEnum("JoinType", int(t))
 	}
+}
+
+// invalidEnum renders an enum value that has no name, as "Type(n)".
+//
+//orcavet:coldpath only an out-of-range value gets here; plans carry named ones
+func invalidEnum(typ string, v int) string {
+	return fmt.Sprintf("%s(%d)", typ, v)
 }
 
 // Name implements Operator; the display name carries the join semantics.

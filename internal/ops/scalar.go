@@ -666,7 +666,7 @@ func (k SubqueryKind) String() string {
 	case SubNotIn:
 		return "NotIn"
 	default:
-		return fmt.Sprintf("SubqueryKind(%d)", k)
+		return invalidEnum("SubqueryKind", int(k))
 	}
 }
 

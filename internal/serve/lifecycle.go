@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -20,8 +21,39 @@ import (
 )
 
 // maxBodyBytes bounds request bodies; queries and DXL documents are small,
-// and an unbounded read is one more way for a storm to cost memory.
+// and an unbounded read is one more way for a storm to cost memory. A
+// larger body is refused with 413, never truncated and parsed.
 const maxBodyBytes = 4 << 20
+
+// readBody reads the request body whole. A body with a Content-Length is
+// read into a buffer of exactly that size (net/http ends the body there); a
+// body without one is read through http.MaxBytesReader, which stops at
+// maxBodyBytes.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, *APIError) {
+	if r.ContentLength > maxBodyBytes {
+		return nil, bodyTooLarge()
+	}
+	var data []byte
+	var err error
+	if r.ContentLength >= 0 {
+		data = make([]byte, r.ContentLength)
+		_, err = io.ReadFull(r.Body, data)
+	} else {
+		data, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	}
+	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return nil, bodyTooLarge()
+		}
+		return nil, badRequestError(http.StatusBadRequest, "reading body: "+err.Error())
+	}
+	return data, nil
+}
+
+func bodyTooLarge() *APIError {
+	return badRequestError(http.StatusRequestEntityTooLarge, "request body exceeds 4 MiB")
+}
 
 // optimizeRequest is the body of POST /optimize.
 type optimizeRequest struct {
@@ -62,9 +94,9 @@ func (s *Server) handleOptimizeJSON(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, badRequestError(http.StatusMethodNotAllowed, "use POST"))
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
-		writeAPIError(w, badRequestError(http.StatusBadRequest, "reading body: "+err.Error()))
+	body, apiErr := readBody(w, r)
+	if apiErr != nil {
+		writeAPIError(w, apiErr)
 		return
 	}
 	var req optimizeRequest
@@ -92,9 +124,9 @@ func (s *Server) handleOptimizeDXL(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, badRequestError(http.StatusMethodNotAllowed, "use POST"))
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
-		writeAPIError(w, badRequestError(http.StatusBadRequest, "reading body: "+err.Error()))
+	body, apiErr := readBody(w, r)
+	if apiErr != nil {
+		writeAPIError(w, apiErr)
 		return
 	}
 	root, err := dxl.ParseXML(string(body))

@@ -80,6 +80,16 @@ func TestHandlersCommitOnce(t *testing.T) {
 	send(http.MethodGet, "/optimize/dxl", "", http.StatusMethodNotAllowed)
 	send(http.MethodPost, "/optimize/dxl", "<not dxl", http.StatusBadRequest)
 	send(http.MethodPost, "/optimize/dxl", doc, http.StatusOK)
+	oversized := strings.Repeat(" ", maxBodyBytes+1)
+	for _, path := range []string{"/optimize", "/optimize/dxl"} {
+		send(http.MethodPost, path, oversized, http.StatusRequestEntityTooLarge)
+		// Without a Content-Length the limit is found while reading.
+		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(oversized))
+		req.ContentLength = -1
+		if rec := serveCommitOnce(t, h, req); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s without Content-Length: status %d, want 413", path, rec.Code)
+		}
+	}
 	send(http.MethodGet, "/healthz", "", http.StatusOK)
 	send(http.MethodGet, "/readyz", "", http.StatusOK)
 	send(http.MethodGet, "/varz", "", http.StatusOK)

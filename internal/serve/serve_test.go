@@ -221,6 +221,22 @@ func TestBadRequests(t *testing.T) {
 		}
 		parseTaxonomy(t, data)
 	})
+	// A body over the limit is refused whole, not cut at the limit and then
+	// parsed: both endpoints answer 413 with the BadRequest taxon. (In
+	// process: a client still sending 4 MiB to a server that has answered
+	// may see the connection reset instead of the answer.)
+	for _, path := range []string{"/optimize", "/optimize/dxl"} {
+		t.Run("oversized body "+path, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path,
+				strings.NewReader(strings.Repeat(" ", maxBodyBytes+1))))
+			apiErr := parseTaxonomy(t, rec.Body.Bytes())
+			if rec.Code != http.StatusRequestEntityTooLarge || apiErr.Code != CodeBadRequest ||
+				!strings.Contains(apiErr.Message, "exceeds 4 MiB") {
+				t.Errorf("status %d taxon %+v, want 413 %q", rec.Code, apiErr, CodeBadRequest)
+			}
+		})
+	}
 	t.Run("two-root dxl", func(t *testing.T) {
 		// A valid query followed by a second root, which must not be dropped.
 		doc := demoDXL(t) + "<dxl:C><dxl:D/></dxl:C>"
