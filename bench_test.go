@@ -28,14 +28,14 @@ var (
 )
 
 // env returns the shared loaded testbed (built once).
-func env(b *testing.B) *experiments.Env {
+func env(tb testing.TB) *experiments.Env {
 	benchEnvOnce.Do(func() {
 		benchEnv, benchEnvErr = experiments.NewEnv(experiments.Config{
 			Segments: 16, Scale: 1, Seed: 20140622, Budget: 4_000_000,
 		})
 	})
 	if benchEnvErr != nil {
-		b.Fatal(benchEnvErr)
+		tb.Fatal(benchEnvErr)
 	}
 	return benchEnv
 }

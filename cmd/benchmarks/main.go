@@ -3,13 +3,14 @@
 //
 // Usage:
 //
-//	benchmarks -experiment=fig12|opttime|fig13|fig14|fig15|taqo|rules|search|all \
+//	benchmarks -experiment=fig12|opttime|fig13|fig14|fig15|taqo|rules|all \
 //	           [-segments=16] [-scale=2] [-budget=8000000] [-seed=N] [-json]
 //
 // With -json, experiments that define a machine-readable artifact write it to
-// the working directory (rules → BENCH_rules.json, search →
-// BENCH_search.json). The service, plan-cache and Memo-contention numbers
-// come from the benchmark of record, `go run ./benchmark`.
+// the working directory (rules → BENCH_rules.json). The service, plan-cache
+// and Memo-contention numbers come from the benchmark of record, `go run
+// ./benchmark`; search time per pass and the q25 worker ladder from
+// bench_test.go's BenchmarkOptimizationTime and BenchmarkSchedulerWorkers.
 package main
 
 import (
@@ -24,13 +25,13 @@ import (
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "fig12, opttime, fig13, fig14, fig15, taqo, rules, search or all")
+	experiment := flag.String("experiment", "all", "fig12, opttime, fig13, fig14, fig15, taqo, rules or all")
 	segments := flag.Int("segments", 16, "number of cluster segments")
 	scale := flag.Int("scale", 2, "data scale factor")
 	budget := flag.Int64("budget", 8_000_000, "execution budget (work units) standing in for the paper's 10000s timeout")
 	seed := flag.Uint64("seed", 20140622, "data generation seed")
 	samples := flag.Int("taqo-samples", 12, "plans sampled per query for TAQO")
-	jsonOut := flag.Bool("json", false, "also write machine-readable artifacts (rules → BENCH_rules.json, search → BENCH_search.json)")
+	jsonOut := flag.Bool("json", false, "also write machine-readable artifacts (rules → BENCH_rules.json)")
 	flag.Parse()
 
 	cfg := experiments.Config{Segments: *segments, Scale: *scale, Seed: *seed, Budget: *budget}
@@ -54,7 +55,6 @@ func main() {
 	run("fig15", fig15)
 	run("taqo", func(e *experiments.Env) error { return taqoExp(e, *samples) })
 	run("rules", func(e *experiments.Env) error { return rulesExp(e, *jsonOut) })
-	run("search", func(e *experiments.Env) error { return searchExp(e, *jsonOut) })
 }
 
 func fatal(err error) {

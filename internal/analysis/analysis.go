@@ -1,10 +1,9 @@
 // Package analysis implements orcavet, the static analyzers for optimizer
 // invariants that neither the compiler, go vet, nor a generated test already
 // enforces: mutex discipline and lock ordering (locks), immutability of
-// objects once published (publish), allocation-free hot paths (hotpath),
-// bounded goroutine lifetimes (golifetime), context propagation through
-// request paths (ctxflow), non-discarded GPOS/DXL errors (errdrop) and
-// exhaustive operator-kind switches (opexhaustive). The suite is built
+// objects once published (publish), context propagation through request
+// paths (ctxflow), non-discarded GPOS/DXL errors (errdrop) and exhaustive
+// operator-kind switches (opexhaustive). The suite is built
 // directly on the stdlib go/ast + go/types packages (no external
 // dependencies); the loader shells out to `go list -export` for package
 // metadata and export data, mirroring how the go vet driver loads packages.
@@ -224,7 +223,7 @@ func RunModule(pkgs []*Package, analyzers []*Analyzer, cfg *Config) []Diagnostic
 
 // All returns the orcavet analyzer suite.
 func All() []*Analyzer {
-	return []*Analyzer{Locks, Publish, HotPath, GoLifetime, CtxFlow, ErrDrop, OpExhaustive}
+	return []*Analyzer{Locks, Publish, CtxFlow, ErrDrop, OpExhaustive}
 }
 
 // ---------------------------------------------------------------------------

@@ -14,8 +14,6 @@ func TestAtomicPub(t *testing.T)    { runFixture(t, Publish, "atomicpub") }
 func TestPubImmut(t *testing.T)     { runFixture(t, Publish, "pubimmut") }
 func TestOpExhaustive(t *testing.T) { runFixture(t, OpExhaustive, "opexhaustive") }
 func TestErrDrop(t *testing.T)      { runFixture(t, ErrDrop, "errdrop") }
-func TestHotPath(t *testing.T)      { runFixture(t, HotPath, "hotpath") }
-func TestGoLifetime(t *testing.T)   { runFixture(t, GoLifetime, "golifetime") }
 
 // TestFaultPoint: fault.Point is constructible only inside package fault, so
 // an ad-hoc, misspelled or foreign fault point is a compile error.
@@ -29,24 +27,6 @@ func TestLockOrder(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MDPkgPath = "orcavet.test/lockorder/mdx"
 	runFixtureDirs(t, Locks, cfg, "lockorder", "mdx", "")
-}
-
-// TestParseHotpath pins the directive grammar corners that cannot carry an
-// inline `// want` expectation (the expectation text would become the reason).
-func TestParseHotpath(t *testing.T) {
-	if _, malformed := parseHotpath(""); malformed == "" {
-		t.Errorf("reason-less directive not reported as malformed")
-	}
-	allow, malformed := parseHotpath(":alloc,lock amortized and pinned")
-	if malformed != "" || len(allow) != 2 || !allow[HotAlloc] || !allow[HotLock] {
-		t.Errorf("allowance list mis-parsed: allow=%v malformed=%q", allow, malformed)
-	}
-	if _, malformed := parseHotpath(":concat because"); malformed == "" {
-		t.Errorf("concat allowance accepted; fmt/concat must never be waivable")
-	}
-	if _, malformed := parseHotpath(":bogus because"); malformed == "" {
-		t.Errorf("unknown allowance accepted")
-	}
 }
 
 func TestCtxFlow(t *testing.T) {
@@ -70,7 +50,7 @@ func TestIgnoreDirectives(t *testing.T) {
 // so renaming, adding or dropping an analyzer shows up in review as a test
 // edit.
 func TestSARIFStableRuleIDs(t *testing.T) {
-	want := []string{"locks", "publish", "hotpath", "golifetime", "ctxflow", "errdrop", "opexhaustive"}
+	want := []string{"locks", "publish", "ctxflow", "errdrop", "opexhaustive"}
 	var got []string
 	for _, a := range All() {
 		got = append(got, a.Name)
@@ -132,12 +112,9 @@ func factsDigest(f *Facts) string {
 	var b strings.Builder
 	for _, k := range factKeys(f) {
 		ff := f.Funcs[k]
-		fmt.Fprintf(&b, "%s calls=%v iface=%v carries=%v reach=%v recv=%v locks=%v mut=%v/%v hot=%v cold=%v\n",
+		fmt.Fprintf(&b, "%s calls=%v iface=%v carries=%v reach=%v recv=%v locks=%v mut=%v/%v\n",
 			k, ff.Calls, ff.IfaceCalls, ff.CarriesError, f.Reachable[k], ff.RecvLocks, ff.TransLocks,
-			ff.MutatesRecv, ff.MutatesParams, ff.Hotpath, ff.Coldpath)
-		for _, sp := range ff.Spawns {
-			fmt.Fprintf(&b, "  spawn %s %s\n", sp.Target, sp.Stop)
-		}
+			ff.MutatesRecv, ff.MutatesParams)
 	}
 	for _, id := range sortedKeys(f.IfaceImpls) {
 		fmt.Fprintf(&b, "%s -> %v\n", id, f.IfaceImpls[id])

@@ -39,22 +39,6 @@ type FuncFacts struct {
 	CallsErrSource bool
 	CarriesError   bool
 
-	// Hotpath marks a //orcavet:hotpath annotation; Coldpath marks a
-	// //orcavet:coldpath annotation: a declared boundary the hot-path
-	// closure does not cross.
-	Hotpath  bool
-	Coldpath bool
-
-	// Stop-path facts for golifetime: the body signals a sync.WaitGroup,
-	// blocks in a select with a receive arm, or contains a loop with no
-	// provable bound.
-	WGDone       bool
-	CancelSelect bool
-	Unbounded    bool
-	// Spawns is golifetime's spawn-site table: one entry per `go` statement
-	// in the body (function literals included).
-	Spawns []*SpawnFact
-
 	// RecvLocks lists receiver mutex fields the method write-locks ("mu"
 	// for m.mu.Lock()): a call into such a method while the caller holds
 	// the same field self-deadlocks (Go mutexes do not reenter).
@@ -77,15 +61,6 @@ type FuncFacts struct {
 	ctxParamPos token.Pos
 	backgrounds []token.Pos // context.Background()/TODO() call sites
 	provCalls   []token.Pos // md.Provider interface-method call sites
-
-	// Hot/lifetime internals (computed in hotfacts.go).
-	hotAllow     map[string]bool
-	hotSites     []hotSite
-	warmCalls    []string
-	warmIface    []string
-	chanRanges   []chanRange
-	sleepPolls   []token.Pos
-	loopsForever bool
 
 	// lockUnits are the lock timelines (locks.go): the declaration's own
 	// body first, then one per function literal that does not run as a
@@ -110,12 +85,6 @@ type Facts struct {
 	// devirtualized IfaceCalls.
 	Roots     map[string]bool
 	Reachable map[string]bool
-
-	// Hot/lifetime stores (see hotfacts.go). closedChans records channel
-	// fields closed anywhere in the module; hotIssues holds malformed or
-	// floating hotpath directives.
-	closedChans map[string]bool
-	hotIssues   []hotIssue
 }
 
 // ComputeFacts builds the facts store over the loaded packages. The result
@@ -123,12 +92,11 @@ type Facts struct {
 // findings do not depend on package order.
 func ComputeFacts(pkgs []*Package, cfg *Config) *Facts {
 	f := &Facts{
-		cfg:         cfg,
-		Funcs:       make(map[string]*FuncFacts),
-		IfaceImpls:  make(map[string][]string),
-		Roots:       make(map[string]bool),
-		Reachable:   make(map[string]bool),
-		closedChans: make(map[string]bool),
+		cfg:        cfg,
+		Funcs:      make(map[string]*FuncFacts),
+		IfaceImpls: make(map[string][]string),
+		Roots:      make(map[string]bool),
+		Reachable:  make(map[string]bool),
 	}
 	for _, pkg := range pkgs {
 		f.collectPkg(pkg)
@@ -136,7 +104,6 @@ func ComputeFacts(pkgs []*Package, cfg *Config) *Facts {
 	f.collectIfaceImpls(pkgs)
 	f.computeCarriers()
 	f.computeReachability()
-	f.finalizeHotLife()
 	f.finalizeLockOrder()
 	f.finalizeMutations()
 	return f
@@ -157,7 +124,6 @@ func (f *Facts) collectPkg(pkg *Package) {
 			ff := &FuncFacts{Key: fn.FullName(), PkgPath: pkg.PkgPath}
 			f.Funcs[ff.Key] = ff
 			f.summarizeBody(pkg, fd, fn, ff)
-			f.summarizeHotLife(pkg, fd, fn, ff)
 			f.summarizeLockOps(pkg, fd, ff)
 			f.summarizeMutations(pkg, fd, ff)
 			// Method names count as exported on their own.
@@ -165,7 +131,6 @@ func (f *Facts) collectPkg(pkg *Package) {
 				f.Roots[ff.Key] = true
 			}
 		}
-		f.collectHotDirectives(pkg, file)
 	}
 }
 

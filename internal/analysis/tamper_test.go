@@ -14,7 +14,10 @@ import (
 // the build fail. The test comment names the mechanism that catches it —
 // an orcavet analyzer (the copy is loaded as a fixture package, after an
 // untampered control copy loads clean), the compiler, go vet or go test
-// (the regression is overlaid on the package with `go -overlay`).
+// (the regression is overlaid on the real tree with `go -overlay`): the
+// allocation ledger (TestAllocLedger and BENCH_allocs.json), the goroutine
+// leak check every concurrent package's TestMain runs (internal/leakcheck),
+// or a plain test that hangs past a short -timeout.
 
 // copyPkgDir copies the non-test .go files of a real package directory into
 // a fresh temp dir the test may mutate.
@@ -88,99 +91,93 @@ func wantFinding(t *testing.T, diags []Diagnostic, what, substr string) {
 	t.Errorf("%s: no finding containing %q; got %d findings: %v", what, substr, len(diags), diags)
 }
 
-// TestTamperMemoInsertSprintf re-adds a fmt.Sprintf to Memo.Insert — the
-// exact regression the //orcavet:hotpath annotation exists to catch. The
-// :alloc allowance on Insert must not waive it: fmt is never waivable.
-// Caught by orcavet's hotpath analyzer.
+// TestTamperMemoInsertSprintf re-adds a fmt.Sprintf to Memo.Insert: one more
+// allocation per inserted node. Caught by go test: the ledger's exact
+// memo_insert_q3 row.
 func TestTamperMemoInsertSprintf(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks a production package copy")
-	}
-	ctl := copyPkgDir(t, filepath.Join("..", "memo"))
-	wantClean(t, runTamper(t, ctl, "memoctl", HotPath), "untampered memo")
-
-	dir := copyPkgDir(t, filepath.Join("..", "memo"))
-	mutate(t, dir, "memo.go",
+	wantLedgerFailure(t, "memo_insert_q3", "../memo/memo.go",
 		"stack := make([]frame, 1, 32)",
 		"stack := make([]frame, 1, 32)\n\t_ = fmt.Sprintf(\"insert of %d\", len(stack))")
-	wantFinding(t, runTamper(t, dir, "memotamper", HotPath),
-		"memo with Sprintf in Insert", "call to fmt.Sprintf")
 }
 
 // TestTamperJobKeySprintf re-adds a fmt.Sprintf to Opt(g, req)'s goal
-// constructor — the string job keys that were 38% of search CPU behind a
-// polymorphic Job.Key() the analyzer could not see through. Goals are now
-// built by annotated concrete constructors, so the regression fails the build.
-// Caught by orcavet's hotpath analyzer.
+// constructor — the string job keys that were 38% of search CPU. Caught by
+// go test: the ledger's core_optimize_q6 row, which moves by thousands
+// against a tolerance of 16.
 func TestTamperJobKeySprintf(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks a production package copy")
-	}
-	ctl := copyPkgDir(t, filepath.Join("..", "search"))
-	wantClean(t, runTamper(t, ctl, "searchkeyctl", HotPath), "untampered search")
-
-	dir := copyPkgDir(t, filepath.Join("..", "search"))
-	mutate(t, dir, "jobs.go",
+	wantLedgerFailure(t, "core_optimize_q6", "../search/jobs.go",
 		"\treturn JobKey{Kind: JobOpt, Group: g, Req: req}",
 		"\t_ = fmt.Sprintf(\"og:%d:%d\", g.ID, req)\n\treturn JobKey{Kind: JobOpt, Group: g, Req: req}")
-	wantFinding(t, runTamper(t, dir, "searchkeytamper", HotPath),
-		"search with Sprintf in optGroupKey", "call to fmt.Sprintf")
 }
 
 // TestTamperParseXMLSprintf formats inside the DXL scanner's token loop,
 // which runs once per tag, text run and comment of every /optimize/dxl
-// request. Caught by orcavet's hotpath analyzer.
+// request. Caught by go test: the ledger's exact dxl_parse_xml_queries row.
 func TestTamperParseXMLSprintf(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks a production package copy")
-	}
-	ctl := copyPkgDir(t, filepath.Join("..", "dxl"))
-	wantClean(t, runTamper(t, ctl, "dxlctl", HotPath), "untampered dxl")
-
-	dir := copyPkgDir(t, filepath.Join("..", "dxl"))
-	mutate(t, dir, "parse.go", "import (\n\t\"bytes\"\n", "import (\n\t\"bytes\"\n\t\"fmt\"\n")
-	mutate(t, dir, "parse.go",
+	wantLedgerFailure(t, "dxl_parse_xml_queries", "../dxl/parse.go",
+		"import (\n\t\"bytes\"\n",
+		"import (\n\t\"bytes\"\n\t\"fmt\"\n",
 		"\tfor s.pos < len(s.doc) {\n",
 		"\tfor s.pos < len(s.doc) {\n\t\t_ = fmt.Sprintf(\"token at %d\", s.pos)\n")
-	wantFinding(t, runTamper(t, dir, "dxltamper", HotPath),
-		"dxl with Sprintf in the scanner loop", "call to fmt.Sprintf")
+}
+
+// wantLedgerFailure overlays the regression (old/new pairs) on file and runs
+// the allocation ledger's row, which must fail and name the row.
+func wantLedgerFailure(t *testing.T, row, file string, oldNew ...string) {
+	if testing.Short() {
+		t.Skip("builds and runs a test binary of a tampered tree")
+	}
+	t.Parallel()
+	out, err := goOverlay(t, file, oldNew,
+		"test", "-count=1", "-run", "TestAllocLedger/^"+row+"$", "../..")
+	if err == nil || !strings.Contains(out, "row want got") || !strings.Contains(out, " "+row+" ") {
+		t.Errorf("the allocation ledger did not catch the regression in row %s (err %v):\n%s", row, err, out)
+	}
 }
 
 // TestTamperSchedulerWorkerDone deletes the worker goroutine's WaitGroup
-// pairing in Scheduler.Run: the spawned literal then runs an unbounded drain
-// loop with no provable stop path. Caught by orcavet's golifetime analyzer.
+// pairing in Scheduler.Run, so Run never returns. Caught by go test: the
+// search tests hang past a 3 s -timeout.
 func TestTamperSchedulerWorkerDone(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks a production package copy")
-	}
-	ctl := copyPkgDir(t, filepath.Join("..", "search"))
-	wantClean(t, runTamper(t, ctl, "searchctl", GoLifetime), "untampered search")
-
-	dir := copyPkgDir(t, filepath.Join("..", "search"))
-	mutate(t, dir, "scheduler.go",
+	wantTestFailure(t, "../search", "test timed out", "scheduler.go",
 		"go func() {\n\t\t\tdefer wg.Done()\n\t\t\ts.worker()\n\t\t}()",
 		"go func() {\n\t\t\ts.worker()\n\t\t}()")
-	wantFinding(t, runTamper(t, dir, "searchtamper", GoLifetime),
-		"scheduler without worker Done pairing", "no provable stop path")
 }
 
 // TestTamperWorkerPoolLoop strips the gpos worker pool's two stop guarantees
 // at once — the wg.Done pairing and the close-terminated range — leaving a
-// bare receive loop no caller can ever stop. Caught by orcavet's golifetime
-// analyzer.
+// bare receive loop no caller can ever stop. Caught by go test: once Close
+// closes the queue the loop receives nil tasks and the gpos tests crash in
+// the worker (a loop that survived them would hang past the 3 s -timeout).
 func TestTamperWorkerPoolLoop(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks a production package copy")
-	}
-	ctl := copyPkgDir(t, filepath.Join("..", "gpos"))
-	wantClean(t, runTamper(t, ctl, "gposctl", GoLifetime), "untampered gpos")
-
-	dir := copyPkgDir(t, filepath.Join("..", "gpos"))
-	mutate(t, dir, "tasks.go",
+	wantTestFailure(t, "../gpos", "gpos.(*WorkerPool).worker", "tasks.go",
 		"\tdefer p.wg.Done()\n\tfor t := range p.tasks {\n\t\tp.runTask(t)\n\t}",
 		"\tfor {\n\t\tp.runTask(<-p.tasks)\n\t}")
-	wantFinding(t, runTamper(t, dir, "gpostamper", GoLifetime),
-		"worker pool with unstoppable receive loop", "no provable stop path")
+}
+
+// TestTamperLookupUnbufferedSend makes the metadata lookup's result channel
+// unbuffered: after a lookup times out nobody receives, and the provider
+// goroutine blocks on its send forever. Caught by go test: md's leak check
+// after the lookup-timeout test.
+func TestTamperLookupUnbufferedSend(t *testing.T) {
+	wantTestFailure(t, "../md", "leakcheck: goroutines outlived the tests", "accessor.go",
+		"ch := make(chan result, 1)", "ch := make(chan result)",
+		"-run", "TestLookupTimeoutSlowProvider")
+}
+
+// wantTestFailure overlays one regression on pkgDir/file and runs the
+// package's tests under a 3 s -timeout (plus any extra go test arguments);
+// they must fail with output containing want.
+func wantTestFailure(t *testing.T, pkgDir, want, file, old, new string, args ...string) {
+	if testing.Short() {
+		t.Skip("builds and runs a test binary of a tampered package")
+	}
+	t.Parallel()
+	args = append([]string{"test", "-count=1", "-timeout=3s"}, args...)
+	out, err := goOverlay(t, filepath.Join(pkgDir, file), []string{old, new}, append(args, pkgDir)...)
+	if err == nil || !strings.Contains(out, want) {
+		t.Errorf("go test %s did not fail with %q (err %v):\n%s", pkgDir, want, err, out)
+	}
 }
 
 // TestTamperSingleflightUnlock deletes the waiter-path unlock in
@@ -227,10 +224,9 @@ func TestTamperDoubleWriteHeader(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs a test binary of a tampered package")
 	}
-	out, err := goOverlay(t, filepath.Join("..", "serve"), "server.go",
-		"\tw.WriteHeader(status)\n",
-		"\tw.WriteHeader(status)\n\tw.WriteHeader(status)\n",
-		"test", "-count=1", "-run", "TestHandlersCommitOnce")
+	out, err := goOverlay(t, "../serve/server.go",
+		[]string{"\tw.WriteHeader(status)\n", "\tw.WriteHeader(status)\n\tw.WriteHeader(status)\n"},
+		"test", "-count=1", "-run", "TestHandlersCommitOnce", "../serve")
 	if err == nil || !strings.Contains(out, "committed more than once") {
 		t.Errorf("go test did not catch a doubled WriteHeader in writeJSON (err %v):\n%s", err, out)
 	}
@@ -261,10 +257,10 @@ func TestTamperCopyLocks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs go vet over a tampered package")
 	}
-	out, err := goOverlay(t, filepath.Join("..", "memo"), "zz_copylocks.go", "",
-		"package memo\n\nfunc copyGroup(g *Group) Group { return *g }\n\n"+
-			"func groupCount(m *Memo) int64 {\n\tn := m.groupN\n\treturn n.Load()\n}\n",
-		"vet")
+	out, err := goOverlay(t, "../memo/zz_copylocks.go",
+		[]string{"", "package memo\n\nfunc copyGroup(g *Group) Group { return *g }\n\n" +
+			"func groupCount(m *Memo) int64 {\n\tn := m.groupN\n\treturn n.Load()\n}\n"},
+		"vet", "../memo")
 	for _, want := range []string{"return copies lock value", "assignment copies lock value to n: sync/atomic.Int64"} {
 		if err == nil || !strings.Contains(out, want) {
 			t.Errorf("go vet did not report %q (err %v):\n%s", want, err, out)
@@ -272,29 +268,33 @@ func TestTamperCopyLocks(t *testing.T) {
 	}
 }
 
-// goOverlay runs `go <verb> -overlay=... <args> .` in pkgDir with file
-// replaced by its content with old rewritten to new (once), or added with
-// content new when old is empty, and returns the combined output. The tree
-// on disk is untouched.
-func goOverlay(t *testing.T, pkgDir, file, old, new, verb string, args ...string) (string, error) {
+// goOverlay runs `go <args[0]> -overlay=... <args[1:]...>` from this package's
+// directory with file (relative to it) replaced by its content with each
+// oldNew pair rewritten once, or added with content oldNew[1] when
+// oldNew[0] is empty, and returns the combined output. The tree on disk is
+// untouched.
+func goOverlay(t *testing.T, file string, oldNew []string, args ...string) (string, error) {
 	t.Helper()
-	path, err := filepath.Abs(filepath.Join(pkgDir, file))
+	path, err := filepath.Abs(file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := new
-	if old != "" {
+	src := oldNew[1]
+	if oldNew[0] != "" {
 		orig, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(string(orig), old) {
-			t.Fatalf("tamper anchor %q not found in %s; update the tamper test alongside the source", old, file)
+		src = string(orig)
+		for i := 0; i < len(oldNew); i += 2 {
+			if !strings.Contains(src, oldNew[i]) {
+				t.Fatalf("tamper anchor %q not found in %s; update the tamper test alongside the source", oldNew[i], file)
+			}
+			src = strings.Replace(src, oldNew[i], oldNew[i+1], 1)
 		}
-		src = strings.Replace(string(orig), old, new, 1)
 	}
 	tmp := t.TempDir()
-	replacement := filepath.Join(tmp, file)
+	replacement := filepath.Join(tmp, filepath.Base(file))
 	overlay, err := json.Marshal(map[string]map[string]string{"Replace": {path: replacement}})
 	if err == nil {
 		err = os.WriteFile(replacement, []byte(src), 0o644)
@@ -305,9 +305,7 @@ func goOverlay(t *testing.T, pkgDir, file, old, new, verb string, args ...string
 	if err != nil {
 		t.Fatal(err)
 	}
-	args = append([]string{verb, "-overlay=" + filepath.Join(tmp, "overlay.json")}, args...)
-	cmd := exec.Command("go", append(args, ".")...)
-	cmd.Dir = filepath.Dir(path)
-	out, err := cmd.CombinedOutput()
+	args = append([]string{args[0], "-overlay=" + filepath.Join(tmp, "overlay.json")}, args[1:]...)
+	out, err := exec.Command("go", args...).CombinedOutput()
 	return string(out), err
 }

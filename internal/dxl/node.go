@@ -37,16 +37,12 @@ type Attr struct {
 }
 
 // El builds an element.
-//
-//orcavet:hotpath:alloc the element is what the serializers build
 func El(name string, children ...*Node) *Node {
 	return &Node{Name: name, Children: children}
 }
 
 // Set sets an attribute, keeping Attrs sorted by key (an existing key is
 // overwritten), and returns the node for chaining.
-//
-//orcavet:hotpath:alloc the attribute list starts with room for four
 func (n *Node) Set(key, val string) *Node {
 	i := 0
 	for i < len(n.Attrs) && n.Attrs[i].Key < key {
@@ -146,7 +142,6 @@ func writeIndent(b *strings.Builder, depth int) {
 	}
 }
 
-//orcavet:hotpath every DXL reply is rendered here, into one pre-sized builder
 func (n *Node) render(b *strings.Builder, depth int) {
 	writeIndent(b, depth)
 	b.WriteString("<dxl:")

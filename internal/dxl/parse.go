@@ -157,7 +157,6 @@ func newScanner(doc string) *scanner {
 	}
 }
 
-//orcavet:hotpath the token loop every /optimize/dxl request runs
 func (s *scanner) scan() error {
 	for s.pos < len(s.doc) {
 		if s.doc[s.pos] != '<' {
@@ -759,8 +758,6 @@ func (s *scanner) addText(start, end int, decode, refs bool) error {
 }
 
 // node returns a zero Node from the node slab.
-//
-//orcavet:hotpath:alloc one chunk per s.nodeChunk nodes
 func (s *scanner) node() *Node {
 	if len(s.nodes) == cap(s.nodes) {
 		s.nodes = make([]Node, 0, s.nodeChunk)
@@ -772,8 +769,6 @@ func (s *scanner) node() *Node {
 // carve copies items into the slab and returns the copy, or nil for none.
 // The copy's capacity ends at its length, so appending to it (a later Set
 // or Add) reallocates rather than overwriting the slab's next entries.
-//
-//orcavet:hotpath:alloc one chunk per refill of the slab
 func carve[T any](slab *[]T, items []T, chunk int) []T {
 	n := len(items)
 	if n == 0 {

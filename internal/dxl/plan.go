@@ -22,7 +22,6 @@ func SerializePlan(plan *ops.Expr) *Node {
 	return El("DXLMessage").Add(msg)
 }
 
-//orcavet:hotpath:alloc every DXL reply serializes its plan here; the node's attribute list is sized once
 func serializePlanNode(e *ops.Expr) *Node {
 	n := &Node{Name: "PhysicalOp", Attrs: make([]Attr, 0, 8)}
 	n.Set("Name", e.Op.Name())

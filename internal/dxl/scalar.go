@@ -79,8 +79,6 @@ func SerializeScalar(e ops.ScalarExpr) *Node {
 }
 
 // unknownScalar renders a scalar type SerializeScalar has no case for.
-//
-//orcavet:coldpath every scalar operator has its own case in SerializeScalar
 func unknownScalar(e ops.ScalarExpr) *Node {
 	return El("UnknownScalar").Set("Go", fmt.Sprintf("%T", e))
 }

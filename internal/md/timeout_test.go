@@ -93,7 +93,7 @@ func TestLookupTimeoutViaFaultDelay(t *testing.T) {
 	disarm, err := fault.Arm([]fault.Spec{{
 		Point:  fault.PointMDProviderFetch,
 		Action: fault.ActDelay,
-		Delay:  time.Second,
+		Delay:  200 * time.Millisecond,
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -174,8 +174,6 @@ func (m *Memo) SetRoot(g GroupID) { m.root = g }
 // groupSnapshot assembles a consistent index view: the count is loaded first,
 // so the directory loaded after it covers at least that many groups. The view
 // is immutable up to its n, so callers may index it freely without locks.
-//
-//orcavet:hotpath lock-free index view on every group probe
 func (m *Memo) groupSnapshot() groupIndex {
 	n := int(m.groupN.Load())
 	return groupIndex{chunks: *m.chunkDir.Load(), n: n}
@@ -185,15 +183,11 @@ func (m *Memo) groupSnapshot() groupIndex {
 // acquisition: one atomic pointer load plus two array indexings. The id must
 // have been observed through NumGroups or returned from an insert (the
 // directory loaded here then covers it).
-//
-//orcavet:hotpath one atomic load and two indexings; every optimization job goes through here
 func (m *Memo) Group(id GroupID) *Group {
 	return (*m.chunkDir.Load())[id>>groupChunkBits][id&groupChunkMask]
 }
 
 // NumGroups returns the current number of groups, lock-free.
-//
-//orcavet:hotpath scheduler drain polls this count
 func (m *Memo) NumGroups() int {
 	return int(m.groupN.Load())
 }
@@ -215,8 +209,6 @@ func (m *Memo) NumExprs() int {
 // no group lock. Callers must hold the stripe lock that owns the seed's
 // fingerprint (or otherwise guarantee no duplicate creation race);
 // publishGroup itself takes only the writer-side publication lock.
-//
-//orcavet:hotpath:alloc group and chunk allocation is the point; it happens before the publication lock
 func (m *Memo) publishGroup(seed *GroupExpr) *Group {
 	// Allocate before taking the publication lock: an allocation can stall on
 	// GC assist, and a stall inside the only writer-global lock would
@@ -259,8 +251,6 @@ func (m *Memo) publishGroup(seed *GroupExpr) *Group {
 // left-linear join chains pay neither a Go call frame nor repeated child
 // slice growth per node: each frame's child-group slice is allocated exactly
 // once, when the frame is pushed.
-//
-//orcavet:hotpath:alloc frame stack and per-frame child slices are allocated once per node by design
 func (m *Memo) Insert(e *ops.Expr) (GroupID, error) {
 	type frame struct {
 		e        *ops.Expr
@@ -316,8 +306,6 @@ func (m *Memo) Insert(e *ops.Expr) (GroupID, error) {
 // only the group's lock for the probe-and-append, and registry inserts hold
 // only the fingerprint's stripe lock (plus, on group creation, the
 // publication lock).
-//
-//orcavet:hotpath:alloc the GroupExpr node itself is the one intentional allocation per insert
 func (m *Memo) InsertExpr(op ops.Operator, children []GroupID, target GroupID) (*GroupExpr, error) {
 	if err := fault.Inject(fault.PointMemoInsert); err != nil {
 		return nil, err
@@ -381,8 +369,6 @@ func (m *Memo) CTEProducer(id int) (GroupID, bool) {
 // InternReq returns the session-dense id of an optimization request,
 // interning it on first use. Interned handles make every later probe of the
 // Figure-6 hash tables a direct int-keyed map access.
-//
-//orcavet:hotpath request-stripe probe on every candidate record
 func (m *Memo) InternReq(req props.Required) ReqID {
 	h := req.Hash()
 	s := &m.reqStripes[h&(numReqStripes-1)]
@@ -403,8 +389,6 @@ func (m *Memo) InternReq(req props.Required) ReqID {
 
 // Req returns the request interned under id; ok is false for an id this Memo
 // never handed out (and on a nil Memo, so diagnostics can call it blindly).
-//
-//orcavet:hotpath:lock one reverse-table read per materialised Opt job
 func (m *Memo) Req(id ReqID) (req props.Required, ok bool) {
 	if m == nil {
 		return props.Required{}, false
@@ -420,8 +404,6 @@ func (m *Memo) Req(id ReqID) (req props.Required, ok bool) {
 // LookupReq returns the interned id of a request without interning it;
 // ok is false when the request was never seen by this session (and therefore
 // cannot appear in any table).
-//
-//orcavet:hotpath request-stripe probe on every property-table access
 func (m *Memo) LookupReq(req props.Required) (ReqID, bool) {
 	h := req.Hash()
 	s := &m.reqStripes[h&(numReqStripes-1)]
@@ -501,8 +483,6 @@ func (g *Group) Exprs() []*GroupExpr { return g.AppendExprs(nil) }
 
 // AppendExprs appends a snapshot of the group's expressions to buf: the
 // allocation-free form of Exprs for callers that own a reusable buffer.
-//
-//orcavet:hotpath:alloc,lock the caller's buffer grows to the largest group once; the group lock guards the copy
 func (g *Group) AppendExprs(buf []*GroupExpr) []*GroupExpr {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -525,8 +505,6 @@ func (g *Group) Expr(i int) *GroupExpr {
 
 // Explored reports whether exploration finished for this group under the
 // given rule-set epoch.
-//
-//orcavet:hotpath:lock the group's own lock, once per Exp(g) step
 func (g *Group) Explored(epoch int) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -534,8 +512,6 @@ func (g *Group) Explored(epoch int) bool {
 }
 
 // SetExplored marks exploration complete for the given rule-set epoch.
-//
-//orcavet:hotpath:alloc,lock the epoch table is allocated once per group
 func (g *Group) SetExplored(epoch int) {
 	g.mu.Lock()
 	if g.explored == nil {
@@ -547,8 +523,6 @@ func (g *Group) SetExplored(epoch int) {
 
 // Implemented reports whether implementation finished for this group under
 // the given rule-set epoch.
-//
-//orcavet:hotpath:lock the group's own lock, once per Imp(g) step
 func (g *Group) Implemented(epoch int) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -556,8 +530,6 @@ func (g *Group) Implemented(epoch int) bool {
 }
 
 // SetImplemented marks implementation complete for the given rule-set epoch.
-//
-//orcavet:hotpath:alloc,lock the epoch table is allocated once per group
 func (g *Group) SetImplemented(epoch int) {
 	g.mu.Lock()
 	if g.impl == nil {
@@ -605,8 +577,6 @@ func (g *Group) Logical() *props.Logical {
 }
 
 // Stats returns the group's statistics object (nil before derivation).
-//
-//orcavet:hotpath:lock the group's own lock, once per Stats(g) step
 func (g *Group) Stats() *stats.Stats {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -685,8 +655,6 @@ func (ge *GroupExpr) matches(op ops.Operator, children []GroupID) bool {
 // MarkApplied records that the rule with the given dense id (assigned by
 // xform's registry) ran on this expression; it returns false if the rule had
 // already been applied (rules fire once per expression).
-//
-//orcavet:hotpath:lock ledger check on every rule application; the per-expression mutex is the design
 func (ge *GroupExpr) MarkApplied(rule int) bool {
 	w, bit := rule>>6, uint64(1)<<(rule&63)
 	ge.mu.Lock()
@@ -705,8 +673,6 @@ func (ge *GroupExpr) MarkApplied(rule int) bool {
 // this expression. The ledger spans rule-set epochs, so a stage resuming
 // search over a shared Memo skips transformations an earlier stage
 // performed.
-//
-//orcavet:hotpath:lock ledger probe on every rule-scheduling decision
 func (ge *GroupExpr) Applied(rule int) bool {
 	w, bit := rule>>6, uint64(1)<<(rule&63)
 	ge.mu.Lock()
@@ -718,8 +684,6 @@ func (ge *GroupExpr) Applied(rule int) bool {
 // local hash table. Re-costing the same alternative (same child requests) in
 // a later optimization pass replaces the earlier entry rather than appending
 // a duplicate, so the candidate list stays one entry per distinct alternative.
-//
-//orcavet:hotpath:alloc,lock the candidate list grows once per distinct alternative, under the expression's own lock
 func (ge *GroupExpr) AddCandidate(id ReqID, c Candidate) {
 	ge.mu.Lock()
 	defer ge.mu.Unlock()
@@ -750,8 +714,6 @@ type reqAlts struct {
 // request-invariant operator both are computed once per expression and
 // shared by every request that costs it, so callers must not modify them;
 // otherwise the ids are appended to buf[:0], the caller's scratch.
-//
-//orcavet:hotpath:alloc the shared id slice of a request-invariant operator is allocated once per expression
 func (ge *GroupExpr) ChildReqs(req props.Required, buf []ReqID) (alts [][]props.Required, ids []ReqID) {
 	phys := ge.Op.(ops.Physical)
 	_, invariant := phys.(ops.RequestInvariant)

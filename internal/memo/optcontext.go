@@ -37,8 +37,6 @@ type OptContext struct {
 // its optimization — this is the job-queue dedup of paper §4.2). The request
 // is interned once; the group table itself is keyed by the interned id, so
 // the probe is a single int-keyed map access with no Equal() scan.
-//
-//orcavet:hotpath:alloc,lock one context per (group, request), created under the group's own lock
 func (g *Group) Context(req props.Required) (ctx *OptContext, created bool) {
 	id := g.memo.InternReq(req)
 	g.mu.Lock()
@@ -68,8 +66,6 @@ func (g *Group) LookupContext(req props.Required) *OptContext {
 
 // ContextByID returns the existing context for an interned request, or nil:
 // the probe search jobs use, since their goals already carry the ReqID.
-//
-//orcavet:hotpath:lock one int-keyed probe under the group's own lock
 func (g *Group) ContextByID(id ReqID) *OptContext {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -89,8 +85,6 @@ func (g *Group) Contexts() []*OptContext {
 
 // Offer proposes a costed candidate plan rooted at ge for this request,
 // keeping it if it beats the current best.
-//
-//orcavet:hotpath:lock the context's own lock, once per costed alternative
 func (c *OptContext) Offer(ge *GroupExpr, cand Candidate) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -103,8 +97,6 @@ func (c *OptContext) Offer(ge *GroupExpr, cand Candidate) {
 
 // Best returns the best expression, its winning candidate, and whether any
 // plan satisfies the request.
-//
-//orcavet:hotpath:lock the context's own lock, once per child per costed alternative
 func (c *OptContext) Best() (*GroupExpr, Candidate, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -122,8 +114,6 @@ func (c *OptContext) BestCost() float64 {
 }
 
 // MarkDone marks the context fully optimized under the given rule-set epoch.
-//
-//orcavet:hotpath:alloc,lock the epoch table is allocated once per context
 func (c *OptContext) MarkDone(epoch int) {
 	c.mu.Lock()
 	if c.done == nil {
@@ -135,8 +125,6 @@ func (c *OptContext) MarkDone(epoch int) {
 
 // Done reports whether optimization of this context completed under the
 // given rule-set epoch.
-//
-//orcavet:hotpath:lock the context's own lock, once per Opt(g, req) step
 func (c *OptContext) Done(epoch int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -151,8 +139,6 @@ func (c *OptContext) Done(epoch int) bool {
 // the group, once per distinct request. Each enforcer is a group expression
 // whose single child is the group itself (cf. "6: Sort(T1.a) [0]" in
 // Figure 6).
-//
-//orcavet:coldpath runs once per Opt(g, req) goal and inserts expressions only the first time
 func (g *Group) AddEnforcers(req props.Required) error {
 	id := g.memo.InternReq(req)
 	g.mu.Lock()

@@ -14,8 +14,6 @@ import (
 // compact Memo. Derivation is on demand — the search scheduler triggers it
 // per group when the group is first costed, so only groups reached by search
 // carry statistics.
-//
-//orcavet:coldpath derivation runs once per group; every later call returns the attached object after one probe
 func (m *Memo) DeriveStats(gid GroupID, ctx *stats.Context) (*stats.Stats, error) {
 	g := m.Group(gid)
 	if s := g.Stats(); s != nil {
@@ -76,8 +74,6 @@ func (m *Memo) DeriveStats(gid GroupID, ctx *stats.Context) (*stats.Stats, error
 // registered yet. The search scheduler uses this to run statistics
 // derivation of the inputs as dependency jobs (deduplicated by goal) before
 // combining them. It returns nil once the group's statistics exist.
-//
-//orcavet:coldpath called once per group, by the group's Stats job
 func (m *Memo) StatsSources(gid GroupID, ctx *stats.Context) []GroupID {
 	g := m.Group(gid)
 	if g.Stats() != nil {

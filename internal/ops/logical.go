@@ -125,8 +125,6 @@ func (t JoinType) String() string {
 }
 
 // invalidEnum renders an enum value that has no name, as "Type(n)".
-//
-//orcavet:coldpath only an out-of-range value gets here; plans carry named ones
 func invalidEnum(typ string, v int) string {
 	return fmt.Sprintf("%s(%d)", typ, v)
 }

@@ -17,8 +17,6 @@ func genCostDispatch(cat *Catalog) ([]byte, error) {
 	g.p("")
 	g.p("// LocalCost returns the cost of the operator itself, excluding children,")
 	g.p("// dispatching to the hand-written per-operator formula (cost<Op>).")
-	g.p("//")
-	g.p("//orcavet:hotpath runs once per candidate plan during Figure-6 optimization")
 	g.p("func (m *Model) LocalCost(op ops.Operator, in Inputs) float64 {")
 	g.p("\tswitch o := op.(type) {")
 	for _, o := range opsOfKind(cat, KindPhysical, KindEnforcer) {

@@ -80,23 +80,18 @@ func (o *Optimizer) RunStage(root memo.GroupID, req props.Required, p StageParam
 // Goal constructors: value composition only — no formatting, no allocation;
 // they run once per spawned child, duplicates included.
 
-//orcavet:hotpath goal constructor: Exp(g), Imp(g) or Stats(g)
 func groupKey(kind JobKind, g *memo.Group) JobKey { return JobKey{Kind: kind, Group: g} }
 
-//orcavet:hotpath goal constructor: Exp(gexpr) or Imp(gexpr)
 func exprKey(kind JobKind, ge *memo.GroupExpr) JobKey { return JobKey{Kind: kind, Expr: ge} }
 
-//orcavet:hotpath goal constructor: Opt(g, req)
 func optGroupKey(g *memo.Group, req memo.ReqID) JobKey {
 	return JobKey{Kind: JobOpt, Group: g, Req: req}
 }
 
-//orcavet:hotpath goal constructor: Opt(gexpr, req)
 func optExprKey(ge *memo.GroupExpr, req memo.ReqID) JobKey {
 	return JobKey{Kind: JobOpt, Expr: ge, Req: req}
 }
 
-//orcavet:hotpath goal constructor: Xform(gexpr, t)
 func xformKey(ge *memo.GroupExpr, rule int) JobKey {
 	return JobKey{Kind: JobXform, Expr: ge, Rule: int32(rule)}
 }
@@ -110,8 +105,6 @@ type job struct {
 }
 
 // newJob materialises the job behind a goal the scheduler has not seen.
-//
-//orcavet:hotpath:alloc one job object per distinct goal
 func (o *Optimizer) newJob(k JobKey) Job {
 	group := k.Expr == nil
 	switch {
@@ -142,7 +135,6 @@ func (o *Optimizer) newJob(k JobKey) Job {
 
 type expGroupJob job
 
-//orcavet:hotpath Exp(g) step
 func (j *expGroupJob) Step(w *Worker) (bool, error) {
 	if j.Group.Explored(j.o.XCtx.Epoch()) {
 		return true, nil
@@ -167,7 +159,6 @@ func (j *expGroupJob) Step(w *Worker) (bool, error) {
 
 type expGexprJob job
 
-//orcavet:hotpath Exp(gexpr) step
 func (j *expGexprJob) Step(w *Worker) (bool, error) {
 	switch j.phase {
 	case 0:
@@ -201,7 +192,6 @@ func spawnRules(w *Worker, ge *memo.GroupExpr, rules []xform.ActiveRule) {
 
 type impGroupJob job
 
-//orcavet:hotpath Imp(g) step
 func (j *impGroupJob) Step(w *Worker) (bool, error) {
 	if j.Group.Implemented(j.o.XCtx.Epoch()) {
 		return true, nil
@@ -231,7 +221,6 @@ func (j *impGroupJob) Step(w *Worker) (bool, error) {
 
 type impGexprJob job
 
-//orcavet:hotpath Imp(gexpr) step
 func (j *impGexprJob) Step(w *Worker) (bool, error) {
 	if j.phase == 0 {
 		j.phase = 1
@@ -248,7 +237,6 @@ type xformJob struct {
 	rule xform.ActiveRule
 }
 
-//orcavet:hotpath Xform(gexpr, t) step; the rule body is behind a polymorphic Apply
 func (j *xformJob) Step(*Worker) (bool, error) {
 	if j.Expr.MarkApplied(j.rule.ID) {
 		if err := fault.Inject(fault.PointSearchXformApply); err != nil {
@@ -270,7 +258,6 @@ func (j *xformJob) Step(*Worker) (bool, error) {
 
 type statsGroupJob job
 
-//orcavet:hotpath Stats(g) step; derivation itself is a declared cold boundary
 func (j *statsGroupJob) Step(w *Worker) (bool, error) {
 	if j.Group.Stats() != nil {
 		return true, nil
@@ -297,7 +284,6 @@ type optGroupJob struct {
 	ctx *memo.OptContext
 }
 
-//orcavet:hotpath Opt(g, req) step
 func (j *optGroupJob) Step(w *Worker) (bool, error) {
 	if j.ctx == nil {
 		j.ctx, _ = j.Group.Context(j.req)
@@ -355,7 +341,6 @@ type optGexprJob struct {
 	spawned bool
 }
 
-//orcavet:hotpath Opt(gexpr, req) step: the most frequent job step of a search
 func (j *optGexprJob) Step(w *Worker) (bool, error) {
 	if j.ctx == nil {
 		j.ctx = j.Expr.Group().ContextByID(j.Req) // created by the Opt(g, req) job that spawned this goal

@@ -173,8 +173,6 @@ type Worker struct {
 }
 
 // Spawn makes the running job wait for the goal k.
-//
-//orcavet:hotpath:alloc the children buffer grows to the widest fan-out once per worker
 func (w *Worker) Spawn(k JobKey) { w.children = append(w.children, k) }
 
 type jobState struct {
@@ -274,8 +272,6 @@ func (s *Scheduler) Run(root JobKey) error {
 
 // enqueueLocked registers a goal (deduplicating by key) and attaches the
 // parent as a waiter. It returns whether the parent must wait.
-//
-//orcavet:hotpath:alloc jobState nodes come from a chunk allocated once per jobStateChunk distinct goals
 func (s *Scheduler) enqueueLocked(k JobKey, parent *jobState) (wait bool) {
 	st, ok := s.registry[k]
 	if !ok {
@@ -310,8 +306,6 @@ func (s *Scheduler) pushLocked(st *jobState) {
 
 // worker is the scheduler step loop: LIFO pop under the scheduler mutex,
 // one job step outside it, bookkeeping back under it.
-//
-//orcavet:hotpath:lock the scheduler mutex and condvar are the drain protocol
 func (s *Scheduler) worker() {
 	var w Worker
 	for {
@@ -396,8 +390,6 @@ func (s *Scheduler) stopLocked(err error) {
 // surfaced through the scheduler's normal error path, failing only this
 // stage. The worker goroutine survives; the degradation ladder in core and
 // the AMPERe capture hook take it from there.
-//
-//orcavet:hotpath:closure the deferred recover closure is the §6.1 panic containment itself
 func (s *Scheduler) step(st *jobState, w *Worker) (done bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {

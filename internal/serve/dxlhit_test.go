@@ -82,28 +82,10 @@ func (h *hitHarness) post(path string, body []byte) *httptest.ResponseRecorder {
 	return rec
 }
 
-// TestDXLHitAllocs guards the allocation cost of a cached DXL request: parse
-// the query document, bind it, hit the plan cache, serialize the plan. The
-// bound sits ~10% above the current ~845 allocs/request; parsing through
-// encoding/xml again, for one, reads ~1,720.
-func TestDXLHitAllocs(t *testing.T) {
-	const maxAllocsPerRequest = 930
-	h := newHitHarness(t)
-	perPass := testing.AllocsPerRun(5, func() {
-		for _, doc := range h.dxl {
-			h.post("/optimize/dxl", doc)
-		}
-	})
-	perReq := perPass / float64(len(h.dxl))
-	t.Logf("DXL hit: %.0f allocs/request", perReq)
-	if perReq > maxAllocsPerRequest {
-		t.Errorf("DXL hit allocates %.0f times per request, want <= %d", perReq, maxAllocsPerRequest)
-	}
-}
-
 // BenchmarkDXLHit and BenchmarkSQLHit time one cached request over the hit
 // shapes, in-process through Handler(); run with -benchmem to compare the
-// two front ends of the same plan-cache hit.
+// two front ends of the same plan-cache hit. The allocation counts of both
+// are held exactly by the root package's TestAllocLedger.
 func BenchmarkDXLHit(b *testing.B) {
 	benchmarkHit(b, "/optimize/dxl", func(h *hitHarness) [][]byte { return h.dxl })
 }
