@@ -226,6 +226,13 @@ func ledgerRows(l *ledgerInputs) []ledgerRow {
 		}},
 		{"core_optimize_q6", func(t testing.TB) allocRow { return optimizeRow(t, "q6") }},
 		{"core_optimize_q25", func(t testing.TB) allocRow { return optimizeRow(t, "q25") }},
+		{"core_optimize_tpcds", func(t testing.TB) allocRow {
+			var names []string
+			for _, wq := range tpcds.Workload() {
+				names = append(names, wq.Name)
+			}
+			return optimizeRow(t, names...)
+		}},
 		{"serve_sql_hit_shapes", func(t testing.TB) allocRow {
 			h := l.hitShapes(t)
 			return allocRow{parts: postEach(h.warm, "/optimize", h.sql)}
@@ -376,14 +383,22 @@ func parseXML(t testing.TB, doc string) *dxl.Node {
 	return n
 }
 
-// optimizeRow is one whole core.Optimize of the named query.
-func optimizeRow(t testing.TB, name string) allocRow {
-	sqlText, cfg := workloadSQL(t, name), core.DefaultConfig(env(t).Cfg.Segments)
-	var q *core.Query
+// optimizeRow is one whole core.Optimize per named query, one part each.
+func optimizeRow(t testing.TB, names ...string) allocRow {
+	cfg := core.DefaultConfig(env(t).Cfg.Segments)
+	qs := make([]*core.Query, len(names))
+	idx := make([]int, len(names))
+	for i := range idx {
+		idx[i] = i
+	}
 	return allocRow{
-		setup: func(t testing.TB) { q = bind(t, sqlText) },
-		parts: single(func(t testing.TB) {
-			if _, err := core.Optimize(q, cfg); err != nil {
+		setup: func(t testing.TB) {
+			for i, name := range names {
+				qs[i] = bind(t, workloadSQL(t, name))
+			}
+		},
+		parts: each(idx, func(t testing.TB, i int) {
+			if _, err := core.Optimize(qs[i], cfg); err != nil {
 				t.Fatal(err)
 			}
 		}),

@@ -11,6 +11,7 @@ package orca
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"orca/internal/core"
 	"orca/internal/engine"
@@ -243,6 +244,28 @@ func BenchmarkSchedulerWorkers(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestSchedulerBusyWithinCapacity runs q25 on two workers: a worker's busy
+// time is its lifetime less the time it sat parked, so the run's Busy fits
+// inside Wall x Workers and Utilization inside [0, 1].
+func TestSchedulerBusyWithinCapacity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("optimizes a TPC-DS query")
+	}
+	cfg := core.DefaultConfig(env(t).Cfg.Segments)
+	cfg.Workers = 2
+	res, err := core.Optimize(bind(t, workloadSQL(t, "q25")), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := res.Search
+	if s.Workers != 2 || s.Busy <= 0 || s.Busy > s.Wall*time.Duration(s.Workers) {
+		t.Errorf("Busy %v over %d workers and Wall %v: want in (0, Wall x Workers]", s.Busy, s.Workers, s.Wall)
+	}
+	if u := s.Utilization(); u <= 0 || u > 1 {
+		t.Errorf("Utilization %v, want in (0, 1]", u)
 	}
 }
 

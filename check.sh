@@ -25,10 +25,13 @@
 #            and md (internal/leakcheck)
 #   fuzz     10 s of FuzzParseXML: the DXL scanner against its
 #            encoding/xml reference (internal/dxl/node_ref_test.go) — both
-#            reject a document or both return equal trees; go test ./...
-#            already ran the seed corpus
+#            reject a document or both return equal trees; then 10 s of
+#            FuzzHistogramScale: lazy histogram scaling against the eager
+#            code it replaced (internal/stats/histogram_ref_test.go), bit
+#            for bit; go test ./... already ran both seed corpora
 #   race     go test -race over the concurrency-heavy packages
-#            (search scheduler, memo, gpos worker pool, core — the
+#            (search scheduler, memo, gpos worker pool, stats — lazy
+#            histograms materialise under concurrent readers — core — the
 #            multi-stage driver shares one Memo across scheduler runs —
 #            serve, whose admission/drain paths are all-concurrent, and
 #            plancache, whose sharded LRU and singleflight are too)
@@ -113,9 +116,11 @@ go test ./...
 
 echo "==> fuzz (ParseXML vs its encoding/xml reference, 10 s)"
 go test -run '^$' -fuzz '^FuzzParseXML$' -fuzztime 10s ./internal/dxl/
+echo "==> fuzz (lazy Histogram.Scale vs its eager reference, 10 s)"
+go test -run '^$' -fuzz '^FuzzHistogramScale$' -fuzztime 10s ./internal/stats/
 
-echo "==> go test -race (scheduler / memo / gpos / core / serve / plancache)"
-go test -race ./internal/search/... ./internal/memo/... ./internal/gpos/... ./internal/core/... ./internal/serve/... ./internal/plancache/...
+echo "==> go test -race (scheduler / memo / gpos / stats / core / serve / plancache)"
+go test -race ./internal/search/... ./internal/memo/... ./internal/gpos/... ./internal/stats/... ./internal/core/... ./internal/serve/... ./internal/plancache/...
 
 echo "==> orcad smoke (ephemeral port, /readyz, cold+warm round trip, SIGTERM drain)"
 go build -o "$orcavet_tmp/orcad" ./cmd/orcad

@@ -192,7 +192,8 @@ func main() {
 
 // printSearchStats prints the scheduler telemetry gathered during search:
 // job steps by kind per stage and in total, the peak ready-queue depth, and
-// worker utilization.
+// worker utilization (search.Stats.Utilization: time not parked waiting for
+// work).
 func printSearchStats(res *core.Result) {
 	fmt.Println("--- search stats ---")
 	line := func(name string, s search.Stats, fired int64, timedOut bool) {

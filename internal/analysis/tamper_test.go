@@ -144,6 +144,17 @@ func TestTamperSchedulerWorkerDone(t *testing.T) {
 		"go func() {\n\t\t\ts.worker()\n\t\t}()")
 }
 
+// TestTamperScaleIdentityShortcut returns a histogram scaled by 1 unchanged
+// — plausible, and wrong: the NDV decay moves even at factor 1, and DeriveJoin
+// would then cap a shared source's NDV. Caught by go test: the seed corpus of
+// FuzzHistogramScale, which holds lazy scaling to the eager reference.
+func TestTamperScaleIdentityShortcut(t *testing.T) {
+	wantTestFailure(t, "../stats", "lazy Scale differs from the eager reference", "histogram.go",
+		"\treturn &Histogram{src: h, factor: factor, n: h.n}",
+		"\tif factor == 1 {\n\t\treturn h\n\t}\n\treturn &Histogram{src: h, factor: factor, n: h.n}",
+		"-run", "^FuzzHistogramScale$")
+}
+
 // TestTamperWorkerPoolLoop strips the gpos worker pool's two stop guarantees
 // at once — the wg.Done pairing and the close-terminated range — leaving a
 // bare receive loop no caller can ever stop. Caught by go test: once Close

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"orca/internal/fault"
 	"orca/internal/memo"
 	"orca/internal/search"
 )
@@ -74,6 +75,48 @@ func TestStageTimeoutBestSoFar(t *testing.T) {
 		if err := res.Memo.Validate(); err != nil {
 			t.Errorf("budget %d: abandoned Memo invalid: %v", budget, err)
 		}
+	}
+}
+
+// TestStageDeadlineMidRunBestSoFar cuts a stage by its wall-clock deadline
+// one step before the end: a delay injected into the second-to-last job step
+// outlasts the stage timeout, the deadline timer fires during it, and the
+// stage drains before the next step. The best plan is then already in place
+// (see TestStageTimeoutBestSoFar), extractable at the full run's cost.
+func TestStageDeadlineMidRunBestSoFar(t *testing.T) {
+	q, _ := paperExample(t)
+	full, err := Optimize(q, DefaultConfig(16))
+	if err != nil {
+		t.Fatalf("full run: %v", err)
+	}
+	total := full.Search.TotalSteps()
+
+	const timeout = 200 * time.Millisecond
+	disarm, err := fault.Arm([]fault.Spec{{Point: fault.PointSearchJobExec, Action: fault.ActDelay,
+		Delay: timeout + 100*time.Millisecond, Every: int(total - 1), Limit: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disarm()
+	q2, _ := paperExample(t)
+	cfg := DefaultConfig(16)
+	cfg.Stages = []Stage{{Name: "deadline", Timeout: timeout}}
+	cfg.DisableDegradation = true
+	res, err := Optimize(q2, cfg)
+	if err != nil {
+		t.Fatalf("deadline run: %v", err)
+	}
+	if len(res.StageRuns) != 1 || !res.StageRuns[0].TimedOut {
+		t.Fatalf("stage should have timed out: %+v", res.StageRuns)
+	}
+	if n := res.Search.TotalSteps(); n != total-1 {
+		t.Errorf("ran %d steps, want %d: the deadline must stop the stage right after the delayed step", n, total-1)
+	}
+	if res.Plan == nil || res.Cost != full.Cost {
+		t.Errorf("best-so-far plan %v at cost %v, want the full run's cost %v", res.Plan != nil, res.Cost, full.Cost)
+	}
+	if err := res.Memo.Validate(); err != nil {
+		t.Errorf("drained Memo invalid: %v", err)
 	}
 }
 

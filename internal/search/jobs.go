@@ -104,29 +104,40 @@ type job struct {
 	phase int
 }
 
-// newJob materialises the job behind a goal the scheduler has not seen.
-func (o *Optimizer) newJob(k JobKey) Job {
+// newJob materialises the job behind a goal the scheduler has not seen,
+// carving it from the running worker's slab of its type.
+func (o *Optimizer) newJob(w *Worker, k JobKey) Job {
+	switch k.Kind {
+	case JobXform:
+		j := carve(&w.xforms)
+		j.rule, _ = o.XCtx.ActiveRule(int(k.Rule))
+		j.job = job{o: o, JobKey: k}
+		return j
+	case JobOpt:
+		req, _ := o.Memo.Req(k.Req)
+		if k.Expr == nil {
+			j := carve(&w.optGroups)
+			j.job, j.req = job{o: o, JobKey: k}, req
+			return j
+		}
+		j := carve(&w.optExprs)
+		j.job, j.req = job{o: o, JobKey: k}, req
+		return j
+	}
+	j := carve(&w.jobs)
+	*j = job{o: o, JobKey: k}
 	group := k.Expr == nil
 	switch {
 	case k.Kind == JobExp && group:
-		return &expGroupJob{o: o, JobKey: k}
+		return (*expGroupJob)(j)
 	case k.Kind == JobExp:
-		return &expGexprJob{o: o, JobKey: k}
+		return (*expGexprJob)(j)
 	case k.Kind == JobImp && group:
-		return &impGroupJob{o: o, JobKey: k}
+		return (*impGroupJob)(j)
 	case k.Kind == JobImp:
-		return &impGexprJob{o: o, JobKey: k}
-	case k.Kind == JobStats:
-		return &statsGroupJob{o: o, JobKey: k}
-	case k.Kind == JobXform:
-		rule, _ := o.XCtx.ActiveRule(int(k.Rule))
-		return &xformJob{job: job{o: o, JobKey: k}, rule: rule}
+		return (*impGexprJob)(j)
 	}
-	req, _ := o.Memo.Req(k.Req)
-	if group {
-		return &optGroupJob{job: job{o: o, JobKey: k}, req: req}
-	}
-	return &optGexprJob{job: job{o: o, JobKey: k}, req: req}
+	return (*statsGroupJob)(j)
 }
 
 // ---------------------------------------------------------------------------

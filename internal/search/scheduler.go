@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"orca/internal/fault"
@@ -76,7 +77,10 @@ type Stats struct {
 	PeakQueue int
 	// Workers is the worker count (maximum across merged runs).
 	Workers int
-	// Busy is the total time workers spent inside job steps.
+	// Busy is the workers' summed lifetime minus the time each spent parked
+	// waiting for work: job steps plus the scheduler's own bookkeeping. A
+	// worker reads the clock when it starts, around each wait (never at one
+	// worker) and when it stops, not per step.
 	Busy time.Duration
 	// Wall is the run's wall-clock time (summed across merged runs).
 	Wall time.Duration
@@ -91,8 +95,8 @@ func (s Stats) TotalSteps() int64 {
 	return n
 }
 
-// Utilization returns the fraction of worker capacity spent inside job
-// steps, in [0, 1].
+// Utilization returns the fraction of worker capacity not spent parked
+// waiting for work (see Busy), in [0, 1].
 func (s Stats) Utilization() float64 {
 	if s.Wall <= 0 || s.Workers <= 0 {
 		return 0
@@ -161,15 +165,22 @@ type Job interface {
 	Step(w *Worker) (done bool, err error)
 }
 
-// Worker is one scheduler worker's step-local state, handed to Job.Step. The
-// buffers are reused across every step the worker runs, so describing
-// children and costing an alternative allocate nothing in steady state; a
-// job must not retain them past its Step.
+// Worker is one scheduler worker's step-local state, handed to Job.Step and
+// to the scheduler's newJob. The buffers are reused across every step the
+// worker runs, so describing children and costing an alternative allocate
+// nothing in steady state; a job must not retain them past its Step. The
+// slabs are the unused tails of the chunks the worker carves job objects
+// from (see carve): the jobs live as long as the run, and die with it.
 type Worker struct {
 	children []JobKey
 	derived  []props.Derived
 	rows     []float64
 	exprs    []*memo.GroupExpr
+
+	jobs      []job
+	optGroups []optGroupJob
+	optExprs  []optGexprJob
+	xforms    []xformJob
 }
 
 // Spawn makes the running job wait for the goal k.
@@ -187,16 +198,29 @@ type jobState struct {
 	running bool
 }
 
-// jobStateChunk is how many jobState nodes one allocation holds.
-const jobStateChunk = 64
+// slabChunk is how many jobState nodes, or job objects of one type, one
+// allocation holds.
+const slabChunk = 64
+
+// carve takes the next element from the unused tail of a chunk, starting a
+// new chunk when the tail is empty.
+func carve[T any](slab *[]T) *T {
+	if len(*slab) == 0 {
+		*slab = make([]T, slabChunk)
+	}
+	p := &(*slab)[0]
+	*slab = (*slab)[1:]
+	return p
+}
 
 // Scheduler runs jobs on a fixed number of workers.
 type Scheduler struct {
 	workers   int
-	newJob    func(JobKey) Job
+	newJob    func(*Worker, JobKey) Job
 	deadline  time.Time
 	stepLimit int64
 	quota     func() error
+	expired   atomic.Bool // set once the deadline passes
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -204,15 +228,16 @@ type Scheduler struct {
 	slab     []jobState // unused tail of the current jobState chunk
 	queue    []*jobState
 	active   int
+	steps    int64 // stats.Steps summed
 	err      error
 	stopped  bool
 	stats    Stats
 }
 
 // NewScheduler builds a scheduler with the given parallelism (minimum 1).
-// newJob materialises the job behind a goal; it is called once per distinct
-// goal, outside the scheduler mutex.
-func NewScheduler(workers int, newJob func(JobKey) Job) *Scheduler {
+// newJob materialises the job behind a goal on the worker that first runs
+// it; it is called once per distinct goal, outside the scheduler mutex.
+func NewScheduler(workers int, newJob func(*Worker, JobKey) Job) *Scheduler {
 	if workers < 1 {
 		workers = 1
 	}
@@ -248,8 +273,20 @@ func (s *Scheduler) Stats() Stats {
 // deadline or step limit cut the search short. On timeout the scheduler
 // drains: in-flight job steps finish (their results land in the Memo), only
 // queued work is abandoned.
+//
+// The deadline is one timer armed here, not a clock read per step: it sets
+// a flag the workers test before each step, and is stopped before Run
+// returns. A deadline already past sets the flag before the first step.
 func (s *Scheduler) Run(root JobKey) error {
 	start := time.Now()
+	if !s.deadline.IsZero() {
+		if d := s.deadline.Sub(start); d > 0 {
+			t := time.AfterFunc(d, func() { s.expired.Store(true) })
+			defer t.Stop()
+		} else {
+			s.expired.Store(true)
+		}
+	}
 	s.mu.Lock()
 	s.enqueueLocked(root, nil)
 	s.mu.Unlock()
@@ -275,10 +312,7 @@ func (s *Scheduler) Run(root JobKey) error {
 func (s *Scheduler) enqueueLocked(k JobKey, parent *jobState) (wait bool) {
 	st, ok := s.registry[k]
 	if !ok {
-		if len(s.slab) == 0 {
-			s.slab = make([]jobState, jobStateChunk)
-		}
-		st, s.slab = &s.slab[0], s.slab[1:]
+		st = carve(&s.slab)
 		st.key = k
 		s.registry[k] = st
 		s.pushLocked(st)
@@ -305,25 +339,34 @@ func (s *Scheduler) pushLocked(st *jobState) {
 }
 
 // worker is the scheduler step loop: LIFO pop under the scheduler mutex,
-// one job step outside it, bookkeeping back under it.
+// one job step outside it, bookkeeping back under it. It reads the clock
+// only when it starts, parks and stops (see Stats.Busy).
 func (s *Scheduler) worker() {
 	var w Worker
+	start := time.Now()
+	var parked time.Duration
+	defer func() {
+		busy := time.Since(start) - parked
+		s.mu.Lock()
+		s.stats.Busy += busy
+		s.mu.Unlock()
+	}()
 	for {
 		s.mu.Lock()
-		for len(s.queue) == 0 && s.active > 0 && !s.stopped {
-			s.cond.Wait()
+		if len(s.queue) == 0 && s.active > 0 && !s.stopped {
+			waitStart := time.Now()
+			for len(s.queue) == 0 && s.active > 0 && !s.stopped {
+				s.cond.Wait()
+			}
+			parked += time.Since(waitStart)
 		}
 		if s.stopped || len(s.queue) == 0 { // ended by another worker, or drained
 			s.stopLocked(nil)
 			s.mu.Unlock()
 			return
 		}
-		// One clock read serves the deadline check and starts the step's busy
-		// interval; the second read, before re-taking the mutex, ends it.
-		stepStart := time.Now()
 		var stop error
-		if s.stepLimit > 0 && s.stats.TotalSteps() >= s.stepLimit ||
-			!s.deadline.IsZero() && stepStart.After(s.deadline) {
+		if s.stepLimit > 0 && s.steps >= s.stepLimit || s.expired.Load() {
 			stop = ErrTimeout
 		} else if s.quota != nil {
 			stop = s.quota()
@@ -340,14 +383,13 @@ func (s *Scheduler) worker() {
 		st.running = true
 		s.active++
 		s.stats.Steps[st.key.Kind]++
+		s.steps++
 		s.mu.Unlock()
 
 		w.children = w.children[:0]
 		done, err := s.step(st, &w)
-		busy := time.Since(stepStart)
 
 		s.mu.Lock()
-		s.stats.Busy += busy
 		st.running = false
 		s.active--
 		if err != nil {
@@ -405,7 +447,7 @@ func (s *Scheduler) step(st *jobState, w *Worker) (done bool, err error) {
 		// First run of this goal: only now does it cost a job object. The
 		// worker running st is its sole owner until the bookkeeping under the
 		// scheduler mutex, which orders this write before any later step.
-		st.job = s.newJob(st.key)
+		st.job = s.newJob(w, st.key)
 	}
 	return st.job.Step(w)
 }

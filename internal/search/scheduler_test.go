@@ -58,7 +58,7 @@ func (tb *jobTable) goal(j *stepJob) JobKey {
 }
 
 func (tb *jobTable) scheduler(workers int) *Scheduler {
-	return NewScheduler(workers, func(k JobKey) Job {
+	return NewScheduler(workers, func(_ *Worker, k JobKey) Job {
 		tb.mu.Lock()
 		defer tb.mu.Unlock()
 		return tb.jobs[k]
@@ -165,6 +165,38 @@ func TestSchedulerTimeout(t *testing.T) {
 	}
 }
 
+func TestSchedulerPastDeadlineRunsNothing(t *testing.T) {
+	// A deadline already past when Run starts sets the flag before the first
+	// step: not even the root runs.
+	tb := newJobTable()
+	var hits int32
+	s := tb.scheduler(2)
+	s.SetDeadline(time.Now().Add(-time.Second))
+	if err := s.Run(tb.goal(leaf("root", &hits))); !errors.Is(err, ErrTimeout) {
+		t.Errorf("want ErrTimeout, got %v", err)
+	}
+	if n := s.Stats().TotalSteps(); n != 0 || hits != 0 {
+		t.Errorf("ran %d steps (%d job bodies), want 0", n, hits)
+	}
+}
+
+func TestSchedulerDeadlineTimerStopped(t *testing.T) {
+	// A run that finishes before its deadline stops the timer on return: the
+	// deadline passing afterwards must not touch the scheduler (the package's
+	// leak check then also sees no timer goroutine).
+	tb := newJobTable()
+	var hits int32
+	s := tb.scheduler(1)
+	s.SetDeadline(time.Now().Add(20 * time.Millisecond))
+	if err := s.Run(tb.goal(leaf("quick", &hits))); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(60 * time.Millisecond)
+	if s.expired.Load() {
+		t.Error("the deadline timer fired after Run returned")
+	}
+}
+
 func TestSchedulerStepLimit(t *testing.T) {
 	// The step budget is the deterministic analogue of the deadline: an
 	// endless chain must be cut off with ErrTimeout after exactly the budget.
@@ -220,6 +252,9 @@ func TestSchedulerStats(t *testing.T) {
 	}
 	if u := st.Utilization(); u < 0 || u > 1 {
 		t.Errorf("Utilization=%v out of [0,1]", u)
+	}
+	if st.Busy <= 0 || st.Busy > st.Wall*time.Duration(st.Workers) {
+		t.Errorf("Busy=%v, want in (0, Wall x Workers = %v]", st.Busy, st.Wall*time.Duration(st.Workers))
 	}
 
 	var merged Stats

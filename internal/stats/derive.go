@@ -40,13 +40,14 @@ func (s *Stats) Hist(c base.ColID) *Histogram {
 // NDV returns the estimated distinct count of a column; when unknown it
 // falls back to a fraction of the row count.
 func (s *Stats) NDV(c base.ColID) float64 {
-	if h := s.Hist(c); h != nil && h.NDV > 0 {
-		return h.NDV
+	if h := s.Hist(c); h != nil && h.NDV() > 0 {
+		return h.NDV()
 	}
 	return math.Max(1, s.Rows*0.1)
 }
 
-// clone copies the stats with all histograms scaled by the row ratio.
+// scaled returns new stats of the given row count whose histograms are the
+// receiver's scaled by the row ratio (lazily: see Histogram.Scale).
 func (s *Stats) scaled(rows float64) *Stats {
 	out := NewStats(rows)
 	factor := 1.0
@@ -66,7 +67,7 @@ func (s *Stats) WithRows(rows float64) *Stats { return s.scaled(rows) }
 func (s *Stats) SizeBytes() int64 {
 	n := int64(48)
 	for _, h := range s.Cols {
-		n += 64 + 40*int64(len(h.Buckets))
+		n += 64 + 40*int64(h.Len())
 	}
 	return n
 }
@@ -292,7 +293,7 @@ func (ctx *Context) conjunctSel(in *Stats, c ops.ScalarExpr, filtered map[base.C
 		var nf float64
 		if id, ok := x.Arg.(*ops.Ident); ok {
 			if h := in.Hist(id.Col); h != nil {
-				nf = h.NullFrac
+				nf = h.NullFrac()
 			}
 		}
 		if x.Negated {
@@ -427,7 +428,9 @@ func (ctx *Context) DeriveJoin(t ops.JoinType, pred ops.ScalarExpr, left, right 
 		}
 		for c, ndv := range matchNDVs {
 			if h := out.Cols[c]; h != nil {
-				h.NDV = math.Min(h.NDV, ndv)
+				// h is the node Scale just built, unread by anyone: the cap
+				// applies when it materialises, and no source is touched.
+				h.ndvCap = ndv
 			}
 		}
 		if len(residual) > 0 {
@@ -537,11 +540,12 @@ func (ctx *Context) DeriveGroupBy(groupCols []base.ColID, in *Stats) *Stats {
 	for _, c := range groupCols {
 		if h := in.Hist(c); h != nil {
 			// Each distinct value appears once.
-			nb := make([]md.Bucket, len(h.Buckets))
-			for i, b := range h.Buckets {
+			bs := h.Buckets()
+			nb := make([]md.Bucket, len(bs))
+			for i, b := range bs {
 				nb[i] = md.Bucket{Lo: b.Lo, Hi: b.Hi, Rows: b.Distincts, Distincts: b.Distincts}
 			}
-			out.Cols[c] = &Histogram{Buckets: nb, NDV: h.NDV}
+			out.Cols[c] = newHistogram(nb, h.NDV(), 0)
 		}
 	}
 	return out

@@ -8,6 +8,7 @@ package stats
 
 import (
 	"math"
+	"sync"
 
 	"orca/internal/base"
 	"orca/internal/md"
@@ -24,10 +25,30 @@ const (
 // Histogram is an equi-depth histogram over one column plus NDV and null
 // fraction. Rows in the histogram are absolute counts (not fractions), so a
 // histogram is meaningful only together with its owning Stats row count.
+// Histograms are immutable once built and safe for concurrent readers.
+//
+// Scale is lazy: it returns a node that records its source and factor, and
+// the node's first read (Buckets, NDV, NullFrac or any estimate built on
+// them) materialises it by running the scaling arithmetic on the
+// materialised source — the same operations, in the same order, as scaling
+// eagerly, so every estimate is bit-identical to the eager result. Most
+// scaled histograms ride along through derivations that never read them and
+// so never cost their buckets. Len needs no materialisation.
 type Histogram struct {
-	Buckets  []md.Bucket
-	NDV      float64
-	NullFrac float64
+	once sync.Once // materialises a Scale node
+	// Until materialised: src and factor are the pending Scale, and ndvCap,
+	// when positive, caps the scaled NDV (a join key's matched NDV).
+	src            *Histogram
+	factor, ndvCap float64
+	n              int // bucket count, known before materialisation
+
+	buckets       []md.Bucket
+	ndv, nullFrac float64
+}
+
+// newHistogram builds a materialised histogram.
+func newHistogram(buckets []md.Bucket, ndv, nullFrac float64) *Histogram {
+	return &Histogram{n: len(buckets), buckets: buckets, ndv: ndv, nullFrac: nullFrac}
 }
 
 // FromColStats converts catalog column statistics.
@@ -37,13 +58,65 @@ func FromColStats(cs *md.ColStats) *Histogram {
 	}
 	buckets := make([]md.Bucket, len(cs.Buckets))
 	copy(buckets, cs.Buckets)
-	return &Histogram{Buckets: buckets, NDV: cs.NDV, NullFrac: cs.NullFrac}
+	return newHistogram(buckets, cs.NDV, cs.NullFrac)
 }
+
+// m materialises h, once, and returns it.
+func (h *Histogram) m() *Histogram {
+	h.once.Do(h.materialise)
+	return h
+}
+
+// materialise runs the pending Scale on the materialised source.
+// FuzzHistogramScale holds the result bit-identical to the eager reference
+// in histogram_ref_test.go, so reorder no operation here.
+func (h *Histogram) materialise() {
+	src, factor := h.src, h.factor
+	if src == nil {
+		return // built materialised
+	}
+	src.m()
+	h.nullFrac = src.nullFrac
+	h.buckets = make([]md.Bucket, len(src.buckets))
+	if factor > 1 {
+		// Row multiplication (e.g. joins): counts scale, NDV does not grow.
+		h.ndv = src.ndv
+		for i, b := range src.buckets {
+			h.buckets[i] = md.Bucket{Lo: b.Lo, Hi: b.Hi, Rows: b.Rows * factor, Distincts: b.Distincts}
+		}
+	} else {
+		for i, b := range src.buckets {
+			h.buckets[i] = md.Bucket{
+				Lo:        b.Lo,
+				Hi:        b.Hi,
+				Rows:      b.Rows * factor,
+				Distincts: scaleNDV(b.Distincts, b.Rows, factor),
+			}
+			h.ndv += h.buckets[i].Distincts
+		}
+	}
+	if h.ndvCap > 0 {
+		h.ndv = math.Min(h.ndv, h.ndvCap)
+	}
+	h.src = nil
+}
+
+// Buckets returns the histogram's buckets; callers must not modify them.
+func (h *Histogram) Buckets() []md.Bucket { return h.m().buckets }
+
+// NDV returns the column's estimated number of distinct values.
+func (h *Histogram) NDV() float64 { return h.m().ndv }
+
+// NullFrac returns the column's fraction of nulls.
+func (h *Histogram) NullFrac() float64 { return h.m().nullFrac }
+
+// Len returns the number of buckets without materialising a Scale node.
+func (h *Histogram) Len() int { return h.n }
 
 // Rows returns the total row count covered by the histogram buckets.
 func (h *Histogram) Rows() float64 {
 	var n float64
-	for _, b := range h.Buckets {
+	for _, b := range h.Buckets() {
 		n += b.Rows
 	}
 	return n
@@ -51,47 +124,31 @@ func (h *Histogram) Rows() float64 {
 
 // Lo and Hi return the histogram's value range projected to float64.
 func (h *Histogram) Lo() float64 {
-	if len(h.Buckets) == 0 {
+	bs := h.Buckets()
+	if len(bs) == 0 {
 		return 0
 	}
-	return h.Buckets[0].Lo.AsFloat()
+	return bs[0].Lo.AsFloat()
 }
 
 // Hi returns the histogram's upper bound projected to float64.
 func (h *Histogram) Hi() float64 {
-	if len(h.Buckets) == 0 {
+	bs := h.Buckets()
+	if len(bs) == 0 {
 		return 0
 	}
-	return h.Buckets[len(h.Buckets)-1].Hi.AsFloat()
+	return bs[len(bs)-1].Hi.AsFloat()
 }
 
-// Scale returns a copy with all bucket counts and the NDV scaled by factor
-// (NDV scales sublinearly, following the standard distinct-value decay).
+// Scale returns the histogram with all bucket counts and the NDV scaled by
+// factor (NDV scales sublinearly, following the standard distinct-value
+// decay). The result is a lazy node, materialised on first read; a factor
+// of 1 is not a shortcut, since the NDV decay moves even then.
 func (h *Histogram) Scale(factor float64) *Histogram {
 	if h == nil {
 		return nil
 	}
-	if factor > 1 {
-		// Row multiplication (e.g. joins): counts scale, NDV does not grow.
-		out := &Histogram{NDV: h.NDV, NullFrac: h.NullFrac}
-		out.Buckets = make([]md.Bucket, len(h.Buckets))
-		for i, b := range h.Buckets {
-			out.Buckets[i] = md.Bucket{Lo: b.Lo, Hi: b.Hi, Rows: b.Rows * factor, Distincts: b.Distincts}
-		}
-		return out
-	}
-	out := &Histogram{NullFrac: h.NullFrac}
-	out.Buckets = make([]md.Bucket, len(h.Buckets))
-	for i, b := range h.Buckets {
-		out.Buckets[i] = md.Bucket{
-			Lo:        b.Lo,
-			Hi:        b.Hi,
-			Rows:      b.Rows * factor,
-			Distincts: scaleNDV(b.Distincts, b.Rows, factor),
-		}
-		out.NDV += out.Buckets[i].Distincts
-	}
-	return out
+	return &Histogram{src: h, factor: factor, n: h.n}
 }
 
 // scaleNDV estimates how many of d distinct values survive keeping a
@@ -118,9 +175,10 @@ func (h *Histogram) EqSel(v base.Datum) float64 {
 		return DefaultEqSel
 	}
 	f := v.AsFloat()
-	for i, b := range h.Buckets {
+	bs := h.Buckets()
+	for i, b := range bs {
 		lo, hi := b.Lo.AsFloat(), b.Hi.AsFloat()
-		last := i == len(h.Buckets)-1
+		last := i == len(bs)-1
 		if f >= lo && (f < hi || (last && f <= hi)) {
 			if b.Distincts <= 0 {
 				return 0
@@ -139,7 +197,7 @@ func (h *Histogram) RangeSel(lo, hi float64) float64 {
 		return DefaultRangeSel
 	}
 	var kept float64
-	for _, b := range h.Buckets {
+	for _, b := range h.Buckets() {
 		blo, bhi := b.Lo.AsFloat(), b.Hi.AsFloat()
 		kept += b.Rows * overlapFrac(blo, bhi, lo, hi)
 	}
@@ -166,8 +224,9 @@ func overlapFrac(blo, bhi, lo, hi float64) float64 {
 
 // FilterRange returns a copy of the histogram restricted to [lo, hi].
 func (h *Histogram) FilterRange(lo, hi float64) *Histogram {
-	out := &Histogram{NullFrac: 0}
-	for _, b := range h.Buckets {
+	var buckets []md.Bucket
+	var ndv float64
+	for _, b := range h.Buckets() {
 		frac := overlapFrac(b.Lo.AsFloat(), b.Hi.AsFloat(), lo, hi)
 		if frac <= 0 {
 			continue
@@ -178,17 +237,17 @@ func (h *Histogram) FilterRange(lo, hi float64) *Histogram {
 			Rows:      b.Rows * frac,
 			Distincts: scaleNDV(b.Distincts, b.Rows, frac),
 		}
-		out.Buckets = append(out.Buckets, nb)
-		out.NDV += nb.Distincts
+		buckets = append(buckets, nb)
+		ndv += nb.Distincts
 	}
-	return out
+	return newHistogram(buckets, ndv, 0)
 }
 
 // JoinOverlap estimates the equi-join between columns described by h and o:
 // it returns the selectivity to apply to the row-count product, and the NDV
 // of the join key in the result.
 func JoinOverlap(h, o *Histogram) (sel, ndv float64) {
-	if h == nil || o == nil || h.NDV <= 0 || o.NDV <= 0 {
+	if h == nil || o == nil || h.NDV() <= 0 || o.NDV() <= 0 {
 		return DefaultEqSel, 0
 	}
 	// Fraction of each side's domain inside the shared value range.
@@ -199,8 +258,8 @@ func JoinOverlap(h, o *Histogram) (sel, ndv float64) {
 	}
 	hin := h.RangeSel(lo, hi)
 	oin := o.RangeSel(lo, hi)
-	hNDV := math.Max(h.NDV*hin, 1)
-	oNDV := math.Max(o.NDV*oin, 1)
+	hNDV := math.Max(h.NDV()*hin, 1)
+	oNDV := math.Max(o.NDV()*oin, 1)
 	matchNDV := math.Min(hNDV, oNDV)
 	// Containment assumption: sel applied to |R|x|S|.
 	sel = hin * oin / math.Max(hNDV, oNDV)
@@ -212,12 +271,15 @@ func JoinOverlap(h, o *Histogram) (sel, ndv float64) {
 // skew). The cost model charges skewed redistributions extra (paper §4.1:
 // statistics derive "estimates for cardinality and data skew").
 func (h *Histogram) SkewRatio() float64 {
+	if h == nil {
+		return 1
+	}
 	total := h.Rows()
-	if h == nil || total <= 0 || h.NDV <= 0 {
+	if total <= 0 || h.NDV() <= 0 {
 		return 1
 	}
 	var maxPerVal float64
-	for _, b := range h.Buckets {
+	for _, b := range h.Buckets() {
 		if b.Distincts > 0 {
 			perVal := b.Rows / b.Distincts
 			if perVal > maxPerVal {
@@ -225,7 +287,7 @@ func (h *Histogram) SkewRatio() float64 {
 			}
 		}
 	}
-	uniform := total / h.NDV
+	uniform := total / h.NDV()
 	if uniform <= 0 {
 		return 1
 	}

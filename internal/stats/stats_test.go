@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -14,10 +15,7 @@ import (
 // uniformHist builds a histogram of `rows` rows with `ndv` values over
 // [lo, hi).
 func uniformHist(rows, ndv, lo, hi float64) *Histogram {
-	return &Histogram{
-		Buckets: md.UniformBuckets(rows, ndv, lo, hi, 0),
-		NDV:     ndv,
-	}
+	return newHistogram(md.UniformBuckets(rows, ndv, lo, hi, 0), ndv, 0)
 }
 
 func TestHistogramEqSel(t *testing.T) {
@@ -57,8 +55,8 @@ func TestFilterRangePreservesMassFraction(t *testing.T) {
 	if got := f.Rows(); got < 250 || got > 350 {
 		t.Errorf("filtered mass %g, want ~300", got)
 	}
-	if f.NDV <= 0 || f.NDV > 40 {
-		t.Errorf("filtered NDV %g, want ~30", f.NDV)
+	if f.NDV() <= 0 || f.NDV() > 40 {
+		t.Errorf("filtered NDV %g, want ~30", f.NDV())
 	}
 }
 
@@ -70,12 +68,12 @@ func TestScaleNeverProducesNaN(t *testing.T) {
 		for _, s := range steps {
 			factor := float64(s%200) / 100 // 0..2
 			h = h.Scale(factor)
-			for _, b := range h.Buckets {
+			for _, b := range h.Buckets() {
 				if math.IsNaN(b.Rows) || math.IsNaN(b.Distincts) || b.Rows < 0 || b.Distincts < 0 {
 					return false
 				}
 			}
-			if math.IsNaN(h.NDV) {
+			if math.IsNaN(h.NDV()) {
 				return false
 			}
 		}
@@ -120,9 +118,51 @@ func TestSkewRatio(t *testing.T) {
 	if r := flat.SkewRatio(); r < 0.99 || r > 1.3 {
 		t.Errorf("uniform skew %g, want ~1", r)
 	}
-	skewed := &Histogram{Buckets: md.UniformBuckets(1000, 100, 0, 100, 8), NDV: 100}
+	skewed := newHistogram(md.UniformBuckets(1000, 100, 0, 100, 8), 100, 0)
 	if r := skewed.SkewRatio(); r <= 1.5 {
 		t.Errorf("skewed ratio %g, want > 1.5", r)
+	}
+	var none *Histogram
+	if r := none.SkewRatio(); r != 1 {
+		t.Errorf("nil histogram skew %g, want 1", r)
+	}
+}
+
+// TestLazyScaleConcurrentReaders reads one chain of lazy Scale nodes from
+// many goroutines at once, as parallel search workers read a group's
+// statistics: the -race gate checks materialisation, and every reader must
+// see what a single reader of an identical chain saw.
+func TestLazyScaleConcurrentReaders(t *testing.T) {
+	base := uniformHist(5000, 80, 0, 100)
+	newChain := func() []*Histogram {
+		mid := base.Scale(0.4)
+		return []*Histogram{mid, mid.Scale(3), mid.Scale(0.5).Scale(1)}
+	}
+	read := func(h *Histogram) float64 { return h.NDV() + h.Rows() }
+	var want []float64
+	for _, h := range newChain() {
+		want = append(want, read(h))
+	}
+	chain := newChain()
+	var wg sync.WaitGroup
+	got := make([][]float64, 8)
+	for g := range got {
+		got[g] = make([]float64, len(chain))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := len(chain) - 1; i >= 0; i-- { // leaf first: it materialises its sources
+				got[g][i] = read(chain[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		for i, v := range got[g] {
+			if math.Float64bits(v) != math.Float64bits(want[i]) {
+				t.Errorf("reader %d, node %d: %v, want %v", g, i, v, want[i])
+			}
+		}
 	}
 }
 
