@@ -28,18 +28,18 @@ import (
 
 // The allocation ledger: exact heap-allocation counts of the optimizer's
 // hot paths, checked in as BENCH_allocs.json, measured on the scale-1
-// testbed with one search worker. A row sums its parts (one per document,
+// testbed. A row sums its parts (one per document,
 // plan or request); a part's count is the minimum of five
 // runtime.MemStats.Mallocs deltas, each taken with the garbage collector
 // off, after one warm-up run.
 //
 // The file lists each row as "exact", to match to the allocation, or as
 // "request", to differ by at most request_tolerance: a whole search
-// allocates a few runtime objects of its own (goroutine and sudog structs,
-// map-table splits that depend on each map's hash seed), varying from run
-// to run while every search step stays the same. Taking each part's minimum
-// absorbs the runtime's type-assertion caches, which grow on a random ~1 in
-// 1,024 misses.
+// allocates a few runtime objects of its own (map-table splits that depend
+// on each map's hash seed; a served request also starts goroutines),
+// varying from run to run while every search step stays the same. Taking
+// each part's minimum absorbs the runtime's type-assertion caches, which
+// grow on a random ~1 in 1,024 misses.
 //
 // A change that moves a count on purpose updates the file by hand, in the
 // same change, as BENCH_plans.json is updated.

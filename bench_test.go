@@ -11,7 +11,6 @@ package orca
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"orca/internal/core"
 	"orca/internal/engine"
@@ -220,49 +219,21 @@ func BenchmarkAblationIndexScan(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulerWorkers measures parallel optimization (paper §4.2) by
-// job-scheduler worker count on a join-heavy query.
-func BenchmarkSchedulerWorkers(b *testing.B) {
-	e := env(b)
-	var sqlText string
-	for _, wq := range tpcds.Workload() {
-		if wq.Name == "q25" {
-			sqlText = wq.SQL
-		}
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(benchName("workers", workers), func(b *testing.B) {
-			cfg := core.DefaultConfig(e.Cfg.Segments)
-			cfg.Workers = workers
-			for i := 0; i < b.N; i++ {
-				q, err := sql.Bind(sqlText, md.NewAccessor(e.Cache, e.Provider), md.NewColumnFactory())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := core.Optimize(q, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// TestSchedulerBusyWithinCapacity runs q25 on two workers: a worker's busy
-// time is its lifetime less the time it sat parked, so the run's Busy fits
-// inside Wall x Workers and Utilization inside [0, 1].
+// TestSchedulerBusyWithinCapacity runs q25 through every stage: each run's
+// Busy is its step loop's duration, inside the run's wall time, so the
+// merged Busy fits inside the merged Wall and Utilization inside (0, 1].
 func TestSchedulerBusyWithinCapacity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("optimizes a TPC-DS query")
 	}
 	cfg := core.DefaultConfig(env(t).Cfg.Segments)
-	cfg.Workers = 2
 	res, err := core.Optimize(bind(t, workloadSQL(t, "q25")), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := res.Search
-	if s.Workers != 2 || s.Busy <= 0 || s.Busy > s.Wall*time.Duration(s.Workers) {
-		t.Errorf("Busy %v over %d workers and Wall %v: want in (0, Wall x Workers]", s.Busy, s.Workers, s.Wall)
+	if s.Busy <= 0 || s.Busy > s.Wall {
+		t.Errorf("Busy %v and Wall %v: want Busy in (0, Wall]", s.Busy, s.Wall)
 	}
 	if u := s.Utilization(); u <= 0 || u > 1 {
 		t.Errorf("Utilization %v, want in (0, 1]", u)
@@ -378,8 +349,4 @@ func BenchmarkStageResume(b *testing.B) {
 		}
 		run(b, cfg)
 	})
-}
-
-func benchName(prefix string, n int) string {
-	return prefix + "-" + string(rune('0'+n))
 }

@@ -30,9 +30,9 @@
 #            code it replaced (internal/stats/histogram_ref_test.go), bit
 #            for bit; go test ./... already ran both seed corpora
 #   race     go test -race over the concurrency-heavy packages
-#            (search scheduler, memo, gpos worker pool, stats — lazy
-#            histograms materialise under concurrent readers — core — the
-#            multi-stage driver shares one Memo across scheduler runs —
+#            (search scheduler, memo, gpos memory accountant, stats — lazy
+#            histograms materialise under concurrent readers — core —
+#            concurrent Optimize sessions share the fault registry —
 #            serve, whose admission/drain paths are all-concurrent, and
 #            plancache, whose sharded LRU and singleflight are too)
 #   smoke    build cmd/orcad, start it on an ephemeral port against the

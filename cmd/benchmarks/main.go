@@ -7,10 +7,10 @@
 //	           [-segments=16] [-scale=2] [-budget=8000000] [-seed=N] [-json]
 //
 // With -json, experiments that define a machine-readable artifact write it to
-// the working directory (rules → BENCH_rules.json). The service, plan-cache
-// and Memo-contention numbers come from the benchmark of record, `go run
-// ./benchmark`; search time per pass and the q25 worker ladder from
-// bench_test.go's BenchmarkOptimizationTime and BenchmarkSchedulerWorkers.
+// the working directory (rules → BENCH_rules.json). The service and
+// plan-cache numbers come from the benchmark of record, `go run
+// ./benchmark`; search time per pass from bench_test.go's
+// BenchmarkOptimizationTime.
 package main
 
 import (

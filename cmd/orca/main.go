@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	orca -metadata=catalog.dxl -sql='SELECT ...' [-segments=16] [-workers=4]
+//	orca -metadata=catalog.dxl -sql='SELECT ...' [-segments=16]
 //	orca -metadata=catalog.dxl -query=query.dxl -emit-dxl
 //	orca -demo            # run the paper's §4.1 example end to end
 //
@@ -43,7 +43,6 @@ func main() {
 	sqlText := flag.String("sql", "", "SQL query text")
 	queryFile := flag.String("query", "", "DXL query document")
 	segments := flag.Int("segments", 16, "target cluster segment count")
-	workers := flag.Int("workers", 1, "optimization job-scheduler workers")
 	emitDXL := flag.Bool("emit-dxl", false, "print the DXL plan message instead of the explain")
 	trace := flag.Bool("trace-memo", false, "dump the final Memo")
 	stats := flag.Bool("stats", false, "print job-scheduler telemetry (steps by kind, queue depth, utilization)")
@@ -93,7 +92,7 @@ func main() {
 	}
 
 	if *demo {
-		runDemo(*segments, *workers, tune, optimize)
+		runDemo(*segments, tune, optimize)
 		return
 	}
 	if *metadata == "" || (*sqlText == "" && *queryFile == "") {
@@ -124,7 +123,6 @@ func main() {
 	}
 
 	cfg := core.DefaultConfig(*segments)
-	cfg.Workers = *workers
 	cfg.TraceMemo = *trace
 	tune(&cfg)
 	if *dumpDir != "" {
@@ -192,8 +190,8 @@ func main() {
 
 // printSearchStats prints the scheduler telemetry gathered during search:
 // job steps by kind per stage and in total, the peak ready-queue depth, and
-// worker utilization (search.Stats.Utilization: time not parked waiting for
-// work).
+// the share of the stage's wall time spent in the step loop
+// (search.Stats.Utilization).
 func printSearchStats(res *core.Result) {
 	fmt.Println("--- search stats ---")
 	line := func(name string, s search.Stats, fired int64, timedOut bool) {
@@ -201,8 +199,8 @@ func printSearchStats(res *core.Result) {
 		for k := 0; k < search.NumJobKinds; k++ {
 			fmt.Printf(" %s=%d", search.JobKind(k), s.Steps[k])
 		}
-		fmt.Printf("  total=%d  rules=%d  peak-queue=%d  workers=%d  util=%.0f%%",
-			s.TotalSteps(), fired, s.PeakQueue, s.Workers, 100*s.Utilization())
+		fmt.Printf("  total=%d  rules=%d  peak-queue=%d  util=%.0f%%",
+			s.TotalSteps(), fired, s.PeakQueue, 100*s.Utilization())
 		if timedOut {
 			fmt.Print("  (timed out)")
 		}
@@ -222,7 +220,7 @@ func printSearchStats(res *core.Result) {
 
 // runDemo reproduces the paper's running example: SELECT T1.a FROM T1, T2
 // WHERE T1.a = T2.b ORDER BY T1.a with T1 Hashed(a), T2 Hashed(a).
-func runDemo(segments, workers int, tune func(*core.Config), optimize func(*core.Query, core.Config) (*core.Result, error)) {
+func runDemo(segments int, tune func(*core.Config), optimize func(*core.Query, core.Config) (*core.Result, error)) {
 	p := md.NewMemProvider()
 	md.Build(p, md.TableSpec{
 		Name: "t1", Rows: 100000, Policy: md.DistHash, DistCols: []int{0},
@@ -244,7 +242,6 @@ func runDemo(segments, workers int, tune func(*core.Config), optimize func(*core
 	q, err := sql.Bind("SELECT t1.a FROM t1, t2 WHERE t1.a = t2.b ORDER BY t1.a", acc, f)
 	fatal(err)
 	cfg := core.DefaultConfig(segments)
-	cfg.Workers = workers
 	tune(&cfg)
 	res, err := optimize(q, cfg)
 	fatal(err)

@@ -44,7 +44,6 @@ func main() {
 	metadata := flag.String("metadata", "", "DXL metadata file (the file-based MD provider)")
 	demoCatalog := flag.Bool("demo-catalog", false, "serve the paper's demo catalog (t1, t2) instead of -metadata")
 	segments := flag.Int("segments", 16, "target cluster segment count")
-	workers := flag.Int("workers", 1, "optimization job-scheduler workers per request")
 
 	maxInFlight := flag.Int("max-in-flight", 4, "requests optimizing concurrently")
 	maxQueue := flag.Int("max-queue", 8, "requests allowed to wait for a slot (0 = shed immediately)")
@@ -88,7 +87,6 @@ func main() {
 	}
 
 	baseCfg := core.DefaultConfig(*segments)
-	baseCfg.Workers = *workers
 	baseCfg.MemoryBudget = *memBudget
 	baseCfg.MaxGroups = *maxGroups
 	baseCfg.MDLookupTimeout = *mdTimeout

@@ -34,7 +34,6 @@ type Dump struct {
 	ExcCode string
 	// Config captures the optimizer configuration knobs that affect plans.
 	Segments      int
-	Workers       int
 	DisabledRules []string
 	// Faults is the armed fault-injection schedule in ORCA_FAULTS syntax
 	// (fault.FormatSpecs). Replay re-arms it so injected failures reproduce.
@@ -59,7 +58,6 @@ func Capture(ctx context.Context, q *core.Query, cfg core.Config, provider md.Pr
 	}
 	d := &Dump{
 		Segments:      cfg.Segments,
-		Workers:       cfg.Workers,
 		DisabledRules: cfg.DisabledRules,
 		Faults:        fault.FormatSpecs(cfg.Faults),
 		MetadataDoc:   meta,
@@ -87,9 +85,7 @@ func (d *Dump) Render() string {
 		st.Text = strings.Join(d.Stack, "\n")
 		thread.Add(st)
 	}
-	flags := dxl.El("TraceFlags").
-		Set("Segments", strconv.Itoa(d.Segments)).
-		Set("Workers", strconv.Itoa(d.Workers))
+	flags := dxl.El("TraceFlags").Set("Segments", strconv.Itoa(d.Segments))
 	if len(d.DisabledRules) > 0 {
 		flags.Set("DisabledRules", strings.Join(d.DisabledRules, ","))
 	}
@@ -127,7 +123,7 @@ func Parse(doc string) (*Dump, error) {
 	if thread == nil {
 		return nil, fmt.Errorf("ampere: dump has no Thread element")
 	}
-	d := &Dump{Segments: 1, Workers: 1}
+	d := &Dump{Segments: 1}
 	if st := thread.Child("Stacktrace"); st != nil {
 		if st.Text != "" {
 			d.Stack = strings.Split(st.Text, "\n")
@@ -138,9 +134,6 @@ func Parse(doc string) (*Dump, error) {
 	if tf := thread.Child("TraceFlags"); tf != nil {
 		if v, err := strconv.Atoi(tf.Attr("Segments")); err == nil && v > 0 {
 			d.Segments = v
-		}
-		if v, err := strconv.Atoi(tf.Attr("Workers")); err == nil && v > 0 {
-			d.Workers = v
 		}
 		if dr := tf.Attr("DisabledRules"); dr != "" {
 			d.DisabledRules = strings.Split(dr, ",")
@@ -175,7 +168,6 @@ func Replay(d *Dump) (*core.Result, *core.Query, error) {
 		return nil, nil, err
 	}
 	cfg := core.DefaultConfig(d.Segments)
-	cfg.Workers = d.Workers
 	cfg.DisabledRules = d.DisabledRules
 	if d.Faults != "" {
 		specs, err := fault.ParseSpecs(d.Faults)

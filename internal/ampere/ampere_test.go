@@ -50,8 +50,10 @@ func bindAndOptimize(t testing.TB, p *md.MemProvider, query string) (*core.Query
 
 const testQuery = "SELECT b, count(*) AS n FROM r WHERE a < 500 GROUP BY b ORDER BY b"
 
-func TestDumpRoundTripAndReplay(t *testing.T) {
-	p := testProvider(t)
+// capturedDump optimizes testQuery and captures a dump of it that expects
+// the plan it produced.
+func capturedDump(t *testing.T, p *md.MemProvider) *Dump {
+	t.Helper()
 	_, res, cfg := bindAndOptimize(t, p, testQuery)
 
 	// Capture needs a freshly bound (un-normalized) query.
@@ -69,21 +71,18 @@ func TestDumpRoundTripAndReplay(t *testing.T) {
 		t.Fatalf("capture: %v", err)
 	}
 	d.ExpectedPlan = dxl.PlanFingerprint(res.Plan)
+	return d
+}
 
-	doc := d.Render()
-	// Minimality: the untouched table must not be in the dump.
-	if strings.Contains(doc, "untouched") {
-		t.Error("dump is not minimal: contains metadata the session never touched")
-	}
-	if !strings.Contains(doc, `Name="r"`) {
-		t.Error("dump is missing touched relation r")
-	}
-
-	d2, err := Parse(doc)
+// replayChecked parses a dump document and requires its replay to reproduce
+// the expected plan.
+func replayChecked(t *testing.T, doc string) {
+	t.Helper()
+	d, err := Parse(doc)
 	if err != nil {
 		t.Fatalf("parse dump: %v", err)
 	}
-	check, err := Check(d2)
+	check, err := Check(d)
 	if err != nil {
 		t.Fatalf("check: %v", err)
 	}
@@ -91,6 +90,33 @@ func TestDumpRoundTripAndReplay(t *testing.T) {
 		t.Errorf("replayed plan differs from expected:\n--- got ---\n%s\n--- want ---\n%s",
 			check.GotPlan, check.ExpectedPlan)
 	}
+}
+
+func TestDumpRoundTripAndReplay(t *testing.T) {
+	doc := capturedDump(t, testProvider(t)).Render()
+	// Minimality: the untouched table must not be in the dump.
+	if strings.Contains(doc, "untouched") {
+		t.Error("dump is not minimal: contains metadata the session never touched")
+	}
+	if !strings.Contains(doc, `Name="r"`) {
+		t.Error("dump is missing touched relation r")
+	}
+	replayChecked(t, doc)
+}
+
+// TestDumpReplaysWorkersAttribute: dumps written while the search had a
+// worker-count knob carry TraceFlags Workers="N". The attribute is no longer
+// written and is ignored on read, so such a dump replays to the same plan.
+func TestDumpReplaysWorkersAttribute(t *testing.T) {
+	doc := capturedDump(t, testProvider(t)).Render()
+	if strings.Contains(doc, "Workers=") {
+		t.Fatalf("dump still writes a Workers attribute")
+	}
+	const flags = `<dxl:TraceFlags Segments="4"`
+	if !strings.Contains(doc, flags) {
+		t.Fatalf("dump has no %s element", flags)
+	}
+	replayChecked(t, strings.Replace(doc, flags, flags+` Workers="4"`, 1))
 }
 
 func TestDumpCapturesStackTrace(t *testing.T) {

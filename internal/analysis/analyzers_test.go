@@ -10,7 +10,6 @@ import (
 // absorbed, so every // want case of the merged checks still runs.
 func TestLockCheck(t *testing.T)    { runFixture(t, Locks, "lockcheck") }
 func TestMemoImmut(t *testing.T)    { runFixture(t, Publish, "memoimmut") }
-func TestAtomicPub(t *testing.T)    { runFixture(t, Publish, "atomicpub") }
 func TestPubImmut(t *testing.T)     { runFixture(t, Publish, "pubimmut") }
 func TestOpExhaustive(t *testing.T) { runFixture(t, OpExhaustive, "opexhaustive") }
 func TestErrDrop(t *testing.T)      { runFixture(t, ErrDrop, "errdrop") }
@@ -156,7 +155,7 @@ func TestLoaderBasics(t *testing.T) {
 	if p.PkgPath != "orca/internal/gpos" || p.Types == nil || len(p.Files) == 0 {
 		t.Fatalf("bad package: %+v", p.PkgPath)
 	}
-	if p.Types.Scope().Lookup("WorkerPool") == nil {
-		t.Fatalf("type information missing WorkerPool")
+	if p.Types.Scope().Lookup("MemoryAccountant") == nil {
+		t.Fatalf("type information missing MemoryAccountant")
 	}
 }

@@ -236,12 +236,6 @@ func (f *Facts) isProviderCall(ifaceID string) bool {
 	return len(ifaceID) > len(prefix) && ifaceID[:len(prefix)] == prefix
 }
 
-// isAtomicType reports a sync/atomic named type (Int64, Pointer[T], ...).
-func isAtomicType(t types.Type) bool {
-	n := namedType(t)
-	return n != nil && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == "sync/atomic"
-}
-
 // fieldKey renders a selector resolving to a named struct's field as
 // "pkgpath.Type.field", or "".
 func fieldKey(pkg *Package, e ast.Expr) string {

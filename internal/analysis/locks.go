@@ -9,8 +9,8 @@ package analysis
 // taken deep inside callees.
 //
 // A lock's identity is its class: the (named type, field) pair rendered as
-// "pkgpath.Type.field". Sharded stripe arrays collapse automatically —
-// m.stripes[i].mu and m.stripes[j].mu select the same field of the same
+// "pkgpath.Type.field". Sharded arrays collapse automatically —
+// c.shards[i].mu and c.shards[j].mu select the same field of the same
 // element type, so both are one class. Locks that are not struct fields
 // (package-level or local mutexes) fall back to "pkgpath.expr".
 //
@@ -25,14 +25,13 @@ import (
 	"strings"
 )
 
-// Locks enforces the module's mutex discipline (paper §4.2, DESIGN.md §11).
+// Locks enforces the module's mutex discipline (DESIGN.md §8).
 var Locks = &Analyzer{
 	Name: "locks",
 	Doc: "flags sync.Cond.Wait outside a re-checking loop, a Lock with no " +
 		"Unlock on some return path, calls that re-lock a receiver mutex the " +
 		"caller holds, lock-acquisition-order cycles across the call graph, " +
-		"locks held across indefinitely-blocking operations, and direct " +
-		"access to the Memo's lock-free index outside its accessors",
+		"and locks held across indefinitely-blocking operations",
 	RunModule: runLocks,
 }
 
@@ -340,9 +339,6 @@ func runLocks(mp *ModulePass) {
 		}
 	}
 	reportOrderCycles(mp, edges)
-	for _, pkg := range mp.Pkgs {
-		checkMemoIndex(mp, pkg)
-	}
 }
 
 // checkPairing reports condition waits outside a loop, a Lock with no
@@ -530,49 +526,6 @@ func reportOrderCycles(mp *ModulePass, edges map[lockEdgeKey]lockWitness) {
 		} else {
 			mp.Reportf(w.pos, "lock acquisition order cycle: %s is acquired while %s is held, and the reverse order exists elsewhere in the module",
 				ek.to, ek.from)
-		}
-	}
-}
-
-// memoIndexAccessors lists, per guarded Memo field, the only functions
-// allowed to touch it directly. Everything else must use the accessors, which
-// uphold the publication protocol (slot write → directory → count) and the
-// stripe lock ordering (DESIGN.md §11). The rule keys on the struct name so
-// the fixture package can exercise it without importing internal/memo.
-var memoIndexAccessors = map[string]map[string]bool{
-	"groupN":     {"New": true, "groupSnapshot": true, "Group": true, "NumGroups": true, "publishGroup": true},
-	"chunkDir":   {"New": true, "groupSnapshot": true, "Group": true, "NumGroups": true, "publishGroup": true},
-	"stripes":    {"New": true, "InsertExpr": true, "Validate": true},
-	"reqStripes": {"New": true, "InternReq": true, "LookupReq": true},
-}
-
-// checkMemoIndex flags selector expressions reaching into the Memo's
-// lock-free group index or its sharded registries from outside the accessor
-// functions that own their concurrency protocol.
-func checkMemoIndex(mp *ModulePass, pkg *Package) {
-	for _, file := range pkg.Files {
-		for _, decl := range file.Decls {
-			owner := ""
-			if fd, ok := decl.(*ast.FuncDecl); ok {
-				owner = fd.Name.Name
-			}
-			ast.Inspect(decl, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				allowed, guarded := memoIndexAccessors[sel.Sel.Name]
-				if !guarded || allowed[owner] {
-					return true
-				}
-				if s, ok := pkg.Info.Selections[sel]; !ok || s.Kind() != types.FieldVal {
-					return true // a method value, not the field
-				}
-				if n := namedType(pkg.Info.TypeOf(sel.X)); n != nil && n.Obj().Name() == "Memo" {
-					mp.Reportf(sel.Pos(), "direct access to Memo.%s outside its accessors: the lock-free index and sharded registries must be reached through their accessor functions", sel.Sel.Name)
-				}
-				return true
-			})
 		}
 	}
 }

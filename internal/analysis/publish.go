@@ -1,22 +1,18 @@
 package analysis
 
 // publish.go: the publish analyzer and the parameter-mutation facts behind
-// it. One rule: once an object is published — other goroutines can reach
-// it — the publishing function must not plainly write through it. The fix
-// is rebind-must-copy (mutate a copy and publish that), or wiring the object
-// completely before publishing it. Publication is one of three things:
+// it. One rule: once an object is published — code beyond the publishing
+// function holds it — that function must not plainly write through it. The
+// fix is rebind-must-copy (mutate a copy and publish that), or wiring the
+// object completely before publishing it. Publication is one of two things:
 //
 //  1. handing a slice to Memo.InsertExpr, which retains it in the new group
 //     expression (a later write would corrupt the Memo's duplicate-detection
 //     fingerprints);
-//  2. an atomic Store/Swap/CompareAndSwap, which publishes every object the
-//     function can share — parameters, receivers, non-local values and
-//     locals that have escaped — so all wiring must precede it
-//     ("publish-then-wire" is the bug class);
-//  3. a registered publication site: a plan-cache shard insert or lookup
-//     hit, a singleflight result or store, a Memo group publication, a JSON
-//     response snapshot — and every memo.Group/GroupExpr/Memo/OptContext
-//     outside internal/memo, which the Memo publishes when it creates them.
+//  2. a registered publication site: a plan-cache shard insert or lookup
+//     hit, a singleflight result or store, a JSON response snapshot — and
+//     every memo.Group/GroupExpr/Memo/OptContext outside internal/memo,
+//     which the Memo publishes when it creates them.
 //
 // Helper calls count too: passing a published object to a function whose
 // facts say it writes the corresponding parameter is a write at the call
@@ -24,20 +20,17 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"slices"
 	"sort"
-	"strings"
 )
 
 // Publish is the published-object immutability analyzer.
 var Publish = &Analyzer{
 	Name: "publish",
 	Doc: "flags plain writes to an object after it was published: handed to " +
-		"Memo.InsertExpr, made reachable by an atomic Store/Swap/CompareAndSwap, " +
-		"or passed through a registered publication site (plan-cache insert or " +
-		"lookup, singleflight result, memo group publication, JSON response " +
+		"Memo.InsertExpr or passed through a registered publication site " +
+		"(plan-cache insert or lookup, singleflight result, JSON response " +
 		"snapshot, any memo structure outside internal/memo)",
 	Run: runPublish,
 }
@@ -56,9 +49,6 @@ func runPublish(p *Pass) {
 type pubWalk struct {
 	p         *Pass
 	published map[types.Object]string // object -> how it was published
-	fresh     map[types.Object]bool   // locals born from a fresh allocation
-	escaped   map[types.Object]bool   // fresh locals handed elsewhere so far
-	storeLine int                     // line of the first atomic store, 0 before it
 }
 
 // checkPublished walks one declaration in source order, tracking which
@@ -66,24 +56,9 @@ type pubWalk struct {
 // follow. Rebinding the bare identifier ends the tracking — that is exactly
 // the rebind-must-copy idiom.
 func checkPublished(p *Pass, fd *ast.FuncDecl) {
-	w := &pubWalk{
-		p:         p,
-		published: make(map[types.Object]string),
-		fresh:     freshLocals(p.Pkg, fd.Body),
-		escaped:   make(map[types.Object]bool),
-	}
-	info := p.Pkg.Info
-	var stack []ast.Node
+	w := &pubWalk{p: p, published: make(map[types.Object]string)}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
 		switch n := n.(type) {
-		case *ast.Ident:
-			if obj := info.Uses[n]; w.fresh[obj] && escapesHere(stack, n) {
-				w.escaped[obj] = true
-			}
 		case *ast.CallExpr:
 			w.call(n)
 		case *ast.AssignStmt:
@@ -106,7 +81,6 @@ func checkPublished(p *Pass, fd *ast.FuncDecl) {
 		case *ast.IncDecStmt:
 			w.written(n.X)
 		}
-		stack = append(stack, n)
 		return true
 	})
 }
@@ -129,15 +103,10 @@ func (w *pubWalk) publish(e ast.Expr, site string) {
 	}
 }
 
-// call handles one call: an atomic store starts the store rule, a call that
-// writes through a published argument is reported, and a publication site
-// publishes its argument.
+// call handles one call: a call that writes through a published argument is
+// reported, and a publication site publishes its argument.
 func (w *pubWalk) call(call *ast.CallExpr) {
-	pkg := w.p.Pkg
-	if w.storeLine == 0 && isAtomicStoreCall(pkg, call) {
-		w.storeLine = pkg.Fset.Position(call.Pos()).Line
-	}
-	fn, _ := calleeObjPkg(pkg, call).(*types.Func)
+	fn, _ := calleeObjPkg(w.p.Pkg, call).(*types.Func)
 	if fn == nil || fn.Pkg() == nil {
 		return
 	}
@@ -202,22 +171,9 @@ func (w *pubWalk) written(lhs ast.Expr) {
 	if id == nil {
 		return
 	}
-	obj := pkg.Info.Uses[id]
-	if site, ok := w.published[obj]; ok {
-		w.p.Reportf(lhs.Pos(), "%s is written after it escaped through %s: the object is shared with other goroutines; rebind a copy instead (rebind-must-copy)",
+	if site, ok := w.published[pkg.Info.Uses[id]]; ok {
+		w.p.Reportf(lhs.Pos(), "%s is written after it escaped through %s: other code now holds the object; rebind a copy instead (rebind-must-copy)",
 			id.Name, site)
-		return
-	}
-	// The store rule covers direct field writes only: index writes are the
-	// Memo's directory-slot pattern, whose slots become visible through a
-	// later atomic counter store rather than through the write itself.
-	sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
-	if w.storeLine == 0 || !ok || ast.Unparen(sel.X) != ast.Expr(id) || isAtomicType(pkg.Info.TypeOf(sel)) {
-		return
-	}
-	if obj != nil && (!w.fresh[obj] || w.escaped[obj]) {
-		w.p.Reportf(lhs.Pos(), "plain write to %s.%s after atomic publication at line %d; writes to shared state must precede the store that publishes them",
-			id.Name, sel.Sel.Name, w.storeLine)
 	}
 }
 
@@ -233,9 +189,9 @@ func isSelfAppend(p *Pass, lhs, rhs ast.Expr) bool {
 }
 
 // callArgSite matches publication sites where an argument escapes: the
-// Memo retains InsertExpr's children, the plan-cache shard insert and the
-// Memo group publication share the object with every later cache/memo
-// reader, and a JSON snapshot hands it to the encoder.
+// Memo retains InsertExpr's children, the plan-cache shard insert shares the
+// object with every later cache reader, and a JSON snapshot hands it to the
+// encoder.
 func callArgSite(fn *types.Func) (string, int) {
 	recv, path := recvTypeName(fn), fn.Pkg().Path()
 	switch {
@@ -243,8 +199,6 @@ func callArgSite(fn *types.Func) (string, int) {
 		return "Memo.InsertExpr, which retains it", 1
 	case fn.Name() == "Admit" && recv == "Cache" && isPkg(path, plancachePkgPath):
 		return "a plan-cache shard insert", 1
-	case fn.Name() == "publishGroup" && recv == "Memo" && isPkg(path, memoPkgPath):
-		return "a memo group publication", 0
 	case fn.Name() == "writeJSON" && recv == "" && isPkg(path, servePkgPath):
 		return "a JSON response snapshot", 2
 	}
@@ -288,74 +242,6 @@ func recvTypeName(fn *types.Func) string {
 		}
 	}
 	return ""
-}
-
-// isAtomicStoreCall reports a publication point: a Store/Swap/CompareAndSwap
-// method on a sync/atomic value, or the old-style function equivalents.
-func isAtomicStoreCall(pkg *Package, call *ast.CallExpr) bool {
-	fn, _ := calleeObjPkg(pkg, call).(*types.Func)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
-		return false
-	}
-	for _, prefix := range []string{"Store", "Swap", "CompareAndSwap"} {
-		if strings.HasPrefix(fn.Name(), prefix) {
-			return true
-		}
-	}
-	return false
-}
-
-// freshLocals returns the locals bound by v := &T{...} | new(T) | T{...}:
-// no other goroutine can see them until they escape.
-func freshLocals(pkg *Package, body *ast.BlockStmt) map[types.Object]bool {
-	fresh := make(map[types.Object]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || as.Tok != token.DEFINE || len(as.Lhs) != len(as.Rhs) {
-			return true
-		}
-		for i, lhs := range as.Lhs {
-			id, ok := lhs.(*ast.Ident)
-			if !ok || id.Name == "_" || pkg.Info.Defs[id] == nil {
-				continue
-			}
-			switch e := ast.Unparen(as.Rhs[i]).(type) {
-			case *ast.UnaryExpr:
-				_, lit := ast.Unparen(e.X).(*ast.CompositeLit)
-				fresh[pkg.Info.Defs[id]] = e.Op == token.AND && lit
-			case *ast.CompositeLit:
-				fresh[pkg.Info.Defs[id]] = true
-			case *ast.CallExpr:
-				fun, ok := ast.Unparen(e.Fun).(*ast.Ident)
-				fresh[pkg.Info.Defs[id]] = ok && pkg.Info.Uses[fun] == types.Universe.Lookup("new")
-			}
-		}
-		return true
-	})
-	return fresh
-}
-
-// escapesHere reports whether this use of a fresh local hands it to code
-// that may retain it: anything except selecting a field on it (v.f, whether
-// read, written, or used as an atomic method receiver) or being the LHS of
-// its own definition.
-func escapesHere(stack []ast.Node, id *ast.Ident) bool {
-	switch p := stack[len(stack)-1].(type) {
-	case *ast.SelectorExpr:
-		return ast.Unparen(p.X) != ast.Expr(id)
-	case *ast.AssignStmt:
-		return p.Tok != token.DEFINE || len(p.Lhs) == 0 || !containsExpr(p.Lhs, id)
-	}
-	return true
-}
-
-func containsExpr(list []ast.Expr, e ast.Expr) bool {
-	for _, x := range list {
-		if x == e {
-			return true
-		}
-	}
-	return false
 }
 
 // rootIdent unwraps selector/index/star/paren chains to the base identifier,

@@ -135,13 +135,14 @@ func wantLedgerFailure(t *testing.T, row, file string, oldNew ...string) {
 	}
 }
 
-// TestTamperSchedulerWorkerDone deletes the worker goroutine's WaitGroup
-// pairing in Scheduler.Run, so Run never returns. Caught by go test: the
-// search tests hang past a 3 s -timeout.
-func TestTamperSchedulerWorkerDone(t *testing.T) {
-	wantTestFailure(t, "../search", "test timed out", "scheduler.go",
-		"go func() {\n\t\t\tdefer wg.Done()\n\t\t\ts.worker()\n\t\t}()",
-		"go func() {\n\t\t\ts.worker()\n\t\t}()")
+// TestTamperSchedulerTimerStop drops the deferred Stop of the deadline
+// timer Scheduler.Run arms, so a search that finishes early leaves the timer
+// to fire into a finished scheduler. Caught by go test:
+// TestSchedulerDeadlineTimerStopped sees the flag set after Run returned.
+func TestTamperSchedulerTimerStop(t *testing.T) {
+	wantTestFailure(t, "../search", "the deadline timer fired after Run returned", "scheduler.go",
+		"\t\t\tdefer t.Stop()\n", "\t\t\t_ = t\n",
+		"-run", "^TestSchedulerDeadlineTimerStopped$")
 }
 
 // TestTamperScaleIdentityShortcut returns a histogram scaled by 1 unchanged
@@ -153,17 +154,6 @@ func TestTamperScaleIdentityShortcut(t *testing.T) {
 		"\treturn &Histogram{src: h, factor: factor, n: h.n}",
 		"\tif factor == 1 {\n\t\treturn h\n\t}\n\treturn &Histogram{src: h, factor: factor, n: h.n}",
 		"-run", "^FuzzHistogramScale$")
-}
-
-// TestTamperWorkerPoolLoop strips the gpos worker pool's two stop guarantees
-// at once — the wg.Done pairing and the close-terminated range — leaving a
-// bare receive loop no caller can ever stop. Caught by go test: once Close
-// closes the queue the loop receives nil tasks and the gpos tests crash in
-// the worker (a loop that survived them would hang past the 3 s -timeout).
-func TestTamperWorkerPoolLoop(t *testing.T) {
-	wantTestFailure(t, "../gpos", "gpos.(*WorkerPool).worker", "tasks.go",
-		"\tdefer p.wg.Done()\n\tfor t := range p.tasks {\n\t\tp.runTask(t)\n\t}",
-		"\tfor {\n\t\tp.runTask(<-p.tasks)\n\t}")
 }
 
 // TestTamperLookupUnbufferedSend makes the metadata lookup's result channel
@@ -262,16 +252,16 @@ func TestTamperAdHocFaultPoint(t *testing.T) {
 	}
 }
 
-// TestTamperCopyLocks copies a Memo group, which holds a sync.Mutex, and the
-// Memo's atomic group count. Caught by go vet's copylocks check.
+// TestTamperCopyLocks copies a plan-cache shard, which holds a sync.Mutex,
+// and the cache's atomic hit counter. Caught by go vet's copylocks check.
 func TestTamperCopyLocks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs go vet over a tampered package")
 	}
-	out, err := goOverlay(t, "../memo/zz_copylocks.go",
-		[]string{"", "package memo\n\nfunc copyGroup(g *Group) Group { return *g }\n\n" +
-			"func groupCount(m *Memo) int64 {\n\tn := m.groupN\n\treturn n.Load()\n}\n"},
-		"vet", "../memo")
+	out, err := goOverlay(t, "../plancache/zz_copylocks.go",
+		[]string{"", "package plancache\n\nfunc copyShard(s *shard) shard { return *s }\n\n" +
+			"func hitCount(c *Cache) int64 {\n\tn := c.hits\n\treturn n.Load()\n}\n"},
+		"vet", "../plancache")
 	for _, want := range []string{"return copies lock value", "assignment copies lock value to n: sync/atomic.Int64"} {
 		if err == nil || !strings.Contains(out, want) {
 			t.Errorf("go vet did not report %q (err %v):\n%s", want, err, out)

@@ -7,11 +7,11 @@ import (
 	"orca/internal/gpos"
 )
 
-func badDrops(t *gpos.Task) {
-	t.Err()       // want `error result of Task\.Err is discarded`
-	go t.Err()    // want `error result of Task\.Err is discarded by go statement`
-	defer t.Err() // want `error result of Task\.Err is discarded by defer`
-	_ = t.Err()   // want `error result of Task\.Err is assigned to _`
+func badDrops(e *gpos.Exception) {
+	e.Unwrap()       // want `error result of Exception\.Unwrap is discarded`
+	go e.Unwrap()    // want `error result of Exception\.Unwrap is discarded by go statement`
+	defer e.Unwrap() // want `error result of Exception\.Unwrap is discarded by defer`
+	_ = e.Unwrap()   // want `error result of Exception\.Unwrap is assigned to _`
 }
 
 // Raise returns *gpos.Exception, not error, but dropping a freshly
@@ -30,8 +30,8 @@ func badTupleDrop(doc string) *dxl.Node {
 	return n
 }
 
-func okHandled(t *gpos.Task, doc string) (*dxl.Node, error) {
-	if err := t.Err(); err != nil {
+func okHandled(e *gpos.Exception, doc string) (*dxl.Node, error) {
+	if err := e.Unwrap(); err != nil {
 		return nil, err
 	}
 	n, err := dxl.ParseXML(doc)
@@ -42,6 +42,6 @@ func okHandled(t *gpos.Task, doc string) (*dxl.Node, error) {
 }
 
 // Calls whose results are genuinely consumed stay silent.
-func okConsumed(t *gpos.Task) bool {
-	return t.Err() == nil && t.Done()
+func okConsumed(e *gpos.Exception) bool {
+	return e.Unwrap() == nil && e.Code != ""
 }

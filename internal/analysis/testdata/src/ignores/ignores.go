@@ -7,32 +7,32 @@ package ignores
 import "orca/internal/gpos"
 
 // read is suppressed by a scoped inline directive.
-func read(t *gpos.Task) {
-	t.Err() //orcavet:ignore:errdrop fixture exercises scoped inline suppression
+func read(e *gpos.Exception) {
+	e.Unwrap() //orcavet:ignore:errdrop fixture exercises scoped inline suppression
 }
 
 // peek is suppressed by a standalone directive covering the next line.
-func peek(t *gpos.Task) {
+func peek(e *gpos.Exception) {
 	//orcavet:ignore:errdrop fixture exercises standalone suppression
-	t.Err()
+	e.Unwrap()
 }
 
 // wrongScope carries a directive naming a different analyzer: the finding
 // still fires and the directive is reported unused.
-func wrongScope(t *gpos.Task) {
-	t.Err() //orcavet:ignore:locks fixture wrong analyzer scope // want `error result of Task\.Err is discarded` `unused //orcavet:ignore directive`
+func wrongScope(e *gpos.Exception) {
+	e.Unwrap() //orcavet:ignore:locks fixture wrong analyzer scope // want `error result of Exception\.Unwrap is discarded` `unused //orcavet:ignore directive`
 }
 
 // unscoped carries the scope-less form, which waives nothing.
-func unscoped(t *gpos.Task) {
-	t.Err() //orcavet:ignore fixture without a scope // want `error result of Task\.Err is discarded` `malformed //orcavet:ignore directive: missing :<analyzer> scope`
+func unscoped(e *gpos.Exception) {
+	e.Unwrap() //orcavet:ignore fixture without a scope // want `error result of Exception\.Unwrap is discarded` `malformed //orcavet:ignore directive: missing :<analyzer> scope`
 }
 
 //orcavet:ignore:errdrop fixture stale waiver suppressing nothing // want `unused //orcavet:ignore directive \(suppresses no finding\)`
-func clean(t *gpos.Task) error {
-	return t.Err()
+func clean(e *gpos.Exception) error {
+	return e.Unwrap()
 }
 
-func alsoClean(t *gpos.Task) error { /*orcavet:ignore:errdrop*/ // want `malformed //orcavet:ignore directive: missing reason`
-	return t.Err()
+func alsoClean(e *gpos.Exception) error { /*orcavet:ignore:errdrop*/ // want `malformed //orcavet:ignore directive: missing reason`
+	return e.Unwrap()
 }

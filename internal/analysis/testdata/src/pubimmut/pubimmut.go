@@ -1,6 +1,6 @@
 // Package pubimmut exercises the published-object immutability analyzer:
-// fixture stand-ins for the plan cache, singleflight group, memo, and JSON
-// snapshot writer define the publication sites; the functions below mutate
+// fixture stand-ins for the plan cache, singleflight group and JSON snapshot
+// writer define the publication sites; the functions below mutate
 // (or correctly copy) objects after they escape.
 package pubimmut
 
@@ -25,10 +25,6 @@ func (g *FlightGroup) Do(k string) (*Entry, bool) { return nil, false }
 type flight struct {
 	entry *Entry
 }
-
-type Memo struct{}
-
-func (m *Memo) publishGroup(e *Entry) { e.Key = "published" }
 
 func writeJSON(w any, status int, v any) {}
 
@@ -61,11 +57,6 @@ func BadFlightResult(g *FlightGroup) {
 func BadFlightStore(f *flight, e *Entry) {
 	f.entry = e
 	e.NParams = 5 // want "escaped through a singleflight publication"
-}
-
-func BadMemoPublish(m *Memo, e *Entry) {
-	m.publishGroup(e)
-	e.Key = "x" // want "escaped through a memo group publication"
 }
 
 func BadSnapshot(e *Entry) {

@@ -45,7 +45,6 @@ func TestChaosSchedule(t *testing.T) {
 			q, _ = threeWayExample(t)
 		}
 		cfg := DefaultConfig(16)
-		cfg.Workers = 1 + round%4
 		cfg.Faults = specs
 		switch round % 3 {
 		case 1:

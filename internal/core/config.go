@@ -45,9 +45,6 @@ const CodeUnknownRule = "UnknownRule"
 type Config struct {
 	// Segments is the number of segments in the target cluster.
 	Segments int
-	// Workers is the job-scheduler parallelism (paper §4.2); 1 gives a
-	// deterministic sequential search.
-	Workers int
 	// DisabledRules switches off transformation rules globally, in addition
 	// to any per-stage subsets.
 	DisabledRules []string
@@ -97,26 +94,19 @@ type Config struct {
 // DefaultConfig returns a single-stage configuration for a cluster with the
 // given segment count.
 func DefaultConfig(segments int) Config {
-	return Config{
-		Segments: segments,
-		Workers:  1,
-	}
+	return Config{Segments: segments}
 }
 
 // Validate rejects nonsensical configurations with a clear error instead of
 // letting them produce confusing behavior deep in the search (a negative
-// memory budget reads as "already exhausted", negative workers would deadlock
-// the scheduler pool). Zero values are meaningful everywhere — zero budget,
-// groups cap, or timeout mean unbounded; zero workers means the default of 1
-// — so only genuinely impossible values fail. Hosts that accept external
+// memory budget reads as "already exhausted"). Zero values are meaningful
+// everywhere — zero budget, groups cap, or timeout mean unbounded — so only
+// genuinely impossible values fail. Hosts that accept external
 // configuration (cmd/orca, cmd/orcad, the serving tier) call this before the
 // first request rather than discovering a bad flag mid-storm.
 func (c *Config) Validate() error {
 	if c.Segments < 0 {
 		return fmt.Errorf("core: config: Segments = %d; want >= 0 (0 means single-segment)", c.Segments)
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("core: config: Workers = %d; want >= 0 (0 means the default of 1)", c.Workers)
 	}
 	if c.MemoryBudget < 0 {
 		return fmt.Errorf("core: config: MemoryBudget = %d bytes; want >= 0 (0 means unlimited)", c.MemoryBudget)

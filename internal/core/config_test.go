@@ -53,7 +53,6 @@ func TestConfigValidate(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"negative segments", func(c *Config) { c.Segments = -1 }},
-		{"negative workers", func(c *Config) { c.Workers = -2 }},
 		{"negative memory budget", func(c *Config) { c.MemoryBudget = -1 }},
 		{"negative group cap", func(c *Config) { c.MaxGroups = -5 }},
 		{"negative md timeout", func(c *Config) { c.MDLookupTimeout = -time.Second }},

@@ -172,12 +172,11 @@ func OptimizeContext(ctx context.Context, q *Query, cfg Config) (*Result, error)
 	}
 
 	// Rung 1: heuristic. Retry with the exploration rules (except the greedy
-	// n-ary join expansion) switched off and a sequential scheduler — a much
-	// smaller, more predictable search that avoids most failure surface while
-	// still producing a costed plan.
+	// n-ary join expansion) switched off — a much smaller, more predictable
+	// search that avoids most failure surface while still producing a costed
+	// plan.
 	hcfg := cfg
 	hcfg.DisableDegradation = true
-	hcfg.Workers = 1
 	hcfg.Stages = []Stage{{Name: "degraded-heuristic"}}
 	hcfg.DisabledRules = append(append([]string(nil), cfg.DisabledRules...), heuristicDisabled()...)
 	if hres, herr := containedPass(ctx, q, hcfg); herr == nil {
@@ -297,10 +296,6 @@ func optimizePass(ctx context.Context, q *Query, cfg Config) (*Result, error) {
 		XCtx: xctx,
 		Cost: cost.NewModel(cost.DefaultParams(segments)),
 	}
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	rules := xform.DefaultRules()
 	req := props.Required{Dist: props.SingletonDist, Order: q.Order}
 
@@ -342,12 +337,11 @@ func optimizePass(ctx context.Context, q *Query, cfg Config) (*Result, error) {
 			deadline = time.Now().Add(st.Timeout)
 		}
 		bestCost, sstats, err := opt.RunStage(root, req, search.StageParams{
-			Workers:   workers,
 			Deadline:  deadline,
 			StepLimit: st.StepLimit,
 			Quota:     quota,
 		})
-		fired := opt.RulesFired.Load()
+		fired := opt.RulesFired
 		run := StageRun{
 			Name:       st.Name,
 			Cost:       bestCost,
@@ -400,7 +394,7 @@ func optimizePass(ctx context.Context, q *Query, cfg Config) (*Result, error) {
 	}
 	res.Groups = m.NumGroups()
 	res.GroupExprs = m.NumExprs()
-	res.RulesFired = opt.RulesFired.Load()
+	res.RulesFired = opt.RulesFired
 	res.Duration = time.Since(start)
 	res.PeakMemBytes = mem.Peak()
 	if cfg.TraceMemo {

@@ -116,13 +116,11 @@ func TestOptimizePaperExample(t *testing.T) {
 func TestOptimizeParallelMatchesSequential(t *testing.T) {
 	q1, _ := paperExample(t)
 	cfg := DefaultConfig(16)
-	cfg.Workers = 1
 	seq, err := Optimize(q1, cfg)
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
 	q2, _ := paperExample(t)
-	cfg.Workers = 8
 	par, err := Optimize(q2, cfg)
 	if err != nil {
 		t.Fatalf("parallel: %v", err)

@@ -16,7 +16,7 @@ import (
 // abandoned Memo still satisfies all structural invariants.
 func TestStageTimeoutBestSoFar(t *testing.T) {
 	q, _ := paperExample(t)
-	cfg := DefaultConfig(16) // Workers=1: deterministic step counts
+	cfg := DefaultConfig(16)
 	full, err := Optimize(q, cfg)
 	if err != nil {
 		t.Fatalf("full run: %v", err)
@@ -26,9 +26,9 @@ func TestStageTimeoutBestSoFar(t *testing.T) {
 		t.Fatalf("suspiciously small search: %d steps", total)
 	}
 
-	// With one worker the root Opt goal completes last, so cutting exactly
-	// one step short loses only the root's final completion mark — the best
-	// plan is already in place and must match the full run's.
+	// The root Opt goal completes last, so cutting exactly one step short
+	// loses only the root's final completion mark — the best plan is already
+	// in place and must match the full run's.
 	q2, _ := paperExample(t)
 	cfg2 := DefaultConfig(16)
 	cfg2.Stages = []Stage{{Name: "budget", StepLimit: total - 1}}

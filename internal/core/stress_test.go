@@ -49,7 +49,6 @@ func TestConcurrentOptimizeStress(t *testing.T) {
 				defer wg.Done()
 				q := queries[i]
 				cfg := DefaultConfig(16)
-				cfg.Workers = 1 + i%4
 				cfg.MemoryBudget = 1 << 20
 				cfg.MaxGroups = 200
 				res, err := Optimize(q, cfg)

@@ -55,9 +55,9 @@ var (
 	// PointCostCompute fires in the search layer's Opt(gexpr, req) job right
 	// before a plan alternative is costed.
 	PointCostCompute = register("cost/compute", "plan-alternative costing (search Opt(gexpr, req) job)")
-	// PointSearchJobExec fires in the scheduler worker loop before every job
+	// PointSearchJobExec fires in the scheduler's step loop before every job
 	// step — the paper's CJob execution boundary.
-	PointSearchJobExec = register("search/job/exec", "scheduler job step (search.Scheduler worker)")
+	PointSearchJobExec = register("search/job/exec", "scheduler job step (search.Scheduler step loop)")
 	// PointSearchXformApply fires in the Xform(gexpr, t) job before a
 	// transformation rule is applied.
 	PointSearchXformApply = register("search/xform/apply", "transformation-rule application (search Xform job)")

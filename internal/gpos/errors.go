@@ -7,8 +7,7 @@
 //   - structured exceptions carrying component, code and a captured stack
 //     trace (consumed by AMPERe dumps, cf. paper Listing 2),
 //   - a memory accountant used to report the optimizer's footprint
-//     (paper §7.2.2 reports ~200 MB average),
-//   - a small task/worker abstraction used by the job scheduler.
+//     (paper §7.2.2 reports ~200 MB average).
 package gpos
 
 import (

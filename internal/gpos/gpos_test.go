@@ -96,48 +96,3 @@ func TestNilAccountantIsSafe(t *testing.T) {
 		t.Error("nil accountant must be inert")
 	}
 }
-
-func TestWorkerPoolRunsTasks(t *testing.T) {
-	p := NewWorkerPool(4)
-	var mu sync.Mutex
-	ran := 0
-	var tasks []*Task
-	for i := 0; i < 32; i++ {
-		task := &Task{Name: "t", Run: func() error {
-			mu.Lock()
-			ran++
-			mu.Unlock()
-			return nil
-		}}
-		tasks = append(tasks, task)
-		if !p.Submit(task) {
-			t.Fatal("submit rejected")
-		}
-	}
-	p.Close()
-	if ran != 32 {
-		t.Errorf("ran %d tasks, want 32", ran)
-	}
-	for _, task := range tasks {
-		if !task.Done() || task.Err() != nil {
-			t.Errorf("task state: done=%v err=%v", task.Done(), task.Err())
-		}
-	}
-	if p.Submit(&Task{Run: func() error { return nil }}) {
-		t.Error("submit accepted after Close")
-	}
-}
-
-func TestWorkerPoolRecoversPanics(t *testing.T) {
-	p := NewWorkerPool(1)
-	task := &Task{Name: "boom", Run: func() error { panic("kaput") }}
-	p.Submit(task)
-	p.Close()
-	err := task.Err()
-	if err == nil || !strings.Contains(err.Error(), "kaput") {
-		t.Errorf("panic not converted to error: %v", err)
-	}
-	if AsException(err) == nil {
-		t.Error("panic error is not a gpos exception")
-	}
-}

@@ -2,7 +2,6 @@ package gpos
 
 import (
 	"errors"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -69,65 +68,6 @@ func TestPanicExceptionOutsideHandler(t *testing.T) {
 	}
 	if !strings.Contains(ex.StackTrace(), "TestPanicExceptionOutsideHandler") {
 		t.Errorf("stack missing caller:\n%s", ex.StackTrace())
-	}
-}
-
-func TestWorkerPoolPanicKeepsOriginalStack(t *testing.T) {
-	p := NewWorkerPool(1)
-	task := &Task{Name: "boom", Run: func() error {
-		panicDeepInside()
-		return nil
-	}}
-	p.Submit(task)
-	p.Close()
-	ex := AsException(task.Err())
-	if ex == nil {
-		t.Fatalf("panic not converted: %v", task.Err())
-	}
-	if ex.Code != CodePanic {
-		t.Errorf("code %q, want %q", ex.Code, CodePanic)
-	}
-	if !strings.Contains(ex.StackTrace(), "panicDeepInside") {
-		t.Errorf("worker recovery lost the panic site:\n%s", ex.StackTrace())
-	}
-}
-
-func TestWorkerPoolSurvivesGoexit(t *testing.T) {
-	p := NewWorkerPool(1)
-	bad := &Task{Name: "goexit", Run: func() error {
-		runtime.Goexit()
-		return nil
-	}}
-	if !p.Submit(bad) {
-		t.Fatal("submit rejected")
-	}
-
-	// With one worker, this only runs if the pool replaced the goroutine
-	// that Goexit killed.
-	ran := make(chan struct{})
-	after := &Task{Name: "after", Run: func() error {
-		close(ran)
-		return nil
-	}}
-	if !p.Submit(after) {
-		t.Fatal("submit rejected")
-	}
-	p.Close()
-
-	select {
-	case <-ran:
-	default:
-		t.Fatal("pool lost its worker to Goexit; follow-up task never ran")
-	}
-	if !bad.Done() {
-		t.Fatal("Goexit task never finished — waiters would hang")
-	}
-	ex := AsException(bad.Err())
-	if ex == nil || ex.Code != "GoexitInTask" {
-		t.Errorf("Goexit not surfaced as exception: %v", bad.Err())
-	}
-	if after.Err() != nil {
-		t.Errorf("follow-up task failed: %v", after.Err())
 	}
 }
 

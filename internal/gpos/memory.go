@@ -9,8 +9,8 @@ import "sync/atomic"
 // and metadata cache entries, and the experiment harness reads the high-water
 // mark to reproduce the paper's memory-footprint measurement (§7.2.2).
 //
-// All methods are safe for concurrent use; the job scheduler charges from
-// many workers at once.
+// All methods are safe for concurrent use: the metadata cache's accountant
+// is charged by every request in flight.
 type MemoryAccountant struct {
 	current  atomic.Int64
 	peak     atomic.Int64

@@ -24,8 +24,7 @@ type ColRef struct {
 func (c *ColRef) String() string { return fmt.Sprintf("%s(%d)", c.Name, c.ID) }
 
 // ColumnFactory allocates ColRefs for one optimization session. It is safe
-// for concurrent use; decorrelation and CTE expansion rules allocate columns
-// from scheduler workers.
+// for concurrent use.
 type ColumnFactory struct {
 	mu   sync.Mutex
 	next base.ColID

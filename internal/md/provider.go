@@ -13,8 +13,8 @@ import (
 // (internal/dxl.FileProvider, used by AMPERe replay and stand-alone runs),
 // and for tests.
 //
-// Providers must be safe for concurrent use: parallel statistics-derivation
-// jobs fetch metadata from multiple workers.
+// Providers must be safe for concurrent use: concurrent requests fetch
+// metadata through one shared cache.
 //
 // Lookups take a context: a real backend provider talks to a catalog server
 // and must honor cancellation, and the Accessor enforces the session's

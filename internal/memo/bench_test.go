@@ -1,21 +1,17 @@
 package memo
 
-// Scalability microbenchmarks for the Memo's four hot paths (paper §6.2,
-// Figure 7: near-linear speedup of optimization time with more cores depends
-// on the shared search structure not serializing the workers):
+// Microbenchmarks for the Memo's hot paths:
 //
-//   - BenchmarkMemoInsertParallel   concurrent InsertExpr storm (duplicate
-//     detection, content-addressed registry, group creation)
-//   - BenchmarkMemoGroupLookup      Group(id)/NumGroups read storm
+//   - BenchmarkMemoInsertTarget     InsertExpr into one target group
+//     (transformation results and their duplicate detection)
+//   - BenchmarkMemoGroupLookup      Group(id)/NumGroups reads
 //   - BenchmarkMemoRuleLedger       applied-rule checks (rule-firing gate)
 //   - BenchmarkMemoContextProbe     Figure-6 hash-table probes
-//     (Context/LookupContext/AddCandidate/Candidates)
+//     (LookupContext/Candidates)
 //
-// Run the curve with: go test -run '^$' -bench 'BenchmarkMemo' -cpu=1,2,4,8
-// -benchmem ./internal/memo/.
+// Run with: go test -run '^$' -bench 'BenchmarkMemo' -benchmem ./internal/memo/.
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"orca/internal/gpos"
@@ -44,31 +40,9 @@ func benchLeaf(b *testing.B, m *Memo, id int) GroupID {
 	return ge.Group().ID
 }
 
-// BenchmarkMemoInsertParallel is the concurrent InsertExpr storm: workers
-// insert single-child expressions over a shared leaf — a rolling mix of
-// fresh fingerprints (new groups in the content-addressed namespace) and
-// duplicates of recently inserted ones (registry probes that must dedup).
-func BenchmarkMemoInsertParallel(b *testing.B) {
-	m := New(&gpos.MemoryAccountant{})
-	leaf := benchLeaf(b, m, 0)
-	var seq atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			n := seq.Add(1)
-			// Two inserts per distinct fingerprint: every second call is a
-			// duplicate probe of an already-registered subtree.
-			k := n / 2
-			if _, err := m.InsertExpr(&ops.Limit{Count: k}, []GroupID{leaf}, -1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkMemoInsertTarget is the same storm aimed at one target group —
-// the transformation-result path (rule outputs landing in their source
-// group), whose duplicate detection scans the group's own expressions.
+// BenchmarkMemoInsertTarget inserts into one target group — the
+// transformation-result path (rule outputs landing in their source group),
+// whose duplicate detection scans the group's own expressions.
 func BenchmarkMemoInsertTarget(b *testing.B) {
 	m := New(&gpos.MemoryAccountant{})
 	leaf := benchLeaf(b, m, 0)
@@ -77,22 +51,18 @@ func BenchmarkMemoInsertTarget(b *testing.B) {
 		b.Fatal(err)
 	}
 	target := ge.Group().ID
-	var seq atomic.Int64
 	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			n := seq.Add(1)
-			// Bounded distinct set: most inserts are duplicate probes.
-			k := n % 64
-			if _, err := m.InsertExpr(&ops.Limit{Count: k}, []GroupID{leaf}, target); err != nil {
-				b.Fatal(err)
-			}
+	for n := 0; n < b.N; n++ {
+		// Bounded distinct set: most inserts are duplicate probes.
+		k := int64(n % 64)
+		if _, err := m.InsertExpr(&ops.Limit{Count: k}, []GroupID{leaf}, target); err != nil {
+			b.Fatal(err)
 		}
-	})
+	}
 }
 
-// BenchmarkMemoGroupLookup hammers the group index from parallel readers —
-// the plan-extraction / job-spawn path that must not serialize on the Memo.
+// BenchmarkMemoGroupLookup reads the group index — the plan-extraction and
+// job-spawn path.
 func BenchmarkMemoGroupLookup(b *testing.B) {
 	m := New(&gpos.MemoryAccountant{})
 	const groups = 1024
@@ -100,19 +70,15 @@ func BenchmarkMemoGroupLookup(b *testing.B) {
 		benchLeaf(b, m, i)
 	}
 	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			g := m.Group(GroupID(i % groups))
-			if g.NumExprs() == 0 {
-				b.Fatal("empty group")
-			}
-			i++
-			if i%64 == 0 {
-				_ = m.NumGroups()
-			}
+	for i := 0; i < b.N; i++ {
+		g := m.Group(GroupID(i % groups))
+		if g.NumExprs() == 0 {
+			b.Fatal("empty group")
 		}
-	})
+		if i%64 == 0 {
+			_ = m.NumGroups()
+		}
+	}
 }
 
 // BenchmarkMemoRuleLedger measures the rule-firing gate: every exploration
@@ -127,15 +93,11 @@ func BenchmarkMemoRuleLedger(b *testing.B) {
 	rules := benchRuleLedgerKeys()
 	ge.MarkApplied(rules[0])
 	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			if ge.Applied(rules[i%len(rules)]) != (i%len(rules) == 0) {
-				b.Fatal("ledger lied")
-			}
-			i++
+	for i := 0; i < b.N; i++ {
+		if ge.Applied(rules[i%len(rules)]) != (i%len(rules) == 0) {
+			b.Fatal("ledger lied")
 		}
-	})
+	}
 }
 
 // BenchmarkMemoContextProbe measures the Figure-6 hash-table hot path: the
@@ -161,17 +123,13 @@ func BenchmarkMemoContextProbe(b *testing.B) {
 		ctx.Offer(ge, Candidate{Cost: 10})
 	}
 	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			r := reqs[i%len(reqs)]
-			if g.LookupContext(r) == nil {
-				b.Fatal("context lost")
-			}
-			if len(ge.Candidates(r)) == 0 {
-				b.Fatal("candidates lost")
-			}
-			i++
+	for i := 0; i < b.N; i++ {
+		r := reqs[i%len(reqs)]
+		if g.LookupContext(r) == nil {
+			b.Fatal("context lost")
 		}
-	})
+		if len(ge.Candidates(r)) == 0 {
+			b.Fatal("candidates lost")
+		}
+	}
 }

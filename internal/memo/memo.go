@@ -8,28 +8,16 @@
 // insertion, statistics derivation over the compact structure, and final
 // plan extraction.
 //
-// The Memo is the structure every optimization job searches, so its hot
-// paths are built to be contention-free (paper §6.2, Figure 7 — near-linear
-// speedup with more cores requires the shared search structure not to
-// serialize the workers; DESIGN.md §11):
-//
-//   - the group index is an append-only chunked array published through an
-//     atomic pointer — Group(id) and NumGroups take no lock at all;
-//   - duplicate detection is striped: the content-addressed subtree registry
-//     is split across hash-sharded stripes with per-stripe locks, and
-//     target-group dedup uses only the group's own lock;
-//   - the applied-rule ledger is a bitset indexed by dense rule IDs
-//     (xform's registry), so rule-firing checks hash no strings;
-//   - optimization requests are interned per session to dense ReqIDs, so
-//     the Figure-6 hash tables are direct int-keyed maps with no
-//     Hash()/Equal() re-runs on every probe.
+// A Memo is owned by one goroutine: the search that builds it (DESIGN.md
+// §11). Its hot paths hash no strings: the applied-rule ledger is a bitset
+// indexed by dense rule IDs (xform's registry), and optimization requests
+// are interned per session to dense ReqIDs, so the Figure-6 hash tables are
+// direct int-keyed maps with no Hash()/Equal() re-runs on every probe.
 package memo
 
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"orca/internal/base"
 	"orca/internal/fault"
@@ -43,49 +31,6 @@ import (
 type GroupID int32
 
 // ---------------------------------------------------------------------------
-// Lock-free group index
-
-const (
-	groupChunkBits = 6
-	groupChunkSize = 1 << groupChunkBits // groups per chunk
-	groupChunkMask = groupChunkSize - 1
-)
-
-type groupChunk [groupChunkSize]*Group
-
-// groupIndex is a consistent view of the append-only group index: a directory
-// of fixed-size chunks plus the count of groups visible through this view.
-// Views are immutable up to n — writers fill the new group's slot (and, on a
-// chunk boundary, install a new chunk) before publishing the count that
-// reveals it, so a reader holding any view can index every group below its n
-// without synchronization. Only groupSnapshot/publishGroup may touch the raw
-// structure (enforced by orcavet's locks analyzer).
-type groupIndex struct {
-	chunks []*groupChunk
-	n      int
-}
-
-func (idx *groupIndex) group(id GroupID) *Group {
-	return idx.chunks[id>>groupChunkBits][id&groupChunkMask]
-}
-
-// ---------------------------------------------------------------------------
-// Sharded duplicate-detection registry
-
-// numFpStripes is the stripe count of the content-addressed subtree
-// registry. Power of two so the stripe pick is a mask; 64 stripes keep the
-// collision probability of concurrent inserts on distinct fingerprints low
-// at any realistic worker count.
-const numFpStripes = 64
-
-// fpStripe is one stripe of the registry: the fingerprint buckets whose hash
-// falls on this stripe, guarded by the stripe's own lock.
-type fpStripe struct {
-	mu    sync.Mutex
-	table map[uint64][]*GroupExpr
-}
-
-// ---------------------------------------------------------------------------
 // Interned optimization requests
 
 // ReqID is a session-dense handle for an interned props.Required. Two
@@ -94,54 +39,33 @@ type fpStripe struct {
 // instead of re-running Hash()/Equal() per probe.
 type ReqID int32
 
-const numReqStripes = 16
-
-type reqStripe struct {
-	mu    sync.Mutex
-	table map[uint64][]reqEntry
-}
-
 type reqEntry struct {
 	req props.Required
 	id  ReqID
 }
 
-// Memo is the plan-space structure. All methods are safe for concurrent use
-// by optimization jobs. One Memo serves a whole optimization session: when
-// the session runs multiple stages, later stages resume search over the same
-// Memo instead of rebuilding it (group state is tracked per rule-set epoch,
-// see Group).
+// Memo is the plan-space structure. One Memo serves a whole optimization
+// session: when the session runs multiple stages, later stages resume search
+// over the same Memo instead of rebuilding it (group state is tracked per
+// rule-set epoch, see Group).
 type Memo struct {
-	// groupN and chunkDir together form the lock-free group index; see
-	// groupIndex. groupN is the published group count; chunkDir points at the
-	// chunk directory, replaced only when it must grow (geometric doubling).
-	// Publication order is slot write → chunkDir (on chunk boundaries) →
-	// groupN, so a reader that observes count n through groupN finds every
-	// group below n through whatever directory it loads afterwards. Accessed
-	// only through groupSnapshot/Group/publishGroup.
-	groupN   atomic.Int64
-	chunkDir atomic.Pointer[[]*groupChunk]
-	// groupPubMu serializes group creation (writers only; readers never
-	// take it).
-	groupPubMu sync.Mutex
+	groups []*Group
 
-	// stripes is the sharded duplicate-detection registry ("based on
-	// expression topology", paper §4.1 step 1): operator parameters plus
-	// child groups, keyed by fingerprint, striped by fingerprint hash.
-	stripes [numFpStripes]fpStripe
+	// registry is the duplicate-detection table ("based on expression
+	// topology", paper §4.1 step 1): operator parameters plus child groups,
+	// keyed by fingerprint.
+	registry map[uint64][]*GroupExpr
 
-	// reqStripes interns optimization requests to dense ReqIDs; reqs is the
-	// reverse table (ReqID -> request), appended under reqMu by the stripe
-	// that interns a new request, so its length is also the next free id.
-	reqStripes [numReqStripes]reqStripe
-	reqMu      sync.Mutex
-	reqs       []props.Required
+	// reqTable interns optimization requests to dense ReqIDs, keyed by
+	// request hash; reqs is the reverse table (ReqID -> request), so its
+	// length is also the next free id.
+	reqTable map[uint64][]reqEntry
+	reqs     []props.Required
 
 	// cteProducers maps a CTE id to the group holding its producer side,
 	// recorded when the CTE anchor is inserted. On-demand statistics
 	// derivation uses it to reach producer statistics from a consumer group
 	// without walking the whole Memo from the root.
-	cteMu        sync.Mutex
 	cteProducers map[int]GroupID
 
 	mem *gpos.MemoryAccountant
@@ -151,18 +75,12 @@ type Memo struct {
 
 // New returns an empty Memo charging the given accountant (may be nil).
 func New(mem *gpos.MemoryAccountant) *Memo {
-	m := &Memo{
+	return &Memo{
+		registry:     make(map[uint64][]*GroupExpr),
+		reqTable:     make(map[uint64][]reqEntry),
 		cteProducers: make(map[int]GroupID),
 		mem:          mem,
 	}
-	m.chunkDir.Store(&[]*groupChunk{})
-	for i := range m.stripes {
-		m.stripes[i].table = make(map[uint64][]*GroupExpr)
-	}
-	for i := range m.reqStripes {
-		m.reqStripes[i].table = make(map[uint64][]reqEntry)
-	}
-	return m
 }
 
 // Root returns the root group id.
@@ -171,76 +89,26 @@ func (m *Memo) Root() GroupID { return m.root }
 // SetRoot marks the root group.
 func (m *Memo) SetRoot(g GroupID) { m.root = g }
 
-// groupSnapshot assembles a consistent index view: the count is loaded first,
-// so the directory loaded after it covers at least that many groups. The view
-// is immutable up to its n, so callers may index it freely without locks.
-func (m *Memo) groupSnapshot() groupIndex {
-	n := int(m.groupN.Load())
-	return groupIndex{chunks: *m.chunkDir.Load(), n: n}
-}
+// Group returns the group with the given id.
+func (m *Memo) Group(id GroupID) *Group { return m.groups[id] }
 
-// Group returns the group with the given id. It performs no mutex
-// acquisition: one atomic pointer load plus two array indexings. The id must
-// have been observed through NumGroups or returned from an insert (the
-// directory loaded here then covers it).
-func (m *Memo) Group(id GroupID) *Group {
-	return (*m.chunkDir.Load())[id>>groupChunkBits][id&groupChunkMask]
-}
-
-// NumGroups returns the current number of groups, lock-free.
-func (m *Memo) NumGroups() int {
-	return int(m.groupN.Load())
-}
+// NumGroups returns the current number of groups.
+func (m *Memo) NumGroups() int { return len(m.groups) }
 
 // NumExprs returns the total number of group expressions.
 func (m *Memo) NumExprs() int {
-	idx := m.groupSnapshot()
 	n := 0
-	for i := 0; i < idx.n; i++ {
-		n += idx.group(GroupID(i)).NumExprs()
+	for _, g := range m.groups {
+		n += len(g.exprs)
 	}
 	return n
 }
 
-// publishGroup creates a new group seeded with the given expression and
-// publishes it through the lock-free index. The seed is wired in (back
-// pointer and expression list) before the count store that reveals the group,
-// so no reader ever observes an empty group and the fresh-insert path takes
-// no group lock. Callers must hold the stripe lock that owns the seed's
-// fingerprint (or otherwise guarantee no duplicate creation race);
-// publishGroup itself takes only the writer-side publication lock.
-func (m *Memo) publishGroup(seed *GroupExpr) *Group {
-	// Allocate before taking the publication lock: an allocation can stall on
-	// GC assist, and a stall inside the only writer-global lock would
-	// serialize every concurrent group creation behind the collector.
-	g := &Group{memo: m, exprs: []*GroupExpr{seed}}
+// newGroup creates a new group seeded with the given expression.
+func (m *Memo) newGroup(seed *GroupExpr) *Group {
+	g := &Group{ID: GroupID(len(m.groups)), memo: m, exprs: []*GroupExpr{seed}}
 	seed.group = g
-	m.groupPubMu.Lock()
-	defer m.groupPubMu.Unlock()
-	n := int(m.groupN.Load())
-	g.ID = GroupID(n)
-	chunks := *m.chunkDir.Load()
-	if n&groupChunkMask == 0 {
-		// Last chunk full (or index empty): add a fresh chunk. When the
-		// directory has spare capacity the new chunk pointer goes into the
-		// shared backing array in place — prior views hold shorter slices of
-		// it and never index past their own n, so the slot is invisible to
-		// them until the count store below publishes it. Only when capacity
-		// runs out is the directory reallocated (geometric doubling), keeping
-		// publication O(1) amortized rather than O(n) per chunk fill.
-		if len(chunks) == cap(chunks) {
-			grown := make([]*groupChunk, len(chunks), 2*len(chunks)+1)
-			copy(grown, chunks)
-			chunks = grown
-		}
-		chunks = append(chunks, new(groupChunk))
-		m.chunkDir.Store(&chunks)
-	}
-	// Fill the slot before the count that reveals it is published; the atomic
-	// stores order the writes for readers, and readers of older counts never
-	// index past their own n.
-	chunks[n>>groupChunkBits][n&groupChunkMask] = g
-	m.groupN.Store(int64(n + 1))
+	m.groups = append(m.groups, g)
 	m.mem.Charge(groupSizeBytes())
 	return g
 }
@@ -301,11 +169,6 @@ func (m *Memo) Insert(e *ops.Expr) (GroupID, error) {
 // function of the rule set (independent of job scheduling order): rule
 // results always land in their target group, and subtree groups are keyed by
 // content alone. Full cross-group merging is out of scope (DESIGN.md §5).
-//
-// Neither namespace touches a Memo-global lock: target-group inserts hold
-// only the group's lock for the probe-and-append, and registry inserts hold
-// only the fingerprint's stripe lock (plus, on group creation, the
-// publication lock).
 func (m *Memo) InsertExpr(op ops.Operator, children []GroupID, target GroupID) (*GroupExpr, error) {
 	if err := fault.Inject(fault.PointMemoInsert); err != nil {
 		return nil, err
@@ -313,46 +176,32 @@ func (m *Memo) InsertExpr(op ops.Operator, children []GroupID, target GroupID) (
 	fp := fingerprint(op, children)
 
 	if a, ok := op.(*ops.CTEAnchor); ok && len(children) > 0 {
-		m.cteMu.Lock()
 		if _, seen := m.cteProducers[a.ID]; !seen {
 			m.cteProducers[a.ID] = children[0]
 		}
-		m.cteMu.Unlock()
 	}
 
 	if target >= 0 {
 		grp := m.Group(target)
-		grp.mu.Lock()
 		for _, ge := range grp.exprs {
 			if ge.fp == fp && ge.matches(op, children) {
-				grp.mu.Unlock()
 				return ge, nil
 			}
 		}
 		ge := &GroupExpr{Op: op, Children: children, group: grp, fp: fp}
 		grp.exprs = append(grp.exprs, ge)
-		grp.mu.Unlock()
 		m.mem.Charge(exprSizeBytes(len(children)))
 		return ge, nil
 	}
 
-	s := &m.stripes[fp&(numFpStripes-1)]
-	s.mu.Lock()
-	for _, ge := range s.table[fp] {
+	for _, ge := range m.registry[fp] {
 		if ge.matches(op, children) {
-			s.mu.Unlock()
 			return ge, nil
 		}
 	}
-	// Holding the stripe lock across group creation keeps probe+create
-	// atomic per fingerprint: a concurrent insert of the same subtree blocks
-	// on this stripe and then finds the registered expression. publishGroup
-	// wires the seed expression in before revealing the group, so no group
-	// lock is taken and no reader sees an empty group.
 	ge := &GroupExpr{Op: op, Children: children, fp: fp}
-	m.publishGroup(ge)
-	s.table[fp] = append(s.table[fp], ge)
-	s.mu.Unlock()
+	m.newGroup(ge)
+	m.registry[fp] = append(m.registry[fp], ge)
 	m.mem.Charge(exprSizeBytes(len(children)))
 	return ge, nil
 }
@@ -360,8 +209,6 @@ func (m *Memo) InsertExpr(op ops.Operator, children []GroupID, target GroupID) (
 // CTEProducer returns the group holding the producer side of the CTE with
 // the given id, recorded when its anchor was inserted.
 func (m *Memo) CTEProducer(id int) (GroupID, bool) {
-	m.cteMu.Lock()
-	defer m.cteMu.Unlock()
 	g, ok := m.cteProducers[id]
 	return g, ok
 }
@@ -371,19 +218,14 @@ func (m *Memo) CTEProducer(id int) (GroupID, bool) {
 // Figure-6 hash tables a direct int-keyed map access.
 func (m *Memo) InternReq(req props.Required) ReqID {
 	h := req.Hash()
-	s := &m.reqStripes[h&(numReqStripes-1)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, e := range s.table[h] {
+	for _, e := range m.reqTable[h] {
 		if e.req.Equal(req) {
 			return e.id
 		}
 	}
-	m.reqMu.Lock()
 	id := ReqID(len(m.reqs))
 	m.reqs = append(m.reqs, req)
-	m.reqMu.Unlock()
-	s.table[h] = append(s.table[h], reqEntry{req: req, id: id})
+	m.reqTable[h] = append(m.reqTable[h], reqEntry{req: req, id: id})
 	return id
 }
 
@@ -393,8 +235,6 @@ func (m *Memo) Req(id ReqID) (req props.Required, ok bool) {
 	if m == nil {
 		return props.Required{}, false
 	}
-	m.reqMu.Lock()
-	defer m.reqMu.Unlock()
 	if id < 0 || int(id) >= len(m.reqs) {
 		return props.Required{}, false
 	}
@@ -405,11 +245,7 @@ func (m *Memo) Req(id ReqID) (req props.Required, ok bool) {
 // ok is false when the request was never seen by this session (and therefore
 // cannot appear in any table).
 func (m *Memo) LookupReq(req props.Required) (ReqID, bool) {
-	h := req.Hash()
-	s := &m.reqStripes[h&(numReqStripes-1)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, e := range s.table[h] {
+	for _, e := range m.reqTable[req.Hash()] {
 		if e.req.Equal(req) {
 			return e.id, true
 		}
@@ -429,11 +265,8 @@ func fingerprint(op ops.Operator, children []GroupID) uint64 {
 // String renders the Memo's groups and expressions for debugging and for
 // the optimizer's trace facility.
 func (m *Memo) String() string {
-	idx := m.groupSnapshot()
 	var b strings.Builder
-	for i := 0; i < idx.n; i++ {
-		g := idx.group(GroupID(i))
-		g.mu.Lock()
+	for _, g := range m.groups {
 		fmt.Fprintf(&b, "GROUP %d", g.ID)
 		if g.stats != nil {
 			fmt.Fprintf(&b, " (rows=%.0f)", g.stats.Rows)
@@ -442,7 +275,6 @@ func (m *Memo) String() string {
 		for i, ge := range g.exprs {
 			fmt.Fprintf(&b, "  %d: %s %v\n", i, ops.Describe(ge.Op), ge.Children)
 		}
-		g.mu.Unlock()
 	}
 	return b.String()
 }
@@ -461,10 +293,8 @@ func (m *Memo) String() string {
 // new epoch, and the per-expression applied-rule ledger confines the work to
 // rules that have not fired yet.
 type Group struct {
-	ID   GroupID
-	memo *Memo
-
-	mu    sync.Mutex
+	ID    GroupID
+	memo  *Memo
 	exprs []*GroupExpr
 
 	logical  *props.Logical
@@ -484,67 +314,43 @@ func (g *Group) Exprs() []*GroupExpr { return g.AppendExprs(nil) }
 // AppendExprs appends a snapshot of the group's expressions to buf: the
 // allocation-free form of Exprs for callers that own a reusable buffer.
 func (g *Group) AppendExprs(buf []*GroupExpr) []*GroupExpr {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	return append(buf, g.exprs...)
 }
 
 // NumExprs returns the current expression count.
-func (g *Group) NumExprs() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.exprs)
-}
+func (g *Group) NumExprs() int { return len(g.exprs) }
 
 // Expr returns the i-th expression.
-func (g *Group) Expr(i int) *GroupExpr {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.exprs[i]
-}
+func (g *Group) Expr(i int) *GroupExpr { return g.exprs[i] }
 
 // Explored reports whether exploration finished for this group under the
 // given rule-set epoch.
-func (g *Group) Explored(epoch int) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.explored[epoch]
-}
+func (g *Group) Explored(epoch int) bool { return g.explored[epoch] }
 
 // SetExplored marks exploration complete for the given rule-set epoch.
 func (g *Group) SetExplored(epoch int) {
-	g.mu.Lock()
 	if g.explored == nil {
 		g.explored = make(map[int]bool)
 	}
 	g.explored[epoch] = true
-	g.mu.Unlock()
 }
 
 // Implemented reports whether implementation finished for this group under
 // the given rule-set epoch.
-func (g *Group) Implemented(epoch int) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.impl[epoch]
-}
+func (g *Group) Implemented(epoch int) bool { return g.impl[epoch] }
 
 // SetImplemented marks implementation complete for the given rule-set epoch.
 func (g *Group) SetImplemented(epoch int) {
-	g.mu.Lock()
 	if g.impl == nil {
 		g.impl = make(map[int]bool)
 	}
 	g.impl[epoch] = true
-	g.mu.Unlock()
 }
 
 // Logical returns the group's logical properties, deriving them on first use
 // from the first logical expression.
 func (g *Group) Logical() *props.Logical {
-	g.mu.Lock()
 	if g.logical != nil {
-		defer g.mu.Unlock()
 		return g.logical
 	}
 	var first *GroupExpr
@@ -557,8 +363,6 @@ func (g *Group) Logical() *props.Logical {
 	if first == nil && len(g.exprs) > 0 {
 		first = g.exprs[0]
 	}
-	g.mu.Unlock()
-
 	lp := props.NewLogical()
 	if first != nil {
 		childOuts := make([]base.ColSet, len(first.Children))
@@ -567,30 +371,19 @@ func (g *Group) Logical() *props.Logical {
 		}
 		lp.OutputCols = ops.OutputColsOp(first.Op, childOuts)
 	}
-	g.mu.Lock()
-	if g.logical == nil {
-		g.logical = lp
-	}
-	out := g.logical
-	g.mu.Unlock()
-	return out
+	g.logical = lp
+	return lp
 }
 
 // Stats returns the group's statistics object (nil before derivation).
-func (g *Group) Stats() *stats.Stats {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.stats
-}
+func (g *Group) Stats() *stats.Stats { return g.stats }
 
 // SetStats attaches a statistics object to the group (paper Figure 5d).
 func (g *Group) SetStats(s *stats.Stats) {
-	g.mu.Lock()
 	if g.stats == nil {
 		g.stats = s
 		g.memo.mem.Charge(s.SizeBytes())
 	}
-	g.mu.Unlock()
 }
 
 // Rows returns the group's estimated cardinality (0 before derivation).
@@ -615,14 +408,13 @@ type GroupExpr struct {
 	group *Group
 	fp    uint64
 
-	mu sync.Mutex
 	// local is the Figure-6 local hash table, keyed by interned request id:
 	// the alternatives costed for the request (also TAQO's sampling space).
 	// Allocated on first candidate (most expressions are never costed).
 	local map[ReqID][]Candidate
 	// childReqs caches the child-request alternatives of a request-invariant
-	// physical operator (see ChildReqs); immutable once published.
-	childReqs atomic.Pointer[reqAlts]
+	// physical operator (see ChildReqs); immutable once set.
+	childReqs *reqAlts
 	// applied is the rule ledger: a bitset indexed by dense rule ID
 	// (xform.RuleIDFor), grown on demand. No strings are hashed on the
 	// rule-firing check path.
@@ -657,8 +449,6 @@ func (ge *GroupExpr) matches(op ops.Operator, children []GroupID) bool {
 // already been applied (rules fire once per expression).
 func (ge *GroupExpr) MarkApplied(rule int) bool {
 	w, bit := rule>>6, uint64(1)<<(rule&63)
-	ge.mu.Lock()
-	defer ge.mu.Unlock()
 	for len(ge.applied) <= w {
 		ge.applied = append(ge.applied, 0)
 	}
@@ -675,8 +465,6 @@ func (ge *GroupExpr) MarkApplied(rule int) bool {
 // performed.
 func (ge *GroupExpr) Applied(rule int) bool {
 	w, bit := rule>>6, uint64(1)<<(rule&63)
-	ge.mu.Lock()
-	defer ge.mu.Unlock()
 	return w < len(ge.applied) && ge.applied[w]&bit != 0
 }
 
@@ -685,8 +473,6 @@ func (ge *GroupExpr) Applied(rule int) bool {
 // a later optimization pass replaces the earlier entry rather than appending
 // a duplicate, so the candidate list stays one entry per distinct alternative.
 func (ge *GroupExpr) AddCandidate(id ReqID, c Candidate) {
-	ge.mu.Lock()
-	defer ge.mu.Unlock()
 	if ge.local == nil {
 		ge.local = make(map[ReqID][]Candidate)
 	}
@@ -717,10 +503,8 @@ type reqAlts struct {
 func (ge *GroupExpr) ChildReqs(req props.Required, buf []ReqID) (alts [][]props.Required, ids []ReqID) {
 	phys := ge.Op.(ops.Physical)
 	_, invariant := phys.(ops.RequestInvariant)
-	if invariant {
-		if c := ge.childReqs.Load(); c != nil {
-			return c.alts, c.ids
-		}
+	if invariant && ge.childReqs != nil {
+		return ge.childReqs.alts, ge.childReqs.ids
 	}
 	alts = phys.ChildReqs(req)
 	ids = buf[:0]
@@ -733,8 +517,7 @@ func (ge *GroupExpr) ChildReqs(req props.Required, buf []ReqID) (alts [][]props.
 		}
 	}
 	if invariant {
-		// Racing jobs compute equal values; whichever lands first is kept.
-		ge.childReqs.CompareAndSwap(nil, &reqAlts{alts: alts, ids: ids})
+		ge.childReqs = &reqAlts{alts: alts, ids: ids}
 	}
 	return alts, ids
 }
@@ -757,8 +540,6 @@ func (ge *GroupExpr) Candidates(req props.Required) []Candidate {
 	if !ok {
 		return nil
 	}
-	ge.mu.Lock()
-	defer ge.mu.Unlock()
 	return append([]Candidate(nil), ge.local[id]...)
 }
 

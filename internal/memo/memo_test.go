@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"orca/internal/base"
+	"orca/internal/fault"
 	"orca/internal/gpos"
 	"orca/internal/md"
 	"orca/internal/ops"
@@ -145,36 +146,64 @@ func TestOptContextDedupAndBest(t *testing.T) {
 }
 
 func TestAddEnforcers(t *testing.T) {
-	m := New(&gpos.MemoryAccountant{})
-	f := md.NewColumnFactory()
-	root, _ := m.Insert(paperTree(f))
-	g := m.Group(root)
-	req := props.Required{Dist: props.SingletonDist, Order: props.MakeOrder(0)}
-	if err := g.AddEnforcers(req); err != nil {
-		t.Fatal(err)
-	}
-	names := map[string]bool{}
-	for _, ge := range g.Exprs() {
-		if ge.IsEnforcer() {
-			names[ge.Op.Name()] = true
-			if ge.Children[0] != g.ID {
-				t.Errorf("enforcer %s child is %d, want own group %d (paper Figure 6)",
-					ge.Op.Name(), ge.Children[0], g.ID)
+	for _, c := range []struct {
+		name string
+		// faults, when set, are armed for a first AddEnforcers call that must
+		// fail; the call after it must still insert every enforcer.
+		faults string
+	}{
+		{name: "clean"},
+		{name: "after failed insert", faults: "memo/insert:error:limit=1"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := New(&gpos.MemoryAccountant{})
+			f := md.NewColumnFactory()
+			root, _ := m.Insert(paperTree(f))
+			g := m.Group(root)
+			req := props.Required{Dist: props.SingletonDist, Order: props.MakeOrder(0)}
+			if c.faults != "" {
+				specs, err := fault.ParseSpecs(c.faults)
+				if err != nil {
+					t.Fatal(err)
+				}
+				disarm, err := fault.Arm(specs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				err = g.AddEnforcers(req)
+				disarm()
+				if err == nil {
+					t.Fatalf("AddEnforcers with %s armed: want the injected error", c.faults)
+				}
 			}
-		}
-	}
-	for _, want := range []string{"Sort", "Gather", "GatherMerge"} {
-		if !names[want] {
-			t.Errorf("missing enforcer %s for %s; have %v", want, req, names)
-		}
-	}
-	n := len(g.Exprs())
-	// Idempotent per request.
-	if err := g.AddEnforcers(req); err != nil {
-		t.Fatal(err)
-	}
-	if len(g.Exprs()) != n {
-		t.Error("AddEnforcers not idempotent")
+			if err := g.AddEnforcers(req); err != nil {
+				t.Fatal(err)
+			}
+			names := map[string]bool{}
+			for _, ge := range g.Exprs() {
+				if ge.IsEnforcer() {
+					names[ge.Op.Name()] = true
+					if ge.Children[0] != g.ID {
+						t.Errorf("enforcer %s child is %d, want own group %d (paper Figure 6)",
+							ge.Op.Name(), ge.Children[0], g.ID)
+					}
+				}
+			}
+			for _, want := range []string{"Sort", "Gather", "GatherMerge"} {
+				if !names[want] {
+					t.Errorf("missing enforcer %s for %s; have %v", want, req, names)
+				}
+			}
+			n := len(g.Exprs())
+			// Idempotent per request.
+			if err := g.AddEnforcers(req); err != nil {
+				t.Fatal(err)
+			}
+			if len(g.Exprs()) != n {
+				t.Error("AddEnforcers not idempotent")
+			}
+			mustValidate(t, m)
+		})
 	}
 }
 

@@ -2,7 +2,6 @@ package memo
 
 import (
 	"math"
-	"sync"
 
 	"orca/internal/base"
 	"orca/internal/ops"
@@ -25,7 +24,6 @@ type OptContext struct {
 	Group *Group
 	Req   props.Required
 
-	mu       sync.Mutex
 	done     map[int]bool // rule-set epochs whose optimization completed
 	best     *GroupExpr
 	bestCand Candidate
@@ -39,8 +37,6 @@ type OptContext struct {
 // the probe is a single int-keyed map access with no Equal() scan.
 func (g *Group) Context(req props.Required) (ctx *OptContext, created bool) {
 	id := g.memo.InternReq(req)
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	if c, ok := g.ctxs[id]; ok {
 		return c, false
 	}
@@ -54,8 +50,7 @@ func (g *Group) Context(req props.Required) (ctx *OptContext, created bool) {
 }
 
 // LookupContext returns the existing context for a request, or nil. A
-// request that was never interned by this session cannot have a context, so
-// the miss path takes no group lock at all.
+// request that was never interned by this session cannot have a context.
 func (g *Group) LookupContext(req props.Required) *OptContext {
 	id, ok := g.memo.LookupReq(req)
 	if !ok {
@@ -66,16 +61,10 @@ func (g *Group) LookupContext(req props.Required) *OptContext {
 
 // ContextByID returns the existing context for an interned request, or nil:
 // the probe search jobs use, since their goals already carry the ReqID.
-func (g *Group) ContextByID(id ReqID) *OptContext {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.ctxs[id]
-}
+func (g *Group) ContextByID(id ReqID) *OptContext { return g.ctxs[id] }
 
 // Contexts returns a snapshot of all contexts of the group.
 func (g *Group) Contexts() []*OptContext {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	var out []*OptContext
 	for _, c := range g.ctxs {
 		out = append(out, c)
@@ -86,8 +75,6 @@ func (g *Group) Contexts() []*OptContext {
 // Offer proposes a costed candidate plan rooted at ge for this request,
 // keeping it if it beats the current best.
 func (c *OptContext) Offer(ge *GroupExpr, cand Candidate) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if !c.haveBest || cand.Cost < c.bestCand.Cost {
 		c.best = ge
 		c.bestCand = cand
@@ -98,15 +85,11 @@ func (c *OptContext) Offer(ge *GroupExpr, cand Candidate) {
 // Best returns the best expression, its winning candidate, and whether any
 // plan satisfies the request.
 func (c *OptContext) Best() (*GroupExpr, Candidate, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.best, c.bestCand, c.haveBest
 }
 
 // BestCost returns the best plan cost, or InfCost.
 func (c *OptContext) BestCost() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if !c.haveBest {
 		return InfCost
 	}
@@ -115,21 +98,15 @@ func (c *OptContext) BestCost() float64 {
 
 // MarkDone marks the context fully optimized under the given rule-set epoch.
 func (c *OptContext) MarkDone(epoch int) {
-	c.mu.Lock()
 	if c.done == nil {
 		c.done = make(map[int]bool)
 	}
 	c.done[epoch] = true
-	c.mu.Unlock()
 }
 
 // Done reports whether optimization of this context completed under the
 // given rule-set epoch.
-func (c *OptContext) Done(epoch int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.done[epoch]
-}
+func (c *OptContext) Done(epoch int) bool { return c.done[epoch] }
 
 // ---------------------------------------------------------------------------
 // Enforcer insertion (paper §4.1: "Enforcers are added to the group
@@ -138,19 +115,13 @@ func (c *OptContext) Done(epoch int) bool {
 // AddEnforcers inserts the enforcer expressions that could satisfy req into
 // the group, once per distinct request. Each enforcer is a group expression
 // whose single child is the group itself (cf. "6: Sort(T1.a) [0]" in
-// Figure 6).
+// Figure 6). The request is marked enforced only once every insert
+// succeeded, so a failed call is retried in full by the next one.
 func (g *Group) AddEnforcers(req props.Required) error {
 	id := g.memo.InternReq(req)
-	g.mu.Lock()
-	if g.enforced == nil {
-		g.enforced = make(map[ReqID]bool)
-	}
 	if g.enforced[id] {
-		g.mu.Unlock()
 		return nil
 	}
-	g.enforced[id] = true
-	g.mu.Unlock()
 
 	self := []GroupID{g.ID}
 	var enforcers []ops.Operator
@@ -181,6 +152,10 @@ func (g *Group) AddEnforcers(req props.Required) error {
 			return err
 		}
 	}
+	if g.enforced == nil {
+		g.enforced = make(map[ReqID]bool)
+	}
+	g.enforced[id] = true
 	return nil
 }
 

@@ -13,8 +13,7 @@ import (
 // group size, so it is not run on production paths.
 //
 // Invariants checked:
-//   - group IDs are dense and match their index positions (over the current
-//     lock-free index snapshot);
+//   - group IDs are dense and match their index positions;
 //   - every group belongs to this Memo and holds at least one expression;
 //   - every expression's back-pointer names its owning group;
 //   - child group IDs are in range and never self-referential — except for
@@ -23,17 +22,14 @@ import (
 //   - stored fingerprints match a fresh recomputation (detects post-insert
 //     mutation of operators or child slices);
 //   - duplicate detection holds: no two expressions of a group match, and
-//     the sharded content-addressed registry is consistent — every entry
-//     sits on the stripe its fingerprint selects and is reachable from its
-//     group.
+//     the content-addressed registry is consistent — every entry sits in
+//     its fingerprint's bucket and is reachable from its group.
 func (m *Memo) Validate() error {
 	fail := func(format string, args ...any) error {
 		return gpos.Raise(gpos.CompMemo, "InvalidMemo", format, args...)
 	}
 
-	idx := m.groupSnapshot()
-	for i := 0; i < idx.n; i++ {
-		g := idx.group(GroupID(i))
+	for i, g := range m.groups {
 		if g == nil {
 			return fail("group slot %d is nil", i)
 		}
@@ -55,7 +51,7 @@ func (m *Memo) Validate() error {
 				return fail("group %d expr %d has nil operator", g.ID, j)
 			}
 			for _, c := range ge.Children {
-				if c < 0 || int(c) >= idx.n {
+				if c < 0 || int(c) >= len(m.groups) {
 					return fail("group %d expr %d references out-of-range child group %d", g.ID, j, c)
 				}
 				if c == g.ID && !ge.IsEnforcer() {
@@ -73,37 +69,25 @@ func (m *Memo) Validate() error {
 		}
 	}
 
-	for si := range m.stripes {
-		s := &m.stripes[si]
-		s.mu.Lock()
-		for fp, bucket := range s.table {
-			for i, ge := range bucket {
-				if ge.fp != fp {
-					s.mu.Unlock()
-					return fail("registry bucket %#x entry %d carries fingerprint %#x", fp, i, ge.fp)
-				}
-				if fp&(numFpStripes-1) != uint64(si) {
-					s.mu.Unlock()
-					return fail("registry bucket %#x landed on stripe %d, want %d", fp, si, fp&(numFpStripes-1))
-				}
-				if ge.group == nil || ge.group.memo != m {
-					s.mu.Unlock()
-					return fail("registry bucket %#x entry %d is detached from this Memo", fp, i)
-				}
-				present := false
-				for _, e := range ge.group.Exprs() {
-					if e == ge {
-						present = true
-						break
-					}
-				}
-				if !present {
-					s.mu.Unlock()
-					return fail("registry bucket %#x entry %d is missing from group %d", fp, i, ge.group.ID)
+	for fp, bucket := range m.registry {
+		for i, ge := range bucket {
+			if ge.fp != fp {
+				return fail("registry bucket %#x entry %d carries fingerprint %#x", fp, i, ge.fp)
+			}
+			if ge.group == nil || ge.group.memo != m {
+				return fail("registry bucket %#x entry %d is detached from this Memo", fp, i)
+			}
+			present := false
+			for _, e := range ge.group.exprs {
+				if e == ge {
+					present = true
+					break
 				}
 			}
+			if !present {
+				return fail("registry bucket %#x entry %d is missing from group %d", fp, i, ge.group.ID)
+			}
 		}
-		s.mu.Unlock()
 	}
 	return nil
 }

@@ -63,9 +63,7 @@ func TestValidateDetectsDuplicateExprs(t *testing.T) {
 	g := m.Group(m.Root())
 	ge := g.Exprs()[0]
 	dup := &GroupExpr{Op: ge.Op, Children: ge.Children, group: g, fp: ge.fp}
-	g.mu.Lock()
 	g.exprs = append(g.exprs, dup)
-	g.mu.Unlock()
 	wantViolation(t, m, "duplicate")
 }
 
@@ -83,26 +81,16 @@ func TestValidateDetectsRegistryDrift(t *testing.T) {
 	// stays structurally sound, but the content-addressed registry now
 	// points at an expression no group holds.
 	var ge *GroupExpr
-	for si := range m.stripes {
-		s := &m.stripes[si]
-		s.mu.Lock()
-		for _, bucket := range s.table {
-			ge = bucket[0]
-			break
-		}
-		s.mu.Unlock()
-		if ge != nil {
-			break
-		}
+	for _, bucket := range m.registry {
+		ge = bucket[0]
+		break
 	}
 	g := ge.group
 	clone := &GroupExpr{Op: ge.Op, Children: ge.Children, group: g, fp: ge.fp}
-	g.mu.Lock()
 	for i, e := range g.exprs {
 		if e == ge {
 			g.exprs[i] = clone
 		}
 	}
-	g.mu.Unlock()
 	wantViolation(t, m, "missing from group")
 }

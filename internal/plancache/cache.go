@@ -11,9 +11,8 @@ import (
 	"orca/internal/props"
 )
 
-// numShards is the cache's shard fan-out; 64 matches the Memo's group hash
-// tables, keeping lock contention negligible next to even a cache-hit
-// request's other work.
+// numShards is the cache's shard fan-out: 64 keeps lock contention
+// negligible next to even a cache-hit request's other work.
 const numShards = 64
 
 // ReqID is an interned required-property identity (see Cache.InternReq). The

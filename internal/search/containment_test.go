@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"orca/internal/fault"
@@ -18,33 +17,29 @@ func panicInsideJob() {
 }
 
 func TestSchedulerContainsJobPanic(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		tb := newJobTable()
-		bomb := tb.goal(&stepJob{key: "bomb", steps: []stepFn{
-			func() ([]JobKey, bool, error) {
-				panicInsideJob()
-				return nil, true, nil
-			},
-		}})
-		s := tb.scheduler(workers)
-		err := s.Run(bomb)
-		if err == nil {
-			t.Fatalf("workers=%d: want error from panicking job", workers)
-		}
-		ex := gpos.AsException(err)
-		if ex == nil {
-			t.Fatalf("workers=%d: want gpos.Exception, got %T: %v", workers, err, err)
-		}
-		if ex.Comp != gpos.CompSearch || ex.Code != gpos.CodePanic {
-			t.Errorf("workers=%d: want %s/%s, got %s/%s",
-				workers, gpos.CompSearch, gpos.CodePanic, ex.Comp, ex.Code)
-		}
-		if !strings.Contains(ex.Msg, "opt job") || !strings.Contains(ex.Msg, bomb.String()) {
-			t.Errorf("workers=%d: message should name kind and key: %q", workers, ex.Msg)
-		}
-		if len(ex.Stack) == 0 || !strings.Contains(ex.Stack[0], "panicInsideJob") {
-			t.Errorf("workers=%d: stack should start at the panic site, got %v", workers, ex.Stack)
-		}
+	tb := newJobTable()
+	bomb := tb.goal(&stepJob{key: "bomb", steps: []stepFn{
+		func() ([]JobKey, bool, error) {
+			panicInsideJob()
+			return nil, true, nil
+		},
+	}})
+	err := tb.scheduler().Run(bomb)
+	if err == nil {
+		t.Fatal("want error from panicking job")
+	}
+	ex := gpos.AsException(err)
+	if ex == nil {
+		t.Fatalf("want gpos.Exception, got %T: %v", err, err)
+	}
+	if ex.Comp != gpos.CompSearch || ex.Code != gpos.CodePanic {
+		t.Errorf("want %s/%s, got %s/%s", gpos.CompSearch, gpos.CodePanic, ex.Comp, ex.Code)
+	}
+	if !strings.Contains(ex.Msg, "opt job") || !strings.Contains(ex.Msg, bomb.String()) {
+		t.Errorf("message should name kind and key: %q", ex.Msg)
+	}
+	if len(ex.Stack) == 0 || !strings.Contains(ex.Stack[0], "panicInsideJob") {
+		t.Errorf("stack should start at the panic site, got %v", ex.Stack)
 	}
 }
 
@@ -55,11 +50,11 @@ func TestSchedulerPanicFailsOnlyThisRun(t *testing.T) {
 	bomb := tb.goal(&stepJob{key: "bomb", steps: []stepFn{
 		func() ([]JobKey, bool, error) { panic("first run dies") },
 	}})
-	if err := tb.scheduler(2).Run(bomb); err == nil {
+	if err := tb.scheduler().Run(bomb); err == nil {
 		t.Fatal("want error from panicking run")
 	}
-	var hits int32
-	if err := tb.scheduler(2).Run(tb.goal(leaf("ok", &hits))); err != nil || hits != 1 {
+	var hits int
+	if err := tb.scheduler().Run(tb.goal(leaf("ok", &hits))); err != nil || hits != 1 {
 		t.Fatalf("follow-up run broken: err=%v hits=%d", err, hits)
 	}
 }
@@ -71,8 +66,8 @@ func TestSchedulerJobExecFaultPoint(t *testing.T) {
 	}
 	defer disarm()
 	tb := newJobTable()
-	var hits int32
-	runErr := tb.scheduler(1).Run(tb.goal(leaf("victim", &hits)))
+	var hits int
+	runErr := tb.scheduler().Run(tb.goal(leaf("victim", &hits)))
 	ex := gpos.AsException(runErr)
 	if ex == nil || ex.Comp != gpos.CompSearch || ex.Code != fault.CodeInjected {
 		t.Fatalf("want injected search fault, got %v", runErr)
@@ -89,8 +84,8 @@ func TestSchedulerJobExecPanicFaultContained(t *testing.T) {
 	}
 	defer disarm()
 	tb := newJobTable()
-	var hits int32
-	runErr := tb.scheduler(4).Run(tb.goal(leaf("victim", &hits)))
+	var hits int
+	runErr := tb.scheduler().Run(tb.goal(leaf("victim", &hits)))
 	ex := gpos.AsException(runErr)
 	if ex == nil || ex.Code != gpos.CodePanic {
 		t.Fatalf("want contained panic exception, got %v", runErr)
@@ -103,12 +98,12 @@ func TestSchedulerJobExecPanicFaultContained(t *testing.T) {
 func TestSchedulerQuotaAbortDrains(t *testing.T) {
 	// The quota trips after a few steps; the run must end with the quota's
 	// error through the drain path, recognizable via Drained.
-	var steps int32
+	var steps int
 	quotaErr := fmt.Errorf("87 groups over limit: %w", ErrBudget)
 	tb := newJobTable()
-	s := tb.scheduler(2)
+	s := tb.scheduler()
 	s.SetQuotaCheck(func() error {
-		if atomic.LoadInt32(&steps) >= 5 {
+		if steps >= 5 {
 			return quotaErr
 		}
 		return nil
@@ -124,9 +119,9 @@ func TestSchedulerQuotaAbortDrains(t *testing.T) {
 
 // spawnForeverJob endlessly spawns fresh children, simulating an unbounded
 // search.
-func spawnForeverJob(tb *jobTable, counter *int32) JobKey {
-	n := atomic.AddInt32(counter, 1)
-	return tb.goal(&stepJob{key: fmt.Sprintf("spawn%d", n), steps: []stepFn{
+func spawnForeverJob(tb *jobTable, counter *int) JobKey {
+	*counter++
+	return tb.goal(&stepJob{key: fmt.Sprintf("spawn%d", *counter), steps: []stepFn{
 		func() ([]JobKey, bool, error) {
 			return []JobKey{spawnForeverJob(tb, counter)}, false, nil
 		},

@@ -33,11 +33,9 @@ func hashedOrdered(desc, rewind bool) props.Required {
 // enqueued registers the goals on a fresh scheduler and returns the number of
 // distinct jobState nodes they map to.
 func enqueued(keys ...JobKey) int {
-	s := NewScheduler(1, nil)
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s := NewScheduler(nil)
 	for _, k := range keys {
-		s.enqueueLocked(k, nil)
+		s.enqueue(k, nil)
 	}
 	return len(s.registry)
 }
@@ -87,13 +85,11 @@ func TestEnqueueRegisteredGoalAllocatesNothing(t *testing.T) {
 	m := memo.New(&gpos.MemoryAccountant{})
 	g := leafExpr(t, m, 0).Group()
 	req := hashedOrdered(true, true)
-	s := NewScheduler(1, nil)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.enqueueLocked(optGroupKey(g, m.InternReq(req)), nil)
+	s := NewScheduler(nil)
+	s.enqueue(optGroupKey(g, m.InternReq(req)), nil)
 	// The whole duplicate path: intern the request, compose the goal, probe.
 	allocs := testing.AllocsPerRun(1000, func() {
-		s.enqueueLocked(optGroupKey(g, m.InternReq(req)), nil)
+		s.enqueue(optGroupKey(g, m.InternReq(req)), nil)
 	})
 	if allocs != 0 {
 		t.Errorf("enqueuing an already-registered goal allocated %.1f times per call, want 0", allocs)

@@ -2,7 +2,6 @@ package search
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"orca/internal/base"
@@ -29,15 +28,13 @@ type Optimizer struct {
 	XCtx *xform.Context
 	Cost *cost.Model
 
-	// RulesFired counts rule applications across all workers and stages.
-	RulesFired atomic.Int64
+	// RulesFired counts rule applications across all stages.
+	RulesFired int64
 }
 
 // StageParams bounds one optimization stage. The zero value means
 // "unbounded": no deadline, no step limit, no resource quota.
 type StageParams struct {
-	// Workers is the scheduler parallelism (minimum 1).
-	Workers int
 	// Deadline ends the stage with ErrTimeout once passed (zero = none).
 	Deadline time.Time
 	// StepLimit ends the stage with ErrTimeout after this many job steps
@@ -57,7 +54,7 @@ type StageParams struct {
 // Memo then still holds the best plan found so far, extractable via
 // Memo.ExtractPlan).
 func (o *Optimizer) RunStage(root memo.GroupID, req props.Required, p StageParams) (float64, Stats, error) {
-	s := NewScheduler(p.Workers, o.newJob)
+	s := NewScheduler(o.newJob)
 	s.SetDeadline(p.Deadline)
 	s.SetStepLimit(p.StepLimit)
 	s.SetQuotaCheck(p.Quota)
@@ -105,7 +102,7 @@ type job struct {
 }
 
 // newJob materialises the job behind a goal the scheduler has not seen,
-// carving it from the running worker's slab of its type.
+// carving it from the Worker's slab of its type.
 func (o *Optimizer) newJob(w *Worker, k JobKey) Job {
 	switch k.Kind {
 	case JobXform:
@@ -256,7 +253,7 @@ func (j *xformJob) Step(*Worker) (bool, error) {
 		if err := j.rule.Apply(j.o.XCtx, j.Expr); err != nil {
 			return false, err
 		}
-		j.o.RulesFired.Add(1)
+		j.o.RulesFired++
 	}
 	return true, nil
 }

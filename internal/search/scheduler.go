@@ -2,19 +2,20 @@
 // (paper §4.2): optimization is broken into small, re-entrant jobs —
 // Exp(g), Exp(gexpr), Imp(g), Imp(gexpr), Opt(g, req), Opt(gexpr, req),
 // Xform(gexpr, t) and Stats(g) — linked by child-parent dependencies. A
-// parent job suspends while its children run (possibly in parallel on other
-// workers) and resumes when they all finish. Jobs are deduplicated by goal:
-// when a job with some goal is already active, later jobs with the same goal
-// attach as waiters instead of redoing the work, which is the paper's group
-// job queue. A goal is a small comparable value (JobKey); the job object
-// behind it is materialised only for a goal the registry has not seen, on
-// the worker that first runs it.
+// parent job suspends while its children run and resumes when they all
+// finish. Jobs are deduplicated by goal: when a job with some goal is already
+// active, later jobs with the same goal attach as waiters instead of redoing
+// the work, which is the paper's group job queue. A goal is a small
+// comparable value (JobKey); the job object behind it is materialised only
+// for a goal the registry has not seen, when it first runs.
+//
+// One search runs on one goroutine, the caller of Scheduler.Run; concurrent
+// optimizations each run their own search over their own Memo.
 package search
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -26,8 +27,8 @@ import (
 )
 
 // ErrTimeout reports that the optimization stage exceeded its deadline or
-// step limit. The scheduler drains rather than aborts: no new jobs start,
-// in-flight job steps complete before Run returns, so the Memo is left in a
+// step limit. The scheduler drains rather than aborts: the limits are tested
+// between job steps, so no step is cut in half, the Memo is left in a
 // consistent state and the best plan found so far remains extractable.
 var ErrTimeout = errors.New("search: optimization timed out")
 
@@ -75,12 +76,9 @@ type Stats struct {
 	Steps [NumJobKinds]int64
 	// PeakQueue is the maximum length the ready queue reached.
 	PeakQueue int
-	// Workers is the worker count (maximum across merged runs).
-	Workers int
-	// Busy is the workers' summed lifetime minus the time each spent parked
-	// waiting for work: job steps plus the scheduler's own bookkeeping. A
-	// worker reads the clock when it starts, around each wait (never at one
-	// worker) and when it stops, not per step.
+	// Busy is the step loop's own duration: job steps plus the scheduler's
+	// bookkeeping (summed across merged runs). The loop reads the clock when
+	// it starts and when it stops, not per step.
 	Busy time.Duration
 	// Wall is the run's wall-clock time (summed across merged runs).
 	Wall time.Duration
@@ -95,13 +93,13 @@ func (s Stats) TotalSteps() int64 {
 	return n
 }
 
-// Utilization returns the fraction of worker capacity not spent parked
-// waiting for work (see Busy), in [0, 1].
+// Utilization returns the share of the run's wall time spent in the step
+// loop (see Busy), in [0, 1].
 func (s Stats) Utilization() float64 {
-	if s.Wall <= 0 || s.Workers <= 0 {
+	if s.Wall <= 0 {
 		return 0
 	}
-	u := float64(s.Busy) / (float64(s.Wall) * float64(s.Workers))
+	u := float64(s.Busy) / float64(s.Wall)
 	if u > 1 {
 		u = 1
 	}
@@ -115,9 +113,6 @@ func (s *Stats) Merge(o Stats) {
 	}
 	if o.PeakQueue > s.PeakQueue {
 		s.PeakQueue = o.PeakQueue
-	}
-	if o.Workers > s.Workers {
-		s.Workers = o.Workers
 	}
 	s.Busy += o.Busy
 	s.Wall += o.Wall
@@ -159,18 +154,18 @@ func (k JobKey) String() string {
 
 // Job is one re-entrant unit of optimization work. Step performs as much
 // work as possible without blocking; to wait for other goals it spawns them
-// on the worker and returns not-done, and is re-entered once they have all
+// on the Worker and returns not-done, and is re-entered once they have all
 // completed (immediately, when it spawned none).
 type Job interface {
 	Step(w *Worker) (done bool, err error)
 }
 
-// Worker is one scheduler worker's step-local state, handed to Job.Step and
-// to the scheduler's newJob. The buffers are reused across every step the
-// worker runs, so describing children and costing an alternative allocate
-// nothing in steady state; a job must not retain them past its Step. The
-// slabs are the unused tails of the chunks the worker carves job objects
-// from (see carve): the jobs live as long as the run, and die with it.
+// Worker is the step loop's scratch, handed to Job.Step and to the
+// scheduler's newJob. The buffers are reused across every step of the run,
+// so describing children and costing an alternative allocate nothing in
+// steady state; a job must not retain them past its Step. The slabs are the
+// unused tails of the chunks job objects are carved from (see carve): the
+// jobs live as long as the run, and die with it.
 type Worker struct {
 	children []JobKey
 	derived  []props.Derived
@@ -188,14 +183,12 @@ func (w *Worker) Spawn(k JobKey) { w.children = append(w.children, k) }
 
 type jobState struct {
 	key JobKey
-	job Job // materialised by the first worker to run the goal
+	job Job // materialised when the goal first runs
 	// Waiters, in arrival order: most goals only ever have the first.
 	parent  *jobState
 	parents []*jobState
 	pending int
 	done    bool
-	queued  bool
-	running bool
 }
 
 // slabChunk is how many jobState nodes, or job objects of one type, one
@@ -213,37 +206,25 @@ func carve[T any](slab *[]T) *T {
 	return p
 }
 
-// Scheduler runs jobs on a fixed number of workers.
+// Scheduler runs jobs one step at a time on the goroutine that calls Run.
 type Scheduler struct {
-	workers   int
 	newJob    func(*Worker, JobKey) Job
 	deadline  time.Time
 	stepLimit int64
 	quota     func() error
-	expired   atomic.Bool // set once the deadline passes
+	expired   atomic.Bool // set by the deadline timer's goroutine
 
-	mu       sync.Mutex
-	cond     *sync.Cond
 	registry map[JobKey]*jobState
 	slab     []jobState // unused tail of the current jobState chunk
 	queue    []*jobState
-	active   int
 	steps    int64 // stats.Steps summed
-	err      error
-	stopped  bool
 	stats    Stats
 }
 
-// NewScheduler builds a scheduler with the given parallelism (minimum 1).
-// newJob materialises the job behind a goal on the worker that first runs
-// it; it is called once per distinct goal, outside the scheduler mutex.
-func NewScheduler(workers int, newJob func(*Worker, JobKey) Job) *Scheduler {
-	if workers < 1 {
-		workers = 1
-	}
-	s := &Scheduler{workers: workers, newJob: newJob, registry: make(map[JobKey]*jobState)}
-	s.cond = sync.NewCond(&s.mu)
-	return s
+// NewScheduler builds a scheduler. newJob materialises the job behind a goal
+// when it first runs; it is called once per distinct goal.
+func NewScheduler(newJob func(*Worker, JobKey) Job) *Scheduler {
+	return &Scheduler{newJob: newJob, registry: make(map[JobKey]*jobState)}
 }
 
 // SetDeadline ends the run with ErrTimeout once the deadline passes
@@ -262,21 +243,17 @@ func (s *Scheduler) SetStepLimit(n int64) { s.stepLimit = n }
 func (s *Scheduler) SetQuotaCheck(check func() error) { s.quota = check }
 
 // Stats returns the run's telemetry. Call it after Run has returned.
-func (s *Scheduler) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
+func (s *Scheduler) Stats() Stats { return s.stats }
 
 // Run executes the root goal (and its transitively spawned children) to
 // completion. It returns the first error encountered, or ErrTimeout when the
 // deadline or step limit cut the search short. On timeout the scheduler
-// drains: in-flight job steps finish (their results land in the Memo), only
+// drains: the step in flight finishes (its results land in the Memo), only
 // queued work is abandoned.
 //
 // The deadline is one timer armed here, not a clock read per step: it sets
-// a flag the workers test before each step, and is stopped before Run
-// returns. A deadline already past sets the flag before the first step.
+// a flag the loop tests before each step, and is stopped before Run returns.
+// A deadline already past sets the flag before the first step.
 func (s *Scheduler) Run(root JobKey) error {
 	start := time.Now()
 	if !s.deadline.IsZero() {
@@ -287,36 +264,21 @@ func (s *Scheduler) Run(root JobKey) error {
 			s.expired.Store(true)
 		}
 	}
-	s.mu.Lock()
-	s.enqueueLocked(root, nil)
-	s.mu.Unlock()
-
-	var wg sync.WaitGroup
-	for i := 0; i < s.workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.worker()
-		}()
-	}
-	wg.Wait()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats.Workers = s.workers
+	s.enqueue(root, nil)
+	err := s.loop()
 	s.stats.Wall = time.Since(start)
-	return s.err
+	return err
 }
 
-// enqueueLocked registers a goal (deduplicating by key) and attaches the
-// parent as a waiter. It returns whether the parent must wait.
-func (s *Scheduler) enqueueLocked(k JobKey, parent *jobState) (wait bool) {
+// enqueue registers a goal (deduplicating by key) and attaches the parent as
+// a waiter. It returns whether the parent must wait.
+func (s *Scheduler) enqueue(k JobKey, parent *jobState) (wait bool) {
 	st, ok := s.registry[k]
 	if !ok {
 		st = carve(&s.slab)
 		st.key = k
 		s.registry[k] = st
-		s.pushLocked(st)
-		s.cond.Broadcast()
+		s.push(st)
 	}
 	if st.done {
 		return false
@@ -329,100 +291,56 @@ func (s *Scheduler) enqueueLocked(k JobKey, parent *jobState) (wait bool) {
 	return true
 }
 
-// pushLocked appends a job to the ready queue, tracking the peak depth.
-func (s *Scheduler) pushLocked(st *jobState) {
-	st.queued = true
+// push appends a job to the ready queue, tracking the peak depth.
+func (s *Scheduler) push(st *jobState) {
 	s.queue = append(s.queue, st)
 	if len(s.queue) > s.stats.PeakQueue {
 		s.stats.PeakQueue = len(s.queue)
 	}
 }
 
-// worker is the scheduler step loop: LIFO pop under the scheduler mutex,
-// one job step outside it, bookkeeping back under it. It reads the clock
-// only when it starts, parks and stops (see Stats.Busy).
-func (s *Scheduler) worker() {
+// loop is the step loop: LIFO pop, one job step, bookkeeping, until the
+// queue drains or a limit, quota or error ends the run. It reads the clock
+// only when it starts and stops (see Stats.Busy).
+func (s *Scheduler) loop() error {
 	var w Worker
 	start := time.Now()
-	var parked time.Duration
-	defer func() {
-		busy := time.Since(start) - parked
-		s.mu.Lock()
-		s.stats.Busy += busy
-		s.mu.Unlock()
-	}()
-	for {
-		s.mu.Lock()
-		if len(s.queue) == 0 && s.active > 0 && !s.stopped {
-			waitStart := time.Now()
-			for len(s.queue) == 0 && s.active > 0 && !s.stopped {
-				s.cond.Wait()
-			}
-			parked += time.Since(waitStart)
-		}
-		if s.stopped || len(s.queue) == 0 { // ended by another worker, or drained
-			s.stopLocked(nil)
-			s.mu.Unlock()
-			return
-		}
-		var stop error
+	defer func() { s.stats.Busy = time.Since(start) }()
+	for len(s.queue) > 0 {
 		if s.stepLimit > 0 && s.steps >= s.stepLimit || s.expired.Load() {
-			stop = ErrTimeout
-		} else if s.quota != nil {
-			stop = s.quota()
+			return ErrTimeout
 		}
-		if stop != nil {
-			s.stopLocked(stop)
-			s.mu.Unlock()
-			return
+		if s.quota != nil {
+			if err := s.quota(); err != nil {
+				return err
+			}
 		}
 		// LIFO pop keeps the search depth-first, bounding live jobs.
 		st := s.queue[len(s.queue)-1]
 		s.queue = s.queue[:len(s.queue)-1]
-		st.queued = false
-		st.running = true
-		s.active++
 		s.stats.Steps[st.key.Kind]++
 		s.steps++
-		s.mu.Unlock()
 
 		w.children = w.children[:0]
 		done, err := s.step(st, &w)
-
-		s.mu.Lock()
-		st.running = false
-		s.active--
 		if err != nil {
-			s.stopLocked(err)
-			s.mu.Unlock()
-			return
+			return err
 		}
 		if done {
-			s.completeLocked(st)
-		} else {
-			for _, c := range w.children {
-				if s.enqueueLocked(c, st) {
-					st.pending++
-				}
-			}
-			if st.pending == 0 {
-				// Children all finished already (or none): rerun.
-				s.pushLocked(st)
+			s.complete(st)
+			continue
+		}
+		for _, c := range w.children {
+			if s.enqueue(c, st) {
+				st.pending++
 			}
 		}
-		s.cond.Broadcast()
-		s.mu.Unlock()
+		if st.pending == 0 {
+			// Children all finished already (or none): rerun.
+			s.push(st)
+		}
 	}
-}
-
-// stopLocked ends the run — recording err if it is the first — and wakes
-// the other workers so they drain.
-func (s *Scheduler) stopLocked(err error) {
-	if err != nil && s.err == nil {
-		s.err = err
-	}
-	s.stopped = true
-	s.cond.Broadcast()
+	return nil
 }
 
 // step executes one job step with panic containment (paper §6.1's "fail the
@@ -430,7 +348,7 @@ func (s *Scheduler) stopLocked(err error) {
 // statistics derivation, costing, or an injected fault — is converted into a
 // gpos.Exception that preserves the original panic site's stack and is
 // surfaced through the scheduler's normal error path, failing only this
-// stage. The worker goroutine survives; the degradation ladder in core and
+// stage. The caller's goroutine survives; the degradation ladder in core and
 // the AMPERe capture hook take it from there.
 func (s *Scheduler) step(st *jobState, w *Worker) (done bool, err error) {
 	defer func() {
@@ -444,32 +362,29 @@ func (s *Scheduler) step(st *jobState, w *Worker) (done bool, err error) {
 		return false, err
 	}
 	if st.job == nil {
-		// First run of this goal: only now does it cost a job object. The
-		// worker running st is its sole owner until the bookkeeping under the
-		// scheduler mutex, which orders this write before any later step.
+		// First run of this goal: only now does it cost a job object.
 		st.job = s.newJob(w, st.key)
 	}
 	return st.job.Step(w)
 }
 
-func (s *Scheduler) completeLocked(st *jobState) {
-	if st.done {
-		return
-	}
+// complete marks a job done and tells its waiters.
+func (s *Scheduler) complete(st *jobState) {
 	st.done = true
 	if st.parent != nil {
-		s.resumeLocked(st.parent)
+		s.resume(st.parent)
 	}
 	for _, p := range st.parents {
-		s.resumeLocked(p)
+		s.resume(p)
 	}
 	st.parent, st.parents = nil, nil
 }
 
-// resumeLocked tells a waiting parent that one of its children completed.
-func (s *Scheduler) resumeLocked(p *jobState) {
+// resume tells a waiting parent that one of its children completed; the
+// last one to complete puts the parent back on the queue.
+func (s *Scheduler) resume(p *jobState) {
 	p.pending--
-	if p.pending == 0 && !p.done && !p.queued && !p.running {
-		s.pushLocked(p)
+	if p.pending == 0 {
+		s.push(p)
 	}
 }

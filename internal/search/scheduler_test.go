@@ -3,8 +3,6 @@ package search
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,15 +15,15 @@ type stepFn = func() ([]JobKey, bool, error)
 type stepJob struct {
 	key   string
 	steps []stepFn
-	calls int32
+	calls int
 }
 
 func (j *stepJob) Step(w *Worker) (bool, error) {
-	n := atomic.AddInt32(&j.calls, 1)
-	if int(n) > len(j.steps) {
+	j.calls++
+	if j.calls > len(j.steps) {
 		return true, nil
 	}
-	children, done, err := j.steps[n-1]()
+	children, done, err := j.steps[j.calls-1]()
 	for _, c := range children {
 		w.Spawn(c)
 	}
@@ -36,7 +34,6 @@ func (j *stepJob) Step(w *Worker) (bool, error) {
 // is an Opt goal on a stand-in group of its own, and the first job registered
 // under a name is the one the scheduler materialises for that goal.
 type jobTable struct {
-	mu   sync.Mutex
 	keys map[string]JobKey
 	jobs map[JobKey]*stepJob
 }
@@ -46,8 +43,6 @@ func newJobTable() *jobTable {
 }
 
 func (tb *jobTable) goal(j *stepJob) JobKey {
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
 	k, ok := tb.keys[j.key]
 	if !ok {
 		k = JobKey{Kind: JobOpt, Group: &memo.Group{ID: memo.GroupID(len(tb.keys))}}
@@ -57,47 +52,41 @@ func (tb *jobTable) goal(j *stepJob) JobKey {
 	return k
 }
 
-func (tb *jobTable) scheduler(workers int) *Scheduler {
-	return NewScheduler(workers, func(_ *Worker, k JobKey) Job {
-		tb.mu.Lock()
-		defer tb.mu.Unlock()
-		return tb.jobs[k]
-	})
+func (tb *jobTable) scheduler() *Scheduler {
+	return NewScheduler(func(_ *Worker, k JobKey) Job { return tb.jobs[k] })
 }
 
-func leaf(key string, hit *int32) *stepJob {
+func leaf(key string, hit *int) *stepJob {
 	return &stepJob{key: key, steps: []stepFn{
 		func() ([]JobKey, bool, error) {
-			atomic.AddInt32(hit, 1)
+			*hit++
 			return nil, true, nil
 		},
 	}}
 }
 
 func TestSchedulerRunsDependencyTree(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		tb := newJobTable()
-		var hits int32
-		children := []JobKey{tb.goal(leaf("a", &hits)), tb.goal(leaf("b", &hits)), tb.goal(leaf("c", &hits))}
-		var resumed int32
-		root := &stepJob{key: "root", steps: []stepFn{
-			func() ([]JobKey, bool, error) { return children, false, nil },
-			func() ([]JobKey, bool, error) {
-				// All children must have completed before the parent resumes.
-				if atomic.LoadInt32(&hits) != 3 {
-					return nil, false, errors.New("parent resumed early")
-				}
-				atomic.AddInt32(&resumed, 1)
-				return nil, true, nil
-			},
-		}}
-		s := tb.scheduler(workers)
-		if err := s.Run(tb.goal(root)); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if hits != 3 || resumed != 1 {
-			t.Errorf("workers=%d: hits=%d resumed=%d", workers, hits, resumed)
-		}
+	tb := newJobTable()
+	var hits int
+	children := []JobKey{tb.goal(leaf("a", &hits)), tb.goal(leaf("b", &hits)), tb.goal(leaf("c", &hits))}
+	var resumed int
+	root := &stepJob{key: "root", steps: []stepFn{
+		func() ([]JobKey, bool, error) { return children, false, nil },
+		func() ([]JobKey, bool, error) {
+			// All children must have completed before the parent resumes.
+			if hits != 3 {
+				return nil, false, errors.New("parent resumed early")
+			}
+			resumed++
+			return nil, true, nil
+		},
+	}}
+	s := tb.scheduler()
+	if err := s.Run(tb.goal(root)); err != nil {
+		t.Fatal(err)
+	}
+	if hits != 3 || resumed != 1 {
+		t.Errorf("hits=%d resumed=%d", hits, resumed)
 	}
 }
 
@@ -105,7 +94,7 @@ func TestSchedulerDeduplicatesByKey(t *testing.T) {
 	// Two parents wait on the same child goal: the child must run once and
 	// both parents must resume — the paper's group job queue (§4.2).
 	tb := newJobTable()
-	var childRuns int32
+	var childRuns int
 	mkParent := func(name string) JobKey {
 		return tb.goal(&stepJob{key: name, steps: []stepFn{
 			func() ([]JobKey, bool, error) {
@@ -118,7 +107,7 @@ func TestSchedulerDeduplicatesByKey(t *testing.T) {
 		func() ([]JobKey, bool, error) { return []JobKey{mkParent("p1"), mkParent("p2")}, false, nil },
 		func() ([]JobKey, bool, error) { return nil, true, nil },
 	}}
-	s := tb.scheduler(4)
+	s := tb.scheduler()
 	if err := s.Run(tb.goal(root)); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +125,7 @@ func TestSchedulerPropagatesErrors(t *testing.T) {
 	root := &stepJob{key: "root", steps: []stepFn{
 		func() ([]JobKey, bool, error) { return []JobKey{tb.goal(bad)}, false, nil },
 	}}
-	s := tb.scheduler(2)
+	s := tb.scheduler()
 	if err := s.Run(tb.goal(root)); !errors.Is(err, boom) {
 		t.Errorf("error not propagated: %v", err)
 	}
@@ -145,19 +134,17 @@ func TestSchedulerPropagatesErrors(t *testing.T) {
 func TestSchedulerTimeout(t *testing.T) {
 	// An endless chain of jobs must be cut off by the deadline.
 	tb := newJobTable()
-	var counter int64
 	var mk func(i int64) JobKey
 	mk = func(i int64) JobKey {
 		return tb.goal(&stepJob{key: fmt.Sprintf("j%d", i), steps: []stepFn{
 			func() ([]JobKey, bool, error) {
-				atomic.AddInt64(&counter, 1)
 				time.Sleep(200 * time.Microsecond)
 				return []JobKey{mk(i + 1)}, false, nil
 			},
 			func() ([]JobKey, bool, error) { return nil, true, nil },
 		}})
 	}
-	s := tb.scheduler(1)
+	s := tb.scheduler()
 	s.SetDeadline(time.Now().Add(30 * time.Millisecond))
 	err := s.Run(mk(0))
 	if !errors.Is(err, ErrTimeout) {
@@ -169,8 +156,8 @@ func TestSchedulerPastDeadlineRunsNothing(t *testing.T) {
 	// A deadline already past when Run starts sets the flag before the first
 	// step: not even the root runs.
 	tb := newJobTable()
-	var hits int32
-	s := tb.scheduler(2)
+	var hits int
+	s := tb.scheduler()
 	s.SetDeadline(time.Now().Add(-time.Second))
 	if err := s.Run(tb.goal(leaf("root", &hits))); !errors.Is(err, ErrTimeout) {
 		t.Errorf("want ErrTimeout, got %v", err)
@@ -185,8 +172,8 @@ func TestSchedulerDeadlineTimerStopped(t *testing.T) {
 	// deadline passing afterwards must not touch the scheduler (the package's
 	// leak check then also sees no timer goroutine).
 	tb := newJobTable()
-	var hits int32
-	s := tb.scheduler(1)
+	var hits int
+	s := tb.scheduler()
 	s.SetDeadline(time.Now().Add(20 * time.Millisecond))
 	if err := s.Run(tb.goal(leaf("quick", &hits))); err != nil {
 		t.Fatal(err)
@@ -201,18 +188,16 @@ func TestSchedulerStepLimit(t *testing.T) {
 	// The step budget is the deterministic analogue of the deadline: an
 	// endless chain must be cut off with ErrTimeout after exactly the budget.
 	tb := newJobTable()
-	var counter int64
 	var mk func(i int64) JobKey
 	mk = func(i int64) JobKey {
 		return tb.goal(&stepJob{key: fmt.Sprintf("s%d", i), steps: []stepFn{
 			func() ([]JobKey, bool, error) {
-				atomic.AddInt64(&counter, 1)
 				return []JobKey{mk(i + 1)}, false, nil
 			},
 			func() ([]JobKey, bool, error) { return nil, true, nil },
 		}})
 	}
-	s := tb.scheduler(1)
+	s := tb.scheduler()
 	s.SetStepLimit(25)
 	err := s.Run(mk(0))
 	if !errors.Is(err, ErrTimeout) {
@@ -226,14 +211,14 @@ func TestSchedulerStepLimit(t *testing.T) {
 func TestSchedulerStats(t *testing.T) {
 	// A root fanning out to 3 leaves, all JobOpt: 3 leaf steps + 2 root steps.
 	tb := newJobTable()
-	var hits int32
+	var hits int
 	root := &stepJob{key: "root", steps: []stepFn{
 		func() ([]JobKey, bool, error) {
 			return []JobKey{tb.goal(leaf("a", &hits)), tb.goal(leaf("b", &hits)), tb.goal(leaf("c", &hits))}, false, nil
 		},
 		func() ([]JobKey, bool, error) { return nil, true, nil },
 	}}
-	s := tb.scheduler(2)
+	s := tb.scheduler()
 	if err := s.Run(tb.goal(root)); err != nil {
 		t.Fatal(err)
 	}
@@ -244,24 +229,21 @@ func TestSchedulerStats(t *testing.T) {
 	if st.PeakQueue < 2 {
 		t.Errorf("PeakQueue=%d, want >= 2 (three leaves queued while one runs)", st.PeakQueue)
 	}
-	if st.Workers != 2 {
-		t.Errorf("Workers=%d, want 2", st.Workers)
-	}
 	if st.Wall <= 0 {
 		t.Errorf("Wall=%v, want > 0", st.Wall)
 	}
 	if u := st.Utilization(); u < 0 || u > 1 {
 		t.Errorf("Utilization=%v out of [0,1]", u)
 	}
-	if st.Busy <= 0 || st.Busy > st.Wall*time.Duration(st.Workers) {
-		t.Errorf("Busy=%v, want in (0, Wall x Workers = %v]", st.Busy, st.Wall*time.Duration(st.Workers))
+	if st.Busy <= 0 || st.Busy > st.Wall {
+		t.Errorf("Busy=%v, want in (0, Wall = %v]", st.Busy, st.Wall)
 	}
 
 	var merged Stats
 	merged.Merge(st)
 	merged.Merge(st)
-	if merged.TotalSteps() != 10 || merged.Workers != 2 || merged.PeakQueue != st.PeakQueue {
-		t.Errorf("Merge: total=%d workers=%d peak=%d", merged.TotalSteps(), merged.Workers, merged.PeakQueue)
+	if merged.TotalSteps() != 10 || merged.PeakQueue != st.PeakQueue || merged.Busy != 2*st.Busy || merged.Wall != 2*st.Wall {
+		t.Errorf("Merge: total=%d peak=%d busy=%v wall=%v", merged.TotalSteps(), merged.PeakQueue, merged.Busy, merged.Wall)
 	}
 }
 
@@ -281,13 +263,13 @@ func TestSchedulerDeepRecursion(t *testing.T) {
 	// A deep linear dependency chain exercises suspend/resume bookkeeping.
 	const depth = 2000
 	tb := newJobTable()
-	var done int32
+	var done int
 	var mk func(i int) JobKey
 	mk = func(i int) JobKey {
 		return tb.goal(&stepJob{key: fmt.Sprintf("d%d", i), steps: []stepFn{
 			func() ([]JobKey, bool, error) {
 				if i == depth {
-					atomic.AddInt32(&done, 1)
+					done++
 					return nil, true, nil
 				}
 				return []JobKey{mk(i + 1)}, false, nil
@@ -295,7 +277,7 @@ func TestSchedulerDeepRecursion(t *testing.T) {
 			func() ([]JobKey, bool, error) { return nil, true, nil },
 		}})
 	}
-	s := tb.scheduler(2)
+	s := tb.scheduler()
 	if err := s.Run(mk(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -304,25 +286,24 @@ func TestSchedulerDeepRecursion(t *testing.T) {
 	}
 }
 
-func TestSchedulerManyParallelLeaves(t *testing.T) {
+func TestSchedulerManyLeaves(t *testing.T) {
+	// One parent waits on 500 children: it resumes exactly once, after the
+	// last of them.
 	tb := newJobTable()
-	var hits int32
+	var hits int
 	var children []JobKey
 	for i := 0; i < 500; i++ {
 		children = append(children, tb.goal(leaf(fmt.Sprintf("leaf%d", i), &hits)))
 	}
-	var mu sync.Mutex
 	resumeCount := 0
 	root := &stepJob{key: "root", steps: []stepFn{
 		func() ([]JobKey, bool, error) { return children, false, nil },
 		func() ([]JobKey, bool, error) {
-			mu.Lock()
 			resumeCount++
-			mu.Unlock()
 			return nil, true, nil
 		},
 	}}
-	s := tb.scheduler(8)
+	s := tb.scheduler()
 	if err := s.Run(tb.goal(root)); err != nil {
 		t.Fatal(err)
 	}
@@ -334,23 +315,23 @@ func TestSchedulerManyParallelLeaves(t *testing.T) {
 	}
 }
 
-func TestSchedulerStressSharedGoals(t *testing.T) {
-	// High-contention stress for the race gate: many parents per level all
-	// depend on the same small set of shared goals, so workers constantly
-	// collide on the dedup table and the suspend/resume condvar path.
+func TestSchedulerSharedGoalsRunOnce(t *testing.T) {
+	// Many parents per level all depend on the same small set of shared
+	// goals: each goal runs once, and every parent waits on it as one of
+	// its many waiters.
 	const (
 		levels  = 6
 		fanout  = 20
 		sharing = 4 // distinct goals per level that all parents contend on
 	)
 	tb := newJobTable()
-	var runs int32
+	var runs int
 	var mk func(level, i int) JobKey
 	mk = func(level, i int) JobKey {
 		key := fmt.Sprintf("L%d/g%d", level, i%sharing)
 		return tb.goal(&stepJob{key: key, steps: []stepFn{
 			func() ([]JobKey, bool, error) {
-				atomic.AddInt32(&runs, 1)
+				runs++
 				if level == levels {
 					return nil, true, nil
 				}
@@ -373,14 +354,13 @@ func TestSchedulerStressSharedGoals(t *testing.T) {
 		},
 		func() ([]JobKey, bool, error) { return nil, true, nil },
 	}}
-	s := tb.scheduler(16)
+	s := tb.scheduler()
 	if err := s.Run(tb.goal(root)); err != nil {
 		t.Fatal(err)
 	}
 	// Each of the `sharing` keys per level must run exactly once (the root
 	// itself is not counted; it never increments runs).
-	want := int32(levels * sharing)
-	if runs != want {
-		t.Errorf("distinct goals ran %d times, want %d (dedup broke under contention)", runs, want)
+	if want := levels * sharing; runs != want {
+		t.Errorf("distinct goals ran %d times, want %d (dedup broke)", runs, want)
 	}
 }

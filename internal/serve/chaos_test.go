@@ -57,7 +57,6 @@ func TestServeChaosStorm(t *testing.T) {
 			c.RequestTimeout = 3 * time.Second
 			c.Base.MDRetry.MaxAttempts = 3
 			c.Base.MDRetry.InitialBackoff = time.Millisecond
-			c.Base.Workers = 1 + round%3
 		})
 		ts := httptest.NewServer(s.Handler())
 

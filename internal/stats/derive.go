@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sync"
 
 	"orca/internal/base"
 	"orca/internal/md"
@@ -73,15 +72,14 @@ func (s *Stats) SizeBytes() int64 {
 }
 
 // Context supplies the statistics deriver with metadata access and the
-// stats of CTE producers derived earlier in the same pass. It is safe for
-// concurrent use by parallel optimization jobs.
+// stats of CTE producers derived earlier in the same pass. Each optimization
+// has its own, used by its one search goroutine.
 type Context struct {
 	Accessor *md.Accessor
 	// DampingFactor discounts stacked predicate selectivities to counter
 	// the independence assumption (1 = full independence).
 	DampingFactor float64
 
-	mu  sync.Mutex
 	cte map[int]*Stats
 }
 
@@ -180,9 +178,7 @@ func colRefIDs(refs []*md.ColRef) []base.ColID {
 }
 
 func (ctx *Context) cteConsumerStats(id int, cols, producerCols []base.ColID) *Stats {
-	ctx.mu.Lock()
 	prod, ok := ctx.cte[id]
-	ctx.mu.Unlock()
 	if !ok {
 		return NewStats(1000)
 	}
@@ -198,16 +194,10 @@ func (ctx *Context) cteConsumerStats(id int, cols, producerCols []base.ColID) *S
 }
 
 // RegisterCTE records producer statistics for consumers derived later.
-func (ctx *Context) RegisterCTE(id int, s *Stats) {
-	ctx.mu.Lock()
-	ctx.cte[id] = s
-	ctx.mu.Unlock()
-}
+func (ctx *Context) RegisterCTE(id int, s *Stats) { ctx.cte[id] = s }
 
 // HasCTE reports whether producer statistics were registered for the CTE.
 func (ctx *Context) HasCTE(id int) bool {
-	ctx.mu.Lock()
-	defer ctx.mu.Unlock()
 	_, ok := ctx.cte[id]
 	return ok
 }

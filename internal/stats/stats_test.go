@@ -129,8 +129,8 @@ func TestSkewRatio(t *testing.T) {
 }
 
 // TestLazyScaleConcurrentReaders reads one chain of lazy Scale nodes from
-// many goroutines at once, as parallel search workers read a group's
-// statistics: the -race gate checks materialisation, and every reader must
+// many goroutines at once, as concurrent requests may read histograms they
+// share: the -race gate checks materialisation, and every reader must
 // see what a single reader of an identical chain saw.
 func TestLazyScaleConcurrentReaders(t *testing.T) {
 	base := uniformHist(5000, 80, 0, 100)

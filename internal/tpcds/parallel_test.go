@@ -1,6 +1,7 @@
 package tpcds
 
 import (
+	"sync"
 	"testing"
 
 	"orca/internal/core"
@@ -9,11 +10,11 @@ import (
 	"orca/internal/sql"
 )
 
-// TestParallelOptimizationDeterministicCost hammers the multi-core job
-// scheduler (paper §4.2) on a join-heavy query: the best plan cost must be
-// identical across worker counts and repetitions — plan choice is a pure
-// function of the search space, not of scheduling order. Run with -race to
-// exercise the Memo's concurrency control.
+// TestParallelOptimizationDeterministicCost optimizes a join-heavy query as
+// concurrent requests do: each search runs on its own goroutine with its own
+// Memo, all sharing one metadata cache. The best plan cost must be identical
+// across goroutines and to a search run alone — plan choice is a pure
+// function of the query, not of what else is optimizing.
 func TestParallelOptimizationDeterministicCost(t *testing.T) {
 	p := md.NewMemProvider()
 	BuildCatalog(p, Scale{Factor: 1})
@@ -25,27 +26,40 @@ func TestParallelOptimizationDeterministicCost(t *testing.T) {
 			q25 = wq.SQL
 		}
 	}
-
-	costs := map[int]float64{}
-	for _, workers := range []int{1, 2, 8} {
-		cfg := core.DefaultConfig(16)
-		cfg.Workers = workers
-		for rep := 0; rep < 3; rep++ {
-			q, err := sql.Bind(q25, md.NewAccessor(cache, p), md.NewColumnFactory())
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := core.Optimize(q, cfg)
-			if err != nil {
-				t.Fatalf("workers=%d rep=%d: %v", workers, rep, err)
-			}
-			if prev, ok := costs[workers]; ok && prev != res.Cost {
-				t.Errorf("workers=%d: cost varies across reps: %g vs %g", workers, prev, res.Cost)
-			}
-			costs[workers] = res.Cost
+	optimize := func() (float64, error) {
+		q, err := sql.Bind(q25, md.NewAccessor(cache, p), md.NewColumnFactory())
+		if err != nil {
+			return 0, err
 		}
+		res, err := core.Optimize(q, core.DefaultConfig(16))
+		if err != nil {
+			return 0, err
+		}
+		return res.Cost, nil
 	}
-	if costs[1] != costs[2] || costs[1] != costs[8] {
-		t.Errorf("best cost differs by worker count: %v", costs)
+
+	alone, err := optimize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const requests = 3
+	costs := make([]float64, requests)
+	errs := make([]error, requests)
+	var wg sync.WaitGroup
+	for i := range costs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			costs[i], errs[i] = optimize()
+		}()
+	}
+	wg.Wait()
+	for i, c := range costs {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		if c != alone {
+			t.Errorf("request %d: best cost %g, want %g as optimized alone", i, c, alone)
+		}
 	}
 }
