@@ -50,6 +50,10 @@
 #   membench one short pass over the Memo hot-path microbenchmarks
 #            (internal/memo BenchmarkMemo*) — catches compile rot and
 #            gross regressions
+#   rootbench one pass of each root benchmark (bench_test.go: the TPC-DS
+#            optimization pass, metadata cache, multi-stage and stage
+#            resume timings) — keeps the profiling harness compiling and
+#            running
 #   plans    the benchmark of record with 3 s timed phases (`go run
 #            ./benchmark --seconds 3`); fails, printing a per-workload
 #            diff, when plan_work_units, serve.failed or any of
@@ -179,6 +183,9 @@ ORCA_CHAOS=1 ORCA_CHAOS_SEED="$chaos_seed" \
 
 echo "==> memo microbenchmarks (smoke pass)"
 go test -run '^$' -bench 'BenchmarkMemo' -benchtime=1000x ./internal/memo/
+
+echo "==> root benchmarks (smoke pass)"
+go test -run '^$' -bench . -benchtime 1x .
 
 echo "==> plan gate (go run ./benchmark --seconds 3 vs BENCH_plans.json)"
 go run ./benchmark --seconds 3 > "$orcavet_tmp/bench.txt"

@@ -1,10 +1,13 @@
-// Command benchmarks regenerates the paper's evaluation tables and figures
-// (§7) on the simulated testbed and prints them in the paper's terms.
+// Command benchmarks is the one driver of the paper's evaluation (§7) on the
+// simulated testbed: Figures 12–15, the §7.2.2 optimization time and memory,
+// the §6.2 TAQO cost-model score and the rule ablation, each printed in the
+// paper's terms.
 //
 // Usage:
 //
 //	benchmarks -experiment=fig12|opttime|fig13|fig14|fig15|taqo|rules|all \
-//	           [-segments=16] [-scale=2] [-budget=8000000] [-seed=N] [-json]
+//	           [-segments=16] [-scale=2] [-budget=8000000] [-seed=N] \
+//	           [-taqo-samples=12] [-json]
 //
 // With -json, experiments that define a machine-readable artifact write it to
 // the working directory (rules → BENCH_rules.json). The service and

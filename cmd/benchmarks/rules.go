@@ -1,11 +1,15 @@
 package main
 
-// The rules experiment is a leave-one-out ablation of the exploration rules
-// (defs/rules.opt): each rule is disabled alone — plus both reassociation
-// rules together — over the 32 TPC-DS queries and a 5–8-relation join chain,
-// so every rule's rent is a row: what the search costs without it
-// (allocations, rule firings, Memo size) and what the plans lose (queries
-// whose plan cost moves, executed work units). Regenerate BENCH_rules.json:
+// The rules experiment is a rule ablation over the 32 TPC-DS queries and a
+// 5–8-relation join chain. Each exploration rule (defs/rules.opt) is
+// disabled alone, then both reassociation rules together, then three
+// capability sets the paper's design leans on: cost-based join ordering
+// (both n-ary expansions and both reassociation rules, leaving the literal
+// left-deep join tree of §7.3.2), MPP two-stage aggregation and index scans.
+// Every row is a rule's (or capability's) rent: what the search costs
+// without it (allocations, rule firings, Memo size) and what the plans lose
+// (queries whose plan cost moves, executed work units). Regenerate
+// BENCH_rules.json:
 //
 //	go run ./cmd/benchmarks -experiment=rules -scale=1 -json
 
@@ -108,7 +112,7 @@ type ruleBenchReport struct {
 }
 
 func rulesExp(env *experiments.Env, jsonOut bool) error {
-	header("Exploration-rule ablation: each rule disabled alone, TPC-DS + join chain")
+	header("Rule ablation: each exploration rule and three capability sets disabled, TPC-DS + join chain")
 	// Exhaustive reassociation is combinatorial past ~6 relations, so chain
 	// rows run the paper's multi-stage mechanism: a seed stage without
 	// reassociation costs the n-ary expansions' trees, then an exploration
@@ -122,9 +126,14 @@ func rulesExp(env *experiments.Env, jsonOut bool) error {
 			variants = append(variants, []string{r.Name()})
 		}
 	}
-	variants = append(variants, reassociation)
+	variants = append(variants, reassociation,
+		[]string{"ExpandNAryJoinDP", "ExpandNAryJoinGreedy", "JoinCommutativity", "JoinAssociativity"},
+		[]string{"GbAgg2TwoStageAgg"},
+		[]string{"Select2IndexScan"})
 	report := ruleBenchReport{Segments: env.Cfg.Segments, Scale: env.Cfg.Scale, StepLimit: stepLimit,
-		Note: "One row per suite and disabled rule set (\"\" = full set). tpcds rows sum the 32 workload queries, " +
+		Note: "One row per suite and disabled rule set (\"\" = full set): each exploration rule alone, both reassociation " +
+			"rules, then join ordering (the literal left-deep tree), two-stage aggregation and index scans. " +
+			"tpcds rows sum the 32 workload queries, " +
 			"optimized unbounded and executed on the loaded cluster; chain-<n> rows optimize the first n relations of a " +
 			"store_sales snowflake under a seed stage plus a step-limited explore stage (nothing executed) and set the " +
 			"Memo's join groups beside the join graph's connected sets. allocs_per_pass counts bind+optimize mallocs."}

@@ -23,8 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"time"
 
 	"orca/internal/ampere"
 	"orca/internal/base"
@@ -33,7 +31,6 @@ import (
 	"orca/internal/fault"
 	"orca/internal/gpos"
 	"orca/internal/md"
-	"orca/internal/plancache"
 	"orca/internal/search"
 	"orca/internal/sql"
 )
@@ -57,9 +54,6 @@ func main() {
 	maxGroups := flag.Int("max-groups", 0, "Memo group cap; the search keeps the best plan found when it trips (0 = unlimited)")
 	noDegrade := flag.Bool("no-degrade", false, "disable the graceful-degradation ladder: fail instead of falling back")
 	dumpDir := flag.String("dump", "", "directory for AMPERe failure dumps")
-	planCacheBytes := flag.Int64("plan-cache-bytes", 64<<20, "parameterized plan cache byte budget")
-	planCacheOff := flag.Bool("plan-cache-off", false, "disable the parameterized plan cache")
-	repeat := flag.Int("repeat", 1, "run the request this many times through the plan cache (warm iterations report 'hit')")
 	flag.Parse()
 
 	// tune applies the robustness knobs shared by the file-driven and demo
@@ -104,55 +98,28 @@ func main() {
 	fatal(err)
 	cache := md.NewCache(&gpos.MemoryAccountant{})
 
-	// bind produces a fresh bound query. With -repeat each iteration re-binds
-	// with its own accessor and column factory, exactly as separate requests
-	// would — the factory's deterministic column numbering is what lets a
-	// cached plan's column ids line up with a later binding of the same text.
-	var queryDoc *dxl.Node
-	if *queryFile != "" {
-		data, err := os.ReadFile(*queryFile)
+	acc := md.NewAccessor(cache, provider)
+	f := md.NewColumnFactory()
+	var q *core.Query
+	if *sqlText != "" {
+		q, err = sql.Bind(*sqlText, acc, f)
+	} else {
+		var data []byte
+		data, err = os.ReadFile(*queryFile)
 		fatal(err)
-		queryDoc, err = dxl.ParseXML(string(data))
+		var doc *dxl.Node
+		doc, err = dxl.ParseXML(string(data))
 		fatal(err)
+		q, err = dxl.ParseQuery(doc, acc, f)
 	}
-	bind := func(acc *md.Accessor, f *md.ColumnFactory) (*core.Query, error) {
-		if *sqlText != "" {
-			return sql.Bind(*sqlText, acc, f)
-		}
-		return dxl.ParseQuery(queryDoc, acc, f)
-	}
+	fatal(err)
 
 	cfg := core.DefaultConfig(*segments)
-	cfg.TraceMemo = *trace
 	tune(&cfg)
 	if *dumpDir != "" {
-		cfg.DumpCapture = dumpCapturer(*dumpDir, provider)
+		cfg.DumpCapture = ampere.DumpCapture(context.Background(), *dumpDir, provider)
 	}
-
-	pcBytes := *planCacheBytes
-	if *planCacheOff {
-		pcBytes = 0
-	}
-	plans := plancache.New(pcBytes)
-	if *repeat < 1 {
-		*repeat = 1
-	}
-	var q *core.Query
-	var res *core.Result
-	for i := 0; i < *repeat; i++ {
-		acc := md.NewAccessor(cache, provider)
-		f := md.NewColumnFactory()
-		q, err = bind(acc, f)
-		fatal(err)
-		var state string
-		res, state, err = cachedOptimize(plans, acc, q, cfg, optimize)
-		if err != nil {
-			break
-		}
-		if state != "" && *repeat > 1 {
-			fmt.Fprintf(os.Stderr, "orca: iteration %d: plan cache %s\n", i+1, state)
-		}
-	}
+	res, err := optimize(q, cfg)
 	if err != nil && *dumpDir != "" {
 		// The ladder is off (or itself failed): capture the outright failure.
 		ex := gpos.AsException(err)
@@ -174,7 +141,11 @@ func main() {
 
 	if *trace {
 		fmt.Println("--- Memo ---")
-		fmt.Println(res.MemoTrace)
+		if res.Memo != nil {
+			fmt.Println(res.Memo.String())
+		} else {
+			fmt.Println("(no Memo: the plan came from the degradation ladder's minimal rung)")
+		}
 	}
 	if *emitDXL {
 		fmt.Println(dxl.SerializePlan(res.Plan).Render())
@@ -255,22 +226,6 @@ func runDemo(segments int, tune func(*core.Config), optimize func(*core.Query, c
 	fmt.Println(core.Explain(res.Plan, f))
 	fmt.Printf("cost=%.0f  groups=%d  group expressions=%d  rules fired=%d\n",
 		res.Cost, res.Groups, res.GroupExprs, res.RulesFired)
-}
-
-// dumpCapturer returns a core.Config.DumpCapture hook that writes AMPERe
-// repro dumps of optimization failures into dir.
-func dumpCapturer(dir string, provider md.Provider) func(*core.Query, core.Config, *gpos.Exception) string {
-	return func(q *core.Query, cfg core.Config, failure *gpos.Exception) string {
-		d, err := ampere.Capture(context.Background(), q, cfg, provider, failure)
-		if err != nil {
-			return ""
-		}
-		path := filepath.Join(dir, fmt.Sprintf("ampere-%d.dxl", time.Now().UnixNano()))
-		if d.WriteFile(path) != nil {
-			return ""
-		}
-		return path
-	}
 }
 
 func fatal(err error) {

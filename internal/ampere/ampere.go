@@ -12,8 +12,10 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
+	"time"
 
 	"orca/internal/core"
 	"orca/internal/dxl"
@@ -69,6 +71,26 @@ func Capture(ctx context.Context, q *core.Query, cfg core.Config, provider md.Pr
 		d.ExcCode = ex.Code
 	}
 	return d, nil
+}
+
+// DumpCapture returns a core.Config.DumpCapture hook that captures a dump of
+// the failed session under ctx and writes it into dir as
+// ampere-<unixnano>.dxl. The hook returns the file's path, or "" when the
+// capture or the write fails. Servers pass a context detached from the
+// request's cancellation: dumps are typically written precisely because the
+// deadline expired, and the harvest must still run.
+func DumpCapture(ctx context.Context, dir string, provider md.Provider) func(*core.Query, core.Config, *gpos.Exception) string {
+	return func(q *core.Query, cfg core.Config, failure *gpos.Exception) string {
+		d, err := Capture(ctx, q, cfg, provider, failure)
+		if err != nil {
+			return ""
+		}
+		path := filepath.Join(dir, fmt.Sprintf("ampere-%d.dxl", time.Now().UnixNano()))
+		if d.WriteFile(path) != nil {
+			return ""
+		}
+		return path
+	}
 }
 
 // Render serializes the dump as a DXL document.

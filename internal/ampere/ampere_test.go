@@ -2,6 +2,7 @@ package ampere
 
 import (
 	"context"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -147,6 +148,41 @@ func TestDumpCapturesStackTrace(t *testing.T) {
 	}
 	if len(d2.Stack) != len(d.Stack) {
 		t.Errorf("stack lines changed in round trip: %d vs %d", len(d2.Stack), len(d.Stack))
+	}
+}
+
+// TestDumpCaptureHook: the DumpCapture hook writes a dump into its
+// directory that replays to the session's plan, and reports "" when the
+// directory cannot be written.
+func TestDumpCaptureHook(t *testing.T) {
+	p := testProvider(t)
+	_, res, cfg := bindAndOptimize(t, p, testQuery)
+	cache := md.NewCache(&gpos.MemoryAccountant{})
+	q, err := sql.Bind(testQuery, md.NewAccessor(cache, p), md.NewColumnFactory())
+	if err != nil {
+		t.Fatalf("rebind: %v", err)
+	}
+	if _, err := q.Accessor.RelationByName("r"); err != nil {
+		t.Fatal(err)
+	}
+	ex := gpos.Raise(gpos.CompOptimizer, "TestError", "synthetic failure")
+
+	dir := t.TempDir()
+	path := DumpCapture(context.Background(), dir, p)(q, cfg, ex)
+	if filepath.Dir(path) != dir || !strings.HasPrefix(filepath.Base(path), "ampere-") {
+		t.Fatalf("hook wrote %q, want an ampere-*.dxl file in %s", path, dir)
+	}
+	replayed, _, err := ReplayFile(path)
+	if err != nil {
+		t.Fatalf("replay %s: %v", path, err)
+	}
+	if got, want := dxl.PlanFingerprint(replayed.Plan), dxl.PlanFingerprint(res.Plan); got != want {
+		t.Errorf("replayed plan differs:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+
+	missing := filepath.Join(dir, "missing")
+	if path := DumpCapture(context.Background(), missing, p)(q, cfg, ex); path != "" {
+		t.Errorf("hook reported %q for an unwritable directory, want \"\"", path)
 	}
 }
 

@@ -51,9 +51,6 @@ type Config struct {
 	// Stages optionally splits optimization into stages; empty means one
 	// unrestricted stage.
 	Stages []Stage
-	// TraceMemo retains a printable dump of the final Memo in the result.
-	TraceMemo bool
-
 	// Faults arms the named fault points of internal/fault for the duration
 	// of the session (disarmed when Optimize returns). Specs are parsed from
 	// the ORCA_FAULTS grammar by fault.ParseSpecs.
@@ -120,9 +117,8 @@ func (c *Config) Validate() error {
 	if c.MDRetry.MaxAttempts < 0 {
 		return fmt.Errorf("core: config: MDRetry.MaxAttempts = %d; want >= 0 (0 or 1 disables retry)", c.MDRetry.MaxAttempts)
 	}
-	if c.MDRetry.InitialBackoff < 0 || c.MDRetry.MaxBackoff < 0 {
-		return fmt.Errorf("core: config: MDRetry backoffs (%v initial, %v max) must be >= 0",
-			c.MDRetry.InitialBackoff, c.MDRetry.MaxBackoff)
+	if c.MDRetry.InitialBackoff < 0 {
+		return fmt.Errorf("core: config: MDRetry.InitialBackoff = %v; want >= 0", c.MDRetry.InitialBackoff)
 	}
 	for i, st := range c.Stages {
 		if st.Timeout < 0 {

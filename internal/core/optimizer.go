@@ -82,9 +82,6 @@ type Result struct {
 	RootGroup memo.GroupID
 	RootReq   props.Required
 
-	// MemoTrace is a printable Memo dump when Config.TraceMemo is set.
-	MemoTrace string
-
 	// Degraded reports the plan came from the degradation ladder rather than
 	// the normal optimization pass (paper §6.1: fail the query gracefully,
 	// never the process).
@@ -397,9 +394,6 @@ func optimizePass(ctx context.Context, q *Query, cfg Config) (*Result, error) {
 	res.RulesFired = opt.RulesFired
 	res.Duration = time.Since(start)
 	res.PeakMemBytes = mem.Peak()
-	if cfg.TraceMemo {
-		res.MemoTrace = m.String()
-	}
 	return res, nil
 }
 

@@ -3,7 +3,7 @@
 // Planner over TPC-DS), the §7.2.2 optimization-time/memory measurements,
 // Figures 13 and 14 (HAWQ vs the Impala and Stinger simulations), Figure 15
 // (TPC-DS support counts) and the §6.2 TAQO cost-model accuracy measurement.
-// The same entry points back cmd/benchmarks and the root bench_test.go.
+// cmd/benchmarks, the one driver of the paper's evaluation, prints them.
 package experiments
 
 import (
@@ -80,16 +80,6 @@ func (e *Env) OptimizeOrca(sqlText string) (*core.Result, *core.Query, error) {
 	return res, q, nil
 }
 
-// run executes a plan under the experiment budget and returns its work.
-func (e *Env) run(plan interface{}, opts engine.Options) (int64, bool, error) {
-	p := plan.(*core.Result)
-	out, err := e.Cluster.Execute(p.Plan, opts)
-	if err != nil {
-		return 0, false, err
-	}
-	return out.Stats.Work(3), out.TimedOut, nil
-}
-
 // ---------------------------------------------------------------------------
 // Figure 12: Orca vs Planner speed-up per query
 
@@ -100,7 +90,6 @@ type Fig12Row struct {
 	PlannerWork     int64
 	Speedup         float64
 	PlannerTimedOut bool
-	OrcaOptTime     time.Duration
 }
 
 // Figure12 plans and executes the workload with both optimizers.
@@ -145,7 +134,6 @@ func (e *Env) Figure12() ([]Fig12Row, error) {
 			PlannerWork:     plannerWork,
 			Speedup:         float64(plannerWork) / float64(max64(orcaWork, 1)),
 			PlannerTimedOut: legacyOut.TimedOut,
-			OrcaOptTime:     res.Duration,
 		})
 	}
 	return rows, nil

@@ -28,12 +28,13 @@ type RetryPolicy struct {
 	// included). Values below 2 disable retry.
 	MaxAttempts int
 	// InitialBackoff is the pre-jitter backoff before the first retry; it
-	// doubles on each subsequent retry. Zero defaults to 5ms when retry is
-	// enabled.
+	// doubles on each subsequent retry, up to maxBackoff. Zero defaults to
+	// 5ms when retry is enabled.
 	InitialBackoff time.Duration
-	// MaxBackoff caps the exponential growth. Zero defaults to 500ms.
-	MaxBackoff time.Duration
 }
+
+// maxBackoff caps the exponential growth of the pre-jitter backoff.
+const maxBackoff = 500 * time.Millisecond
 
 // Enabled reports whether the policy retries at all.
 func (p RetryPolicy) Enabled() bool { return p.MaxAttempts > 1 }
@@ -47,7 +48,7 @@ func (p RetryPolicy) attempts() int {
 }
 
 // backoff computes the jittered sleep before retry number `retry` (1-based):
-// an exponentially doubled base capped at MaxBackoff, then equal-jittered
+// an exponentially doubled base capped at maxBackoff, then equal-jittered
 // into [base/2, base] so synchronized clients spread out instead of
 // retrying in lockstep.
 func (p RetryPolicy) backoff(retry int) time.Duration {
@@ -55,15 +56,11 @@ func (p RetryPolicy) backoff(retry int) time.Duration {
 	if base <= 0 {
 		base = 5 * time.Millisecond
 	}
-	maxB := p.MaxBackoff
-	if maxB <= 0 {
-		maxB = 500 * time.Millisecond
-	}
-	for i := 1; i < retry && base < maxB; i++ {
+	for i := 1; i < retry && base < maxBackoff; i++ {
 		base *= 2
 	}
-	if base > maxB {
-		base = maxB
+	if base > maxBackoff {
+		base = maxBackoff
 	}
 	half := base / 2
 	if half <= 0 {

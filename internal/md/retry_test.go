@@ -57,7 +57,7 @@ func TestRetryAbsorbsTransientFailures(t *testing.T) {
 	flaky := &flakyProvider{MemProvider: p}
 	flaky.left.Store(2)
 	acc := NewAccessor(NewCache(nil), flaky)
-	acc.SetRetryPolicy(RetryPolicy{MaxAttempts: 4, InitialBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond})
+	acc.SetRetryPolicy(RetryPolicy{MaxAttempts: 4, InitialBackoff: time.Millisecond})
 
 	obj, err := acc.Get(rel.Mdid)
 	if err != nil {
@@ -76,7 +76,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	flaky := &flakyProvider{MemProvider: p}
 	flaky.left.Store(100)
 	acc := NewAccessor(NewCache(nil), flaky)
-	acc.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, InitialBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond})
+	acc.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, InitialBackoff: time.Millisecond})
 
 	_, err := acc.Get(rel.Mdid)
 	if err == nil {
@@ -117,7 +117,7 @@ func TestRetryRespectsRequestDeadline(t *testing.T) {
 	acc.BindContext(ctx)
 	// Backoffs of ~1s could retry for minutes; the 30ms deadline must cut
 	// the loop after at most one backoff window.
-	acc.SetRetryPolicy(RetryPolicy{MaxAttempts: 1000, InitialBackoff: time.Second, MaxBackoff: time.Second})
+	acc.SetRetryPolicy(RetryPolicy{MaxAttempts: 1000, InitialBackoff: time.Second})
 
 	start := time.Now()
 	_, err := acc.Get(rel.Mdid)
@@ -142,7 +142,7 @@ func TestRetryFaultPointInjectsTransient(t *testing.T) {
 
 	p, rel := testRelForRetry(t)
 	acc := NewAccessor(NewCache(nil), p)
-	acc.SetRetryPolicy(RetryPolicy{MaxAttempts: 4, InitialBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond})
+	acc.SetRetryPolicy(RetryPolicy{MaxAttempts: 4, InitialBackoff: time.Millisecond})
 	if _, err := acc.Get(rel.Mdid); err != nil {
 		t.Fatalf("injected transient faults should be absorbed by retry: %v", err)
 	}
@@ -196,6 +196,28 @@ func TestIsTransientClassification(t *testing.T) {
 	for _, c := range cases {
 		if got := IsTransient(c.err); got != c.want {
 			t.Errorf("IsTransient(%s) = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestRetryBackoffBounds holds each jittered sleep to [base/2, base], with
+// the doubled base capped at 500ms however large InitialBackoff or the
+// retry number grow.
+func TestRetryBackoffBounds(t *testing.T) {
+	cases := []struct {
+		name     string
+		policy   RetryPolicy
+		retry    int
+		min, max time.Duration
+	}{
+		{"first retry, default base", RetryPolicy{MaxAttempts: 2}, 1, 2500 * time.Microsecond, 5 * time.Millisecond},
+		{"capped", RetryPolicy{MaxAttempts: 30, InitialBackoff: time.Second}, 20, 250 * time.Millisecond, 500 * time.Millisecond},
+	}
+	for _, c := range cases {
+		for i := 0; i < 100; i++ {
+			if d := c.policy.backoff(c.retry); d < c.min || d > c.max {
+				t.Fatalf("%s: backoff(%d) = %v, want in [%v, %v]", c.name, c.retry, d, c.min, c.max)
+			}
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"path/filepath"
 	"time"
 
 	"orca/internal/ampere"
@@ -208,7 +207,7 @@ func (s *Server) runOptimize(w http.ResponseWriter, r *http.Request, timeout tim
 	frac := budgetFrac(s.adm.load(), s.cfg.minBudgetFrac())
 	cfg := s.cfg.Base.ScaleBudgets(frac)
 	if s.cfg.DumpDir != "" {
-		cfg.DumpCapture = s.dumpCapturer(ctx)
+		cfg.DumpCapture = ampere.DumpCapture(context.WithoutCancel(ctx), s.cfg.DumpDir, s.cfg.Provider)
 	}
 
 	acc := md.NewAccessor(s.cache, s.cfg.Provider)
@@ -296,25 +295,6 @@ func (s *Server) optimizeContained(ctx context.Context, cfg core.Config, acc *md
 	}
 	res, cacheState, err = s.cachedOptimize(ctx, cfg, acc, q)
 	return q, res, cacheState, false, err
-}
-
-// dumpCapturer builds the core.Config.DumpCapture hook writing AMPERe repro
-// dumps into DumpDir. The capture context is detached from the request's
-// cancellation: dumps are typically written precisely because the deadline
-// expired, and the harvest must still run.
-func (s *Server) dumpCapturer(ctx context.Context) func(*core.Query, core.Config, *gpos.Exception) string {
-	dctx := context.WithoutCancel(ctx)
-	return func(q *core.Query, cfg core.Config, failure *gpos.Exception) string {
-		d, err := ampere.Capture(dctx, q, cfg, s.cfg.Provider, failure)
-		if err != nil {
-			return ""
-		}
-		path := filepath.Join(s.cfg.DumpDir, fmt.Sprintf("ampere-%d.dxl", time.Now().UnixNano()))
-		if d.WriteFile(path) != nil {
-			return ""
-		}
-		return path
-	}
 }
 
 // jsonCost maps non-finite costs to -1: the degradation ladder's minimal

@@ -477,6 +477,16 @@ func TestConfigRejected(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Error("New accepted a negative admission size")
 	}
+	// Out-of-range knobs are errors, not silent defaults: a MinBudgetFrac
+	// above 1 once read as 0.25, the most aggressive scaling.
+	for _, frac := range []float64{1.5, -0.1} {
+		if _, err := New(Config{Provider: demoProvider(), MinBudgetFrac: frac}); err == nil {
+			t.Errorf("New accepted MinBudgetFrac = %v", frac)
+		}
+	}
+	if _, err := New(Config{Provider: demoProvider(), PlanCacheBytes: -1}); err == nil {
+		t.Error("New accepted a negative PlanCacheBytes")
+	}
 }
 
 // waitFor polls cond (a cheap atomic read) until it holds or the deadline

@@ -52,14 +52,16 @@ type Config struct {
 	RequestTimeout time.Duration
 	// MinBudgetFrac is the floor of load-based budget scaling: at full
 	// admission load a request runs with this fraction of the baseline
-	// budgets. Defaults to 0.25; 1 disables scaling.
+	// budgets. 0 means 0.25; 1 disables scaling; New rejects values
+	// outside [0, 1].
 	MinBudgetFrac float64
 	// DumpDir, when set, receives AMPERe dumps for degraded and panicked
 	// requests.
 	DumpDir string
 
 	// PlanCacheBytes bounds the parameterized plan cache's memory; 0 picks
-	// DefaultPlanCacheBytes. See internal/plancache.
+	// DefaultPlanCacheBytes and New rejects a negative value. See
+	// internal/plancache.
 	PlanCacheBytes int64
 	// PlanCacheOff disables the plan cache: every request pays for a full
 	// optimization and no X-Orca-Cache header is emitted.
@@ -87,21 +89,21 @@ func (c Config) planCacheBytes() int64 {
 	if c.PlanCacheOff {
 		return 0
 	}
-	if c.PlanCacheBytes <= 0 {
+	if c.PlanCacheBytes == 0 {
 		return DefaultPlanCacheBytes
 	}
 	return c.PlanCacheBytes
 }
 
 func (c Config) minBudgetFrac() float64 {
-	if c.MinBudgetFrac <= 0 || c.MinBudgetFrac > 1 {
+	if c.MinBudgetFrac == 0 {
 		return 0.25
 	}
 	return c.MinBudgetFrac
 }
 
 // Server is one optimizer service instance. Create with New, expose with
-// Serve/ListenAndServe (or Handler for in-process tests), stop with
+// Serve (or Handler for in-process tests), stop with
 // Shutdown.
 type Server struct {
 	cfg    Config
@@ -115,9 +117,8 @@ type Server struct {
 	draining  chan struct{}
 	drainOnce sync.Once
 
-	mu        sync.Mutex
-	httpSrv   *http.Server
-	boundAddr string
+	mu      sync.Mutex
+	httpSrv *http.Server
 }
 
 // New validates the configuration and assembles a server.
@@ -134,6 +135,13 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.RequestTimeout < 0 {
 		return nil, fmt.Errorf("serve: config: RequestTimeout = %v; want >= 0", cfg.RequestTimeout)
+	}
+	if !(cfg.MinBudgetFrac >= 0 && cfg.MinBudgetFrac <= 1) {
+		return nil, fmt.Errorf("serve: config: MinBudgetFrac = %v; want in [0, 1] (0 means 0.25)", cfg.MinBudgetFrac)
+	}
+	if cfg.PlanCacheBytes < 0 {
+		return nil, fmt.Errorf("serve: config: PlanCacheBytes = %d; want >= 0 (0 means %d)",
+			cfg.PlanCacheBytes, DefaultPlanCacheBytes)
 	}
 	cache := cfg.Cache
 	if cache == nil {
@@ -176,14 +184,6 @@ func (s *Server) Draining() bool {
 	}
 }
 
-// BoundAddr returns the listener address after ListenAndServe binds, for
-// hosts that bind port 0 and need the chosen port.
-func (s *Server) BoundAddr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.boundAddr
-}
-
 // Serve accepts connections on l until Shutdown. A Shutdown-initiated stop
 // returns nil.
 func (s *Server) Serve(l net.Listener) error {
@@ -193,22 +193,11 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 	s.mu.Lock()
 	s.httpSrv = srv
-	s.boundAddr = l.Addr().String()
 	s.mu.Unlock()
 	if err := srv.Serve(l); err != nil && err != http.ErrServerClosed {
 		return err
 	}
 	return nil
-}
-
-// ListenAndServe binds addr (host:0 picks an ephemeral port, readable via
-// BoundAddr) and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
 }
 
 // Shutdown drains the server gracefully: admission stops accepting (new

@@ -12,7 +12,7 @@
 // into the end-to-end surface the examples and benchmarks use:
 //
 //	sys := orca.NewSystem(16)
-//	sys.MustAddTable(md.TableSpec{Name: "t", ...})
+//	sys.AddTable(md.TableSpec{Name: "t", ...})
 //	sys.MustLoad(42)
 //	res, _ := sys.Run("SELECT count(*) FROM t")
 //
@@ -23,8 +23,6 @@ package orca
 import (
 	"context"
 	"fmt"
-	"path/filepath"
-	"time"
 
 	"orca/internal/ampere"
 	"orca/internal/core"
@@ -73,9 +71,6 @@ func (s *System) AddTable(spec md.TableSpec) *md.Relation {
 	return md.Build(s.Provider, spec)
 }
 
-// MustAddTable is AddTable for fluent setup code.
-func (s *System) MustAddTable(spec md.TableSpec) *md.Relation { return s.AddTable(spec) }
-
 // Load generates data for every registered table by reversing its declared
 // statistics (datagen) and loads it into the cluster.
 func (s *System) Load(seed uint64) error {
@@ -114,24 +109,26 @@ func (s *System) Optimize(query string) (*core.Result, *core.Query, error) {
 	defer q.Accessor.Close()
 	cfg := s.Config
 	var dumped string
-	if s.DumpDir != "" && cfg.DumpCapture == nil {
-		cfg.DumpCapture = func(fq *core.Query, fcfg core.Config, failure *gpos.Exception) string {
-			path, derr := s.writeDump(fq, fcfg, failure)
-			if derr != nil {
-				return ""
+	var capture func(*core.Query, core.Config, *gpos.Exception) string
+	if s.DumpDir != "" {
+		capture = ampere.DumpCapture(context.Background(), s.DumpDir, s.Provider)
+		if cfg.DumpCapture == nil {
+			cfg.DumpCapture = func(fq *core.Query, fcfg core.Config, failure *gpos.Exception) string {
+				dumped = capture(fq, fcfg, failure)
+				return dumped
 			}
-			dumped = path
-			return path
 		}
 	}
 	res, err := core.Optimize(q, cfg)
 	if err != nil {
 		// The ladder already captured a dump through the hook when it
 		// engaged; capture here only for failures that bypassed it (e.g.
-		// DisableDegradation).
-		if dumped == "" {
-			if path, derr := s.captureDump(query, err); derr == nil {
-				dumped = path
+		// DisableDegradation), from a re-bound query so the dump carries
+		// the original tree.
+		if dumped == "" && capture != nil {
+			if fq, berr := s.Bind(query); berr == nil {
+				dumped = capture(fq, s.Config, failureOf(err))
+				fq.Accessor.Close()
 			}
 		}
 		if dumped != "" {
@@ -142,35 +139,13 @@ func (s *System) Optimize(query string) (*core.Result, *core.Query, error) {
 	return res, q, nil
 }
 
-// writeDump renders an AMPERe dump for a failed optimization of an
-// already-bound query into DumpDir.
-func (s *System) writeDump(q *core.Query, cfg core.Config, cause error) (string, error) {
-	if s.DumpDir == "" {
-		return "", nil
+// failureOf returns err as the exception a dump records, wrapping errors
+// raised outside gpos.
+func failureOf(err error) *gpos.Exception {
+	if ex := gpos.AsException(err); ex != nil {
+		return ex
 	}
-	d, err := ampere.Capture(context.Background(), q, cfg, s.Provider, cause)
-	if err != nil {
-		return "", err
-	}
-	path := filepath.Join(s.DumpDir, fmt.Sprintf("ampere-%d.dxl", time.Now().UnixNano()))
-	if err := d.WriteFile(path); err != nil {
-		return "", err
-	}
-	return path, nil
-}
-
-// captureDump writes an AMPERe dump for a failed optimization of the given
-// query text; it re-binds the query so the dump carries the original tree.
-func (s *System) captureDump(query string, cause error) (string, error) {
-	if s.DumpDir == "" {
-		return "", nil
-	}
-	q, err := s.Bind(query)
-	if err != nil {
-		return "", err
-	}
-	defer q.Accessor.Close()
-	return s.writeDump(q, s.Config, cause)
+	return gpos.Wrap(err, gpos.CompOptimizer, "OptimizationFailed", "optimization failed")
 }
 
 // Explain returns the optimized plan rendered as text.
