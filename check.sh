@@ -29,12 +29,16 @@
 #            FuzzHistogramScale: lazy histogram scaling against the eager
 #            code it replaced (internal/stats/histogram_ref_test.go), bit
 #            for bit; go test ./... already ran both seed corpora
-#   race     go test -race over the concurrency-heavy packages
-#            (search scheduler, memo, gpos memory accountant, stats — lazy
-#            histograms materialise under concurrent readers — core —
-#            concurrent Optimize sessions share the fault registry —
-#            serve, whose admission/drain paths are all-concurrent, and
-#            plancache, whose sharded LRU and singleflight are too)
+#   race     go test -race over the packages that share state across
+#            requests: gpos (memory accountant), stats (lazy histograms
+#            materialise under concurrent readers), md (the shared md.Cache,
+#            MemProvider and each lookup's attempt goroutine), core
+#            (concurrent Optimize sessions share the fault registry), serve
+#            (admission/drain paths are all-concurrent) and plancache
+#            (sharded LRU and singleflight). search and memo are
+#            single-threaded — one search runs on one goroutine and owns its
+#            Memo, only the deadline timer's flag crosses goroutines — and
+#            stay in the list so shared state added there is raced too
 #   smoke    build cmd/orcad, start it on an ephemeral port against the
 #            demo catalog, require /readyz, one full /optimize round
 #            trip plus a warm repeat that must be a plan-cache hit
@@ -123,8 +127,8 @@ go test -run '^$' -fuzz '^FuzzParseXML$' -fuzztime 10s ./internal/dxl/
 echo "==> fuzz (lazy Histogram.Scale vs its eager reference, 10 s)"
 go test -run '^$' -fuzz '^FuzzHistogramScale$' -fuzztime 10s ./internal/stats/
 
-echo "==> go test -race (scheduler / memo / gpos / stats / core / serve / plancache)"
-go test -race ./internal/search/... ./internal/memo/... ./internal/gpos/... ./internal/stats/... ./internal/core/... ./internal/serve/... ./internal/plancache/...
+echo "==> go test -race (search / memo / gpos / stats / md / core / serve / plancache)"
+go test -race ./internal/search/... ./internal/memo/... ./internal/gpos/... ./internal/stats/... ./internal/md/... ./internal/core/... ./internal/serve/... ./internal/plancache/...
 
 echo "==> orcad smoke (ephemeral port, /readyz, cold+warm round trip, SIGTERM drain)"
 go build -o "$orcavet_tmp/orcad" ./cmd/orcad

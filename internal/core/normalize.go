@@ -32,13 +32,24 @@ type normalizer struct {
 // ---------------------------------------------------------------------------
 // Subquery unnesting
 
+// unnest copies a node on write: the caller's tree is never modified, so a
+// failed pass leaves the bound query intact for the diagnostic dump.
 func (n *normalizer) unnest(e *ops.Expr) (*ops.Expr, error) {
+	var kids []*ops.Expr
 	for i, c := range e.Children {
 		nc, err := n.unnest(c)
 		if err != nil {
 			return nil, err
 		}
-		e.Children[i] = nc
+		if nc != c && kids == nil {
+			kids = append([]*ops.Expr(nil), e.Children...)
+		}
+		if kids != nil {
+			kids[i] = nc
+		}
+	}
+	if kids != nil {
+		e = ops.NewExpr(e.Op, kids...)
 	}
 	if sel, ok := e.Op.(*ops.Select); ok {
 		return n.unnestSelect(e, sel)
@@ -71,6 +82,9 @@ func (n *normalizer) unnestSelect(e *ops.Expr, sel *ops.Select) (*ops.Expr, erro
 		default:
 			keep = append(keep, c)
 		}
+	}
+	if result == e.Children[0] && len(keep) > 0 {
+		return e, nil // no subquery to unnest: keep the node as bound
 	}
 	if len(keep) > 0 {
 		return ops.NewExpr(&ops.Select{Pred: ops.And(keep...)}, result), nil

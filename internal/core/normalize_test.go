@@ -6,10 +6,12 @@ import (
 
 	"orca/internal/base"
 	"orca/internal/core"
+	"orca/internal/dxl"
 	"orca/internal/gpos"
 	"orca/internal/md"
 	"orca/internal/ops"
 	"orca/internal/sql"
+	"orca/internal/tpcds"
 )
 
 func normCatalog(t testing.TB) (*md.Accessor, *md.ColumnFactory) {
@@ -213,6 +215,27 @@ func TestNormalizeIdempotent(t *testing.T) {
 	if treeString(again) != treeString(tree) {
 		t.Errorf("normalization not idempotent:\n--- first ---\n%s--- second ---\n%s",
 			treeString(tree), treeString(again))
+	}
+}
+
+// TestNormalizeLeavesInputIntact: Normalize copies on write, so the bound
+// tree a failed pass hands to the diagnostic dump is the query as bound.
+func TestNormalizeLeavesInputIntact(t *testing.T) {
+	p := md.NewMemProvider()
+	tpcds.BuildCatalog(p, tpcds.Scale{Factor: 1})
+	cache := md.NewCache(&gpos.MemoryAccountant{})
+	for _, wq := range tpcds.Workload() {
+		q, err := sql.Bind(wq.SQL, md.NewAccessor(cache, p), md.NewColumnFactory())
+		if err != nil {
+			t.Fatalf("%s: bind: %v", wq.Name, err)
+		}
+		before := dxl.SerializeQuery(q).Render()
+		if _, err := core.Normalize(q.Tree, q.Factory); err != nil {
+			t.Fatalf("%s: normalize: %v", wq.Name, err)
+		}
+		if dxl.SerializeQuery(q).Render() != before {
+			t.Errorf("%s: Normalize changed the caller's tree", wq.Name)
+		}
 	}
 }
 

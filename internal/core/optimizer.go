@@ -40,8 +40,9 @@ type StageRun struct {
 	Name string
 	// Cost is the best root plan cost after the stage (InfCost if none).
 	Cost float64
-	// TimedOut reports the stage hit its Timeout or StepLimit; the Memo then
-	// keeps the best plan found so far instead of discarding the stage.
+	// TimedOut reports the stage hit its Timeout, StepLimit or the request
+	// deadline; the Memo then keeps the best plan found so far instead of
+	// discarding the stage.
 	TimedOut bool
 	// Aborted reports a resource guard (Config.MemoryBudget or MaxGroups)
 	// cut the stage short. Like TimedOut, the best plan found so far is kept.
@@ -131,11 +132,13 @@ func Optimize(q *Query, cfg Config) (*Result, error) {
 
 // OptimizeContext is Optimize bound to a request context: the context is
 // attached to the query's metadata accessor (so cancelling it cancels
-// in-flight provider lookups) and checked between optimization stages, so a
-// cancelled request stops after the running stage instead of walking the
-// remaining stage ladder. Cancellation surfaces as an ordinary optimization
-// failure; with degradation enabled the ladder still runs, which is
-// intentional — a degraded plan beats no plan even for an impatient caller.
+// in-flight provider lookups), its deadline bounds every stage like a stage
+// Timeout (a stage it cuts short keeps its best plan so far and reports
+// TimedOut), and it is checked between optimization stages, so a cancelled
+// request stops after the running stage instead of walking the remaining
+// stage ladder. Cancellation surfaces as an ordinary optimization failure;
+// with degradation enabled the ladder still runs, which is intentional — a
+// degraded plan beats no plan even for an impatient caller.
 func OptimizeContext(ctx context.Context, q *Query, cfg Config) (*Result, error) {
 	// A misconfiguration, not an optimization failure: no ladder, no dump.
 	if ex := cfg.unknownRule(); ex != nil {
@@ -329,9 +332,14 @@ func optimizePass(ctx context.Context, q *Query, cfg Config) (*Result, error) {
 			break
 		}
 		xctx.SetRuleSet(rules, cfg.disabled(&st))
+		// The stage ends at the earlier of its own timeout and the request
+		// deadline; either drain keeps the best plan so far.
 		var deadline time.Time
 		if st.Timeout > 0 {
 			deadline = time.Now().Add(st.Timeout)
+		}
+		if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
+			deadline = d
 		}
 		bestCost, sstats, err := opt.RunStage(root, req, search.StageParams{
 			Deadline:  deadline,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -80,9 +81,12 @@ func TestStageTimeoutBestSoFar(t *testing.T) {
 
 // TestStageDeadlineMidRunBestSoFar cuts a stage by its wall-clock deadline
 // one step before the end: a delay injected into the second-to-last job step
-// outlasts the stage timeout, the deadline timer fires during it, and the
-// stage drains before the next step. The best plan is then already in place
-// (see TestStageTimeoutBestSoFar), extractable at the full run's cost.
+// outlasts the deadline, the deadline timer fires during it, and the stage
+// drains before the next step. The best plan is then already in place (see
+// TestStageTimeoutBestSoFar), extractable at the full run's cost. The
+// deadline is either the stage's Timeout or the request context's: a stage
+// with no Timeout of its own is still bounded by the request, and reports
+// TimedOut so the plan cache never admits its plan.
 func TestStageDeadlineMidRunBestSoFar(t *testing.T) {
 	q, _ := paperExample(t)
 	full, err := Optimize(q, DefaultConfig(16))
@@ -92,31 +96,46 @@ func TestStageDeadlineMidRunBestSoFar(t *testing.T) {
 	total := full.Search.TotalSteps()
 
 	const timeout = 200 * time.Millisecond
-	disarm, err := fault.Arm([]fault.Spec{{Point: fault.PointSearchJobExec, Action: fault.ActDelay,
-		Delay: timeout + 100*time.Millisecond, Every: int(total - 1), Limit: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer disarm()
-	q2, _ := paperExample(t)
-	cfg := DefaultConfig(16)
-	cfg.Stages = []Stage{{Name: "deadline", Timeout: timeout}}
-	cfg.DisableDegradation = true
-	res, err := Optimize(q2, cfg)
-	if err != nil {
-		t.Fatalf("deadline run: %v", err)
-	}
-	if len(res.StageRuns) != 1 || !res.StageRuns[0].TimedOut {
-		t.Fatalf("stage should have timed out: %+v", res.StageRuns)
-	}
-	if n := res.Search.TotalSteps(); n != total-1 {
-		t.Errorf("ran %d steps, want %d: the deadline must stop the stage right after the delayed step", n, total-1)
-	}
-	if res.Plan == nil || res.Cost != full.Cost {
-		t.Errorf("best-so-far plan %v at cost %v, want the full run's cost %v", res.Plan != nil, res.Cost, full.Cost)
-	}
-	if err := res.Memo.Validate(); err != nil {
-		t.Errorf("drained Memo invalid: %v", err)
+	for _, viaRequest := range []bool{false, true} {
+		name := "stage-timeout"
+		if viaRequest {
+			name = "request-deadline"
+		}
+		t.Run(name, func(t *testing.T) {
+			disarm, err := fault.Arm([]fault.Spec{{Point: fault.PointSearchJobExec, Action: fault.ActDelay,
+				Delay: timeout + 100*time.Millisecond, Every: int(total - 1), Limit: 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer disarm()
+			q2, _ := paperExample(t)
+			cfg := DefaultConfig(16)
+			cfg.Stages = []Stage{{Name: "deadline", Timeout: timeout}}
+			cfg.DisableDegradation = true
+			ctx := context.Background()
+			if viaRequest {
+				cfg.Stages = []Stage{{Name: "deadline"}}
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, timeout)
+				defer cancel()
+			}
+			res, err := OptimizeContext(ctx, q2, cfg)
+			if err != nil {
+				t.Fatalf("deadline run: %v", err)
+			}
+			if len(res.StageRuns) != 1 || !res.StageRuns[0].TimedOut {
+				t.Fatalf("stage should have timed out: %+v", res.StageRuns)
+			}
+			if n := res.Search.TotalSteps(); n != total-1 {
+				t.Errorf("ran %d steps, want %d: the deadline must stop the stage right after the delayed step", n, total-1)
+			}
+			if res.Plan == nil || res.Cost != full.Cost {
+				t.Errorf("best-so-far plan %v at cost %v, want the full run's cost %v", res.Plan != nil, res.Cost, full.Cost)
+			}
+			if err := res.Memo.Validate(); err != nil {
+				t.Errorf("drained Memo invalid: %v", err)
+			}
+		})
 	}
 }
 

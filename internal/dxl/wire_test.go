@@ -15,7 +15,7 @@ import (
 // renders. It pins the DXL bytes themselves: attribute order and escaping,
 // indentation, number formatting. A change to it is a wire-format change and
 // breaks every host and AMPERe dump written against the old bytes.
-const wireFormatSHA256 = "9cacb32a8a0719f9c3416b53f06dbf5ca21226c36b020db9fd66b55d13bdf415"
+const wireFormatSHA256 = "f9d2571619fd16309af96060334e9bd5fd1a2510bbca8038e9eb480fe32f3854"
 
 // TestWireFormatPinned hashes the TPC-DS scale-2 catalog document, the 32
 // workload queries as DXL, each query's ParseXML→Render round trip, and each

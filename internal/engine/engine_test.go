@@ -160,7 +160,8 @@ func TestPartitionPruning(t *testing.T) {
 	}
 	fullOps := res.Stats.TupleOps
 
-	pruned := ops.NewExpr(&ops.Scan{Rel: rel, Cols: cols, Pruned: true, Parts: []int{0}})
+	dLt10 := ops.NewCmp(ops.CmpLt, ops.NewIdent(cols[1].ID, base.TInt), ops.NewConst(base.NewInt(10)))
+	pruned := ops.NewExpr(&ops.Scan{Rel: rel, Cols: cols, Filter: dLt10, Pruned: true})
 	res2 := run(t, fx, ops.NewExpr(&ops.Gather{}, pruned))
 	if len(res2.Rows) != 3 {
 		t.Errorf("pruned scan rows = %d, want 3", len(res2.Rows))

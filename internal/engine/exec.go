@@ -190,7 +190,7 @@ func (ex *executor) execScan(op *ops.Scan, _ *ops.Expr) (*result, error) {
 
 	partIdx := allParts(t)
 	if op.Pruned {
-		partIdx = op.Parts
+		partIdx, _ = ops.PrunePartitions(op.Rel, op.Cols, op.Filter)
 	}
 	for _, p := range partIdx {
 		for s := 0; s < ex.c.Segments; s++ {

@@ -95,6 +95,39 @@ func (c *legsFixture) physical(ptrIdentity bool, build func() ops.Operator) {
 	}
 }
 
+// scalarSlots takes an operator through the plan cache's scalar-slot walk,
+// ops.RewriteOpScalars: rewriting every slot to a distinct marker must
+// change an operator that declares slots and leave one without them alone,
+// and rewriting the markers back must give an operator ParamEqual with the
+// original. A pointer-identity operator must be refused.
+func (c *legsFixture) scalarSlots(slots, ptrIdentity bool, op ops.Operator) {
+	c.t.Helper()
+	const first = 1000
+	var seen []ops.ScalarExpr
+	marked, ok := ops.RewriteOpScalars(op, func(s ops.ScalarExpr) ops.ScalarExpr {
+		seen = append(seen, s)
+		return ops.NewParam(first + len(seen) - 1)
+	})
+	if ok == ptrIdentity {
+		c.t.Errorf("%s: RewriteOpScalars reports ok=%v for a pointer-identity=%v operator", op.Name(), ok, ptrIdentity)
+		return
+	}
+	if ptrIdentity {
+		return
+	}
+	if slots != (len(seen) > 0) || slots == marked.ParamEqual(op) {
+		c.t.Errorf("%s: the walk visited %d slots and changed the operator=%v; it declares slots=%v",
+			op.Name(), len(seen), !marked.ParamEqual(op), slots)
+		return
+	}
+	back, _ := ops.RewriteOpScalars(marked, func(s ops.ScalarExpr) ops.ScalarExpr {
+		return seen[s.(*ops.Param).Ord-first]
+	})
+	if !back.ParamEqual(op) || back.ParamHash() != op.ParamHash() {
+		c.t.Errorf("%s: rewriting the markers back changed it: %s -> %s", op.Name(), ops.Describe(op), ops.Describe(back))
+	}
+}
+
 // roundTrip serializes a logical tree as a DXL query, parses it back and
 // returns the parsed tree, or nil after reporting an error.
 func (c *legsFixture) roundTrip(tree *ops.Expr) *ops.Expr {
@@ -135,7 +168,6 @@ func (c *legsFixture) sampleRelation() *md.Relation         { return c.rel }
 func (c *legsFixture) sampleColID() base.ColID              { return 1 }
 func (c *legsFixture) sampleColIDs() []base.ColID           { return []base.ColID{1, 2} }
 func (c *legsFixture) sampleColIDLists() [][]base.ColID     { return [][]base.ColID{{1}, {2}} }
-func (c *legsFixture) sampleIntList() []int                 { return []int{0} }
 func (c *legsFixture) sampleOrderSpec() props.OrderSpec     { return props.MakeOrder(1) }
 func (c *legsFixture) sampleColIDMap() map[base.ColID]base.ColID {
 	return map[base.ColID]base.ColID{1: 3}
@@ -163,7 +195,10 @@ func (c *legsFixture) sampleAggElems() []ops.AggElem {
 }
 
 func (c *legsFixture) sampleWinElems() []ops.WinElem {
-	return []ops.WinElem{{Col: computed(5, "r"), Fn: &ops.WinFunc{Name: "rank"}}}
+	return []ops.WinElem{
+		{Col: computed(5, "r"), Fn: &ops.WinFunc{Name: "rank"}},
+		{Col: computed(6, "w"), Fn: &ops.WinFunc{Name: "sum", Arg: c.sampleIdent()}},
+	}
 }
 
 // One sample per hand-written scalar operator.

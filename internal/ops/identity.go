@@ -101,25 +101,6 @@ func colIDListsEqual(a, b [][]base.ColID) bool {
 	return true
 }
 
-func hashInts(h uint64, v []int) uint64 {
-	for _, x := range v {
-		h = hashMix(h, uint64(x))
-	}
-	return hashMix(h, uint64(len(v)))
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func hashProjElems(h uint64, elems []ProjElem) uint64 {
 	for _, e := range elems {
 		h = hashMix(h, uint64(e.Col.ID))

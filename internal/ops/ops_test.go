@@ -320,3 +320,63 @@ func TestParamEqualDistinguishesOperators(t *testing.T) {
 		t.Error("cross-operator ParamEqual must be false")
 	}
 }
+
+func TestPrunePartitions(t *testing.T) {
+	p := md.NewMemProvider()
+	rel := md.Build(p, md.TableSpec{
+		Name: "pt", Rows: 100, Policy: md.DistHash, DistCols: []int{0},
+		PartCol: 1,
+		Parts: []md.Partition{
+			{Name: "p0", Lo: base.NewInt(0), Hi: base.NewInt(10)},
+			{Name: "p1", Lo: base.NewInt(10), Hi: base.NewInt(20)},
+			{Name: "p2", Lo: base.NewInt(20), Hi: base.NewInt(30)},
+		},
+		Cols: []md.ColSpec{
+			{Name: "id", Type: base.TInt, NDV: 100, Lo: 0, Hi: 100},
+			{Name: "d", Type: base.TInt, NDV: 30, Lo: 0, Hi: 30},
+		},
+	})
+	f := md.NewColumnFactory()
+	cols := []*md.ColRef{
+		f.NewTableColumn("id", base.TInt, rel.Mdid, 0),
+		f.NewTableColumn("d", base.TInt, rel.Mdid, 1),
+	}
+	d := func() ScalarExpr { return NewIdent(cols[1].ID, base.TInt) }
+	c := func(v int64) ScalarExpr { return NewConst(base.NewInt(v)) }
+
+	cases := []struct {
+		name string
+		pred ScalarExpr
+		want []int
+		ok   bool
+	}{
+		{"eq", Eq(d(), c(15)), []int{1}, true},
+		{"lt-boundary", NewCmp(CmpLt, d(), c(10)), []int{0}, true},
+		{"le-boundary", NewCmp(CmpLe, d(), c(10)), []int{0, 1}, true},
+		{"gt", NewCmp(CmpGt, d(), c(19)), []int{1, 2}, true},
+		{"range", And(NewCmp(CmpGe, d(), c(5)), NewCmp(CmpLt, d(), c(15))), []int{0, 1}, true},
+		{"in-list", &InList{Arg: d(), Vals: []ScalarExpr{c(5), c(25)}}, []int{0, 2}, true},
+		{"empty", Eq(d(), c(99)), nil, true},
+		{"other-col", Eq(NewIdent(cols[0].ID, base.TInt), c(1)), nil, false},
+		{"reversed", NewCmp(CmpGt, c(10), d()), []int{0}, true}, // 10 > d ⇔ d < 10
+	}
+	for _, tc := range cases {
+		got, pruned := PrunePartitions(rel, cols, tc.pred)
+		if pruned != tc.ok {
+			t.Errorf("%s: pruned=%v, want %v", tc.name, pruned, tc.ok)
+			continue
+		}
+		if !tc.ok {
+			continue
+		}
+		if len(got) != len(tc.want) {
+			t.Errorf("%s: parts=%v, want %v", tc.name, got, tc.want)
+			continue
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Errorf("%s: parts=%v, want %v", tc.name, got, tc.want)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package ops
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"orca/internal/base"
@@ -70,12 +71,109 @@ func (s *Scan) Describe() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Scan(%s)", s.Rel.Name)
 	if s.Pruned {
-		fmt.Fprintf(&b, " parts=%d/%d", len(s.Parts), len(s.Rel.Parts))
+		parts, _ := PrunePartitions(s.Rel, s.Cols, s.Filter)
+		fmt.Fprintf(&b, " parts=%d/%d", len(parts), len(s.Rel.Parts))
 	}
 	if s.Filter != nil {
 		fmt.Fprintf(&b, " filter=%s", s.Filter)
 	}
 	return b.String()
+}
+
+// PrunePartitions statically eliminates partitions that cannot contain rows
+// matching the predicate. It returns the kept partition ordinals and whether
+// pruning applies (a partition-column constraint was found).
+func PrunePartitions(rel *md.Relation, cols []*md.ColRef, pred ScalarExpr) ([]int, bool) {
+	if !rel.IsPartitioned() || rel.PartCol >= len(cols) {
+		return nil, false
+	}
+	partCol := cols[rel.PartCol].ID
+	lo, hi := math.Inf(-1), math.Inf(1)
+	hiExcl := false
+	var eqVals []float64
+	constrained := false
+	for _, c := range Conjuncts(pred) {
+		switch x := c.(type) {
+		case *Cmp:
+			l, r, op := x.L, x.R, x.Op
+			if _, ok := l.(*Const); ok {
+				l, r = r, l
+				op = op.Commuted()
+			}
+			id, lok := l.(*Ident)
+			cv, rok := r.(*Const)
+			if !lok || !rok || id.Col != partCol {
+				continue
+			}
+			v := cv.Val.AsFloat()
+			constrained = true
+			switch op {
+			case CmpEq:
+				eqVals = append(eqVals, v)
+			case CmpLt:
+				if v <= hi {
+					hi = v
+					hiExcl = true
+				}
+			case CmpLe:
+				if v < hi {
+					hi = v
+					hiExcl = false
+				}
+			case CmpGt, CmpGe:
+				lo = math.Max(lo, v)
+			default:
+				constrained = constrained || false
+			}
+		case *InList:
+			id, ok := x.Arg.(*Ident)
+			if !ok || id.Col != partCol || x.Negated {
+				continue
+			}
+			allConst := true
+			var vals []float64
+			for _, v := range x.Vals {
+				if cv, ok := v.(*Const); ok {
+					vals = append(vals, cv.Val.AsFloat())
+				} else {
+					allConst = false
+				}
+			}
+			if allConst {
+				constrained = true
+				eqVals = append(eqVals, vals...)
+			}
+		default:
+			// Other conjunct forms cannot constrain the partition column.
+		}
+	}
+	if !constrained {
+		return nil, false
+	}
+	var keep []int
+	for i, p := range rel.Parts {
+		plo, phi := p.Lo.AsFloat(), p.Hi.AsFloat()
+		if len(eqVals) > 0 {
+			match := false
+			for _, v := range eqVals {
+				if v >= plo && v < phi {
+					match = true
+					break
+				}
+			}
+			if !match {
+				continue
+			}
+		}
+		if phi <= lo {
+			continue
+		}
+		if hiExcl && plo >= hi || !hiExcl && plo > hi {
+			continue
+		}
+		keep = append(keep, i)
+	}
+	return keep, true
 }
 
 func tableDist(rel *md.Relation, cols []*md.ColRef) props.Distribution {

@@ -2,15 +2,20 @@ package ops
 
 // Scalar-slot rewriting: the plan cache (internal/plancache) normalizes
 // expression trees modulo constants by rewriting every scalar an operator
-// carries, and rebinds cached plans by rewriting them back. The visitor here
-// is the single source of truth for which operator fields hold scalars —
-// fingerprinting and rebinding must see exactly the same slots, or a
-// constant could survive in a cached plan without participating in the key.
+// carries, and rebinds cached plans by rewriting them back. The visitor,
+// RewriteOpScalars, is generated from defs/*.opt into ops.gen.go: every
+// field of type Scalar, ScalarList, ProjElems, AggElems or WinElems is a
+// slot, so fingerprinting and rebinding see exactly the slots the operator
+// declarations name, and a constant cannot survive in a cached plan without
+// participating in the key. This file keeps the leaf rewrite and the list
+// helpers the generated visitor calls.
 //
-// Operators not listed (Get, Limit, UnionAll, Sort, motions, ...) carry no
-// ScalarExpr parameters; their constants-by-value (Limit counts, partition
-// lists) are operator identity and hash into the shape fingerprint via
-// ParamHash, which is what makes them safe to leave alone.
+// Operators without slots (Get, Limit, UnionAll, Sort, motions, ...) carry
+// no ScalarExpr parameters; their constants-by-value (Limit counts) are
+// operator identity and hash into the shape fingerprint via ParamHash. No
+// operator stores a value computed from a scalar slot's constant — a Scan's
+// partition selection is evaluated from its Filter wherever it is read — so
+// rewriting the slots rewrites everything a constant determines.
 
 // RewriteScalarLeaves rebuilds a scalar tree with every leaf (Const, Ident,
 // Param, Subquery) replaced by leaf's result; interior nodes are copied only
@@ -94,121 +99,6 @@ func rewriteScalarSlice(in []ScalarExpr, leaf func(ScalarExpr) ScalarExpr) ([]Sc
 		return in, false
 	}
 	return out, true
-}
-
-// RewriteOpScalars returns op with every ScalarExpr parameter rewritten by
-// rw (which receives whole scalar slots, nil included for absent optional
-// predicates). Operators are immutable values, so an unchanged op is
-// returned as-is and a changed one is a shallow copy — callers never mutate
-// shared trees. The second result reports whether this operator kind is
-// known to the visitor: false means the operator carries out-of-line state
-// the rewrite cannot reach (SubPlanFilter/SubPlanProject bound plans), and
-// the plan cache must refuse the shape.
-func RewriteOpScalars(op Operator, rw func(ScalarExpr) ScalarExpr) (Operator, bool) {
-	switch x := op.(type) {
-	case *Select:
-		if p := rw(x.Pred); p != x.Pred {
-			c := *x
-			c.Pred = p
-			return &c, true
-		}
-	case *Join:
-		if p := rw(x.Pred); p != x.Pred {
-			c := *x
-			c.Pred = p
-			return &c, true
-		}
-	case *NAryJoin:
-		if preds, changed := rewriteSlots(x.Preds, rw); changed {
-			c := *x
-			c.Preds = preds
-			return &c, true
-		}
-	case *Project:
-		if elems, changed := rewriteProjElems(x.Elems, rw); changed {
-			c := *x
-			c.Elems = elems
-			return &c, true
-		}
-	case *GbAgg:
-		if aggs, changed := rewriteAggElems(x.Aggs, rw); changed {
-			c := *x
-			c.Aggs = aggs
-			return &c, true
-		}
-	case *Window:
-		if wins, changed := rewriteWinElems(x.Wins, rw); changed {
-			c := *x
-			c.Wins = wins
-			return &c, true
-		}
-	case *Scan:
-		if p := rw(x.Filter); p != x.Filter {
-			c := *x
-			c.Filter = p
-			return &c, true
-		}
-	case *IndexScan:
-		eq, res := rw(x.EqFilter), rw(x.Residual)
-		if eq != x.EqFilter || res != x.Residual {
-			c := *x
-			c.EqFilter, c.Residual = eq, res
-			return &c, true
-		}
-	case *Filter:
-		if p := rw(x.Pred); p != x.Pred {
-			c := *x
-			c.Pred = p
-			return &c, true
-		}
-	case *ComputeScalar:
-		if elems, changed := rewriteProjElems(x.Elems, rw); changed {
-			c := *x
-			c.Elems = elems
-			return &c, true
-		}
-	case *HashJoin:
-		if p := rw(x.Residual); p != x.Residual {
-			c := *x
-			c.Residual = p
-			return &c, true
-		}
-	case *NLJoin:
-		if p := rw(x.Pred); p != x.Pred {
-			c := *x
-			c.Pred = p
-			return &c, true
-		}
-	case *HashAgg:
-		if aggs, changed := rewriteAggElems(x.Aggs, rw); changed {
-			c := *x
-			c.Aggs = aggs
-			return &c, true
-		}
-	case *StreamAgg:
-		if aggs, changed := rewriteAggElems(x.Aggs, rw); changed {
-			c := *x
-			c.Aggs = aggs
-			return &c, true
-		}
-	case *ScalarAgg:
-		if aggs, changed := rewriteAggElems(x.Aggs, rw); changed {
-			c := *x
-			c.Aggs = aggs
-			return &c, true
-		}
-	case *PhysicalWindow:
-		if wins, changed := rewriteWinElems(x.Wins, rw); changed {
-			c := *x
-			c.Wins = wins
-			return &c, true
-		}
-	case *SubPlanFilter, *SubPlanProject:
-		// Bound subplans hold whole expression trees out of line with
-		// pointer identity; the rewrite cannot normalize them.
-		return op, false
-	}
-	return op, true
 }
 
 func rewriteSlots(in []ScalarExpr, rw func(ScalarExpr) ScalarExpr) ([]ScalarExpr, bool) {

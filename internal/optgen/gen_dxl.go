@@ -102,8 +102,6 @@ func dxlStmts(f *FieldDef) ([]string, error) {
 		return []string{fmt.Sprintf("n.Set(%q, intList(%s))", attr, x)}, nil
 	case "ColIDLists":
 		return []string{fmt.Sprintf("for _, cols := range %s {\n\t\t\tn.Add(El(%q).Set(\"Cols\", intList(cols)))\n\t\t}", x, attr)}, nil
-	case "IntList":
-		return []string{fmt.Sprintf("if len(%s) > 0 {\n\t\t\tn.Set(%q, intList(%s))\n\t\t}", x, attr, x)}, nil
 	case "OrderSpec":
 		return []string{fmt.Sprintf("n.Add(serializeOrder(%q, %s))", attr, x)}, nil
 	case "ProjElems":

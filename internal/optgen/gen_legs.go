@@ -4,8 +4,9 @@ package optgen
 // every declared operator and takes it through the legs of its kind that no
 // generated dispatch switch already proves at compile time — the DXL query
 // round trip of logical and scalar operators, scalar evaluation in the
-// engine, and ParamHash/ParamEqual consistency of physical and enforcer
-// operators. Field values come from the hand-written fixture
+// engine, ParamHash/ParamEqual consistency of physical and enforcer
+// operators, and the plan cache's scalar-slot walk of every non-scalar
+// operator. Field values come from the hand-written fixture
 // (internal/engine/legs_test.go): one sample<Type> method per defs field
 // type and one sample<Op> method per hand-written scalar, so a new type or
 // scalar does not compile until it has a sample.
@@ -33,6 +34,9 @@ func genLegs(cat *Catalog) ([]byte, error) {
 		default:
 			g.p("\tc.physical(%t, func() ops.Operator { return %s })", o.PtrIdentity, opLiteral(o))
 		}
+		if o.Kind != KindScalar {
+			g.p("\tc.scalarSlots(%t, %t, %s)", hasScalarSlot(o), o.PtrIdentity, opLiteral(o))
+		}
 	}
 	g.p("}")
 	return g.gofmt()
@@ -49,4 +53,15 @@ func opLiteral(o *OpDef) string {
 		lit += f.Name + ": c.sample" + f.Type + "()"
 	}
 	return lit + "}"
+}
+
+// hasScalarSlot reports whether an operator declares a field the scalar-slot
+// walk rewrites.
+func hasScalarSlot(o *OpDef) bool {
+	for _, f := range o.Fields {
+		if _, ok := scalarSlot[f.Type]; ok {
+			return true
+		}
+	}
+	return false
 }

@@ -33,6 +33,7 @@ func genOps(cat *Catalog) ([]byte, error) {
 			return nil, err
 		}
 	}
+	genRewrite(&g, cat)
 	if len(hand) > 0 {
 		g.p("// The hand-written operators declared in defs/: each must exist with")
 		g.p("// the declared kind.")
@@ -176,6 +177,82 @@ func genOpDef(g *gen, o *OpDef) error {
 	return nil
 }
 
+// genRewrite emits RewriteOpScalars, the walk the plan cache uses to reach
+// every constant of a plan: one case per operator with a scalar slot field,
+// so a slot declared in defs/ cannot be skipped. The list helpers
+// (rewriteSlots and friends) stay hand-written in internal/ops/rewrite.go.
+func genRewrite(g *gen, cat *Catalog) {
+	g.doc([]string{
+		"RewriteOpScalars returns op with every ScalarExpr parameter rewritten by",
+		"rw (which receives whole scalar slots, nil included for absent optional",
+		"predicates), in field declaration order. Operators are immutable values,",
+		"so an unchanged op is returned as-is and a changed one is a shallow copy",
+		"— callers never mutate shared trees. The second result reports whether",
+		"the rewrite reaches all of the operator's state: false means it carries",
+		"out-of-line state (the bound plans of pointer-identity operators), and",
+		"the plan cache must refuse the shape.",
+	})
+	g.p("func RewriteOpScalars(op Operator, rw func(ScalarExpr) ScalarExpr) (Operator, bool) {")
+	g.p("\tswitch x := op.(type) {")
+	var ptr []string
+	for _, o := range cat.Ops {
+		if o.Hand {
+			continue
+		}
+		if o.PtrIdentity {
+			ptr = append(ptr, "*"+o.Name)
+			continue
+		}
+		var stmts, vars, fields, conds []string
+		for _, f := range o.Fields {
+			helper, ok := scalarSlot[f.Type]
+			if !ok {
+				continue
+			}
+			v := strings.ToLower(f.Name[:1]) + f.Name[1:]
+			if helper == "" {
+				stmts = append(stmts, fmt.Sprintf("%s := rw(x.%s)", v, f.Name))
+				conds = append(conds, fmt.Sprintf("%s != x.%s", v, f.Name))
+			} else {
+				stmts = append(stmts, fmt.Sprintf("%s, %sChanged := %s(x.%s, rw)", v, v, helper, f.Name))
+				conds = append(conds, v+"Changed")
+			}
+			vars = append(vars, v)
+			fields = append(fields, "c."+f.Name)
+		}
+		if len(vars) == 0 {
+			continue
+		}
+		g.p("\tcase *%s:", o.Name)
+		for _, st := range stmts {
+			g.p("\t\t%s", st)
+		}
+		g.p("\t\tif %s {", strings.Join(conds, " || "))
+		g.p("\t\t\tc := *x")
+		g.p("\t\t\t%s = %s", strings.Join(fields, ", "), strings.Join(vars, ", "))
+		g.p("\t\t\treturn &c, true")
+		g.p("\t\t}")
+	}
+	if len(ptr) > 0 {
+		g.p("\tcase %s:", strings.Join(ptr, ", "))
+		g.p("\t\treturn op, false")
+	}
+	g.p("\t}")
+	g.p("\treturn op, true")
+	g.p("}")
+	g.p("")
+}
+
+// scalarSlot maps each field type that holds scalars to the hand-written
+// helper rewriting it ("" for a single Scalar, rewritten by rw itself).
+var scalarSlot = map[string]string{
+	"Scalar":     "",
+	"ScalarList": "rewriteSlots",
+	"ProjElems":  "rewriteProjElems",
+	"AggElems":   "rewriteAggElems",
+	"WinElems":   "rewriteWinElems",
+}
+
 // hashStmt emits the ParamHash statement for one identity field.
 func hashStmt(f *FieldDef) (string, error) {
 	x := "x." + f.Name
@@ -198,8 +275,6 @@ func hashStmt(f *FieldDef) (string, error) {
 		return fmt.Sprintf("h = hashColIDs(h, %s)", x), nil
 	case "ColIDLists":
 		return fmt.Sprintf("h = hashColIDLists(h, %s)", x), nil
-	case "IntList":
-		return fmt.Sprintf("h = hashInts(h, %s)", x), nil
 	case "OrderSpec":
 		return fmt.Sprintf("h = hashMix(h, %s.Hash())", x), nil
 	case "ProjElems":
@@ -230,8 +305,6 @@ func equalCond(f *FieldDef) (string, error) {
 		return fmt.Sprintf("colIDsEqual(%s, %s)", x, o), nil
 	case "ColIDLists":
 		return fmt.Sprintf("colIDListsEqual(%s, %s)", x, o), nil
-	case "IntList":
-		return fmt.Sprintf("intsEqual(%s, %s)", x, o), nil
 	case "OrderSpec":
 		return fmt.Sprintf("%s.Equal(%s)", x, o), nil
 	case "ProjElems":

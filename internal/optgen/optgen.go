@@ -142,7 +142,6 @@ var typeTable = map[string]typeStrategy{
 	"ColID":        {goType: "base.ColID", identityOK: true, importsBase: true},
 	"ColIDs":       {goType: "[]base.ColID", identityOK: true, importsBase: true},
 	"ColIDLists":   {goType: "[][]base.ColID", identityOK: true, importsBase: true},
-	"IntList":      {goType: "[]int", identityOK: true},
 	"OrderSpec":    {goType: "props.OrderSpec", identityOK: true, importsProps: true},
 	"ProjElems":    {goType: "[]ProjElem", identityOK: true},
 	"AggElems":     {goType: "[]AggElem", identityOK: true},

@@ -1,10 +1,7 @@
 package xform
 
 import (
-	"math"
-
 	"orca/internal/base"
-	"orca/internal/md"
 	"orca/internal/memo"
 	"orca/internal/ops"
 )
@@ -32,8 +29,10 @@ func groupRows(ctx *Context, g *memo.Group) float64 {
 }
 
 // applySelect2Scan merges a Select over a Get into a filtering scan,
-// performing static partition elimination when the predicate constrains the
-// partition column (paper §7.2.2 "Partition Elimination").
+// choosing static partition elimination when the predicate constrains the
+// partition column (paper §7.2.2 "Partition Elimination"). The scan records
+// only that choice; the partitions themselves are selected from its Filter
+// wherever it is read, so a rebound constant selects its own partitions.
 func applySelect2Scan(ctx *Context, ge *memo.GroupExpr) error {
 	sel := ge.Op.(*ops.Select)
 	child := ctx.Memo.Group(ge.Children[0])
@@ -50,116 +49,15 @@ func applySelect2Scan(ctx *Context, ge *memo.GroupExpr) error {
 			Filter:   sel.Pred,
 			BaseRows: baseRows,
 		}
-		if get.Rel.IsPartitioned() {
-			if parts, pruned := PrunePartitions(get.Rel, get.Cols, sel.Pred); pruned {
-				scan.Pruned = true
-				scan.Parts = parts
-				if len(get.Rel.Parts) > 0 {
-					scan.BaseRows = baseRows * float64(len(parts)) / float64(len(get.Rel.Parts))
-				}
-			}
+		if parts, pruned := ops.PrunePartitions(get.Rel, get.Cols, sel.Pred); pruned {
+			scan.Pruned = true
+			scan.BaseRows = baseRows * float64(len(parts)) / float64(len(get.Rel.Parts))
 		}
 		if _, err := ctx.Insert(Op(scan), ge.Group().ID); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// PrunePartitions statically eliminates partitions that cannot contain rows
-// matching the predicate. It returns the kept partition ordinals and whether
-// pruning applies (a partition-column constraint was found).
-func PrunePartitions(rel *md.Relation, cols []*md.ColRef, pred ops.ScalarExpr) ([]int, bool) {
-	if !rel.IsPartitioned() || rel.PartCol >= len(cols) {
-		return nil, false
-	}
-	partCol := cols[rel.PartCol].ID
-	lo, hi := math.Inf(-1), math.Inf(1)
-	hiExcl := false
-	var eqVals []float64
-	constrained := false
-	for _, c := range ops.Conjuncts(pred) {
-		switch x := c.(type) {
-		case *ops.Cmp:
-			l, r, op := x.L, x.R, x.Op
-			if _, ok := l.(*ops.Const); ok {
-				l, r = r, l
-				op = op.Commuted()
-			}
-			id, lok := l.(*ops.Ident)
-			cv, rok := r.(*ops.Const)
-			if !lok || !rok || id.Col != partCol {
-				continue
-			}
-			v := cv.Val.AsFloat()
-			constrained = true
-			switch op {
-			case ops.CmpEq:
-				eqVals = append(eqVals, v)
-			case ops.CmpLt:
-				if v <= hi {
-					hi = v
-					hiExcl = true
-				}
-			case ops.CmpLe:
-				if v < hi {
-					hi = v
-					hiExcl = false
-				}
-			case ops.CmpGt, ops.CmpGe:
-				lo = math.Max(lo, v)
-			default:
-				constrained = constrained || false
-			}
-		case *ops.InList:
-			id, ok := x.Arg.(*ops.Ident)
-			if !ok || id.Col != partCol || x.Negated {
-				continue
-			}
-			allConst := true
-			var vals []float64
-			for _, v := range x.Vals {
-				if cv, ok := v.(*ops.Const); ok {
-					vals = append(vals, cv.Val.AsFloat())
-				} else {
-					allConst = false
-				}
-			}
-			if allConst {
-				constrained = true
-				eqVals = append(eqVals, vals...)
-			}
-		default:
-			// Other conjunct forms cannot constrain the partition column.
-		}
-	}
-	if !constrained {
-		return nil, false
-	}
-	var keep []int
-	for i, p := range rel.Parts {
-		plo, phi := p.Lo.AsFloat(), p.Hi.AsFloat()
-		if len(eqVals) > 0 {
-			match := false
-			for _, v := range eqVals {
-				if v >= plo && v < phi {
-					match = true
-					break
-				}
-			}
-			if !match {
-				continue
-			}
-		}
-		if phi <= lo {
-			continue
-		}
-		if hiExcl && plo >= hi || !hiExcl && plo > hi {
-			continue
-		}
-		keep = append(keep, i)
-	}
-	return keep, true
 }
 
 // applySelect2IndexScan implements Select(Get) through a matching index:

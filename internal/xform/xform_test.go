@@ -216,66 +216,6 @@ func TestTwoStageAggRewritesCount(t *testing.T) {
 	}
 }
 
-func TestPrunePartitions(t *testing.T) {
-	p := md.NewMemProvider()
-	rel := md.Build(p, md.TableSpec{
-		Name: "pt", Rows: 100, Policy: md.DistHash, DistCols: []int{0},
-		PartCol: 1,
-		Parts: []md.Partition{
-			{Name: "p0", Lo: base.NewInt(0), Hi: base.NewInt(10)},
-			{Name: "p1", Lo: base.NewInt(10), Hi: base.NewInt(20)},
-			{Name: "p2", Lo: base.NewInt(20), Hi: base.NewInt(30)},
-		},
-		Cols: []md.ColSpec{
-			{Name: "id", Type: base.TInt, NDV: 100, Lo: 0, Hi: 100},
-			{Name: "d", Type: base.TInt, NDV: 30, Lo: 0, Hi: 30},
-		},
-	})
-	f := md.NewColumnFactory()
-	cols := []*md.ColRef{
-		f.NewTableColumn("id", base.TInt, rel.Mdid, 0),
-		f.NewTableColumn("d", base.TInt, rel.Mdid, 1),
-	}
-	d := func() ops.ScalarExpr { return ops.NewIdent(cols[1].ID, base.TInt) }
-	c := func(v int64) ops.ScalarExpr { return ops.NewConst(base.NewInt(v)) }
-
-	cases := []struct {
-		name string
-		pred ops.ScalarExpr
-		want []int
-		ok   bool
-	}{
-		{"eq", ops.Eq(d(), c(15)), []int{1}, true},
-		{"lt-boundary", ops.NewCmp(ops.CmpLt, d(), c(10)), []int{0}, true},
-		{"le-boundary", ops.NewCmp(ops.CmpLe, d(), c(10)), []int{0, 1}, true},
-		{"gt", ops.NewCmp(ops.CmpGt, d(), c(19)), []int{1, 2}, true},
-		{"range", ops.And(ops.NewCmp(ops.CmpGe, d(), c(5)), ops.NewCmp(ops.CmpLt, d(), c(15))), []int{0, 1}, true},
-		{"in-list", &ops.InList{Arg: d(), Vals: []ops.ScalarExpr{c(5), c(25)}}, []int{0, 2}, true},
-		{"empty", ops.Eq(d(), c(99)), nil, true},
-		{"other-col", ops.Eq(ops.NewIdent(cols[0].ID, base.TInt), c(1)), nil, false},
-		{"reversed", ops.NewCmp(ops.CmpGt, c(10), d()), []int{0}, true}, // 10 > d ⇔ d < 10
-	}
-	for _, tc := range cases {
-		got, pruned := PrunePartitions(rel, cols, tc.pred)
-		if pruned != tc.ok {
-			t.Errorf("%s: pruned=%v, want %v", tc.name, pruned, tc.ok)
-			continue
-		}
-		if !tc.ok {
-			continue
-		}
-		if len(got) != len(tc.want) {
-			t.Errorf("%s: parts=%v, want %v", tc.name, got, tc.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Errorf("%s: parts=%v, want %v", tc.name, got, tc.want)
-			}
-		}
-	}
-}
-
 func TestDefaultRulesWellFormed(t *testing.T) {
 	rules := DefaultRules()
 	names := map[string]bool{}

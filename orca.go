@@ -123,13 +123,9 @@ func (s *System) Optimize(query string) (*core.Result, *core.Query, error) {
 	if err != nil {
 		// The ladder already captured a dump through the hook when it
 		// engaged; capture here only for failures that bypassed it (e.g.
-		// DisableDegradation), from a re-bound query so the dump carries
-		// the original tree.
+		// DisableDegradation).
 		if dumped == "" && capture != nil {
-			if fq, berr := s.Bind(query); berr == nil {
-				dumped = capture(fq, s.Config, failureOf(err))
-				fq.Accessor.Close()
-			}
+			dumped = capture(q, s.Config, failureOf(err))
 		}
 		if dumped != "" {
 			return nil, nil, fmt.Errorf("%w (AMPERe dump: %s)", err, dumped)
