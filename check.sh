@@ -56,8 +56,9 @@
 #            gross regressions
 #   rootbench one pass of each root benchmark (bench_test.go: the TPC-DS
 #            optimization pass, metadata cache, multi-stage and stage
-#            resume timings) — keeps the profiling harness compiling and
-#            running
+#            resume timings) with -benchmem — keeps the profiling harness
+#            compiling and running, and puts each benchmark's B/op and
+#            allocs/op in the gate's log
 #   plans    the benchmark of record with 3 s timed phases (`go run
 #            ./benchmark --seconds 3`); fails, printing a per-workload
 #            diff, when plan_work_units, serve.failed or any of
@@ -189,7 +190,7 @@ echo "==> memo microbenchmarks (smoke pass)"
 go test -run '^$' -bench 'BenchmarkMemo' -benchtime=1000x ./internal/memo/
 
 echo "==> root benchmarks (smoke pass)"
-go test -run '^$' -bench . -benchtime 1x .
+go test -run '^$' -bench . -benchtime 1x -benchmem .
 
 echo "==> plan gate (go run ./benchmark --seconds 3 vs BENCH_plans.json)"
 go run ./benchmark --seconds 3 > "$orcavet_tmp/bench.txt"

@@ -100,14 +100,15 @@ func TestTamperMemoInsertSprintf(t *testing.T) {
 		"stack := make([]frame, 1, 32)\n\t_ = fmt.Sprintf(\"insert of %d\", len(stack))")
 }
 
-// TestTamperJobKeySprintf re-adds a fmt.Sprintf to Opt(g, req)'s goal
-// constructor — the string job keys that were 38% of search CPU. Caught by
-// go test: the ledger's core_optimize_q6 row, which moves by thousands
-// against a tolerance of 16.
+// TestTamperJobKeySprintf re-adds a fmt.Sprintf to the registration of
+// Opt(g, req), the goal table probe every spawn of that goal makes — the
+// string job keys that were 38% of search CPU. Caught by go test: the
+// ledger's core_optimize_q6 row, which moves by thousands against a
+// tolerance of 16.
 func TestTamperJobKeySprintf(t *testing.T) {
 	wantLedgerFailure(t, "core_optimize_q6", "../search/jobs.go",
-		"\treturn JobKey{Kind: JobOpt, Group: g, Req: req}",
-		"\t_ = fmt.Sprintf(\"og:%d:%d\", g.ID, req)\n\treturn JobKey{Kind: JobOpt, Group: g, Req: req}")
+		"\tc := &w.goals(g).opts\n",
+		"\t_ = fmt.Sprintf(\"og:%d:%d\", g, req)\n\tc := &w.goals(g).opts\n")
 }
 
 // TestTamperParseXMLSprintf formats inside the DXL scanner's token loop,

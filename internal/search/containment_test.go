@@ -17,14 +17,14 @@ func panicInsideJob() {
 }
 
 func TestSchedulerContainsJobPanic(t *testing.T) {
-	tb := newJobTable()
+	tb := jobTable{}
 	bomb := tb.goal(&stepJob{key: "bomb", steps: []stepFn{
-		func() ([]JobKey, bool, error) {
+		func() ([]Job, bool, error) {
 			panicInsideJob()
 			return nil, true, nil
 		},
 	}})
-	err := tb.scheduler().Run(bomb)
+	err := (&Scheduler{}).Run(bomb)
 	if err == nil {
 		t.Fatal("want error from panicking job")
 	}
@@ -46,15 +46,15 @@ func TestSchedulerContainsJobPanic(t *testing.T) {
 func TestSchedulerPanicFailsOnlyThisRun(t *testing.T) {
 	// After a contained panic the same process can run a fresh scheduler —
 	// §6.1's "fail the query, not the process".
-	tb := newJobTable()
+	tb := jobTable{}
 	bomb := tb.goal(&stepJob{key: "bomb", steps: []stepFn{
-		func() ([]JobKey, bool, error) { panic("first run dies") },
+		func() ([]Job, bool, error) { panic("first run dies") },
 	}})
-	if err := tb.scheduler().Run(bomb); err == nil {
+	if err := (&Scheduler{}).Run(bomb); err == nil {
 		t.Fatal("want error from panicking run")
 	}
 	var hits int
-	if err := tb.scheduler().Run(tb.goal(leaf("ok", &hits))); err != nil || hits != 1 {
+	if err := (&Scheduler{}).Run(tb.goal(leaf("ok", &hits))); err != nil || hits != 1 {
 		t.Fatalf("follow-up run broken: err=%v hits=%d", err, hits)
 	}
 }
@@ -65,9 +65,9 @@ func TestSchedulerJobExecFaultPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer disarm()
-	tb := newJobTable()
+	tb := jobTable{}
 	var hits int
-	runErr := tb.scheduler().Run(tb.goal(leaf("victim", &hits)))
+	runErr := (&Scheduler{}).Run(tb.goal(leaf("victim", &hits)))
 	ex := gpos.AsException(runErr)
 	if ex == nil || ex.Comp != gpos.CompSearch || ex.Code != fault.CodeInjected {
 		t.Fatalf("want injected search fault, got %v", runErr)
@@ -83,9 +83,9 @@ func TestSchedulerJobExecPanicFaultContained(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer disarm()
-	tb := newJobTable()
+	tb := jobTable{}
 	var hits int
-	runErr := tb.scheduler().Run(tb.goal(leaf("victim", &hits)))
+	runErr := (&Scheduler{}).Run(tb.goal(leaf("victim", &hits)))
 	ex := gpos.AsException(runErr)
 	if ex == nil || ex.Code != gpos.CodePanic {
 		t.Fatalf("want contained panic exception, got %v", runErr)
@@ -100,14 +100,14 @@ func TestSchedulerQuotaAbortDrains(t *testing.T) {
 	// error through the drain path, recognizable via Drained.
 	var steps int
 	quotaErr := fmt.Errorf("87 groups over limit: %w", ErrBudget)
-	tb := newJobTable()
-	s := tb.scheduler()
-	s.SetQuotaCheck(func() error {
+	tb := jobTable{}
+	s := &Scheduler{}
+	s.p.Quota = func() error {
 		if steps >= 5 {
 			return quotaErr
 		}
 		return nil
-	})
+	}
 	err := s.Run(spawnForeverJob(tb, &steps))
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("want ErrBudget through quota, got %v", err)
@@ -119,13 +119,13 @@ func TestSchedulerQuotaAbortDrains(t *testing.T) {
 
 // spawnForeverJob endlessly spawns fresh children, simulating an unbounded
 // search.
-func spawnForeverJob(tb *jobTable, counter *int) JobKey {
+func spawnForeverJob(tb jobTable, counter *int) Job {
 	*counter++
 	return tb.goal(&stepJob{key: fmt.Sprintf("spawn%d", *counter), steps: []stepFn{
-		func() ([]JobKey, bool, error) {
-			return []JobKey{spawnForeverJob(tb, counter)}, false, nil
+		func() ([]Job, bool, error) {
+			return []Job{spawnForeverJob(tb, counter)}, false, nil
 		},
-		func() ([]JobKey, bool, error) { return nil, true, nil },
+		func() ([]Job, bool, error) { return nil, true, nil },
 	}})
 }
 

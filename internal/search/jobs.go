@@ -2,6 +2,7 @@ package search
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"orca/internal/base"
@@ -54,17 +55,13 @@ type StageParams struct {
 // Memo then still holds the best plan found so far, extractable via
 // Memo.ExtractPlan).
 func (o *Optimizer) RunStage(root memo.GroupID, req props.Required, p StageParams) (float64, Stats, error) {
-	s := NewScheduler(o.newJob)
-	s.SetDeadline(p.Deadline)
-	s.SetStepLimit(p.StepLimit)
-	s.SetQuotaCheck(p.Quota)
-	g := o.Memo.Group(root)
-	err := s.Run(optGroupKey(g, o.Memo.InternReq(req)))
+	s := &Scheduler{w: Worker{o: o}, p: p}
+	err := s.Run(s.w.optGroup(root, o.Memo.InternReq(req)))
 	st := s.Stats()
 	if err != nil && !Drained(err) {
 		return memo.InfCost, st, err
 	}
-	ctx := g.LookupContext(req)
+	ctx := o.Memo.Group(root).LookupContext(req)
 	if ctx == nil {
 		if err == nil {
 			err = fmt.Errorf("search: missing optimization context for root")
@@ -74,105 +71,146 @@ func (o *Optimizer) RunStage(root memo.GroupID, req props.Required, p StageParam
 	return ctx.BestCost(), st, err
 }
 
-// Goal constructors: value composition only — no formatting, no allocation;
-// they run once per spawned child, duplicates included.
-
-func groupKey(kind JobKind, g *memo.Group) JobKey { return JobKey{Kind: kind, Group: g} }
-
-func exprKey(kind JobKind, ge *memo.GroupExpr) JobKey { return JobKey{Kind: kind, Expr: ge} }
-
-func optGroupKey(g *memo.Group, req memo.ReqID) JobKey {
-	return JobKey{Kind: JobOpt, Group: g, Req: req}
-}
-
-func optExprKey(ge *memo.GroupExpr, req memo.ReqID) JobKey {
-	return JobKey{Kind: JobOpt, Expr: ge, Req: req}
-}
-
-func xformKey(ge *memo.GroupExpr, rule int) JobKey {
-	return JobKey{Kind: JobXform, Expr: ge, Rule: int32(rule)}
-}
-
 // job is what every search job starts from: its goal (Group or Expr, and
 // Req for Opt goals) and how far it got.
 type job struct {
-	o *Optimizer
-	JobKey
+	node
+	Group *memo.Group     // group-level goals
+	Expr  *memo.GroupExpr // expression-level goals
+	Req   memo.ReqID      // Opt goals: the Memo-interned request
 	phase int
 }
 
-// newJob materialises the job behind a goal the scheduler has not seen,
-// carving it from the Worker's slab of its type.
-func (o *Optimizer) newJob(w *Worker, k JobKey) Job {
-	switch k.Kind {
-	case JobXform:
-		j := carve(&w.xforms)
-		j.rule, _ = o.XCtx.ActiveRule(int(k.Rule))
-		j.job = job{o: o, JobKey: k}
-		return j
-	case JobOpt:
-		req, _ := o.Memo.Req(k.Req)
-		if k.Expr == nil {
-			j := carve(&w.optGroups)
-			j.job, j.req = job{o: o, JobKey: k}, req
-			return j
-		}
-		j := carve(&w.optExprs)
-		j.job, j.req = job{o: o, JobKey: k}, req
-		return j
-	}
+// newJob carves a job for a goal from the Worker's slab.
+func (w *Worker) newJob(kind JobKind, g *memo.Group, ge *memo.GroupExpr) *job {
 	j := carve(&w.jobs)
-	*j = job{o: o, JobKey: k}
-	group := k.Expr == nil
-	switch {
-	case k.Kind == JobExp && group:
-		return (*expGroupJob)(j)
-	case k.Kind == JobExp:
-		return (*expGexprJob)(j)
-	case k.Kind == JobImp && group:
-		return (*impGroupJob)(j)
-	case k.Kind == JobImp:
-		return (*impGexprJob)(j)
+	j.kind, j.Group, j.Expr = kind, g, ge
+	return j
+}
+
+// String renders the goal, e.g. "opt(g3, {Singleton, <1>})". It resolves
+// the request text through the Memo: cold paths only.
+func (j *job) String() string { return j.goal("") }
+
+// goal renders the goal with extra appended inside the parentheses.
+func (j *job) goal(extra string) string {
+	g, target := j.Group, ""
+	if j.Expr != nil {
+		g, target = j.Expr.Group(), ": "+j.Expr.String()
 	}
-	return (*statsGroupJob)(j)
+	if j.kind == JobOpt {
+		if req, ok := g.Memo().Req(j.Req); ok {
+			target += ", " + req.String()
+		} else {
+			target += fmt.Sprintf(", req#%d", j.Req)
+		}
+	}
+	return fmt.Sprintf("%s(g%d%s%s)", j.kind, g.ID, target, extra)
+}
+
+// groupGoals are one group's goals in a run, each built when first spawned:
+// Exp(g), Imp(g) and Stats(g) by kind, and the Opt(g, req) goals.
+type groupGoals struct {
+	opts optGoals
+	jobs [NumJobKinds]*job
+}
+
+// optGoals holds up to seven of a group's Opt(g, req) jobs beside their
+// requests, so a probe scans request ids rather than jobs. Most groups have
+// no more requests than fit in their groupGoals; next holds the rest.
+type optGoals struct {
+	reqs [7]memo.ReqID
+	n    int32
+	jobs [7]*optGroupJob
+	next *optGoals
+}
+
+// goals returns the group's entry in the run's table, growing the table as
+// groups appear.
+func (w *Worker) goals(id memo.GroupID) *groupGoals {
+	if int(id) >= len(w.groups) {
+		w.groups = append(w.groups, make([]groupGoals, int(id)+1-len(w.groups))...)
+	}
+	return &w.groups[id]
+}
+
+// groupJob returns the run's Exp(g), Imp(g) or Stats(g) job.
+func (w *Worker) groupJob(kind JobKind, g memo.GroupID) *job {
+	slot := &w.goals(g).jobs[kind]
+	if *slot == nil {
+		*slot = w.newJob(kind, w.o.Memo.Group(g), nil)
+	}
+	return *slot
+}
+
+// optGroup returns the run's Opt(g, req) job.
+func (w *Worker) optGroup(g memo.GroupID, req memo.ReqID) *optGroupJob {
+	c := &w.goals(g).opts
+	for {
+		if i := slices.Index(c.reqs[:c.n], req); i >= 0 {
+			return c.jobs[i]
+		}
+		if c.next == nil {
+			break
+		}
+		c = c.next
+	}
+	if int(c.n) == len(c.reqs) {
+		c.next = carve(&w.optOverflow)
+		c = c.next
+	}
+	j := carve(&w.optGroups)
+	j.kind, j.Group, j.Req = JobOpt, w.o.Memo.Group(g), req
+	c.reqs[c.n], c.jobs[c.n] = req, j
+	c.n++
+	return j
+}
+
+// Step runs one step of the Exp, Imp or Stats job the goal names.
+func (j *job) Step(w *Worker) (bool, error) {
+	switch {
+	case j.kind == JobStats:
+		return j.statsGroup(w)
+	case j.kind == JobExp && j.Expr == nil:
+		return j.expGroup(w)
+	case j.kind == JobExp:
+		return j.expGexpr(w)
+	case j.Expr == nil:
+		return j.impGroup(w)
+	}
+	return j.impGexpr(w)
 }
 
 // ---------------------------------------------------------------------------
 // Exp(g): generate logically equivalent expressions of all group expressions
 // in group g. phase counts the expressions already handed to Exp(gexpr).
-
-type expGroupJob job
-
-func (j *expGroupJob) Step(w *Worker) (bool, error) {
-	if j.Group.Explored(j.o.XCtx.Epoch()) {
+func (j *job) expGroup(w *Worker) (bool, error) {
+	if j.Group.Explored(w.o.XCtx.Epoch()) {
 		return true, nil
 	}
 	w.exprs = j.Group.AppendExprs(w.exprs[:0])
 	for ; j.phase < len(w.exprs); j.phase++ {
 		ge := w.exprs[j.phase]
 		if _, ok := ge.Op.(ops.Logical); ok {
-			w.Spawn(exprKey(JobExp, ge))
+			w.Spawn(w.newJob(JobExp, nil, ge))
 		}
 	}
 	if len(w.children) > 0 {
 		// Transformations may add new expressions; re-check on resume.
 		return false, nil
 	}
-	j.Group.SetExplored(j.o.XCtx.Epoch())
+	j.Group.SetExplored(w.o.XCtx.Epoch())
 	return true, nil
 }
 
 // Exp(gexpr): explore one group expression — explore its children first so
 // multi-level rule patterns can bind, then fire the exploration rules.
-
-type expGexprJob job
-
-func (j *expGexprJob) Step(w *Worker) (bool, error) {
+func (j *job) expGexpr(w *Worker) (bool, error) {
 	switch j.phase {
 	case 0:
 		j.phase = 1
 		for _, cid := range j.Expr.Children {
-			w.Spawn(groupKey(JobExp, j.o.Memo.Group(cid)))
+			w.Spawn(w.groupJob(JobExp, cid))
 		}
 		if len(w.children) > 0 {
 			return false, nil
@@ -180,7 +218,7 @@ func (j *expGexprJob) Step(w *Worker) (bool, error) {
 		fallthrough
 	case 1:
 		j.phase = 2
-		spawnRules(w, j.Expr, j.o.XCtx.Explorations())
+		spawnRules(w, j.Expr, w.o.XCtx.Explorations())
 	}
 	return len(w.children) == 0, nil
 }
@@ -190,31 +228,30 @@ func (j *expGexprJob) Step(w *Worker) (bool, error) {
 func spawnRules(w *Worker, ge *memo.GroupExpr, rules []xform.ActiveRule) {
 	for _, r := range rules {
 		if !ge.Applied(r.ID) && r.Matches(ge) {
-			w.Spawn(xformKey(ge, r.ID))
+			j := carve(&w.xforms)
+			j.kind, j.Expr, j.rule = JobXform, ge, r
+			w.Spawn(j)
 		}
 	}
 }
 
 // ---------------------------------------------------------------------------
 // Imp(g) / Imp(gexpr)
-
-type impGroupJob job
-
-func (j *impGroupJob) Step(w *Worker) (bool, error) {
-	if j.Group.Implemented(j.o.XCtx.Epoch()) {
+func (j *job) impGroup(w *Worker) (bool, error) {
+	if j.Group.Implemented(w.o.XCtx.Epoch()) {
 		return true, nil
 	}
 	switch j.phase {
 	case 0:
 		j.phase = 1
-		w.Spawn(groupKey(JobExp, j.Group))
+		w.Spawn(w.groupJob(JobExp, j.Group.ID))
 		return false, nil
 	case 1:
 		j.phase = 2
 		w.exprs = j.Group.AppendExprs(w.exprs[:0])
 		for _, ge := range w.exprs {
 			if _, ok := ge.Op.(ops.Logical); ok {
-				w.Spawn(exprKey(JobImp, ge))
+				w.Spawn(w.newJob(JobImp, nil, ge))
 			}
 		}
 		if len(w.children) > 0 {
@@ -222,17 +259,15 @@ func (j *impGroupJob) Step(w *Worker) (bool, error) {
 		}
 		fallthrough
 	default:
-		j.Group.SetImplemented(j.o.XCtx.Epoch())
+		j.Group.SetImplemented(w.o.XCtx.Epoch())
 		return true, nil
 	}
 }
 
-type impGexprJob job
-
-func (j *impGexprJob) Step(w *Worker) (bool, error) {
+func (j *job) impGexpr(w *Worker) (bool, error) {
 	if j.phase == 0 {
 		j.phase = 1
-		spawnRules(w, j.Expr, j.o.XCtx.Implementations())
+		spawnRules(w, j.Expr, w.o.XCtx.Implementations())
 	}
 	return len(w.children) == 0, nil
 }
@@ -245,15 +280,17 @@ type xformJob struct {
 	rule xform.ActiveRule
 }
 
-func (j *xformJob) Step(*Worker) (bool, error) {
+func (j *xformJob) String() string { return j.goal(", " + xform.RuleNameFor(j.rule.ID)) }
+
+func (j *xformJob) Step(w *Worker) (bool, error) {
 	if j.Expr.MarkApplied(j.rule.ID) {
 		if err := fault.Inject(fault.PointSearchXformApply); err != nil {
 			return false, err
 		}
-		if err := j.rule.Apply(j.o.XCtx, j.Expr); err != nil {
+		if err := j.rule.Apply(w.o.XCtx, j.Expr); err != nil {
 			return false, err
 		}
-		j.o.RulesFired++
+		w.o.RulesFired++
 	}
 	return true, nil
 }
@@ -263,23 +300,20 @@ func (j *xformJob) Step(*Worker) (bool, error) {
 // lazy): triggered as a dependency of the first Opt goal touching the group,
 // after dependency jobs derived the statistics of the input groups — the
 // promising expression's children and, for CTE consumers, the producer group.
-
-type statsGroupJob job
-
-func (j *statsGroupJob) Step(w *Worker) (bool, error) {
+func (j *job) statsGroup(w *Worker) (bool, error) {
 	if j.Group.Stats() != nil {
 		return true, nil
 	}
 	if j.phase == 0 {
 		j.phase = 1
-		for _, src := range j.o.Memo.StatsSources(j.Group.ID, j.o.XCtx.Stats) {
-			w.Spawn(groupKey(JobStats, j.o.Memo.Group(src)))
+		for _, src := range w.o.Memo.StatsSources(j.Group.ID, w.o.XCtx.Stats) {
+			w.Spawn(w.groupJob(JobStats, src))
 		}
 		if len(w.children) > 0 {
 			return false, nil
 		}
 	}
-	_, err := j.o.Memo.DeriveStats(j.Group.ID, j.o.XCtx.Stats)
+	_, err := w.o.Memo.DeriveStats(j.Group.ID, w.o.XCtx.Stats)
 	return err == nil, err
 }
 
@@ -288,39 +322,41 @@ func (j *statsGroupJob) Step(w *Worker) (bool, error) {
 
 type optGroupJob struct {
 	job
-	req props.Required
 	ctx *memo.OptContext
 }
 
 func (j *optGroupJob) Step(w *Worker) (bool, error) {
 	if j.ctx == nil {
-		j.ctx, _ = j.Group.Context(j.req)
+		req, _ := w.o.Memo.Req(j.Req)
+		j.ctx, _ = j.Group.Context(req)
 	}
-	if j.ctx.Done(j.o.XCtx.Epoch()) {
+	if j.ctx.Done(w.o.XCtx.Epoch()) {
 		return true, nil
 	}
 	switch j.phase {
 	case 0:
 		j.phase = 1
-		w.Spawn(groupKey(JobImp, j.Group))
+		w.Spawn(w.groupJob(JobImp, j.Group.ID))
 		return false, nil
 	case 1:
 		j.phase = 2
 		// Statistics become necessary the moment this group's expressions are
 		// costed; deriving them as a dependency job (rather than an eager
 		// whole-Memo sweep) keeps derivation to groups search actually reaches.
-		w.Spawn(groupKey(JobStats, j.Group))
+		w.Spawn(w.groupJob(JobStats, j.Group.ID))
 		return false, nil
 	case 2:
 		j.phase = 3
-		if err := j.Group.AddEnforcers(j.req); err != nil {
+		if err := j.Group.AddEnforcers(j.ctx.Req); err != nil {
 			return false, err
 		}
 		w.exprs = j.Group.AppendExprs(w.exprs[:0])
 		for _, ge := range w.exprs {
 			_, phys := ge.Op.(ops.Physical)
-			if phys && (!ge.IsEnforcer() || memo.EnforcerUseful(ge.Op, j.req)) {
-				w.Spawn(optExprKey(ge, j.Req))
+			if phys && (!ge.IsEnforcer() || memo.EnforcerUseful(ge.Op, j.ctx.Req)) {
+				c := carve(&w.optExprs)
+				c.kind, c.Expr, c.Req, c.ctx = JobOpt, ge, j.Req, j.ctx
+				w.Spawn(c)
 			}
 		}
 		if len(w.children) > 0 {
@@ -328,7 +364,7 @@ func (j *optGroupJob) Step(w *Worker) (bool, error) {
 		}
 		fallthrough
 	default:
-		j.ctx.MarkDone(j.o.XCtx.Epoch())
+		j.ctx.MarkDone(w.o.XCtx.Epoch())
 		return true, nil
 	}
 }
@@ -337,9 +373,8 @@ func (j *optGroupJob) Step(w *Worker) (bool, error) {
 // its child-request alternatives.
 
 type optGexprJob struct {
-	job // phase is the alternative in flight
-	req props.Required
-	ctx *memo.OptContext // the owning group's context for req
+	job                  // phase is the alternative in flight
+	ctx *memo.OptContext // the owning group's context for Req
 	// alts are the child-request alternatives and ids their interned
 	// requests (memo.GroupExpr.ChildReqs): shared and read-only, unless ids
 	// is backed by idBuf, where two alternatives of a binary operator fit.
@@ -350,9 +385,8 @@ type optGexprJob struct {
 }
 
 func (j *optGexprJob) Step(w *Worker) (bool, error) {
-	if j.ctx == nil {
-		j.ctx = j.Expr.Group().ContextByID(j.Req) // created by the Opt(g, req) job that spawned this goal
-		j.alts, j.ids = j.Expr.ChildReqs(j.req, j.idBuf[:0])
+	if j.alts == nil {
+		j.alts, j.ids = j.Expr.ChildReqs(j.ctx.Req, j.idBuf[:0])
 	}
 	n := len(j.Expr.Children)
 	for ; j.phase < len(j.alts); j.phase++ {
@@ -363,7 +397,7 @@ func (j *optGexprJob) Step(w *Worker) (bool, error) {
 		if !j.spawned {
 			j.spawned = true
 			for i, id := range ids {
-				w.Spawn(optGroupKey(j.o.Memo.Group(j.Expr.Children[i]), id))
+				w.Spawn(w.optGroup(j.Expr.Children[i], id))
 			}
 			if n > 0 {
 				return false, nil
@@ -394,7 +428,7 @@ func (j *optGexprJob) selfCycle(ids []memo.ReqID) bool {
 // delivered properties against the request, costs the plan and offers it to
 // the group's context (paper §4.1 step 4).
 func (j *optGexprJob) evaluate(w *Worker, alt []props.Required, ids []memo.ReqID) error {
-	o := j.o
+	o := w.o
 	childDerived, childRows := w.derived[:0], w.rows[:0]
 	total := 0.0
 	for i, cid := range j.Expr.Children {
@@ -420,7 +454,7 @@ func (j *optGexprJob) evaluate(w *Worker, alt []props.Required, ids []memo.ReqID
 	w.derived, w.rows = childDerived, childRows // keep the grown buffers
 	phys := j.Expr.Op.(ops.Physical)
 	delivered := phys.Derive(childDerived)
-	if !delivered.Satisfies(j.req) {
+	if !delivered.Satisfies(j.ctx.Req) {
 		return nil
 	}
 	if err := fault.Inject(fault.PointCostCompute); err != nil {

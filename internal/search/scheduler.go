@@ -3,11 +3,12 @@
 // Exp(g), Exp(gexpr), Imp(g), Imp(gexpr), Opt(g, req), Opt(gexpr, req),
 // Xform(gexpr, t) and Stats(g) — linked by child-parent dependencies. A
 // parent job suspends while its children run and resumes when they all
-// finish. Jobs are deduplicated by goal: when a job with some goal is already
-// active, later jobs with the same goal attach as waiters instead of redoing
-// the work, which is the paper's group job queue. A goal is a small
-// comparable value (JobKey); the job object behind it is materialised only
-// for a goal the registry has not seen, when it first runs.
+// finish. Group-level goals (Exp(g), Imp(g), Stats(g), Opt(g, req)) are
+// deduplicated: each run keeps one job per goal in tables indexed by group,
+// and a later spawn of a goal already in progress attaches as a waiter
+// instead of redoing the work, which is the paper's group job queue.
+// Expression-level goals need no lookup: the one parent step that spawns
+// each of them builds its job, and that step runs once per run.
 //
 // One search runs on one goroutine, the caller of Scheduler.Run; concurrent
 // optimizations each run their own search over their own Memo.
@@ -23,7 +24,6 @@ import (
 	"orca/internal/gpos"
 	"orca/internal/memo"
 	"orca/internal/props"
-	"orca/internal/xform"
 )
 
 // ErrTimeout reports that the optimization stage exceeded its deadline or
@@ -118,81 +118,54 @@ func (s *Stats) Merge(o Stats) {
 	s.Wall += o.Wall
 }
 
-// JobKey is a job's goal and its identity in the scheduler registry: a
-// comparable value, hashed as a run of machine words with no formatting.
-// Group is set on group-level goals (Exp(g), Imp(g), Opt(g, req), Stats(g))
-// and Expr on expression-level ones; Req (Opt goals) is the Memo-interned
-// request, so Equal requests built from different slices are one key; Rule
-// (Xform goals) is the dense rule id.
-type JobKey struct {
-	Group *memo.Group
-	Expr  *memo.GroupExpr
-	Req   memo.ReqID
-	Rule  int32
-	Kind  JobKind
-}
-
-// String renders the goal for diagnostics, e.g. "opt(g3, {Singleton, <1>})".
-// It resolves the request text through the Memo: cold paths only.
-func (k JobKey) String() string {
-	g, target := k.Group, ""
-	if k.Expr != nil {
-		g, target = k.Expr.Group(), ": "+k.Expr.String()
-	}
-	switch k.Kind {
-	case JobOpt:
-		if req, ok := g.Memo().Req(k.Req); ok {
-			target += ", " + req.String()
-		} else {
-			target += fmt.Sprintf(", req#%d", k.Req)
-		}
-	case JobXform:
-		target += ", " + xform.RuleNameFor(int(k.Rule))
-	}
-	return fmt.Sprintf("%s(g%d%s)", k.Kind, g.ID, target)
-}
-
 // Job is one re-entrant unit of optimization work. Step performs as much
-// work as possible without blocking; to wait for other goals it spawns them
+// work as possible without blocking; to wait for other jobs it spawns them
 // on the Worker and returns not-done, and is re-entered once they have all
-// completed (immediately, when it spawned none).
+// completed (immediately, when it spawned none). String names the job's goal
+// for diagnostics. Every job embeds a node, its scheduling state.
 type Job interface {
 	Step(w *Worker) (done bool, err error)
+	String() string
+	state() *node
 }
 
-// Worker is the step loop's scratch, handed to Job.Step and to the
-// scheduler's newJob. The buffers are reused across every step of the run,
-// so describing children and costing an alternative allocate nothing in
-// steady state; a job must not retain them past its Step. The slabs are the
-// unused tails of the chunks job objects are carved from (see carve): the
-// jobs live as long as the run, and die with it.
+// node is a job's scheduling state: its kind, its waiters and how many of
+// its own children it still waits for.
+type node struct {
+	kind    JobKind
+	queued  bool // spawned once: later spawns only wait for it
+	done    bool
+	pending int32
+	waiter  Job   // the first waiter: most jobs only ever have one
+	waiters []Job // later waiters, in arrival order
+}
+
+func (n *node) state() *node { return n }
+
+// Worker is what a run's jobs share: the Optimizer, the goal tables, the
+// slabs jobs are carved from (see carve: jobs live as long as the run) and
+// the step loop's scratch buffers, reused across steps so describing
+// children and costing an alternative allocate nothing in steady state; a
+// job must not retain them past its Step.
 type Worker struct {
-	children []JobKey
+	o        *Optimizer
+	children []Job
 	derived  []props.Derived
 	rows     []float64
 	exprs    []*memo.GroupExpr
+	groups   []groupGoals // indexed by GroupID, grown as groups appear
 
-	jobs      []job
-	optGroups []optGroupJob
-	optExprs  []optGexprJob
-	xforms    []xformJob
+	jobs        []job
+	optGroups   []optGroupJob
+	optExprs    []optGexprJob
+	xforms      []xformJob
+	optOverflow []optGoals
 }
 
-// Spawn makes the running job wait for the goal k.
-func (w *Worker) Spawn(k JobKey) { w.children = append(w.children, k) }
+// Spawn makes the running job wait for j.
+func (w *Worker) Spawn(j Job) { w.children = append(w.children, j) }
 
-type jobState struct {
-	key JobKey
-	job Job // materialised when the goal first runs
-	// Waiters, in arrival order: most goals only ever have the first.
-	parent  *jobState
-	parents []*jobState
-	pending int
-	done    bool
-}
-
-// slabChunk is how many jobState nodes, or job objects of one type, one
-// allocation holds.
+// slabChunk is how many objects one chunk of a slab holds.
 const slabChunk = 64
 
 // carve takes the next element from the unused tail of a chunk, starting a
@@ -206,46 +179,22 @@ func carve[T any](slab *[]T) *T {
 	return p
 }
 
-// Scheduler runs jobs one step at a time on the goroutine that calls Run.
+// Scheduler runs one search, one job step at a time, on the goroutine that
+// calls Run; its Worker's goal tables and slabs serve that run only.
 type Scheduler struct {
-	newJob    func(*Worker, JobKey) Job
-	deadline  time.Time
-	stepLimit int64
-	quota     func() error
-	expired   atomic.Bool // set by the deadline timer's goroutine
+	w       Worker
+	p       StageParams // the run's bounds
+	expired atomic.Bool // set by the deadline timer's goroutine
 
-	registry map[JobKey]*jobState
-	slab     []jobState // unused tail of the current jobState chunk
-	queue    []*jobState
-	steps    int64 // stats.Steps summed
-	stats    Stats
+	queue []Job
+	steps int64 // stats.Steps summed
+	stats Stats
 }
-
-// NewScheduler builds a scheduler. newJob materialises the job behind a goal
-// when it first runs; it is called once per distinct goal.
-func NewScheduler(newJob func(*Worker, JobKey) Job) *Scheduler {
-	return &Scheduler{newJob: newJob, registry: make(map[JobKey]*jobState)}
-}
-
-// SetDeadline ends the run with ErrTimeout once the deadline passes
-// (zero = none).
-func (s *Scheduler) SetDeadline(d time.Time) { s.deadline = d }
-
-// SetStepLimit ends the run with ErrTimeout once the given number of job
-// steps have started (0 = none). Unlike a wall-clock deadline it is
-// deterministic, which tests and reproducible stage budgets rely on.
-func (s *Scheduler) SetStepLimit(n int64) { s.stepLimit = n }
-
-// SetQuotaCheck installs a resource-guard poll evaluated before each job
-// step (nil = none). A non-nil return ends the run with that error through
-// the drain path, so best-so-far results survive. Conventionally the error
-// wraps ErrBudget.
-func (s *Scheduler) SetQuotaCheck(check func() error) { s.quota = check }
 
 // Stats returns the run's telemetry. Call it after Run has returned.
 func (s *Scheduler) Stats() Stats { return s.stats }
 
-// Run executes the root goal (and its transitively spawned children) to
+// Run executes the root job (and its transitively spawned children) to
 // completion. It returns the first error encountered, or ErrTimeout when the
 // deadline or step limit cut the search short. On timeout the scheduler
 // drains: the step in flight finishes (its results land in the Memo), only
@@ -254,10 +203,10 @@ func (s *Scheduler) Stats() Stats { return s.stats }
 // The deadline is one timer armed here, not a clock read per step: it sets
 // a flag the loop tests before each step, and is stopped before Run returns.
 // A deadline already past sets the flag before the first step.
-func (s *Scheduler) Run(root JobKey) error {
+func (s *Scheduler) Run(root Job) error {
 	start := time.Now()
-	if !s.deadline.IsZero() {
-		if d := s.deadline.Sub(start); d > 0 {
+	if !s.p.Deadline.IsZero() {
+		if d := s.p.Deadline.Sub(start); d > 0 {
 			t := time.AfterFunc(d, func() { s.expired.Store(true) })
 			defer t.Stop()
 		} else {
@@ -270,30 +219,28 @@ func (s *Scheduler) Run(root JobKey) error {
 	return err
 }
 
-// enqueue registers a goal (deduplicating by key) and attaches the parent as
-// a waiter. It returns whether the parent must wait.
-func (s *Scheduler) enqueue(k JobKey, parent *jobState) (wait bool) {
-	st, ok := s.registry[k]
-	if !ok {
-		st = carve(&s.slab)
-		st.key = k
-		s.registry[k] = st
-		s.push(st)
-	}
-	if st.done {
+// enqueue attaches the parent as a waiter of j, queueing j on its first
+// spawn. It returns whether the parent must wait.
+func (s *Scheduler) enqueue(j Job, parent Job) (wait bool) {
+	n := j.state()
+	if n.done {
 		return false
 	}
-	if st.parent == nil {
-		st.parent = parent
+	if !n.queued {
+		n.queued = true
+		s.push(j)
+	}
+	if n.waiter == nil {
+		n.waiter = parent
 	} else if parent != nil {
-		st.parents = append(st.parents, parent)
+		n.waiters = append(n.waiters, parent)
 	}
 	return true
 }
 
 // push appends a job to the ready queue, tracking the peak depth.
-func (s *Scheduler) push(st *jobState) {
-	s.queue = append(s.queue, st)
+func (s *Scheduler) push(j Job) {
+	s.queue = append(s.queue, j)
 	if len(s.queue) > s.stats.PeakQueue {
 		s.stats.PeakQueue = len(s.queue)
 	}
@@ -303,41 +250,42 @@ func (s *Scheduler) push(st *jobState) {
 // queue drains or a limit, quota or error ends the run. It reads the clock
 // only when it starts and stops (see Stats.Busy).
 func (s *Scheduler) loop() error {
-	var w Worker
+	w := &s.w
 	start := time.Now()
 	defer func() { s.stats.Busy = time.Since(start) }()
 	for len(s.queue) > 0 {
-		if s.stepLimit > 0 && s.steps >= s.stepLimit || s.expired.Load() {
+		if s.p.StepLimit > 0 && s.steps >= s.p.StepLimit || s.expired.Load() {
 			return ErrTimeout
 		}
-		if s.quota != nil {
-			if err := s.quota(); err != nil {
+		if s.p.Quota != nil {
+			if err := s.p.Quota(); err != nil {
 				return err
 			}
 		}
 		// LIFO pop keeps the search depth-first, bounding live jobs.
-		st := s.queue[len(s.queue)-1]
+		j := s.queue[len(s.queue)-1]
 		s.queue = s.queue[:len(s.queue)-1]
-		s.stats.Steps[st.key.Kind]++
+		n := j.state()
+		s.stats.Steps[n.kind]++
 		s.steps++
 
 		w.children = w.children[:0]
-		done, err := s.step(st, &w)
+		done, err := s.step(j, w)
 		if err != nil {
 			return err
 		}
 		if done {
-			s.complete(st)
+			s.complete(n)
 			continue
 		}
 		for _, c := range w.children {
-			if s.enqueue(c, st) {
-				st.pending++
+			if s.enqueue(c, j) {
+				n.pending++
 			}
 		}
-		if st.pending == 0 {
+		if n.pending == 0 {
 			// Children all finished already (or none): rerun.
-			s.push(st)
+			s.push(j)
 		}
 	}
 	return nil
@@ -350,41 +298,38 @@ func (s *Scheduler) loop() error {
 // surfaced through the scheduler's normal error path, failing only this
 // stage. The caller's goroutine survives; the degradation ladder in core and
 // the AMPERe capture hook take it from there.
-func (s *Scheduler) step(st *jobState, w *Worker) (done bool, err error) {
+func (s *Scheduler) step(j Job, w *Worker) (done bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			ex := gpos.PanicException(gpos.CompSearch, r)
-			ex.Msg = fmt.Sprintf("panic in %s job %q: %v", st.key.Kind, st.key, r)
+			ex.Msg = fmt.Sprintf("panic in %s job %q: %v", j.state().kind, j, r)
 			done, err = false, ex
 		}
 	}()
 	if err := fault.Inject(fault.PointSearchJobExec); err != nil {
 		return false, err
 	}
-	if st.job == nil {
-		// First run of this goal: only now does it cost a job object.
-		st.job = s.newJob(w, st.key)
-	}
-	return st.job.Step(w)
+	return j.Step(w)
 }
 
 // complete marks a job done and tells its waiters.
-func (s *Scheduler) complete(st *jobState) {
-	st.done = true
-	if st.parent != nil {
-		s.resume(st.parent)
+func (s *Scheduler) complete(n *node) {
+	n.done = true
+	if n.waiter != nil {
+		s.resume(n.waiter)
 	}
-	for _, p := range st.parents {
+	for _, p := range n.waiters {
 		s.resume(p)
 	}
-	st.parent, st.parents = nil, nil
+	n.waiter, n.waiters = nil, nil
 }
 
 // resume tells a waiting parent that one of its children completed; the
 // last one to complete puts the parent back on the queue.
-func (s *Scheduler) resume(p *jobState) {
-	p.pending--
-	if p.pending == 0 {
+func (s *Scheduler) resume(p Job) {
+	n := p.state()
+	n.pending--
+	if n.pending == 0 {
 		s.push(p)
 	}
 }

@@ -5,18 +5,19 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"orca/internal/memo"
 )
 
-type stepFn = func() ([]JobKey, bool, error)
+type stepFn = func() ([]Job, bool, error)
 
 // stepJob is a configurable test job, named by a string.
 type stepJob struct {
+	node
 	key   string
 	steps []stepFn
 	calls int
 }
+
+func (j *stepJob) String() string { return j.key }
 
 func (j *stepJob) Step(w *Worker) (bool, error) {
 	j.calls++
@@ -30,35 +31,24 @@ func (j *stepJob) Step(w *Worker) (bool, error) {
 	return done, err
 }
 
-// jobTable gives string-named test jobs goal identities: every distinct name
-// is an Opt goal on a stand-in group of its own, and the first job registered
-// under a name is the one the scheduler materialises for that goal.
-type jobTable struct {
-	keys map[string]JobKey
-	jobs map[JobKey]*stepJob
-}
+// jobTable deduplicates string-named test jobs the way the search's goal
+// tables deduplicate group-level goals: the first job registered under a
+// name is the one every later registration of that name waits for. Test
+// jobs count as Opt jobs in the scheduler's telemetry.
+type jobTable map[string]*stepJob
 
-func newJobTable() *jobTable {
-	return &jobTable{keys: map[string]JobKey{}, jobs: map[JobKey]*stepJob{}}
-}
-
-func (tb *jobTable) goal(j *stepJob) JobKey {
-	k, ok := tb.keys[j.key]
-	if !ok {
-		k = JobKey{Kind: JobOpt, Group: &memo.Group{ID: memo.GroupID(len(tb.keys))}}
-		tb.keys[j.key] = k
-		tb.jobs[k] = j
+func (tb jobTable) goal(j *stepJob) Job {
+	if first, ok := tb[j.key]; ok {
+		return first
 	}
-	return k
-}
-
-func (tb *jobTable) scheduler() *Scheduler {
-	return NewScheduler(func(_ *Worker, k JobKey) Job { return tb.jobs[k] })
+	j.kind = JobOpt
+	tb[j.key] = j
+	return j
 }
 
 func leaf(key string, hit *int) *stepJob {
 	return &stepJob{key: key, steps: []stepFn{
-		func() ([]JobKey, bool, error) {
+		func() ([]Job, bool, error) {
 			*hit++
 			return nil, true, nil
 		},
@@ -66,13 +56,13 @@ func leaf(key string, hit *int) *stepJob {
 }
 
 func TestSchedulerRunsDependencyTree(t *testing.T) {
-	tb := newJobTable()
+	tb := jobTable{}
 	var hits int
-	children := []JobKey{tb.goal(leaf("a", &hits)), tb.goal(leaf("b", &hits)), tb.goal(leaf("c", &hits))}
+	children := []Job{tb.goal(leaf("a", &hits)), tb.goal(leaf("b", &hits)), tb.goal(leaf("c", &hits))}
 	var resumed int
 	root := &stepJob{key: "root", steps: []stepFn{
-		func() ([]JobKey, bool, error) { return children, false, nil },
-		func() ([]JobKey, bool, error) {
+		func() ([]Job, bool, error) { return children, false, nil },
+		func() ([]Job, bool, error) {
 			// All children must have completed before the parent resumes.
 			if hits != 3 {
 				return nil, false, errors.New("parent resumed early")
@@ -81,7 +71,7 @@ func TestSchedulerRunsDependencyTree(t *testing.T) {
 			return nil, true, nil
 		},
 	}}
-	s := tb.scheduler()
+	s := &Scheduler{}
 	if err := s.Run(tb.goal(root)); err != nil {
 		t.Fatal(err)
 	}
@@ -93,21 +83,21 @@ func TestSchedulerRunsDependencyTree(t *testing.T) {
 func TestSchedulerDeduplicatesByKey(t *testing.T) {
 	// Two parents wait on the same child goal: the child must run once and
 	// both parents must resume — the paper's group job queue (§4.2).
-	tb := newJobTable()
+	tb := jobTable{}
 	var childRuns int
-	mkParent := func(name string) JobKey {
+	mkParent := func(name string) Job {
 		return tb.goal(&stepJob{key: name, steps: []stepFn{
-			func() ([]JobKey, bool, error) {
-				return []JobKey{tb.goal(leaf("shared-goal", &childRuns))}, false, nil
+			func() ([]Job, bool, error) {
+				return []Job{tb.goal(leaf("shared-goal", &childRuns))}, false, nil
 			},
-			func() ([]JobKey, bool, error) { return nil, true, nil },
+			func() ([]Job, bool, error) { return nil, true, nil },
 		}})
 	}
 	root := &stepJob{key: "root", steps: []stepFn{
-		func() ([]JobKey, bool, error) { return []JobKey{mkParent("p1"), mkParent("p2")}, false, nil },
-		func() ([]JobKey, bool, error) { return nil, true, nil },
+		func() ([]Job, bool, error) { return []Job{mkParent("p1"), mkParent("p2")}, false, nil },
+		func() ([]Job, bool, error) { return nil, true, nil },
 	}}
-	s := tb.scheduler()
+	s := &Scheduler{}
 	if err := s.Run(tb.goal(root)); err != nil {
 		t.Fatal(err)
 	}
@@ -117,15 +107,15 @@ func TestSchedulerDeduplicatesByKey(t *testing.T) {
 }
 
 func TestSchedulerPropagatesErrors(t *testing.T) {
-	tb := newJobTable()
+	tb := jobTable{}
 	boom := errors.New("boom")
 	bad := &stepJob{key: "bad", steps: []stepFn{
-		func() ([]JobKey, bool, error) { return nil, false, boom },
+		func() ([]Job, bool, error) { return nil, false, boom },
 	}}
 	root := &stepJob{key: "root", steps: []stepFn{
-		func() ([]JobKey, bool, error) { return []JobKey{tb.goal(bad)}, false, nil },
+		func() ([]Job, bool, error) { return []Job{tb.goal(bad)}, false, nil },
 	}}
-	s := tb.scheduler()
+	s := &Scheduler{}
 	if err := s.Run(tb.goal(root)); !errors.Is(err, boom) {
 		t.Errorf("error not propagated: %v", err)
 	}
@@ -133,19 +123,19 @@ func TestSchedulerPropagatesErrors(t *testing.T) {
 
 func TestSchedulerTimeout(t *testing.T) {
 	// An endless chain of jobs must be cut off by the deadline.
-	tb := newJobTable()
-	var mk func(i int64) JobKey
-	mk = func(i int64) JobKey {
+	tb := jobTable{}
+	var mk func(i int64) Job
+	mk = func(i int64) Job {
 		return tb.goal(&stepJob{key: fmt.Sprintf("j%d", i), steps: []stepFn{
-			func() ([]JobKey, bool, error) {
+			func() ([]Job, bool, error) {
 				time.Sleep(200 * time.Microsecond)
-				return []JobKey{mk(i + 1)}, false, nil
+				return []Job{mk(i + 1)}, false, nil
 			},
-			func() ([]JobKey, bool, error) { return nil, true, nil },
+			func() ([]Job, bool, error) { return nil, true, nil },
 		}})
 	}
-	s := tb.scheduler()
-	s.SetDeadline(time.Now().Add(30 * time.Millisecond))
+	s := &Scheduler{}
+	s.p.Deadline = time.Now().Add(30 * time.Millisecond)
 	err := s.Run(mk(0))
 	if !errors.Is(err, ErrTimeout) {
 		t.Errorf("want ErrTimeout, got %v", err)
@@ -155,10 +145,10 @@ func TestSchedulerTimeout(t *testing.T) {
 func TestSchedulerPastDeadlineRunsNothing(t *testing.T) {
 	// A deadline already past when Run starts sets the flag before the first
 	// step: not even the root runs.
-	tb := newJobTable()
+	tb := jobTable{}
 	var hits int
-	s := tb.scheduler()
-	s.SetDeadline(time.Now().Add(-time.Second))
+	s := &Scheduler{}
+	s.p.Deadline = time.Now().Add(-time.Second)
 	if err := s.Run(tb.goal(leaf("root", &hits))); !errors.Is(err, ErrTimeout) {
 		t.Errorf("want ErrTimeout, got %v", err)
 	}
@@ -171,10 +161,10 @@ func TestSchedulerDeadlineTimerStopped(t *testing.T) {
 	// A run that finishes before its deadline stops the timer on return: the
 	// deadline passing afterwards must not touch the scheduler (the package's
 	// leak check then also sees no timer goroutine).
-	tb := newJobTable()
+	tb := jobTable{}
 	var hits int
-	s := tb.scheduler()
-	s.SetDeadline(time.Now().Add(20 * time.Millisecond))
+	s := &Scheduler{}
+	s.p.Deadline = time.Now().Add(20 * time.Millisecond)
 	if err := s.Run(tb.goal(leaf("quick", &hits))); err != nil {
 		t.Fatal(err)
 	}
@@ -187,18 +177,18 @@ func TestSchedulerDeadlineTimerStopped(t *testing.T) {
 func TestSchedulerStepLimit(t *testing.T) {
 	// The step budget is the deterministic analogue of the deadline: an
 	// endless chain must be cut off with ErrTimeout after exactly the budget.
-	tb := newJobTable()
-	var mk func(i int64) JobKey
-	mk = func(i int64) JobKey {
+	tb := jobTable{}
+	var mk func(i int64) Job
+	mk = func(i int64) Job {
 		return tb.goal(&stepJob{key: fmt.Sprintf("s%d", i), steps: []stepFn{
-			func() ([]JobKey, bool, error) {
-				return []JobKey{mk(i + 1)}, false, nil
+			func() ([]Job, bool, error) {
+				return []Job{mk(i + 1)}, false, nil
 			},
-			func() ([]JobKey, bool, error) { return nil, true, nil },
+			func() ([]Job, bool, error) { return nil, true, nil },
 		}})
 	}
-	s := tb.scheduler()
-	s.SetStepLimit(25)
+	s := &Scheduler{}
+	s.p.StepLimit = 25
 	err := s.Run(mk(0))
 	if !errors.Is(err, ErrTimeout) {
 		t.Errorf("want ErrTimeout, got %v", err)
@@ -210,15 +200,15 @@ func TestSchedulerStepLimit(t *testing.T) {
 
 func TestSchedulerStats(t *testing.T) {
 	// A root fanning out to 3 leaves, all JobOpt: 3 leaf steps + 2 root steps.
-	tb := newJobTable()
+	tb := jobTable{}
 	var hits int
 	root := &stepJob{key: "root", steps: []stepFn{
-		func() ([]JobKey, bool, error) {
-			return []JobKey{tb.goal(leaf("a", &hits)), tb.goal(leaf("b", &hits)), tb.goal(leaf("c", &hits))}, false, nil
+		func() ([]Job, bool, error) {
+			return []Job{tb.goal(leaf("a", &hits)), tb.goal(leaf("b", &hits)), tb.goal(leaf("c", &hits))}, false, nil
 		},
-		func() ([]JobKey, bool, error) { return nil, true, nil },
+		func() ([]Job, bool, error) { return nil, true, nil },
 	}}
-	s := tb.scheduler()
+	s := &Scheduler{}
 	if err := s.Run(tb.goal(root)); err != nil {
 		t.Fatal(err)
 	}
@@ -262,22 +252,22 @@ func TestJobKindString(t *testing.T) {
 func TestSchedulerDeepRecursion(t *testing.T) {
 	// A deep linear dependency chain exercises suspend/resume bookkeeping.
 	const depth = 2000
-	tb := newJobTable()
+	tb := jobTable{}
 	var done int
-	var mk func(i int) JobKey
-	mk = func(i int) JobKey {
+	var mk func(i int) Job
+	mk = func(i int) Job {
 		return tb.goal(&stepJob{key: fmt.Sprintf("d%d", i), steps: []stepFn{
-			func() ([]JobKey, bool, error) {
+			func() ([]Job, bool, error) {
 				if i == depth {
 					done++
 					return nil, true, nil
 				}
-				return []JobKey{mk(i + 1)}, false, nil
+				return []Job{mk(i + 1)}, false, nil
 			},
-			func() ([]JobKey, bool, error) { return nil, true, nil },
+			func() ([]Job, bool, error) { return nil, true, nil },
 		}})
 	}
-	s := tb.scheduler()
+	s := &Scheduler{}
 	if err := s.Run(mk(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -289,21 +279,21 @@ func TestSchedulerDeepRecursion(t *testing.T) {
 func TestSchedulerManyLeaves(t *testing.T) {
 	// One parent waits on 500 children: it resumes exactly once, after the
 	// last of them.
-	tb := newJobTable()
+	tb := jobTable{}
 	var hits int
-	var children []JobKey
+	var children []Job
 	for i := 0; i < 500; i++ {
 		children = append(children, tb.goal(leaf(fmt.Sprintf("leaf%d", i), &hits)))
 	}
 	resumeCount := 0
 	root := &stepJob{key: "root", steps: []stepFn{
-		func() ([]JobKey, bool, error) { return children, false, nil },
-		func() ([]JobKey, bool, error) {
+		func() ([]Job, bool, error) { return children, false, nil },
+		func() ([]Job, bool, error) {
 			resumeCount++
 			return nil, true, nil
 		},
 	}}
-	s := tb.scheduler()
+	s := &Scheduler{}
 	if err := s.Run(tb.goal(root)); err != nil {
 		t.Fatal(err)
 	}
@@ -324,37 +314,37 @@ func TestSchedulerSharedGoalsRunOnce(t *testing.T) {
 		fanout  = 20
 		sharing = 4 // distinct goals per level that all parents contend on
 	)
-	tb := newJobTable()
+	tb := jobTable{}
 	var runs int
-	var mk func(level, i int) JobKey
-	mk = func(level, i int) JobKey {
+	var mk func(level, i int) Job
+	mk = func(level, i int) Job {
 		key := fmt.Sprintf("L%d/g%d", level, i%sharing)
 		return tb.goal(&stepJob{key: key, steps: []stepFn{
-			func() ([]JobKey, bool, error) {
+			func() ([]Job, bool, error) {
 				runs++
 				if level == levels {
 					return nil, true, nil
 				}
-				var deps []JobKey
+				var deps []Job
 				for j := 0; j < fanout; j++ {
 					deps = append(deps, mk(level+1, i*fanout+j))
 				}
 				return deps, false, nil
 			},
-			func() ([]JobKey, bool, error) { return nil, true, nil },
+			func() ([]Job, bool, error) { return nil, true, nil },
 		}})
 	}
 	root := &stepJob{key: "stress-root", steps: []stepFn{
-		func() ([]JobKey, bool, error) {
-			var deps []JobKey
+		func() ([]Job, bool, error) {
+			var deps []Job
 			for i := 0; i < fanout; i++ {
 				deps = append(deps, mk(1, i))
 			}
 			return deps, false, nil
 		},
-		func() ([]JobKey, bool, error) { return nil, true, nil },
+		func() ([]Job, bool, error) { return nil, true, nil },
 	}}
-	s := tb.scheduler()
+	s := &Scheduler{}
 	if err := s.Run(tb.goal(root)); err != nil {
 		t.Fatal(err)
 	}
