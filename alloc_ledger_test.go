@@ -41,15 +41,22 @@ import (
 // each part's minimum absorbs the runtime's type-assertion caches, which
 // grow on a random ~1 in 1,024 misses.
 //
+// A request row also pins the bytes its parts allocate
+// (runtime.MemStats.TotalAlloc, measured like the count) in request_bytes,
+// to within request_bytes_tolerance (a fraction): the collector's work
+// follows bytes, and a change can move bytes without moving the count.
+//
 // A change that moves a count on purpose updates the file by hand, in the
 // same change, as BENCH_plans.json is updated.
 
 const allocLedgerFile = "BENCH_allocs.json"
 
 type allocLedger struct {
-	RequestTolerance uint64            `json:"request_tolerance"`
-	Exact            map[string]uint64 `json:"exact"`
-	Request          map[string]uint64 `json:"request"`
+	RequestTolerance      uint64            `json:"request_tolerance"`
+	RequestBytesTolerance float64           `json:"request_bytes_tolerance"`
+	Exact                 map[string]uint64 `json:"exact"`
+	Request               map[string]uint64 `json:"request"`
+	RequestBytes          map[string]uint64 `json:"request_bytes"`
 }
 
 // allocRow is one measured ledger row. Every run calls setup, outside the
@@ -59,12 +66,14 @@ type allocRow struct {
 	parts []func(t testing.TB)
 }
 
-// countAllocs returns the row's count: the sum over its parts of each
-// part's minimum over five measured runs, after one warm-up run.
-func countAllocs(t testing.TB, r allocRow) uint64 {
+// countAllocs returns the row's count and bytes: each the sum over its
+// parts of the part's minimum over five measured runs, after one warm-up
+// run.
+func countAllocs(t testing.TB, r allocRow) (count, bytes uint64) {
 	best := make([]uint64, len(r.parts))
+	bestBytes := make([]uint64, len(r.parts))
 	for j := range best {
-		best[j] = math.MaxUint64
+		best[j], bestBytes[j] = math.MaxUint64, math.MaxUint64
 	}
 	for i := 0; i < 6; i++ {
 		if r.setup != nil {
@@ -79,16 +88,17 @@ func countAllocs(t testing.TB, r allocRow) uint64 {
 			part(t)
 			runtime.ReadMemStats(&after)
 			debug.SetGCPercent(gc)
-			if n := after.Mallocs - before.Mallocs; i > 0 && n < best[j] {
-				best[j] = n
+			if i > 0 {
+				best[j] = min(best[j], after.Mallocs-before.Mallocs)
+				bestBytes[j] = min(bestBytes[j], after.TotalAlloc-before.TotalAlloc)
 			}
 		}
 	}
-	var sum uint64
-	for _, n := range best {
-		sum += n
+	for j := range best {
+		count += best[j]
+		bytes += bestBytes[j]
 	}
-	return sum
+	return count, bytes
 }
 
 // each makes one part per element of xs.
@@ -121,8 +131,12 @@ func TestAllocLedger(t *testing.T) {
 	var diffs []string
 	for _, r := range ledgerRows(&ledgerInputs{}) {
 		t.Run(r.name, func(t *testing.T) {
-			got := countAllocs(t, r.build(t))
-			t.Logf("%d allocs", got)
+			got, gotBytes := countAllocs(t, r.build(t))
+			t.Logf("%d allocs, %d bytes", got, gotBytes)
+			if w, ok := want.RequestBytes[r.name]; ok &&
+				math.Abs(float64(gotBytes)-float64(w)) > want.RequestBytesTolerance*float64(w) {
+				diffs = append(diffs, r.name+" bytes "+itoa(w)+" "+itoa(gotBytes))
+			}
 			w, exact := want.Exact[r.name]
 			tolerance := uint64(0)
 			if !exact {
@@ -140,9 +154,9 @@ func TestAllocLedger(t *testing.T) {
 	}
 	if len(diffs) > 0 {
 		sort.Strings(diffs)
-		t.Errorf("allocation counts differ from %s (request rows may move by %d):\nrow want got\n%s\n"+
-			"find the new allocation with -memprofile, or update %s in the change that moves it on purpose",
-			allocLedgerFile, want.RequestTolerance, strings.Join(diffs, "\n"), allocLedgerFile)
+		t.Errorf("allocation counts differ from %s (request rows may move by %d, their bytes by %g%%):\n"+
+			"row want got\n%s\nfind the new allocation with -memprofile, or update %s in the change that moves it on purpose",
+			allocLedgerFile, want.RequestTolerance, 100*want.RequestBytesTolerance, strings.Join(diffs, "\n"), allocLedgerFile)
 	}
 }
 

@@ -19,8 +19,9 @@
 #            docs/opmatrix.md — hand-edited generated code and stale
 #            regeneration both show up here.
 #   test     go test ./... — including the allocation ledger
-#            (TestAllocLedger: exact allocation counts of the hot paths and
-#            of whole searches and requests against BENCH_allocs.json) and
+#            (TestAllocLedger: exact allocation counts of the hot paths, and
+#            the allocation counts and bytes of whole searches and requests,
+#            against BENCH_allocs.json) and
 #            the goroutine leak check in the TestMain of search, gpos, serve
 #            and md (internal/leakcheck)
 #   fuzz     10 s of FuzzParseXML: the DXL scanner against its

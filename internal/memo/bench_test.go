@@ -117,18 +117,19 @@ func BenchmarkMemoContextProbe(b *testing.B) {
 		{Dist: props.SingletonDist, Order: props.MakeOrder(1)},
 		{Dist: props.ReplicatedDist, Rewindable: true},
 	}
-	for _, r := range reqs {
+	ids := make([]ReqID, len(reqs))
+	for i, r := range reqs {
 		ctx, _ := g.Context(r)
-		ge.AddCandidate(m.InternReq(r), Candidate{Cost: 10})
+		ids[i] = m.InternReq(r)
+		ge.AddCandidate(ids[i], Candidate{Cost: 10})
 		ctx.Offer(ge, Candidate{Cost: 10})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := reqs[i%len(reqs)]
-		if g.LookupContext(r) == nil {
+		if g.LookupContext(reqs[i%len(reqs)]) == nil {
 			b.Fatal("context lost")
 		}
-		if len(ge.Candidates(r)) == 0 {
+		if len(ge.Candidates(ids[i%len(ids)])) == 0 {
 			b.Fatal("candidates lost")
 		}
 	}

@@ -11,13 +11,15 @@
 // A Memo is owned by one goroutine: the search that builds it (DESIGN.md
 // §11). Its hot paths hash no strings: the applied-rule ledger is a bitset
 // indexed by dense rule IDs (xform's registry), and optimization requests
-// are interned per session to dense ReqIDs, so the Figure-6 hash tables are
-// direct int-keyed maps with no Hash()/Equal() re-runs on every probe.
+// are interned per session to dense ReqIDs, so the Figure-6 tables key off
+// ints with no Hash()/Equal() re-runs on every probe.
 package memo
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"unsafe"
 
 	"orca/internal/base"
 	"orca/internal/fault"
@@ -68,9 +70,24 @@ type Memo struct {
 	// without walking the whole Memo from the root.
 	cteProducers map[int]GroupID
 
+	// entries and ids are the unused tails of the arena chunks the local
+	// tables take their entries and candidates' child-request ids from.
+	entries []localEntry
+	ids     []ReqID
+
 	mem *gpos.MemoryAccountant
 
 	root GroupID
+}
+
+// carve copies xs to the unused tail of an arena chunk, starting a new 8 KB
+// chunk when the tail is too short.
+func carve[T any](tail *[]T, xs ...T) []T {
+	if cap(*tail)-len(*tail) < len(xs) {
+		*tail = make([]T, 0, max(8<<10/int(unsafe.Sizeof(xs[0])), len(xs)))
+	}
+	*tail = append(*tail, xs...)
+	return (*tail)[len(*tail)-len(xs) : len(*tail) : len(*tail)]
 }
 
 // New returns an empty Memo charging the given accountant (may be nil).
@@ -398,9 +415,9 @@ func (g *Group) Rows() float64 {
 // GroupExpr
 
 // GroupExpr is an operator whose children are groups (paper §3). Its local
-// hash table maps incoming optimization requests to the child requests of
-// the best plan alternative — the linkage structure used for plan extraction
-// (paper Figure 6) and for TAQO's uniform plan sampling.
+// table maps each incoming optimization request to every alternative costed
+// for it, with the child requests of each — the linkage structure used for
+// plan extraction (paper Figure 6) and TAQO's uniform plan sampling space.
 type GroupExpr struct {
 	Op       ops.Operator
 	Children []GroupID
@@ -408,13 +425,14 @@ type GroupExpr struct {
 	group *Group
 	fp    uint64
 
-	// local is the Figure-6 local hash table, keyed by interned request id:
-	// the alternatives costed for the request (also TAQO's sampling space).
-	// Allocated on first candidate (most expressions are never costed).
-	local map[ReqID][]Candidate
-	// childReqs caches the child-request alternatives of a request-invariant
-	// physical operator (see ChildReqs); immutable once set.
-	childReqs *reqAlts
+	// local is the Figure-6 local table: one chain, over all requests, of
+	// the alternatives costed for each, in the order they were first
+	// recorded. Most expressions are never costed.
+	local *localEntry
+	// childReqs caches the interned child requests of a request-invariant
+	// physical operator (see ChildReqs); immutable once set. A pointer keeps
+	// GroupExpr at the size memo/sizes.go prices.
+	childReqs *[]ReqID
 	// applied is the rule ledger: a bitset indexed by dense rule ID
 	// (xform.RuleIDFor), grown on demand. No strings are hashed on the
 	// rule-firing check path.
@@ -423,10 +441,18 @@ type GroupExpr struct {
 
 // Candidate is one costed way of satisfying a request with this expression.
 type Candidate struct {
-	ChildReqs []props.Required
+	ChildReqs []ReqID // each child's interned request (see Memo.Req)
 	LocalCost float64
 	Cost      float64 // subtree total
 	Delivered props.Derived
+}
+
+// localEntry is one entry of an expression's local table: a candidate
+// costed for the interned request req, and the chain's next entry.
+type localEntry struct {
+	req  ReqID
+	next *localEntry
+	cand Candidate
 }
 
 // Group returns the owning group.
@@ -469,78 +495,67 @@ func (ge *GroupExpr) Applied(rule int) bool {
 }
 
 // AddCandidate records a costed alternative for the interned request in the
-// local hash table. Re-costing the same alternative (same child requests) in
-// a later optimization pass replaces the earlier entry rather than appending
-// a duplicate, so the candidate list stays one entry per distinct alternative.
-func (ge *GroupExpr) AddCandidate(id ReqID, c Candidate) {
-	if ge.local == nil {
-		ge.local = make(map[ReqID][]Candidate)
-	}
-	l := ge.local[id]
-	for i := range l {
-		if sameChildReqs(l[i].ChildReqs, c.ChildReqs) {
-			l[i] = c
-			return
+// local table and returns it as recorded: its child ids are then the Memo's
+// own, never the caller's memory. Re-costing the same alternative (same
+// child requests) in a later optimization pass replaces the earlier entry in
+// place rather than appending a duplicate, so the table stays one entry per
+// distinct alternative, in the order each was first costed.
+func (ge *GroupExpr) AddCandidate(id ReqID, c Candidate) Candidate {
+	p := &ge.local
+	for ; *p != nil; p = &(*p).next {
+		if e := *p; e.req == id && slices.Equal(e.cand.ChildReqs, c.ChildReqs) {
+			c.ChildReqs = e.cand.ChildReqs
+			e.cand = c
+			return c
 		}
 	}
-	ge.local[id] = append(l, c)
-	ge.group.memo.mem.Charge(candidateSizeBytes(len(c.ChildReqs)))
+	m := ge.group.memo
+	c.ChildReqs = carve(&m.ids, c.ChildReqs...)
+	*p = &carve(&m.entries, localEntry{req: id, cand: c})[0]
+	m.mem.Charge(candidateSizeBytes(len(c.ChildReqs)))
+	return c
 }
 
-// reqAlts is a physical operator's child-request alternatives together with
-// their interned ids (alternative-major, one id per child).
-type reqAlts struct {
-	alts [][]props.Required
-	ids  []ReqID
-}
-
-// ChildReqs returns the child-request alternatives of the expression's
-// physical operator under req, and the interned id of every request in them:
-// ids[a*len(ge.Children)+c] is child c's request in alternative a. For a
-// request-invariant operator both are computed once per expression and
-// shared by every request that costs it, so callers must not modify them;
-// otherwise the ids are appended to buf[:0], the caller's scratch.
-func (ge *GroupExpr) ChildReqs(req props.Required, buf []ReqID) (alts [][]props.Required, ids []ReqID) {
-	phys := ge.Op.(ops.Physical)
-	_, invariant := phys.(ops.RequestInvariant)
-	if invariant && ge.childReqs != nil {
-		return ge.childReqs.alts, ge.childReqs.ids
-	}
-	alts = phys.ChildReqs(req)
-	ids = buf[:0]
-	if invariant {
-		ids = make([]ReqID, 0, len(alts)*len(ge.Children))
-	}
-	for _, alt := range alts {
-		for _, creq := range alt {
-			ids = append(ids, ge.group.memo.InternReq(creq))
+// ChildReqs interns the child requests of every alternative the
+// expression's physical operator offers under req. It returns their ids,
+// alternative-major — ids[a*len(ge.Children)+c] is child c's request in
+// alternative a — and the number of alternatives. For a request-invariant
+// operator the ids are interned once per expression and shared by every
+// request that costs it, so callers must not modify them; otherwise they are
+// appended to ids[:0]. reqs is the caller's scratch for the operator's
+// requests, left grown for the next call.
+func (ge *GroupExpr) ChildReqs(req props.Required, ids []ReqID, reqs *[]props.Required) ([]ReqID, int) {
+	if ge.childReqs != nil {
+		ids = *ge.childReqs
+	} else {
+		phys := ge.Op.(ops.Physical)
+		*reqs = phys.AppendChildReqs(req, (*reqs)[:0])
+		ids = ids[:0]
+		for _, r := range *reqs {
+			ids = append(ids, ge.group.memo.InternReq(r))
+		}
+		if _, invariant := phys.(ops.RequestInvariant); invariant {
+			cached := carve(&ge.group.memo.ids, ids...)
+			ge.childReqs, ids = &cached, cached
 		}
 	}
-	if invariant {
-		ge.childReqs = &reqAlts{alts: alts, ids: ids}
+	if len(ge.Children) == 0 {
+		return ids, 1
 	}
-	return alts, ids
+	return ids, len(ids) / len(ge.Children)
 }
 
-func sameChildReqs(a, b []props.Required) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !a[i].Equal(b[i]) {
-			return false
+// Candidates returns the costed alternatives recorded for an interned
+// request, in the order they were first costed, which TAQO's unranking
+// depends on.
+func (ge *GroupExpr) Candidates(id ReqID) []Candidate {
+	var out []Candidate
+	for e := ge.local; e != nil; e = e.next {
+		if e.req == id {
+			out = append(out, e.cand)
 		}
 	}
-	return true
-}
-
-// Candidates returns the costed alternatives recorded for a request.
-func (ge *GroupExpr) Candidates(req props.Required) []Candidate {
-	id, ok := ge.group.memo.LookupReq(req)
-	if !ok {
-		return nil
-	}
-	return append([]Candidate(nil), ge.local[id]...)
+	return out
 }
 
 // IsEnforcer reports whether the expression is an enforcer operator.

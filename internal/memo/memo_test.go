@@ -274,14 +274,94 @@ func TestCandidateLinkage(t *testing.T) {
 	root, _ := m.Insert(paperTree(f))
 	ge := m.Group(root).Exprs()[0]
 	req := props.Required{Dist: props.SingletonDist}
-	cand := Candidate{ChildReqs: []props.Required{{Dist: props.AnyDist}, {Dist: props.ReplicatedDist}}, Cost: 9}
+	childReqs := []props.Required{{Dist: props.AnyDist}, {Dist: props.ReplicatedDist}}
+	ids := []ReqID{m.InternReq(childReqs[0]), m.InternReq(childReqs[1])}
+	cand := Candidate{ChildReqs: ids, Cost: 9}
 	ge.AddCandidate(m.InternReq(req), cand)
-	got := ge.Candidates(req)
+	got := ge.Candidates(m.InternReq(req))
 	if len(got) != 1 || got[0].Cost != 9 || len(got[0].ChildReqs) != 2 {
 		t.Errorf("candidates = %+v", got)
 	}
-	if ge.Candidates(props.Required{Dist: props.AnyDist}) != nil {
+	for i, id := range got[0].ChildReqs {
+		if creq, ok := m.Req(id); !ok || !creq.Equal(childReqs[i]) {
+			t.Errorf("child %d reads back as %s, want %s", i, creq, childReqs[i])
+		}
+	}
+	if ge.Candidates(m.InternReq(props.Required{Dist: props.AnyDist})) != nil {
 		t.Error("candidates leaked across requests")
+	}
+}
+
+// TestLocalTableOrderAndReplace pins the local table's contract: a request's
+// candidates come back in the order they were first costed, re-costing an
+// alternative replaces its entry in place, and a recorded candidate owns its
+// child ids — the caller's buffer (a search job's, reused) can change after.
+func TestLocalTableOrderAndReplace(t *testing.T) {
+	m := New(&gpos.MemoryAccountant{})
+	root, _ := m.Insert(paperTree(md.NewColumnFactory()))
+	ge := m.Group(root).Exprs()[0]
+	a, b := m.InternReq(props.Required{Dist: props.SingletonDist}), m.InternReq(props.Required{Dist: props.AnyDist})
+	buf := []ReqID{a, b}
+	rec := ge.AddCandidate(a, Candidate{ChildReqs: buf, Cost: 1})
+	ge.AddCandidate(b, Candidate{ChildReqs: []ReqID{a, b}, Cost: 2})
+	ge.AddCandidate(a, Candidate{ChildReqs: []ReqID{b, a}, Cost: 3})
+	ge.AddCandidate(a, Candidate{ChildReqs: []ReqID{a, b}, Cost: 4})
+	buf[0], buf[1] = b, b
+	if rec.ChildReqs[0] != a || rec.ChildReqs[1] != b {
+		t.Errorf("recorded candidate shares the caller's ids: %v", rec.ChildReqs)
+	}
+	costs := func(req ReqID) (out []float64) {
+		for _, c := range ge.Candidates(req) {
+			out = append(out, c.Cost)
+		}
+		return out
+	}
+	if got := costs(a); !reflect.DeepEqual(got, []float64{4, 3}) {
+		t.Errorf("candidates for the first request cost %v, want [4 3]", got)
+	}
+	if got := costs(b); !reflect.DeepEqual(got, []float64{2}) {
+		t.Errorf("candidates for the second request cost %v, want [2]", got)
+	}
+}
+
+// TestChildReqsInternsAlternatives checks GroupExpr.ChildReqs against the
+// operator's own requests: ids alternative-major, one alternative per arity
+// requests, and a RequestInvariant operator's ids interned once and shared.
+func TestChildReqsInternsAlternatives(t *testing.T) {
+	m := New(&gpos.MemoryAccountant{})
+	root, _ := m.Insert(paperTree(md.NewColumnFactory()))
+	kids := m.Group(root).Exprs()[0].Children
+	var scratch []props.Required
+	for _, tc := range []struct {
+		op        ops.Physical
+		alts      int
+		invariant bool
+	}{
+		{&ops.HashJoin{Type: ops.InnerJoin, LeftKeys: []base.ColID{1}, RightKeys: []base.ColID{2}}, 4, true},
+		{&ops.NLJoin{Type: ops.InnerJoin}, 2, false},
+	} {
+		ge, err := m.InsertExpr(tc.op, kids, root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first []ReqID
+		for _, req := range []props.Required{{Dist: props.SingletonDist}, {Dist: props.AnyDist, Order: props.MakeOrder(1)}} {
+			ids, n := ge.ChildReqs(req, nil, &scratch)
+			want := tc.op.AppendChildReqs(req, nil)
+			if n != tc.alts || len(ids) != len(want) {
+				t.Fatalf("%s: %d alternatives, %d ids; want %d, %d", tc.op.Name(), n, len(ids), tc.alts, len(want))
+			}
+			for i, id := range ids {
+				if creq, _ := m.Req(id); !creq.Equal(want[i]) {
+					t.Errorf("%s: id %d reads back as %s, want %s", tc.op.Name(), i, creq, want[i])
+				}
+			}
+			if first == nil {
+				first = ids
+			} else if shared := &first[0] == &ids[0]; shared != tc.invariant {
+				t.Errorf("%s: ids shared across requests = %v, want %v", tc.op.Name(), shared, tc.invariant)
+			}
+		}
 	}
 }
 

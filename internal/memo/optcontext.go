@@ -2,6 +2,7 @@ package memo
 
 import (
 	"math"
+	"strconv"
 
 	"orca/internal/base"
 	"orca/internal/ops"
@@ -209,7 +210,8 @@ func (m *Memo) ExtractPlan(g GroupID, req props.Required) (*ops.Expr, error) {
 	children := make([]*ops.Expr, len(best.Children))
 	childDerived := make([]props.Derived, len(best.Children))
 	for i, cid := range best.Children {
-		c, err := m.ExtractPlan(cid, cand.ChildReqs[i])
+		creq, _ := m.Req(cand.ChildReqs[i])
+		c, err := m.ExtractPlan(cid, creq)
 		if err != nil {
 			return nil, err
 		}
@@ -233,31 +235,9 @@ type noPlanError struct {
 }
 
 func (e *noPlanError) Error() string {
-	return "memo: no plan for group " + itoa(int(e.group)) + " under " + e.req.String()
+	return "memo: no plan for group " + strconv.Itoa(int(e.group)) + " under " + e.req.String()
 }
 
 func errNoPlan(g *Group, req props.Required) error {
 	return &noPlanError{group: g.ID, req: req}
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [12]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

@@ -44,9 +44,9 @@ func optCtxSizeBytes() int64 {
 		int64(unsafe.Sizeof(ReqID(0))) + sliceSlotBytes + mapEntryOverheadBytes
 }
 
-// candidateSizeBytes is the accounted size of one costed candidate appended
-// to an expression's local table: the Candidate value, its child-request
-// slice, and its share of the local map entry.
+// candidateSizeBytes is the accounted size of one costed candidate in an
+// expression's local table, priced as the map of []props.Required candidates
+// it replaced, so that memory budgets abort a search at the same points.
 func candidateSizeBytes(childReqs int) int64 {
 	return int64(unsafe.Sizeof(Candidate{})) +
 		int64(childReqs)*int64(unsafe.Sizeof(props.Required{})) +

@@ -40,21 +40,22 @@ type Logical interface {
 // of paper §4.1: deriving delivered properties bottom-up and computing the
 // requests pushed to children for a given incoming request. One incoming
 // request may map to several alternatives (e.g. co-locate vs broadcast for a
-// hash join); each alternative is one []Required, indexed by child.
+// hash join); each alternative is one request per child.
 type Physical interface {
 	Operator
-	// ChildReqs lists the property-request alternatives for the children
-	// under the incoming request req.
-	ChildReqs(req props.Required) [][]props.Required
+	// AppendChildReqs appends to dst the children's property-request
+	// alternatives under the incoming request req, one request per child,
+	// alternative after alternative; a leaf's one alternative appends none.
+	AppendChildReqs(req props.Required, dst []props.Required) []props.Required
 	// Derive computes delivered properties from the children's delivered
 	// properties (child order matches the expression's children).
 	Derive(children []props.Derived) props.Derived
 	physical()
 }
 
-// RequestInvariant marks physical operators whose ChildReqs ignores the
-// incoming request: the alternatives are a function of the operator alone,
-// so search computes them once per group expression
+// RequestInvariant marks physical operators whose AppendChildReqs ignores
+// the incoming request: the alternatives are a function of the operator
+// alone, so search interns them once per group expression
 // (memo.GroupExpr.ChildReqs) instead of once per costed request.
 type RequestInvariant interface {
 	Physical

@@ -1,7 +1,13 @@
 package ops
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -181,18 +187,20 @@ func TestScanDerive(t *testing.T) {
 
 func TestHashJoinAlternatives(t *testing.T) {
 	j := &HashJoin{Type: InnerJoin, LeftKeys: []base.ColID{1}, RightKeys: []base.ColID{2}}
-	alts := j.ChildReqs(props.Required{Dist: props.SingletonDist})
-	if len(alts) != 4 {
-		t.Fatalf("inner hash join alternatives = %d, want 4 (co-locate, bcast-inner, bcast-outer, gather)", len(alts))
+	// Two requests, outer then inner, per alternative.
+	reqs := j.AppendChildReqs(props.Required{Dist: props.SingletonDist}, nil)
+	if len(reqs) != 2*4 {
+		t.Fatalf("inner hash join alternatives = %d, want 4 (co-locate, bcast-inner, bcast-outer, gather)", len(reqs)/2)
 	}
 	// Alternative 1: co-location on keys (duplicate-tolerant).
-	if alts[0][0].Dist.Kind != props.DistHashed || !alts[0][0].Dist.AllowReplicated {
-		t.Errorf("co-locate alt wrong: %v", alts[0])
+	if reqs[0].Dist.Kind != props.DistHashed || !reqs[0].Dist.AllowReplicated {
+		t.Errorf("co-locate alt wrong: %v", reqs[:2])
 	}
 	// Outer joins must not broadcast the preserved side.
 	lj := &HashJoin{Type: LeftJoin, LeftKeys: []base.ColID{1}, RightKeys: []base.ColID{2}}
-	for _, alt := range lj.ChildReqs(props.Required{}) {
-		if alt[0].Dist.Kind == props.DistReplicated {
+	reqs = lj.AppendChildReqs(props.Required{}, nil)
+	for a := 0; a < len(reqs); a += 2 {
+		if reqs[a].Dist.Kind == props.DistReplicated {
 			t.Error("left join offered broadcast of the row-preserving side")
 		}
 	}
@@ -201,11 +209,11 @@ func TestHashJoinAlternatives(t *testing.T) {
 func TestNLJoinPreservesOuterOrder(t *testing.T) {
 	j := &NLJoin{Type: InnerJoin}
 	req := props.Required{Order: props.MakeOrder(1)}
-	alts := j.ChildReqs(req)
-	if !alts[0][0].Order.Equal(props.MakeOrder(1)) {
+	reqs := j.AppendChildReqs(req, nil)
+	if !reqs[0].Order.Equal(props.MakeOrder(1)) {
 		t.Error("NLJoin must pass the order requirement to the outer child")
 	}
-	if !alts[0][1].Rewindable {
+	if !reqs[1].Rewindable {
 		t.Error("NLJoin inner side must be rewindable")
 	}
 	d := j.Derive([]props.Derived{
@@ -224,7 +232,7 @@ func TestEnforcerContracts(t *testing.T) {
 	req := props.Required{Dist: props.SingletonDist, Order: props.MakeOrder(3)}
 
 	sort := &Sort{Order: props.MakeOrder(3)}
-	if got := sort.ChildReqs(req)[0][0]; !got.Order.IsAny() || !got.Dist.Equal(props.SingletonDist) {
+	if got := sort.AppendChildReqs(req, nil)[0]; !got.Order.IsAny() || !got.Dist.Equal(props.SingletonDist) {
 		t.Errorf("Sort child req = %s", got)
 	}
 	d := sort.Derive([]props.Derived{{Dist: props.Hashed(1)}})
@@ -233,7 +241,7 @@ func TestEnforcerContracts(t *testing.T) {
 	}
 
 	gm := &GatherMerge{Order: props.MakeOrder(3)}
-	if got := gm.ChildReqs(req)[0][0]; !got.Order.Equal(props.MakeOrder(3)) {
+	if got := gm.AppendChildReqs(req, nil)[0]; !got.Order.Equal(props.MakeOrder(3)) {
 		t.Error("GatherMerge must require the order from its child")
 	}
 	if d := gm.Derive(nil); d.Dist.Kind != props.DistSingleton || !d.Order.Equal(props.MakeOrder(3)) {
@@ -267,13 +275,13 @@ func TestComputeScalarTranslation(t *testing.T) {
 	})
 	// Requirement on the aliased column translates to the input column.
 	req := props.Required{Dist: props.Hashed(outPass.ID), Order: props.MakeOrder(outPass.ID)}
-	creq := cs.ChildReqs(req)[0][0]
+	creq := cs.AppendChildReqs(req, nil)[0]
 	if !creq.Dist.Equal(props.Hashed(in.ID)) || !creq.Order.Equal(props.MakeOrder(in.ID)) {
 		t.Errorf("pass-through translation failed: %s", creq)
 	}
 	// Requirement on the computed column cannot be pushed.
 	req2 := props.Required{Dist: props.Hashed(outComp.ID)}
-	creq2 := cs.ChildReqs(req2)[0][0]
+	creq2 := cs.AppendChildReqs(req2, nil)[0]
 	if !creq2.Dist.IsAny() {
 		t.Errorf("computed-column requirement leaked to child: %s", creq2)
 	}
@@ -289,20 +297,118 @@ func TestAggChildReqAlternatives(t *testing.T) {
 	cnt := f.NewComputedColumn("cnt", base.TInt)
 	agg := &HashAgg{Mode: AggSingle, GroupCols: []base.ColID{1, 2},
 		Aggs: []AggElem{{Col: cnt, Agg: &AggFunc{Name: "count"}}}}
-	alts := agg.ChildReqs(props.Required{})
-	// Full grouping columns, each single column, singleton.
+	// One request per alternative: full grouping columns, each single
+	// column, singleton.
+	alts := agg.AppendChildReqs(props.Required{}, nil)
 	if len(alts) != 4 {
 		t.Fatalf("hash agg alternatives = %d, want 4", len(alts))
 	}
 	for _, alt := range alts {
-		d := alt[0].Dist
+		d := alt.Dist
 		if d.Kind == props.DistHashed && d.AllowReplicated {
 			t.Error("grouped aggregate must not tolerate replicated input (duplicates)")
 		}
 	}
 	local := &HashAgg{Mode: AggLocal, GroupCols: []base.ColID{1}}
-	if got := local.ChildReqs(props.Required{}); len(got) != 1 || !got[0][0].Dist.IsAny() {
+	if got := local.AppendChildReqs(props.Required{}, nil); len(got) != 1 || !got[0].Dist.IsAny() {
 		t.Error("local aggregate must accept any distribution")
+	}
+}
+
+// arity is the number of children an expression of p has in these tests.
+func arity(p Physical) int {
+	if u, ok := p.(*PhysicalUnionAll); ok {
+		return len(u.InCols)
+	}
+	return p.Arity()
+}
+
+// TestAppendChildReqsSound holds every physical operator declared in defs/
+// to the child-request hook's contract: the appended requests are whole
+// alternatives (a multiple of the arity, none for a leaf), appended after
+// what dst already holds; and a RequestInvariant operator appends the same
+// requests whatever the incoming request, which the per-expression cache of
+// interned ids (memo.GroupExpr.ChildReqs) relies on.
+func TestAppendChildReqsSound(t *testing.T) {
+	rel, cols := miniRel("t", 2)
+	keys := []base.ColID{cols[0].ID}
+	physical := []Physical{
+		&Scan{Rel: rel, Cols: cols},
+		&IndexScan{Rel: rel, Cols: cols},
+		&Filter{},
+		NewComputeScalar([]ProjElem{{Col: cols[1], Expr: NewIdent(cols[0].ID, base.TInt)}}),
+		&HashJoin{Type: InnerJoin, LeftKeys: keys, RightKeys: keys},
+		&HashJoin{Type: LeftJoin, LeftKeys: keys, RightKeys: keys},
+		&HashJoin{Type: InnerJoin},
+		&NLJoin{Type: InnerJoin},
+		&HashAgg{Mode: AggLocal, GroupCols: keys},
+		&HashAgg{Mode: AggGlobal, GroupCols: []base.ColID{1, 2}},
+		&StreamAgg{GroupCols: keys},
+		&ScalarAgg{Mode: AggLocal},
+		&ScalarAgg{Mode: AggSingle},
+		&PhysicalLimit{Order: props.MakeOrder(1)},
+		&PhysicalUnionAll{InCols: [][]base.ColID{{1}, {2}, {3}}},
+		&Sequence{},
+		&PhysicalCTEProducer{},
+		&PhysicalCTEConsumer{},
+		&PhysicalWindow{},
+		&PhysicalWindow{PartitionCols: []base.ColID{1, 2}},
+		&SubPlanFilter{},
+		&SubPlanProject{},
+		&Sort{Order: props.MakeOrder(1)},
+		&Gather{},
+		&GatherMerge{Order: props.MakeOrder(1)},
+		&Redistribute{Cols: keys},
+		&Broadcast{},
+		&Spool{},
+	}
+	covered := map[string]bool{}
+	for _, p := range physical {
+		covered[reflect.TypeOf(p).Elem().Name()] = true
+	}
+	for _, file := range []string{"ops_physical.opt", "ops_enforcers.opt"} {
+		src, err := os.ReadFile(filepath.Join("..", "..", "defs", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defs := regexp.MustCompile(`(?m)^\[[^]]*\] define (\w+) `).FindAllStringSubmatch(string(src), -1)
+		if len(defs) == 0 {
+			t.Errorf("%s declares no operator this test can find", file)
+		}
+		for _, m := range defs {
+			if !covered[m[1]] {
+				t.Errorf("%s declares %s, which this test does not cover", file, m[1])
+			}
+		}
+	}
+	reqs := []props.Required{
+		{Dist: props.AnyDist},
+		{Dist: props.AnyDist, Order: props.MakeOrder(1)},
+		{Dist: props.SingletonDist},
+		{Dist: props.AnyDist, Rewindable: true},
+	}
+	prefix := props.Required{Dist: props.ReplicatedDist}
+	for i, p := range physical {
+		name := fmt.Sprintf("%d:%T", i, p)
+		_, invariant := p.(RequestInvariant)
+		var first []props.Required
+		for j, req := range reqs {
+			got := p.AppendChildReqs(req, []props.Required{prefix})
+			if len(got) == 0 || !got[0].Equal(prefix) {
+				t.Errorf("%s under %s: the requests already in dst were not kept", name, req)
+				continue
+			}
+			got = got[1:]
+			n := arity(p)
+			if n == 0 && len(got) != 0 || n > 0 && (len(got) == 0 || len(got)%n != 0) {
+				t.Errorf("%s under %s: %d requests for arity %d", name, req, len(got), n)
+			}
+			if j == 0 {
+				first = got
+			} else if invariant && !slices.EqualFunc(got, first, props.Required.Equal) {
+				t.Errorf("%s is RequestInvariant but asks %v under %s and %v under %s", name, got, req, first, reqs[0])
+			}
+		}
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 
 // The physical operator structs and their Name/Arity/ParamHash/ParamEqual
 // methods are generated from defs/ops_physical.opt into ops.gen.go; this
-// file keeps the hand-written property-framework halves (ChildReqs/Derive)
+// file keeps the hand-written property-framework halves (AppendChildReqs/Derive)
 // and Describe renderings.
 
 // physicalBase provides the Physical marker.
@@ -24,9 +24,6 @@ func (physicalBase) physical() {}
 type enforcerBase struct{ physicalBase }
 
 func (enforcerBase) enforcer() {}
-
-// noChildren is the single "no requirements" alternative for leaf operators.
-var noChildren = [][]props.Required{{}}
 
 func anyReq() props.Required { return props.Required{Dist: props.AnyDist} }
 
@@ -57,8 +54,8 @@ func (s *Scan) DistCols() []base.ColID {
 	return out
 }
 
-// ChildReqs implements Physical.
-func (s *Scan) ChildReqs(props.Required) [][]props.Required { return noChildren }
+// AppendChildReqs implements Physical.
+func (s *Scan) AppendChildReqs(_ props.Required, dst []props.Required) []props.Required { return dst }
 
 // Derive implements Physical: the delivered distribution is the stored
 // table's distribution; scans are natively rewindable.
@@ -211,8 +208,10 @@ func (s *IndexScan) Order() props.OrderSpec {
 	return props.OrderSpec{Items: items}
 }
 
-// ChildReqs implements Physical.
-func (s *IndexScan) ChildReqs(props.Required) [][]props.Required { return noChildren }
+// AppendChildReqs implements Physical.
+func (s *IndexScan) AppendChildReqs(_ props.Required, dst []props.Required) []props.Required {
+	return dst
+}
 
 // Derive implements Physical.
 func (s *IndexScan) Derive([]props.Derived) props.Derived {
@@ -234,9 +233,9 @@ func (s *IndexScan) Describe() string {
 // ---------------------------------------------------------------------------
 // Filter / ComputeScalar
 
-// ChildReqs implements Physical: requirements pass through the filter.
-func (f *Filter) ChildReqs(req props.Required) [][]props.Required {
-	return [][]props.Required{{passThrough(req)}}
+// AppendChildReqs implements Physical: requirements pass through the filter.
+func (f *Filter) AppendChildReqs(req props.Required, dst []props.Required) []props.Required {
+	return append(dst, passThrough(req))
 }
 
 // Derive implements Physical: distribution and order pass through.
@@ -307,14 +306,14 @@ func (p *ComputeScalar) translate(req props.Required) (props.Required, bool) {
 	return out, true
 }
 
-// ChildReqs implements Physical.
-func (p *ComputeScalar) ChildReqs(req props.Required) [][]props.Required {
+// AppendChildReqs implements Physical.
+func (p *ComputeScalar) AppendChildReqs(req props.Required, dst []props.Required) []props.Required {
 	if creq, ok := p.translate(req); ok {
-		return [][]props.Required{{creq}}
+		return append(dst, creq)
 	}
 	// Requirements name computed columns; ask nothing and let enforcers
 	// above this operator deliver them.
-	return [][]props.Required{{anyReq()}}
+	return append(dst, anyReq())
 }
 
 // Derive implements Physical: delivered properties are the child's,

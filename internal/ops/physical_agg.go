@@ -83,19 +83,17 @@ func (a *HashAgg) OutputCols() base.ColSet { return aggOutputCols(a.GroupCols, a
 // UsedCols returns referenced input columns.
 func (a *HashAgg) UsedCols() base.ColSet { return aggUsedCols(a.GroupCols, a.Aggs) }
 
-// ChildReqs implements Physical. In Global mode the aggregate functions
-// combine partial states produced by a matching Local aggregate below
-// (count→sum of partial counts, sum/min/max→same function).
-func (a *HashAgg) ChildReqs(props.Required) [][]props.Required {
+// AppendChildReqs implements Physical. In Global mode the aggregate
+// functions combine partial states produced by a matching Local aggregate
+// below (count→sum of partial counts, sum/min/max→same function).
+func (a *HashAgg) AppendChildReqs(_ props.Required, dst []props.Required) []props.Required {
 	if a.Mode == AggLocal {
-		return [][]props.Required{{anyReq()}}
+		return append(dst, anyReq())
 	}
-	dists := groupDistAlternatives(a.GroupCols)
-	alts := make([][]props.Required, len(dists))
-	for i, d := range dists {
-		alts[i] = []props.Required{{Dist: d}}
+	for _, d := range groupDistAlternatives(a.GroupCols) {
+		dst = append(dst, props.Required{Dist: d})
 	}
-	return alts
+	return dst
 }
 
 // Derive implements Physical: the child distribution is preserved; hash
@@ -129,15 +127,13 @@ func (a *StreamAgg) UsedCols() base.ColSet { return aggUsedCols(a.GroupCols, a.A
 // GroupOrder is the input order the operator requires.
 func (a *StreamAgg) GroupOrder() props.OrderSpec { return props.MakeOrder(a.GroupCols...) }
 
-// ChildReqs implements Physical.
-func (a *StreamAgg) ChildReqs(props.Required) [][]props.Required {
+// AppendChildReqs implements Physical.
+func (a *StreamAgg) AppendChildReqs(_ props.Required, dst []props.Required) []props.Required {
 	ord := a.GroupOrder()
-	dists := groupDistAlternatives(a.GroupCols)
-	alts := make([][]props.Required, len(dists))
-	for i, d := range dists {
-		alts[i] = []props.Required{{Dist: d, Order: ord}}
+	for _, d := range groupDistAlternatives(a.GroupCols) {
+		dst = append(dst, props.Required{Dist: d, Order: ord})
 	}
-	return alts
+	return dst
 }
 
 // Derive implements Physical: distribution and the group order pass through.
@@ -162,13 +158,13 @@ func (a *ScalarAgg) OutputCols() base.ColSet { return aggOutputCols(nil, a.Aggs)
 // UsedCols returns referenced input columns.
 func (a *ScalarAgg) UsedCols() base.ColSet { return aggUsedCols(nil, a.Aggs) }
 
-// ChildReqs implements Physical.
-func (a *ScalarAgg) ChildReqs(props.Required) [][]props.Required {
+// AppendChildReqs implements Physical.
+func (a *ScalarAgg) AppendChildReqs(_ props.Required, dst []props.Required) []props.Required {
 	if a.Mode == AggLocal {
-		return [][]props.Required{{anyReq()}}
+		return append(dst, anyReq())
 	}
 	// Single and Global both consume everything on one host.
-	return [][]props.Required{{{Dist: props.SingletonDist}}}
+	return append(dst, props.Required{Dist: props.SingletonDist})
 }
 
 // Derive implements Physical: a Local scalar aggregate emits one row per

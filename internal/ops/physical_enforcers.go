@@ -14,10 +14,10 @@ import (
 // request passed to its child. Structs and Name/Arity/ParamHash/ParamEqual
 // are generated from defs/ops_enforcers.opt into ops.gen.go.
 
-// ChildReqs implements Physical: the distribution requirement passes
+// AppendChildReqs implements Physical: the distribution requirement passes
 // through; the order requirement is satisfied here.
-func (s *Sort) ChildReqs(req props.Required) [][]props.Required {
-	return [][]props.Required{{{Dist: req.Dist}}}
+func (s *Sort) AppendChildReqs(req props.Required, dst []props.Required) []props.Required {
+	return append(dst, props.Required{Dist: req.Dist})
 }
 
 // Derive implements Physical: sorted output over the child's distribution;
@@ -29,9 +29,9 @@ func (s *Sort) Derive(children []props.Derived) props.Derived {
 // Describe renders the sort order.
 func (s *Sort) Describe() string { return "Sort" + s.Order.String() }
 
-// ChildReqs implements Physical.
-func (*Gather) ChildReqs(props.Required) [][]props.Required {
-	return [][]props.Required{{anyReq()}}
+// AppendChildReqs implements Physical.
+func (*Gather) AppendChildReqs(_ props.Required, dst []props.Required) []props.Required {
+	return append(dst, anyReq())
 }
 
 // Derive implements Physical: all tuples move to the master; order is
@@ -40,9 +40,9 @@ func (*Gather) Derive([]props.Derived) props.Derived {
 	return props.Derived{Dist: props.SingletonDist}
 }
 
-// ChildReqs implements Physical: children must already deliver the order.
-func (g *GatherMerge) ChildReqs(req props.Required) [][]props.Required {
-	return [][]props.Required{{{Dist: props.AnyDist, Order: g.Order}}}
+// AppendChildReqs implements Physical: the child must deliver the order.
+func (g *GatherMerge) AppendChildReqs(_ props.Required, dst []props.Required) []props.Required {
+	return append(dst, props.Required{Dist: props.AnyDist, Order: g.Order})
 }
 
 // Derive implements Physical: sorted streams from all segments move to the
@@ -54,10 +54,10 @@ func (g *GatherMerge) Derive([]props.Derived) props.Derived {
 // Describe renders the preserved order.
 func (g *GatherMerge) Describe() string { return "GatherMerge" + g.Order.String() }
 
-// ChildReqs implements Physical. An instance on segment S both sends tuples
-// from S and receives tuples hashed to S (paper §4.1 "Query Execution").
-func (*Redistribute) ChildReqs(props.Required) [][]props.Required {
-	return [][]props.Required{{anyReq()}}
+// AppendChildReqs implements Physical. An instance on segment S sends tuples
+// from S and receives those hashed to S (paper §4.1 "Query Execution").
+func (*Redistribute) AppendChildReqs(_ props.Required, dst []props.Required) []props.Required {
+	return append(dst, anyReq())
 }
 
 // Derive implements Physical.
@@ -68,9 +68,9 @@ func (r *Redistribute) Derive([]props.Derived) props.Derived {
 // Describe renders the hash columns.
 func (r *Redistribute) Describe() string { return fmt.Sprintf("Redistribute%v", r.Cols) }
 
-// ChildReqs implements Physical.
-func (*Broadcast) ChildReqs(props.Required) [][]props.Required {
-	return [][]props.Required{{anyReq()}}
+// AppendChildReqs implements Physical.
+func (*Broadcast) AppendChildReqs(_ props.Required, dst []props.Required) []props.Required {
+	return append(dst, anyReq())
 }
 
 // Derive implements Physical: the input is replicated to every segment.
@@ -78,10 +78,10 @@ func (*Broadcast) Derive([]props.Derived) props.Derived {
 	return props.Derived{Dist: props.ReplicatedDist}
 }
 
-// ChildReqs implements Physical: dist and order pass through; rewindability
-// is delivered here (for nested-loop-join inner sides).
-func (*Spool) ChildReqs(req props.Required) [][]props.Required {
-	return [][]props.Required{{passThrough(req)}}
+// AppendChildReqs implements Physical: dist and order pass through;
+// rewindability is delivered here (for nested-loop-join inner sides).
+func (*Spool) AppendChildReqs(req props.Required, dst []props.Required) []props.Required {
+	return append(dst, passThrough(req))
 }
 
 // Derive implements Physical.

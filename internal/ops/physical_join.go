@@ -29,7 +29,7 @@ func suffixFor(t JoinType) string {
 	}
 }
 
-// ChildReqs implements Physical. Alternatives, in the paper's spirit
+// AppendChildReqs implements Physical. Alternatives, in the paper's spirit
 // (Figure 7 and footnote 2: "there can be many other alternatives"):
 //
 //  1. co-locate: redistribute both sides on the join keys,
@@ -39,29 +39,17 @@ func suffixFor(t JoinType) string {
 //  4. gather both sides to a single host.
 //
 // The request is ignored, which requestInvariant declares.
-func (j *HashJoin) ChildReqs(props.Required) [][]props.Required {
-	var alts [][]props.Required
+func (j *HashJoin) AppendChildReqs(_ props.Required, dst []props.Required) []props.Required {
 	if len(j.LeftKeys) > 0 {
-		alts = append(alts, []props.Required{
-			{Dist: props.HashedDupSafe(j.LeftKeys...)},
-			{Dist: props.HashedDupSafe(j.RightKeys...)},
-		})
+		dst = append(dst,
+			props.Required{Dist: props.HashedDupSafe(j.LeftKeys...)},
+			props.Required{Dist: props.HashedDupSafe(j.RightKeys...)})
 	}
-	alts = append(alts, []props.Required{
-		{Dist: props.AnyDist},
-		{Dist: props.ReplicatedDist},
-	})
+	dst = append(dst, props.Required{Dist: props.AnyDist}, props.Required{Dist: props.ReplicatedDist})
 	if j.Type == InnerJoin {
-		alts = append(alts, []props.Required{
-			{Dist: props.ReplicatedDist},
-			{Dist: props.AnyDist},
-		})
+		dst = append(dst, props.Required{Dist: props.ReplicatedDist}, props.Required{Dist: props.AnyDist})
 	}
-	alts = append(alts, []props.Required{
-		{Dist: props.SingletonDist},
-		{Dist: props.SingletonDist},
-	})
-	return alts
+	return append(dst, props.Required{Dist: props.SingletonDist}, props.Required{Dist: props.SingletonDist})
 }
 
 func (*HashJoin) requestInvariant() {}
@@ -115,24 +103,16 @@ func keysString(l, r []base.ColID) string {
 // Name implements Operator.
 func (j *NLJoin) Name() string { return "Inner" + suffixFor(j.Type) + "NLJoin" }
 
-// ChildReqs implements Physical. The inner side is requested rewindable —
-// it is re-scanned per outer tuple — and either replicated or co-resident
-// on a single host. NLJoin preserves the outer child's sort order, which is
-// how an order-preserving NL join avoids a Sort enforcer (paper §4.1).
-func (j *NLJoin) ChildReqs(req props.Required) [][]props.Required {
-	// One allocation holds both alternatives and their four requests: this
-	// runs once per costed (expression, request) pair.
-	a := &struct {
-		alts [2][]props.Required
-		reqs [4]props.Required
-	}{reqs: [4]props.Required{
-		{Dist: props.AnyDist, Order: req.Order},
-		{Dist: props.ReplicatedDist, Rewindable: true},
-		{Dist: props.SingletonDist, Order: req.Order},
-		{Dist: props.SingletonDist, Rewindable: true},
-	}}
-	a.alts[0], a.alts[1] = a.reqs[0:2:2], a.reqs[2:4:4]
-	return a.alts[:]
+// AppendChildReqs implements Physical. The inner side is requested
+// rewindable — it is re-scanned per outer tuple — and either replicated or
+// co-resident on a single host. NLJoin preserves the outer child's order,
+// which is how an order-preserving NL join avoids a Sort (paper §4.1).
+func (j *NLJoin) AppendChildReqs(req props.Required, dst []props.Required) []props.Required {
+	return append(dst,
+		props.Required{Dist: props.AnyDist, Order: req.Order},
+		props.Required{Dist: props.ReplicatedDist, Rewindable: true},
+		props.Required{Dist: props.SingletonDist, Order: req.Order},
+		props.Required{Dist: props.SingletonDist, Rewindable: true})
 }
 
 // Derive implements Physical: distribution combines like a hash join; the

@@ -14,12 +14,12 @@ import (
 // ---------------------------------------------------------------------------
 // Limit / UnionAll
 
-// ChildReqs implements Physical: the top-N must be computed over the
+// AppendChildReqs implements Physical: the top-N must be computed over the
 // complete stream, so the child is gathered to one host. (A streaming
 // two-phase limit is a possible extension; the cost model already charges
 // motions for the gathered input.)
-func (l *PhysicalLimit) ChildReqs(props.Required) [][]props.Required {
-	return [][]props.Required{{{Dist: props.SingletonDist, Order: l.Order}}}
+func (l *PhysicalLimit) AppendChildReqs(_ props.Required, dst []props.Required) []props.Required {
+	return append(dst, props.Required{Dist: props.SingletonDist, Order: l.Order})
 }
 
 // Derive implements Physical.
@@ -41,17 +41,16 @@ func (u *PhysicalUnionAll) OutputCols() base.ColSet {
 	return s
 }
 
-// ChildReqs implements Physical: either leave children in place or gather
-// everything to one host.
-func (u *PhysicalUnionAll) ChildReqs(props.Required) [][]props.Required {
-	n := len(u.InCols)
-	anyAll := make([]props.Required, n)
-	singleAll := make([]props.Required, n)
-	for i := 0; i < n; i++ {
-		anyAll[i] = anyReq()
-		singleAll[i] = props.Required{Dist: props.SingletonDist}
+// AppendChildReqs implements Physical: either leave children in place or
+// gather everything to one host.
+func (u *PhysicalUnionAll) AppendChildReqs(_ props.Required, dst []props.Required) []props.Required {
+	for range u.InCols {
+		dst = append(dst, anyReq())
 	}
-	return [][]props.Required{anyAll, singleAll}
+	for range u.InCols {
+		dst = append(dst, props.Required{Dist: props.SingletonDist})
+	}
+	return dst
 }
 
 // Derive implements Physical.
@@ -78,11 +77,11 @@ func (u *PhysicalUnionAll) Derive(children []props.Derived) props.Derived {
 // ---------------------------------------------------------------------------
 // CTE physical operators (paper §7.2.2 "Common Expressions")
 
-// ChildReqs implements Physical: child 0 is a CTEProducer materializing the
-// shared expression, child 1 the consuming body, which sees the incoming
-// requirement.
-func (*Sequence) ChildReqs(req props.Required) [][]props.Required {
-	return [][]props.Required{{anyReq(), passThrough(req)}}
+// AppendChildReqs implements Physical: child 0 is a CTEProducer
+// materializing the shared expression, child 1 the consuming body, which
+// sees the incoming requirement.
+func (*Sequence) AppendChildReqs(req props.Required, dst []props.Required) []props.Required {
+	return append(dst, anyReq(), passThrough(req))
 }
 
 // Derive implements Physical.
@@ -91,11 +90,11 @@ func (*Sequence) Derive(children []props.Derived) props.Derived {
 	return props.Derived{Dist: last.Dist, Order: last.Order}
 }
 
-// ChildReqs implements Physical. The child must not be replicated
+// AppendChildReqs implements Physical. The child must not be replicated
 // (consumers claim a Random distribution; replicated input would make them
 // observe duplicated rows).
-func (*PhysicalCTEProducer) ChildReqs(props.Required) [][]props.Required {
-	return [][]props.Required{{{Dist: props.RandomDist}}}
+func (*PhysicalCTEProducer) AppendChildReqs(_ props.Required, dst []props.Required) []props.Required {
+	return append(dst, props.Required{Dist: props.RandomDist})
 }
 
 // Derive implements Physical.
@@ -115,8 +114,10 @@ func (c *PhysicalCTEConsumer) OutputCols() base.ColSet {
 	return s
 }
 
-// ChildReqs implements Physical.
-func (*PhysicalCTEConsumer) ChildReqs(props.Required) [][]props.Required { return noChildren }
+// AppendChildReqs implements Physical.
+func (*PhysicalCTEConsumer) AppendChildReqs(_ props.Required, dst []props.Required) []props.Required {
+	return dst
+}
 
 // Derive implements Physical: the consumer reads the materialized CTE
 // output resident on each segment, claiming a Random distribution (no
@@ -141,18 +142,17 @@ func (w *PhysicalWindow) fullOrder() props.OrderSpec {
 	return props.OrderSpec{Items: items}
 }
 
-// ChildReqs implements Physical: input partitioned on the PARTITION BY
-// columns and sorted by partition then ORDER BY.
-func (w *PhysicalWindow) ChildReqs(props.Required) [][]props.Required {
+// AppendChildReqs implements Physical: input partitioned on the PARTITION
+// BY columns and sorted by partition then ORDER BY.
+func (w *PhysicalWindow) AppendChildReqs(_ props.Required, dst []props.Required) []props.Required {
 	ord := w.fullOrder()
 	if len(w.PartitionCols) == 0 {
-		return [][]props.Required{{{Dist: props.SingletonDist, Order: ord}}}
+		return append(dst, props.Required{Dist: props.SingletonDist, Order: ord})
 	}
-	var alts [][]props.Required
 	for _, d := range groupDistAlternatives(w.PartitionCols) {
-		alts = append(alts, []props.Required{{Dist: d, Order: ord}})
+		dst = append(dst, props.Required{Dist: d, Order: ord})
 	}
-	return alts
+	return dst
 }
 
 // Derive implements Physical.
@@ -172,13 +172,13 @@ func (w *PhysicalWindow) Describe() string {
 // ---------------------------------------------------------------------------
 // SubPlans (legacy Planner baseline only)
 
-// ChildReqs implements Physical: the outer side is gathered to one host —
-// the subplan needs the full cluster state per row, which is exactly why
-// this strategy serializes execution (paper §7.2.2 "Correlated Subqueries"
-// explains how Orca avoids exactly this "repeated execution of subquery
+// AppendChildReqs implements Physical: the outer side is gathered to one
+// host — the subplan needs the full cluster state per row, which is exactly
+// why this strategy serializes execution (paper §7.2.2 "Correlated
+// Subqueries" explains how Orca avoids this "repeated execution of subquery
 // expressions").
-func (s *SubPlanFilter) ChildReqs(props.Required) [][]props.Required {
-	return [][]props.Required{{{Dist: props.SingletonDist}}}
+func (s *SubPlanFilter) AppendChildReqs(_ props.Required, dst []props.Required) []props.Required {
+	return append(dst, props.Required{Dist: props.SingletonDist})
 }
 
 // Derive implements Physical.
@@ -191,9 +191,9 @@ func (s *SubPlanFilter) Describe() string {
 	return fmt.Sprintf("SubPlanFilter kind=%v test=%v", s.Kind, s.Test)
 }
 
-// ChildReqs implements Physical.
-func (s *SubPlanProject) ChildReqs(props.Required) [][]props.Required {
-	return [][]props.Required{{{Dist: props.SingletonDist}}}
+// AppendChildReqs implements Physical.
+func (s *SubPlanProject) AppendChildReqs(_ props.Required, dst []props.Required) []props.Required {
+	return append(dst, props.Required{Dist: props.SingletonDist})
 }
 
 // Derive implements Physical.

@@ -7,8 +7,8 @@ import (
 
 // genOps emits internal/ops/ops.gen.go: the operator struct for every
 // non-Hand definition plus its Name/Arity/ParamHash/ParamEqual methods. The
-// semantic halves — OutputCols, Describe, ChildReqs, Derive, constructors —
-// stay hand-written in the ops package.
+// semantic halves — OutputCols, Describe, AppendChildReqs, Derive,
+// constructors — stay hand-written in the ops package.
 func genOps(cat *Catalog) ([]byte, error) {
 	var g gen
 	g.buf.WriteString(header)

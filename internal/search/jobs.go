@@ -81,9 +81,9 @@ type job struct {
 	phase int
 }
 
-// newJob carves a job for a goal from the Worker's slab.
+// newJob takes a job for a goal from the Worker's pool.
 func (w *Worker) newJob(kind JobKind, g *memo.Group, ge *memo.GroupExpr) *job {
-	j := carve(&w.jobs)
+	j := w.jobs.get()
 	j.kind, j.Group, j.Expr = kind, g, ge
 	return j
 }
@@ -156,10 +156,10 @@ func (w *Worker) optGroup(g memo.GroupID, req memo.ReqID) *optGroupJob {
 		c = c.next
 	}
 	if int(c.n) == len(c.reqs) {
-		c.next = carve(&w.optOverflow)
+		c.next = w.optOverflow.get()
 		c = c.next
 	}
-	j := carve(&w.optGroups)
+	j := w.optGroups.get()
 	j.kind, j.Group, j.Req = JobOpt, w.o.Memo.Group(g), req
 	c.reqs[c.n], c.jobs[c.n] = req, j
 	c.n++
@@ -228,7 +228,7 @@ func (j *job) expGexpr(w *Worker) (bool, error) {
 func spawnRules(w *Worker, ge *memo.GroupExpr, rules []xform.ActiveRule) {
 	for _, r := range rules {
 		if !ge.Applied(r.ID) && r.Matches(ge) {
-			j := carve(&w.xforms)
+			j := w.xforms.get()
 			j.kind, j.Expr, j.rule = JobXform, ge, r
 			w.Spawn(j)
 		}
@@ -354,7 +354,7 @@ func (j *optGroupJob) Step(w *Worker) (bool, error) {
 		for _, ge := range w.exprs {
 			_, phys := ge.Op.(ops.Physical)
 			if phys && (!ge.IsEnforcer() || memo.EnforcerUseful(ge.Op, j.ctx.Req)) {
-				c := carve(&w.optExprs)
+				c := w.optExprs.get()
 				c.kind, c.Expr, c.Req, c.ctx = JobOpt, ge, j.Req, j.ctx
 				w.Spawn(c)
 			}
@@ -375,21 +375,21 @@ func (j *optGroupJob) Step(w *Worker) (bool, error) {
 type optGexprJob struct {
 	job                  // phase is the alternative in flight
 	ctx *memo.OptContext // the owning group's context for Req
-	// alts are the child-request alternatives and ids their interned
-	// requests (memo.GroupExpr.ChildReqs): shared and read-only, unless ids
-	// is backed by idBuf, where two alternatives of a binary operator fit.
-	alts    [][]props.Required
+	// ids are the interned child requests of the alts alternatives
+	// (memo.GroupExpr.ChildReqs): shared and read-only, unless backed by
+	// idBuf, where two alternatives of a binary operator fit.
 	ids     []memo.ReqID
+	alts    int
 	idBuf   [4]memo.ReqID
 	spawned bool
 }
 
 func (j *optGexprJob) Step(w *Worker) (bool, error) {
-	if j.alts == nil {
-		j.alts, j.ids = j.Expr.ChildReqs(j.ctx.Req, j.idBuf[:0])
+	if j.alts == 0 {
+		j.ids, j.alts = j.Expr.ChildReqs(j.ctx.Req, j.idBuf[:0], &w.reqs)
 	}
 	n := len(j.Expr.Children)
-	for ; j.phase < len(j.alts); j.phase++ {
+	for ; j.phase < j.alts; j.phase++ {
 		ids := j.ids[j.phase*n : (j.phase+1)*n]
 		if j.selfCycle(ids) {
 			continue
@@ -404,7 +404,7 @@ func (j *optGexprJob) Step(w *Worker) (bool, error) {
 			}
 		}
 		// Children optimized: evaluate this alternative.
-		if err := j.evaluate(w, j.alts[j.phase], ids); err != nil {
+		if err := j.evaluate(w, ids); err != nil {
 			return false, err
 		}
 		j.spawned = false
@@ -426,8 +426,9 @@ func (j *optGexprJob) selfCycle(ids []memo.ReqID) bool {
 
 // evaluate combines the children's best plans for one alternative, checks
 // delivered properties against the request, costs the plan and offers it to
-// the group's context (paper §4.1 step 4).
-func (j *optGexprJob) evaluate(w *Worker, alt []props.Required, ids []memo.ReqID) error {
+// the group's context (paper §4.1 step 4). The candidate offered is the one
+// the local table recorded, whose child ids outlive this job.
+func (j *optGexprJob) evaluate(w *Worker, ids []memo.ReqID) error {
 	o := w.o
 	childDerived, childRows := w.derived[:0], w.rows[:0]
 	total := 0.0
@@ -466,9 +467,8 @@ func (j *optGexprJob) evaluate(w *Worker, alt []props.Required, ids []memo.ReqID
 	}
 	local := o.Cost.LocalCost(j.Expr.Op, cost.Inputs{
 		OutRows: gs.Rows, ChildRows: childRows, Delivered: delivered, Skew: j.skew(gs, delivered)})
-	cand := memo.Candidate{ChildReqs: alt, LocalCost: local, Cost: local + total, Delivered: delivered}
-	j.Expr.AddCandidate(j.Req, cand)
-	j.ctx.Offer(j.Expr, cand)
+	cand := memo.Candidate{ChildReqs: ids, LocalCost: local, Cost: local + total, Delivered: delivered}
+	j.ctx.Offer(j.Expr, j.Expr.AddCandidate(j.Req, cand))
 	return nil
 }
 

@@ -143,44 +143,69 @@ type node struct {
 func (n *node) state() *node { return n }
 
 // Worker is what a run's jobs share: the Optimizer, the goal tables, the
-// slabs jobs are carved from (see carve: jobs live as long as the run) and
-// the step loop's scratch buffers, reused across steps so describing
-// children and costing an alternative allocate nothing in steady state; a
-// job must not retain them past its Step.
+// pools jobs are taken from and the step loop's scratch buffers, reused
+// across steps so describing children and costing an alternative allocate
+// nothing in steady state; a job must not retain them past its Step.
+// A group-level job lives as long as the run: the goal tables point at it.
+// Nothing refers to a completed expression-level job, so it goes back to
+// its pool (see release), which stays at the live search's depth.
 type Worker struct {
 	o        *Optimizer
 	children []Job
+	reqs     []props.Required
 	derived  []props.Derived
 	rows     []float64
 	exprs    []*memo.GroupExpr
 	groups   []groupGoals // indexed by GroupID, grown as groups appear
 
-	jobs        []job
-	optGroups   []optGroupJob
-	optExprs    []optGexprJob
-	xforms      []xformJob
-	optOverflow []optGoals
+	jobs        pool[job]
+	optGroups   pool[optGroupJob]
+	optExprs    pool[optGexprJob]
+	xforms      pool[xformJob]
+	optOverflow pool[optGoals]
 }
 
 // Spawn makes the running job wait for j.
 func (w *Worker) Spawn(j Job) { w.children = append(w.children, j) }
 
-// slabChunk is how many objects one chunk of a slab holds.
-const slabChunk = 64
+// pool hands out zeroed objects: released ones first, else the next of a
+// chunk of 64.
+type pool[T any] struct {
+	chunk []T  // the current chunk's unused tail
+	free  []*T // released objects
+}
 
-// carve takes the next element from the unused tail of a chunk, starting a
-// new chunk when the tail is empty.
-func carve[T any](slab *[]T) *T {
-	if len(*slab) == 0 {
-		*slab = make([]T, slabChunk)
+func (p *pool[T]) get() *T {
+	if n := len(p.free); n > 0 {
+		o := p.free[n-1]
+		p.free = p.free[:n-1]
+		*o = *new(T)
+		return o
 	}
-	p := &(*slab)[0]
-	*slab = (*slab)[1:]
-	return p
+	if len(p.chunk) == 0 {
+		p.chunk = make([]T, 64)
+	}
+	o := &p.chunk[0]
+	p.chunk = p.chunk[1:]
+	return o
+}
+
+// release returns a completed expression-level job to its pool.
+func (w *Worker) release(j Job) {
+	switch j := j.(type) {
+	case *optGexprJob:
+		w.optExprs.free = append(w.optExprs.free, j)
+	case *xformJob:
+		w.xforms.free = append(w.xforms.free, j)
+	case *job:
+		if j.Expr != nil {
+			w.jobs.free = append(w.jobs.free, j)
+		}
+	}
 }
 
 // Scheduler runs one search, one job step at a time, on the goroutine that
-// calls Run; its Worker's goal tables and slabs serve that run only.
+// calls Run; its Worker's goal tables and pools serve that run only.
 type Scheduler struct {
 	w       Worker
 	p       StageParams // the run's bounds
@@ -276,6 +301,7 @@ func (s *Scheduler) loop() error {
 		}
 		if done {
 			s.complete(n)
+			w.release(j)
 			continue
 		}
 		for _, c := range w.children {

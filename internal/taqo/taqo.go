@@ -20,36 +20,36 @@ import (
 	"orca/internal/props"
 )
 
-// Sampler draws uniform plans from an optimized Memo.
+// Sampler draws uniform plans from an optimized Memo, walking its requests
+// as the Memo's interned ids.
 type Sampler struct {
 	m      *memo.Memo
 	root   memo.GroupID
-	req    props.Required
+	req    memo.ReqID // -1: the Memo never saw the root request
 	counts map[ctxKey]float64
 }
 
 type ctxKey struct {
 	group memo.GroupID
-	req   uint64
-	reqS  string
-}
-
-func key(g memo.GroupID, req props.Required) ctxKey {
-	return ctxKey{group: g, req: req.Hash(), reqS: req.String()}
+	req   memo.ReqID
 }
 
 // NewSampler prepares plan counting over the Memo produced by an
 // optimization session.
 func NewSampler(m *memo.Memo, root memo.GroupID, req props.Required) *Sampler {
-	return &Sampler{m: m, root: root, req: req, counts: map[ctxKey]float64{}}
+	id, ok := m.LookupReq(req)
+	if !ok {
+		id = -1
+	}
+	return &Sampler{m: m, root: root, req: id, counts: map[ctxKey]float64{}}
 }
 
 // Count returns the number of distinct plans in the optimized search space
 // for the root request.
 func (s *Sampler) Count() float64 { return s.count(s.root, s.req) }
 
-func (s *Sampler) count(g memo.GroupID, req props.Required) float64 {
-	k := key(g, req)
+func (s *Sampler) count(g memo.GroupID, req memo.ReqID) float64 {
+	k := ctxKey{g, req}
 	if c, ok := s.counts[k]; ok {
 		return c
 	}
@@ -60,8 +60,8 @@ func (s *Sampler) count(g memo.GroupID, req props.Required) float64 {
 	for _, ge := range grp.Exprs() {
 		for _, cand := range ge.Candidates(req) {
 			n := 1.0
-			for i, creq := range cand.ChildReqs {
-				n *= s.count(ge.Children[i], creq)
+			for i, id := range cand.ChildReqs {
+				n *= s.count(ge.Children[i], id)
 			}
 			total += n
 		}
@@ -76,14 +76,14 @@ func (s *Sampler) Sample(r float64) (*ops.Expr, float64, error) {
 	return s.sample(s.root, s.req, r)
 }
 
-func (s *Sampler) sample(g memo.GroupID, req props.Required, r float64) (*ops.Expr, float64, error) {
+func (s *Sampler) sample(g memo.GroupID, req memo.ReqID, r float64) (*ops.Expr, float64, error) {
 	grp := s.m.Group(g)
 	for _, ge := range grp.Exprs() {
 		for _, cand := range ge.Candidates(req) {
 			n := 1.0
 			childCounts := make([]float64, len(cand.ChildReqs))
-			for i, creq := range cand.ChildReqs {
-				childCounts[i] = s.count(ge.Children[i], creq)
+			for i, id := range cand.ChildReqs {
+				childCounts[i] = s.count(ge.Children[i], id)
 				n *= childCounts[i]
 			}
 			if r >= n {
@@ -113,7 +113,8 @@ func (s *Sampler) sample(g memo.GroupID, req props.Required, r float64) (*ops.Ex
 			}, cost, nil
 		}
 	}
-	return nil, 0, fmt.Errorf("taqo: rank out of range for group %d under %s", g, req)
+	creq, _ := s.m.Req(req)
+	return nil, 0, fmt.Errorf("taqo: rank out of range for group %d under %s", g, creq)
 }
 
 // ---------------------------------------------------------------------------
