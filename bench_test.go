@@ -2,7 +2,7 @@ package orca
 
 // Benchmarks that measure the optimizer's own time and allocations: one
 // TPC-DS optimization pass (the profiling harness), the metadata cache, and
-// multi-stage optimization. Run them with:
+// multi-stage optimization; and the engine's, executing the TPC-DS plans. Run them with:
 //
 //	go test -run '^$' -bench . -benchmem .
 //
@@ -14,8 +14,10 @@ import (
 	"testing"
 
 	"orca/internal/core"
+	"orca/internal/engine"
 	"orca/internal/experiments"
 	"orca/internal/md"
+	"orca/internal/ops"
 	"orca/internal/sql"
 	"orca/internal/tpcds"
 )
@@ -56,6 +58,30 @@ func BenchmarkOptimizationTime(b *testing.B) {
 		}
 		b.ReportMetric(totalNs/float64(len(rows))/1e6, "avg-opt-ms")
 		b.ReportMetric(mem/float64(len(rows))/1024, "avg-mem-KB")
+	}
+}
+
+// BenchmarkExecuteTPCDS executes the optimal plans of the 32 TPC-DS
+// queries once per op (plans are optimized before the timer starts): the
+// engine's time and garbage, which share a process with the optimizer in
+// the tests, the experiments and the benchmark's row oracle.
+func BenchmarkExecuteTPCDS(b *testing.B) {
+	e := env(b)
+	var plans []*ops.Expr
+	for _, wq := range tpcds.Workload() {
+		res, _, err := e.OptimizeOrca(wq.SQL)
+		if err != nil {
+			b.Fatalf("%s: %v", wq.Name, err)
+		}
+		plans = append(plans, res.Plan)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range plans {
+			if _, err := e.Cluster.Execute(p, engine.Options{Budget: e.Cfg.Budget}); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

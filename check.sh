@@ -56,10 +56,11 @@
 #            (internal/memo BenchmarkMemo*) — catches compile rot and
 #            gross regressions
 #   rootbench one pass of each root benchmark (bench_test.go: the TPC-DS
-#            optimization pass, metadata cache, multi-stage and stage
-#            resume timings) with -benchmem — keeps the profiling harness
-#            compiling and running, and puts each benchmark's B/op and
-#            allocs/op in the gate's log
+#            optimization pass, the execution of the 32 TPC-DS plans,
+#            metadata cache, multi-stage and stage resume timings) with
+#            -benchmem — keeps the profiling harness compiling and running,
+#            and puts each benchmark's B/op and allocs/op, the optimizer's
+#            and the engine's, in the gate's log
 #   plans    the benchmark of record with 3 s timed phases (`go run
 #            ./benchmark --seconds 3`); fails, printing a per-workload
 #            diff, when plan_work_units, serve.failed or any of

@@ -17,7 +17,10 @@ import (
 	"orca/internal/md"
 )
 
-// Row is one tuple.
+// Row is one tuple. Rows are immutable once stored or emitted: operators
+// pass rows on without copying them (a scan of a table's own columns emits
+// the stored rows, a filter or motion its input's), so an operator writes
+// only into rows it made itself and has not yet emitted.
 type Row []base.Datum
 
 // ErrBudget reports that execution exceeded the configured tuple-operation

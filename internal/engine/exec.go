@@ -192,6 +192,12 @@ func (ex *executor) execScan(op *ops.Scan, _ *ops.Expr) (*result, error) {
 	if op.Pruned {
 		partIdx, _ = ops.PrunePartitions(op.Rel, op.Cols, op.Filter)
 	}
+	// A scan of the stored rows' own columns emits them; others copy kept rows.
+	own := len(op.Cols) == len(op.Rel.Columns)
+	for i, c := range op.Cols {
+		own = own && c.Ordinal == i
+	}
+	scratch := make(Row, len(op.Cols))
 	for _, p := range partIdx {
 		for s := 0; s < ex.c.Segments; s++ {
 			rows := t.parts[p][s]
@@ -199,10 +205,16 @@ func (ex *executor) execScan(op *ops.Scan, _ *ops.Expr) (*result, error) {
 				return nil, err
 			}
 			for _, r := range rows {
-				pr := projectRow(r, op.Cols)
+				pr := r
+				if !own {
+					pr = projectRow(scratch, r, op.Cols)
+				}
 				keep, err := ectx.truthy(op.Filter, pr)
 				if err != nil {
 					return nil, err
+				}
+				if keep && !own {
+					pr = append(Row(nil), pr...)
 				}
 				if keep {
 					out.parts[s] = append(out.parts[s], pr)
@@ -222,6 +234,7 @@ func (ex *executor) execIndexScan(op *ops.IndexScan, _ *ops.Expr) (*result, erro
 	ectx := &evalCtx{sch: out.sch(), bindings: ex.bindings}
 	// Index access is simulated: only matching tuples are charged, plus a
 	// logarithmic descent per segment.
+	scratch := make(Row, len(op.Cols))
 	for p := range t.parts {
 		for s := 0; s < ex.c.Segments; s++ {
 			rows := t.parts[p][s]
@@ -229,7 +242,7 @@ func (ex *executor) execIndexScan(op *ops.IndexScan, _ *ops.Expr) (*result, erro
 				return nil, err
 			}
 			for _, r := range rows {
-				pr := projectRow(r, op.Cols)
+				pr := projectRow(scratch, r, op.Cols)
 				keep, err := ectx.truthy(op.EqFilter, pr)
 				if err != nil {
 					return nil, err
@@ -245,7 +258,7 @@ func (ex *executor) execIndexScan(op *ops.IndexScan, _ *ops.Expr) (*result, erro
 					return nil, err
 				}
 				if keep {
-					out.parts[s] = append(out.parts[s], pr)
+					out.parts[s] = append(out.parts[s], append(Row(nil), pr...))
 				}
 			}
 		}
@@ -272,13 +285,12 @@ func allParts(t *Table) []int {
 	return out
 }
 
-// projectRow maps a stored row onto the scan's column references.
-func projectRow(r Row, cols []*md.ColRef) Row {
-	out := make(Row, len(cols))
+// projectRow maps a stored row onto the scan's column references, into dst.
+func projectRow(dst, r Row, cols []*md.ColRef) Row {
 	for i, c := range cols {
-		out[i] = r[c.Ordinal]
+		dst[i] = r[c.Ordinal]
 	}
-	return out
+	return dst
 }
 
 func colIDs(cols []*md.ColRef) []base.ColID {

@@ -118,6 +118,8 @@ func (ex *executor) execHashJoin(op *ops.HashJoin, e *ops.Expr) (*result, error)
 		return nil, err
 	}
 	residualCtx := &evalCtx{sch: schemaOf(append(append([]base.ColID(nil), outer.schema...), inner.schema...)), bindings: ex.bindings}
+	// The residual reads each pair from one scratch row; emitted rows copy it.
+	joined := make(Row, len(outer.schema)+len(inner.schema))
 
 	segs := len(outer.parts)
 	for s := 0; s < segs; s++ {
@@ -152,11 +154,12 @@ func (ex *executor) execHashJoin(op *ops.HashJoin, e *ops.Expr) (*result, error)
 			k := keyString(or, oPos)
 			matches := ht[k]
 			matched := false
+			copy(joined, or)
 			for _, ir := range matches {
 				if hasNullKey(or, oPos) {
 					break // SQL equality never matches NULL keys
 				}
-				joined := append(append(Row{}, or...), ir...)
+				copy(joined[len(or):], ir)
 				ok, err := residualCtx.truthy(op.Residual, joined)
 				if err != nil {
 					return nil, err
@@ -170,7 +173,7 @@ func (ex *executor) execHashJoin(op *ops.HashJoin, e *ops.Expr) (*result, error)
 				}
 				switch op.Type {
 				case ops.InnerJoin, ops.LeftJoin:
-					out.parts[s] = append(out.parts[s], joined)
+					out.parts[s] = append(out.parts[s], append(Row(nil), joined...))
 				case ops.SemiJoin:
 					out.parts[s] = append(out.parts[s], or)
 				case ops.AntiJoin:
@@ -243,6 +246,7 @@ func (ex *executor) execNLJoin(op *ops.NLJoin, e *ops.Expr) (*result, error) {
 	}
 	out := &result{schema: outSchema, parts: make([][]Row, len(outer.parts)), rep: rep}
 	ectx := &evalCtx{sch: schemaOf(append(append([]base.ColID(nil), outer.schema...), inner.schema...)), bindings: ex.bindings}
+	joined := make(Row, len(outer.schema)+len(inner.schema)) // as in execHashJoin
 
 	for s := range outer.parts {
 		if rep && s > 0 {
@@ -258,8 +262,9 @@ func (ex *executor) execNLJoin(op *ops.NLJoin, e *ops.Expr) (*result, error) {
 		}
 		for _, or := range oRows {
 			matched := false
+			copy(joined, or)
 			for _, ir := range iRows {
-				joined := append(append(Row{}, or...), ir...)
+				copy(joined[len(or):], ir)
 				ok, err := ectx.truthy(op.Pred, joined)
 				if err != nil {
 					return nil, err
@@ -270,7 +275,7 @@ func (ex *executor) execNLJoin(op *ops.NLJoin, e *ops.Expr) (*result, error) {
 				matched = true
 				switch op.Type {
 				case ops.InnerJoin, ops.LeftJoin:
-					out.parts[s] = append(out.parts[s], joined)
+					out.parts[s] = append(out.parts[s], append(Row(nil), joined...))
 				case ops.SemiJoin:
 					out.parts[s] = append(out.parts[s], or)
 				case ops.AntiJoin:

@@ -121,8 +121,7 @@ func BenchmarkMemoContextProbe(b *testing.B) {
 	for i, r := range reqs {
 		ctx, _ := g.Context(r)
 		ids[i] = m.InternReq(r)
-		ge.AddCandidate(ids[i], Candidate{Cost: 10})
-		ctx.Offer(ge, Candidate{Cost: 10})
+		ctx.Offer(ge, ge.AddCandidate(ids[i], Candidate{Cost: 10}))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

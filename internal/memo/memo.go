@@ -12,14 +12,17 @@
 // §11). Its hot paths hash no strings: the applied-rule ledger is a bitset
 // indexed by dense rule IDs (xform's registry), and optimization requests
 // are interned per session to dense ReqIDs, so the Figure-6 tables key off
-// ints with no Hash()/Equal() re-runs on every probe.
+// ints with no Hash()/Equal() re-runs on every probe. Delivered properties
+// are interned the same way, to DerivedIDs, which lets the local tables —
+// the largest structure a search builds — hold no pointer at all: their
+// entries and child ids live in fixed-size chunks the collector never scans
+// (local.go). The memory accountant prices the Memo from a fixed table
+// (sizes.go), not from the current layouts.
 package memo
 
 import (
 	"fmt"
-	"slices"
 	"strings"
-	"unsafe"
 
 	"orca/internal/base"
 	"orca/internal/fault"
@@ -33,7 +36,7 @@ import (
 type GroupID int32
 
 // ---------------------------------------------------------------------------
-// Interned optimization requests
+// Interned properties
 
 // ReqID is a session-dense handle for an interned props.Required. Two
 // requests are Equal exactly when their ReqIDs match, so the per-group and
@@ -41,10 +44,9 @@ type GroupID int32
 // instead of re-running Hash()/Equal() per probe.
 type ReqID int32
 
-type reqEntry struct {
-	req props.Required
-	id  ReqID
-}
+// DerivedID is a session-dense handle for an interned props.Derived: the
+// properties a costed plan delivers, as the local table records them.
+type DerivedID int32
 
 // Memo is the plan-space structure. One Memo serves a whole optimization
 // session: when the session runs multiple stages, later stages resume search
@@ -58,11 +60,10 @@ type Memo struct {
 	// keyed by fingerprint.
 	registry map[uint64][]*GroupExpr
 
-	// reqTable interns optimization requests to dense ReqIDs, keyed by
-	// request hash; reqs is the reverse table (ReqID -> request), so its
-	// length is also the next free id.
-	reqTable map[uint64][]reqEntry
-	reqs     []props.Required
+	// reqs interns optimization requests to ReqIDs; delivered interns the
+	// properties costed plans deliver to DerivedIDs.
+	reqs      props.Interner[props.Required]
+	delivered props.Interner[props.Derived]
 
 	// cteProducers maps a CTE id to the group holding its producer side,
 	// recorded when the CTE anchor is inserted. On-demand statistics
@@ -70,31 +71,23 @@ type Memo struct {
 	// without walking the whole Memo from the root.
 	cteProducers map[int]GroupID
 
-	// entries and ids are the unused tails of the arena chunks the local
-	// tables take their entries and candidates' child-request ids from.
-	entries []localEntry
-	ids     []ReqID
+	// entries and ids are the fixed-size chunks every local table takes
+	// its entries and child-request ids from (see local.go); nEntries and
+	// nIDs are the next free slot of each.
+	entries  []*[entryChunk]localEntry
+	ids      []*[idChunk]ReqID
+	nEntries int32
+	nIDs     int32
 
 	mem *gpos.MemoryAccountant
 
 	root GroupID
 }
 
-// carve copies xs to the unused tail of an arena chunk, starting a new 8 KB
-// chunk when the tail is too short.
-func carve[T any](tail *[]T, xs ...T) []T {
-	if cap(*tail)-len(*tail) < len(xs) {
-		*tail = make([]T, 0, max(8<<10/int(unsafe.Sizeof(xs[0])), len(xs)))
-	}
-	*tail = append(*tail, xs...)
-	return (*tail)[len(*tail)-len(xs) : len(*tail) : len(*tail)]
-}
-
 // New returns an empty Memo charging the given accountant (may be nil).
 func New(mem *gpos.MemoryAccountant) *Memo {
 	return &Memo{
 		registry:     make(map[uint64][]*GroupExpr),
-		reqTable:     make(map[uint64][]reqEntry),
 		cteProducers: make(map[int]GroupID),
 		mem:          mem,
 	}
@@ -233,18 +226,7 @@ func (m *Memo) CTEProducer(id int) (GroupID, bool) {
 // InternReq returns the session-dense id of an optimization request,
 // interning it on first use. Interned handles make every later probe of the
 // Figure-6 hash tables a direct int-keyed map access.
-func (m *Memo) InternReq(req props.Required) ReqID {
-	h := req.Hash()
-	for _, e := range m.reqTable[h] {
-		if e.req.Equal(req) {
-			return e.id
-		}
-	}
-	id := ReqID(len(m.reqs))
-	m.reqs = append(m.reqs, req)
-	m.reqTable[h] = append(m.reqTable[h], reqEntry{req: req, id: id})
-	return id
-}
+func (m *Memo) InternReq(req props.Required) ReqID { return ReqID(m.reqs.Intern(req)) }
 
 // Req returns the request interned under id; ok is false for an id this Memo
 // never handed out (and on a nil Memo, so diagnostics can call it blindly).
@@ -252,22 +234,25 @@ func (m *Memo) Req(id ReqID) (req props.Required, ok bool) {
 	if m == nil {
 		return props.Required{}, false
 	}
-	if id < 0 || int(id) >= len(m.reqs) {
-		return props.Required{}, false
-	}
-	return m.reqs[id], true
+	return m.reqs.Value(int32(id))
 }
 
 // LookupReq returns the interned id of a request without interning it;
 // ok is false when the request was never seen by this session (and therefore
 // cannot appear in any table).
 func (m *Memo) LookupReq(req props.Required) (ReqID, bool) {
-	for _, e := range m.reqTable[req.Hash()] {
-		if e.req.Equal(req) {
-			return e.id, true
-		}
-	}
-	return 0, false
+	id, ok := m.reqs.Lookup(req)
+	return ReqID(id), ok
+}
+
+// InternDerived returns the session-dense id of delivered properties,
+// interning them on first use, as InternReq does for requests.
+func (m *Memo) InternDerived(d props.Derived) DerivedID { return DerivedID(m.delivered.Intern(d)) }
+
+// Derived returns the delivered properties interned under id; ok is false
+// for an id this Memo never handed out.
+func (m *Memo) Derived(id DerivedID) (d props.Derived, ok bool) {
+	return m.delivered.Value(int32(id))
 }
 
 func fingerprint(op ops.Operator, children []GroupID) uint64 {
@@ -316,8 +301,8 @@ type Group struct {
 
 	logical  *props.Logical
 	stats    *stats.Stats
-	explored map[int]bool // rule-set epochs whose exploration completed
-	impl     map[int]bool // rule-set epochs whose implementation completed
+	explored []uint64 // bitset of rule-set epochs whose exploration completed
+	impl     []uint64 // bitset of rule-set epochs whose implementation completed
 	enforced map[ReqID]bool
 	ctxs     map[ReqID]*OptContext
 }
@@ -342,27 +327,17 @@ func (g *Group) Expr(i int) *GroupExpr { return g.exprs[i] }
 
 // Explored reports whether exploration finished for this group under the
 // given rule-set epoch.
-func (g *Group) Explored(epoch int) bool { return g.explored[epoch] }
+func (g *Group) Explored(epoch int) bool { return hasBit(g.explored, epoch) }
 
 // SetExplored marks exploration complete for the given rule-set epoch.
-func (g *Group) SetExplored(epoch int) {
-	if g.explored == nil {
-		g.explored = make(map[int]bool)
-	}
-	g.explored[epoch] = true
-}
+func (g *Group) SetExplored(epoch int) { setBit(&g.explored, epoch) }
 
 // Implemented reports whether implementation finished for this group under
 // the given rule-set epoch.
-func (g *Group) Implemented(epoch int) bool { return g.impl[epoch] }
+func (g *Group) Implemented(epoch int) bool { return hasBit(g.impl, epoch) }
 
 // SetImplemented marks implementation complete for the given rule-set epoch.
-func (g *Group) SetImplemented(epoch int) {
-	if g.impl == nil {
-		g.impl = make(map[int]bool)
-	}
-	g.impl[epoch] = true
-}
+func (g *Group) SetImplemented(epoch int) { setBit(&g.impl, epoch) }
 
 // Logical returns the group's logical properties, deriving them on first use
 // from the first logical expression.
@@ -416,8 +391,10 @@ func (g *Group) Rows() float64 {
 
 // GroupExpr is an operator whose children are groups (paper §3). Its local
 // table maps each incoming optimization request to every alternative costed
-// for it, with the child requests of each — the linkage structure used for
-// plan extraction (paper Figure 6) and TAQO's uniform plan sampling space.
+// for it, with the child requests, costs and delivered properties of each —
+// the linkage structure used for plan extraction (paper Figure 6) and TAQO's
+// uniform plan sampling space. The table's entries are not the expression's:
+// it holds the index of its first one in the Memo's pointer-free chunks.
 type GroupExpr struct {
 	Op       ops.Operator
 	Children []GroupID
@@ -425,34 +402,20 @@ type GroupExpr struct {
 	group *Group
 	fp    uint64
 
-	// local is the Figure-6 local table: one chain, over all requests, of
-	// the alternatives costed for each, in the order they were first
-	// recorded. Most expressions are never costed.
-	local *localEntry
-	// childReqs caches the interned child requests of a request-invariant
-	// physical operator (see ChildReqs); immutable once set. A pointer keeps
-	// GroupExpr at the size memo/sizes.go prices.
-	childReqs *[]ReqID
+	// local is the Figure-6 local table: the index of the first entry of
+	// one chain, over all requests, of the alternatives costed for each, in
+	// the order they were first recorded; 0 when none is (most expressions
+	// are never costed). The entries live in the Memo's pointer-free chunks
+	// (local.go), so the collector never scans them.
+	local int32
+	// invOff and invN locate, in the Memo's id chunks, the interned child
+	// requests of a request-invariant physical operator (see ChildReqs);
+	// invN is 0 until they are interned, and they are immutable after.
+	invOff, invN int32
 	// applied is the rule ledger: a bitset indexed by dense rule ID
 	// (xform.RuleIDFor), grown on demand. No strings are hashed on the
 	// rule-firing check path.
 	applied []uint64
-}
-
-// Candidate is one costed way of satisfying a request with this expression.
-type Candidate struct {
-	ChildReqs []ReqID // each child's interned request (see Memo.Req)
-	LocalCost float64
-	Cost      float64 // subtree total
-	Delivered props.Derived
-}
-
-// localEntry is one entry of an expression's local table: a candidate
-// costed for the interned request req, and the chain's next entry.
-type localEntry struct {
-	req  ReqID
-	next *localEntry
-	cand Candidate
 }
 
 // Group returns the owning group.
@@ -473,89 +436,32 @@ func (ge *GroupExpr) matches(op ops.Operator, children []GroupID) bool {
 // MarkApplied records that the rule with the given dense id (assigned by
 // xform's registry) ran on this expression; it returns false if the rule had
 // already been applied (rules fire once per expression).
-func (ge *GroupExpr) MarkApplied(rule int) bool {
-	w, bit := rule>>6, uint64(1)<<(rule&63)
-	for len(ge.applied) <= w {
-		ge.applied = append(ge.applied, 0)
-	}
-	if ge.applied[w]&bit != 0 {
-		return false
-	}
-	ge.applied[w] |= bit
-	return true
-}
+func (ge *GroupExpr) MarkApplied(rule int) bool { return setBit(&ge.applied, rule) }
 
 // Applied reports whether the rule with the given dense id already ran on
 // this expression. The ledger spans rule-set epochs, so a stage resuming
 // search over a shared Memo skips transformations an earlier stage
 // performed.
-func (ge *GroupExpr) Applied(rule int) bool {
-	w, bit := rule>>6, uint64(1)<<(rule&63)
-	return w < len(ge.applied) && ge.applied[w]&bit != 0
+func (ge *GroupExpr) Applied(rule int) bool { return hasBit(ge.applied, rule) }
+
+// setBit sets bit i of the bitset *b, growing it on demand, and reports
+// whether the bit was clear.
+func setBit(b *[]uint64, i int) bool {
+	w, bit := i>>6, uint64(1)<<(i&63)
+	for len(*b) <= w {
+		*b = append(*b, 0)
+	}
+	if (*b)[w]&bit != 0 {
+		return false
+	}
+	(*b)[w] |= bit
+	return true
 }
 
-// AddCandidate records a costed alternative for the interned request in the
-// local table and returns it as recorded: its child ids are then the Memo's
-// own, never the caller's memory. Re-costing the same alternative (same
-// child requests) in a later optimization pass replaces the earlier entry in
-// place rather than appending a duplicate, so the table stays one entry per
-// distinct alternative, in the order each was first costed.
-func (ge *GroupExpr) AddCandidate(id ReqID, c Candidate) Candidate {
-	p := &ge.local
-	for ; *p != nil; p = &(*p).next {
-		if e := *p; e.req == id && slices.Equal(e.cand.ChildReqs, c.ChildReqs) {
-			c.ChildReqs = e.cand.ChildReqs
-			e.cand = c
-			return c
-		}
-	}
-	m := ge.group.memo
-	c.ChildReqs = carve(&m.ids, c.ChildReqs...)
-	*p = &carve(&m.entries, localEntry{req: id, cand: c})[0]
-	m.mem.Charge(candidateSizeBytes(len(c.ChildReqs)))
-	return c
-}
-
-// ChildReqs interns the child requests of every alternative the
-// expression's physical operator offers under req. It returns their ids,
-// alternative-major — ids[a*len(ge.Children)+c] is child c's request in
-// alternative a — and the number of alternatives. For a request-invariant
-// operator the ids are interned once per expression and shared by every
-// request that costs it, so callers must not modify them; otherwise they are
-// appended to ids[:0]. reqs is the caller's scratch for the operator's
-// requests, left grown for the next call.
-func (ge *GroupExpr) ChildReqs(req props.Required, ids []ReqID, reqs *[]props.Required) ([]ReqID, int) {
-	if ge.childReqs != nil {
-		ids = *ge.childReqs
-	} else {
-		phys := ge.Op.(ops.Physical)
-		*reqs = phys.AppendChildReqs(req, (*reqs)[:0])
-		ids = ids[:0]
-		for _, r := range *reqs {
-			ids = append(ids, ge.group.memo.InternReq(r))
-		}
-		if _, invariant := phys.(ops.RequestInvariant); invariant {
-			cached := carve(&ge.group.memo.ids, ids...)
-			ge.childReqs, ids = &cached, cached
-		}
-	}
-	if len(ge.Children) == 0 {
-		return ids, 1
-	}
-	return ids, len(ids) / len(ge.Children)
-}
-
-// Candidates returns the costed alternatives recorded for an interned
-// request, in the order they were first costed, which TAQO's unranking
-// depends on.
-func (ge *GroupExpr) Candidates(id ReqID) []Candidate {
-	var out []Candidate
-	for e := ge.local; e != nil; e = e.next {
-		if e.req == id {
-			out = append(out, e.cand)
-		}
-	}
-	return out
+// hasBit reports whether bit i of the bitset b is set.
+func hasBit(b []uint64, i int) bool {
+	w := i >> 6
+	return w < len(b) && b[w]&(uint64(1)<<(i&63)) != 0
 }
 
 // IsEnforcer reports whether the expression is an enforcer operator.

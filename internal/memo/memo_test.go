@@ -134,9 +134,10 @@ func TestOptContextDedupAndBest(t *testing.T) {
 	}
 
 	ge := g.Exprs()[0]
-	ctx.Offer(ge, Candidate{Cost: 100})
-	ctx.Offer(ge, Candidate{Cost: 50})
-	ctx.Offer(ge, Candidate{Cost: 70})
+	id := m.InternReq(req)
+	for i, cost := range []float64{100, 50, 70} {
+		ctx.Offer(ge, ge.AddCandidate(id, Candidate{ChildReqs: []ReqID{ReqID(i)}, Cost: cost}))
+	}
 	if _, cand, ok := ctx.Best(); !ok || cand.Cost != 50 {
 		t.Errorf("best = %v, want cost 50", cand)
 	}

@@ -25,10 +25,12 @@ type OptContext struct {
 	Group *Group
 	Req   props.Required
 
-	done     map[int]bool // rule-set epochs whose optimization completed
-	best     *GroupExpr
-	bestCand Candidate
-	haveBest bool
+	done []uint64 // bitset of rule-set epochs whose optimization completed
+	best *GroupExpr
+	// bestEntry is best's local-table entry as it was offered. A copy, not
+	// an index: a later pass may re-cost the entry in place without beating
+	// it, and the context keeps the candidate it chose.
+	bestEntry localEntry
 }
 
 // Context returns the group's context for a request, creating it if needed;
@@ -74,40 +76,49 @@ func (g *Group) Contexts() []*OptContext {
 }
 
 // Offer proposes a costed candidate plan rooted at ge for this request,
-// keeping it if it beats the current best.
+// keeping it if it beats the current best. cand must be one ge.AddCandidate
+// returned.
 func (c *OptContext) Offer(ge *GroupExpr, cand Candidate) {
-	if !c.haveBest || cand.Cost < c.bestCand.Cost {
+	if c.best == nil || cand.Cost < c.bestEntry.cost {
 		c.best = ge
-		c.bestCand = cand
-		c.haveBest = true
+		c.bestEntry = *ge.group.memo.entry(cand.entry)
 	}
 }
 
 // Best returns the best expression, its winning candidate, and whether any
 // plan satisfies the request.
 func (c *OptContext) Best() (*GroupExpr, Candidate, bool) {
-	return c.best, c.bestCand, c.haveBest
+	if c.best == nil {
+		return nil, Candidate{}, false
+	}
+	return c.best, c.Group.memo.view(0, &c.bestEntry), true
+}
+
+// BestDelivered returns what costing a parent reads of the best plan: the
+// properties it delivers and its cost, without building the candidate view.
+// ok is false when no plan satisfies the request.
+func (c *OptContext) BestDelivered() (d props.Derived, cost float64, ok bool) {
+	if c.best == nil {
+		return d, InfCost, false
+	}
+	d, _ = c.Group.memo.Derived(c.bestEntry.delivered)
+	return d, c.bestEntry.cost, true
 }
 
 // BestCost returns the best plan cost, or InfCost.
 func (c *OptContext) BestCost() float64 {
-	if !c.haveBest {
+	if c.best == nil {
 		return InfCost
 	}
-	return c.bestCand.Cost
+	return c.bestEntry.cost
 }
 
 // MarkDone marks the context fully optimized under the given rule-set epoch.
-func (c *OptContext) MarkDone(epoch int) {
-	if c.done == nil {
-		c.done = make(map[int]bool)
-	}
-	c.done[epoch] = true
-}
+func (c *OptContext) MarkDone(epoch int) { setBit(&c.done, epoch) }
 
 // Done reports whether optimization of this context completed under the
 // given rule-set epoch.
-func (c *OptContext) Done(epoch int) bool { return c.done[epoch] }
+func (c *OptContext) Done(epoch int) bool { return hasBit(c.done, epoch) }
 
 // ---------------------------------------------------------------------------
 // Enforcer insertion (paper §4.1: "Enforcers are added to the group

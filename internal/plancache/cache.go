@@ -87,16 +87,15 @@ type Cache struct {
 	bytes     atomic.Int64
 	entries   atomic.Int64
 
-	reqMu   sync.RWMutex
-	reqByID []props.Required
-	reqIdx  map[uint64][]ReqID
+	reqMu sync.RWMutex
+	reqs  props.Interner[props.Required]
 }
 
 // New returns a cache bounded by maxBytes (shared across all shards).
 // maxBytes <= 0 disables admission: lookups always miss and Admit is a no-op,
 // so a disabled cache degrades to plain re-optimization everywhere.
 func New(maxBytes int64) *Cache {
-	c := &Cache{maxBytes: maxBytes, reqIdx: make(map[uint64][]ReqID)}
+	c := &Cache{maxBytes: maxBytes}
 	for i := range c.shards {
 		c.shards[i].entries = make(map[Key]*Entry)
 	}
@@ -120,29 +119,21 @@ const maxInternedReqs = 4096
 // properties are not yet interned and the table is at maxInternedReqs — the
 // caller must then skip the cache for this request.
 func (c *Cache) InternReq(r props.Required) (ReqID, bool) {
-	h := r.Hash()
 	c.reqMu.RLock()
-	for _, id := range c.reqIdx[h] {
-		if c.reqByID[id].Equal(r) {
-			c.reqMu.RUnlock()
-			return id, true
-		}
-	}
+	id, ok := c.reqs.Lookup(r)
 	c.reqMu.RUnlock()
+	if ok {
+		return ReqID(id), true
+	}
 	c.reqMu.Lock()
 	defer c.reqMu.Unlock()
-	for _, id := range c.reqIdx[h] {
-		if c.reqByID[id].Equal(r) {
-			return id, true
-		}
+	if id, ok := c.reqs.Lookup(r); ok {
+		return ReqID(id), true
 	}
-	if len(c.reqByID) >= maxInternedReqs {
+	if c.reqs.Len() >= maxInternedReqs {
 		return 0, false
 	}
-	id := ReqID(len(c.reqByID))
-	c.reqByID = append(c.reqByID, r)
-	c.reqIdx[h] = append(c.reqIdx[h], id)
-	return id, true
+	return ReqID(c.reqs.Intern(r)), true
 }
 
 func (c *Cache) shardFor(k Key) *shard { return &c.shards[k.FP&(numShards-1)] }

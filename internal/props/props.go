@@ -73,6 +73,13 @@ type Derived struct {
 	Rewindable bool
 }
 
+// Hash returns a stable hash of the delivered properties, the key of the
+// Memo's delivered-property table.
+func (d Derived) Hash() uint64 { return Required(d).Hash() }
+
+// Equal reports whether two deliveries are the same.
+func (d Derived) Equal(o Derived) bool { return Required(d).Equal(Required(o)) }
+
 // Satisfies reports whether the delivered properties meet the request.
 func (d Derived) Satisfies(r Required) bool {
 	if !d.Dist.Satisfies(r.Dist) {

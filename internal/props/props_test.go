@@ -153,3 +153,40 @@ func TestRequiredString(t *testing.T) {
 		t.Errorf("String = %q (the paper's req #1 notation)", got)
 	}
 }
+
+// collide hashes every value alike, so an Interner must tell them apart by
+// Equal alone.
+type collide int
+
+func (c collide) Hash() uint64         { return 7 }
+func (c collide) Equal(o collide) bool { return c == o }
+
+func TestInternerExactAndDense(t *testing.T) {
+	var in Interner[collide]
+	for i, v := range []collide{5, 3, 5, 9, 3} {
+		want := []int32{0, 1, 0, 2, 1}[i]
+		if id := in.Intern(v); id != want {
+			t.Errorf("Intern(%d) = %d, want %d", v, id, want)
+		}
+	}
+	if in.Len() != 3 {
+		t.Errorf("Len = %d, want 3", in.Len())
+	}
+	if id, ok := in.Lookup(9); !ok || id != 2 {
+		t.Errorf("Lookup(9) = %d, %v", id, ok)
+	}
+	if _, ok := in.Lookup(4); ok {
+		t.Error("Lookup found a value never interned")
+	}
+	if v, ok := in.Value(1); !ok || v != 3 {
+		t.Errorf("Value(1) = %d, %v", v, ok)
+	}
+	if _, ok := in.Value(3); ok {
+		t.Error("Value read back an id never handed out")
+	}
+	var reqs Interner[Required]
+	a := reqs.Intern(Required{Dist: Hashed(1, 2)})
+	if b := reqs.Intern(Required{Dist: HashedDupSafe(1, 2)}); a == b {
+		t.Error("requests differing only in AllowReplicated share an id")
+	}
+}

@@ -437,11 +437,11 @@ func (j *optGexprJob) evaluate(w *Worker, ids []memo.ReqID) error {
 		if cctx == nil {
 			return nil // child not optimizable under this request
 		}
-		_, cand, ok := cctx.Best()
+		d, cost, ok := cctx.BestDelivered()
 		if !ok {
 			return nil
 		}
-		childDerived = append(childDerived, cand.Delivered)
+		childDerived = append(childDerived, d)
 		// Normally a Stats job derived these already (DeriveStats then just
 		// returns them); enforcer insertion can create expressions whose child
 		// groups were never reached by a stats job on this path.
@@ -450,7 +450,7 @@ func (j *optGexprJob) evaluate(w *Worker, ids []memo.ReqID) error {
 			return err
 		}
 		childRows = append(childRows, cs.Rows)
-		total += cand.Cost
+		total += cost
 	}
 	w.derived, w.rows = childDerived, childRows // keep the grown buffers
 	phys := j.Expr.Op.(ops.Physical)
