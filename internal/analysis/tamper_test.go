@@ -152,8 +152,8 @@ func TestTamperSchedulerTimerStop(t *testing.T) {
 // FuzzHistogramScale, which holds lazy scaling to the eager reference.
 func TestTamperScaleIdentityShortcut(t *testing.T) {
 	wantTestFailure(t, "../stats", "lazy Scale differs from the eager reference", "histogram.go",
-		"\treturn &Histogram{src: h, factor: factor, n: h.n}",
-		"\tif factor == 1 {\n\t\treturn h\n\t}\n\treturn &Histogram{src: h, factor: factor, n: h.n}",
+		"\ts := &Histogram{factor: factor, n: h.n}",
+		"\tif factor == 1 {\n\t\treturn h\n\t}\n\ts := &Histogram{factor: factor, n: h.n}",
 		"-run", "^FuzzHistogramScale$")
 }
 

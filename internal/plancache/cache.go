@@ -183,6 +183,24 @@ func (c *Cache) Lookup(k Key, vec []base.Datum) (*Entry, bool) {
 	return nil, false
 }
 
+// Peek returns the entry under k when its parameter count matches nParams.
+// Unlike Lookup it is not a probe: it counts neither a hit nor a miss, runs
+// no fault point and leaves the LRU order alone. A singleflight leader uses
+// it to pick up the entry a flight that ended just before its own admitted.
+func (c *Cache) Peek(k Key, nParams int) (*Entry, bool) {
+	if !c.Enabled() {
+		return nil, false
+	}
+	s := c.shardFor(k)
+	s.mu.Lock()
+	e, ok := s.entries[k]
+	s.mu.Unlock()
+	if !ok || e.NParams != nParams {
+		return nil, false
+	}
+	return e, true
+}
+
 // errParamCount marks an entry whose parameter count no longer matches the
 // shape's vector — impossible unless the entry is corrupt.
 var errParamCount = &paramCountErr{}

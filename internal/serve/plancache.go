@@ -64,9 +64,15 @@ func (s *Server) cachedOptimize(ctx context.Context, cfg core.Config, acc *md.Ac
 	}
 	// Miss: coalesce concurrent identical shapes so a storm of one hard
 	// query optimizes once. The leader runs the real optimization and admits
-	// the plan; waiters reuse its entry without touching the scheduler.
+	// the plan; waiters reuse its entry without touching the scheduler. A
+	// flight that ended between this request's probe and its Do has already
+	// admitted its plan: the leader picks that entry up (without counting a
+	// second probe) and serves it as a waiter would, rather than search.
 	var leaderRes *core.Result
 	entry, err, leader := s.flight.Do(ctx, key, func() (*plancache.Entry, error) {
+		if e, ok := s.plans.Peek(key, len(shape.Vector)); ok {
+			return e, nil
+		}
 		r, oerr := core.OptimizeContext(ctx, q, cfg)
 		if oerr != nil {
 			return nil, oerr
@@ -74,14 +80,15 @@ func (s *Server) cachedOptimize(ctx context.Context, cfg core.Config, acc *md.Ac
 		leaderRes = r
 		return s.admitPlan(key, shape, r, acc), nil
 	})
-	if leader {
+	if leader && (leaderRes != nil || err != nil) {
 		return leaderRes, cacheMiss, err
 	}
 	if err == nil && entry != nil {
 		if res, ok := resultFromEntry(entry, shape); ok {
-			// Served from the leader's flight: no search ran for this
-			// request either, so the header says hit (the cache's own
-			// hit/miss counters recorded the probe miss above).
+			// Served from the leader's flight or the leader's re-probe: no
+			// search ran for this request either, so the header says hit
+			// (the cache's own hit/miss counters recorded the probe miss
+			// above).
 			return res, cacheHit, nil
 		}
 	}

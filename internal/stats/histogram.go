@@ -9,6 +9,7 @@ package stats
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"orca/internal/base"
 	"orca/internal/md"
@@ -33,14 +34,16 @@ const (
 // materialised source — the same operations, in the same order, as scaling
 // eagerly, so every estimate is bit-identical to the eager result. Most
 // scaled histograms ride along through derivations that never read them and
-// so never cost their buckets. Len needs no materialisation.
+// so never cost their buckets. Len and SkewRatio need no materialisation.
 type Histogram struct {
 	once sync.Once // materialises a Scale node
 	// Until materialised: src and factor are the pending Scale, and ndvCap,
-	// when positive, caps the scaled NDV (a join key's matched NDV).
-	src            *Histogram
+	// when positive, caps the scaled NDV (a join key's matched NDV). src is
+	// atomic because SkewRatio reads a node without materialising it.
+	src            atomic.Pointer[Histogram]
 	factor, ndvCap float64
-	n              int // bucket count, known before materialisation
+	n              int           // bucket count, known before materialisation
+	skew           atomic.Uint64 // SkewRatio's bits once computed; 0 until then
 
 	buckets       []md.Bucket
 	ndv, nullFrac float64
@@ -71,7 +74,7 @@ func (h *Histogram) m() *Histogram {
 // FuzzHistogramScale holds the result bit-identical to the eager reference
 // in histogram_ref_test.go, so reorder no operation here.
 func (h *Histogram) materialise() {
-	src, factor := h.src, h.factor
+	src, factor := h.src.Load(), h.factor
 	if src == nil {
 		return // built materialised
 	}
@@ -98,7 +101,7 @@ func (h *Histogram) materialise() {
 	if h.ndvCap > 0 {
 		h.ndv = math.Min(h.ndv, h.ndvCap)
 	}
-	h.src = nil
+	h.src.Store(nil)
 }
 
 // Buckets returns the histogram's buckets; callers must not modify them.
@@ -148,7 +151,9 @@ func (h *Histogram) Scale(factor float64) *Histogram {
 	if h == nil {
 		return nil
 	}
-	return &Histogram{src: h, factor: factor, n: h.n}
+	s := &Histogram{factor: factor, n: h.n}
+	s.src.Store(h)
+	return s
 }
 
 // scaleNDV estimates how many of d distinct values survive keeping a
@@ -270,24 +275,60 @@ func JoinOverlap(h, o *Histogram) (sel, ndv float64) {
 // ratio of the most frequent value's share to the uniform share (1 = no
 // skew). The cost model charges skewed redistributions extra (paper §4.1:
 // statistics derive "estimates for cardinality and data skew").
+//
+// On a Scale node not yet materialised it runs materialise's arithmetic, in
+// the same order, in one loop over the source's buckets and keeps none of
+// them: the costed hash joins and redistributions would otherwise
+// materialise most of the Scale nodes that are ever materialised. The
+// result is kept (it is never 0), since every costed alternative asks.
 func (h *Histogram) SkewRatio() float64 {
 	if h == nil {
 		return 1
 	}
-	total := h.Rows()
-	if total <= 0 || h.NDV() <= 0 {
-		return 1
+	if b := h.skew.Load(); b != 0 {
+		return math.Float64frombits(b)
 	}
-	var maxPerVal float64
-	for _, b := range h.Buckets() {
-		if b.Distincts > 0 {
-			perVal := b.Rows / b.Distincts
-			if perVal > maxPerVal {
-				maxPerVal = perVal
-			}
+	r := h.skewRatio()
+	h.skew.Store(math.Float64bits(r))
+	return r
+}
+
+func (h *Histogram) skewRatio() float64 {
+	var total, ndv, maxPerVal float64
+	perVal := func(rows, distincts float64) {
+		if distincts > 0 && rows/distincts > maxPerVal {
+			maxPerVal = rows / distincts
 		}
 	}
-	uniform := total / h.NDV()
+	if src := h.src.Load(); src != nil {
+		src.m()
+		grow := h.factor > 1 // not "factor <= 1": a NaN factor scales
+		if grow {
+			ndv = src.ndv
+		}
+		for _, b := range src.buckets {
+			rows, d := b.Rows*h.factor, b.Distincts
+			if !grow {
+				d = scaleNDV(b.Distincts, b.Rows, h.factor)
+				ndv += d
+			}
+			total += rows
+			perVal(rows, d)
+		}
+		if h.ndvCap > 0 {
+			ndv = math.Min(ndv, h.ndvCap)
+		}
+	} else {
+		for _, b := range h.Buckets() {
+			total += b.Rows
+			perVal(b.Rows, b.Distincts)
+		}
+		ndv = h.NDV()
+	}
+	if total <= 0 || ndv <= 0 {
+		return 1
+	}
+	uniform := total / ndv
 	if uniform <= 0 {
 		return 1
 	}

@@ -49,6 +49,36 @@ func (h *refHistogram) Scale(factor float64) *refHistogram {
 	return out
 }
 
+// SkewRatio is Histogram.SkewRatio as it was written over materialised
+// buckets.
+func (h *refHistogram) SkewRatio() float64 {
+	var total float64
+	for _, b := range h.Buckets {
+		total += b.Rows
+	}
+	if total <= 0 || h.NDV <= 0 {
+		return 1
+	}
+	var maxPerVal float64
+	for _, b := range h.Buckets {
+		if b.Distincts > 0 {
+			perVal := b.Rows / b.Distincts
+			if perVal > maxPerVal {
+				maxPerVal = perVal
+			}
+		}
+	}
+	uniform := total / h.NDV
+	if uniform <= 0 {
+		return 1
+	}
+	r := maxPerVal / uniform
+	if r < 1 {
+		return 1
+	}
+	return r
+}
+
 // FilterRange returns a copy of the histogram restricted to [lo, hi].
 func (h *refHistogram) FilterRange(lo, hi float64) *refHistogram {
 	out := &refHistogram{NullFrac: 0}
@@ -184,11 +214,20 @@ func FuzzHistogramScale(f *testing.F) {
 				lazy[src].NDV()
 			}
 		}
-		// Back to front: a node's first read materialises its sources.
+		// Back to front: a node's first read materialises its sources, so
+		// SkewRatio meets both unmaterialised and materialised nodes.
 		for i := len(lazy) - 1; i >= 0; i-- {
+			skew := lazy[i].SkewRatio()
 			if msg := sameHist(lazy[i], ref[i]); msg != "" {
 				t.Fatalf("node %d of %d (catalog column %s): lazy Scale differs from the eager reference: %s",
 					i, len(lazy), cs.ColName, msg)
+			}
+			want := ref[i].SkewRatio()
+			for _, got := range []float64{skew, lazy[i].skewRatio()} { // cached, then recomputed
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("node %d of %d (catalog column %s): SkewRatio %v, eager reference %v",
+						i, len(lazy), cs.ColName, got, want)
+				}
 			}
 		}
 	})

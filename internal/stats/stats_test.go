@@ -130,15 +130,16 @@ func TestSkewRatio(t *testing.T) {
 
 // TestLazyScaleConcurrentReaders reads one chain of lazy Scale nodes from
 // many goroutines at once, as concurrent requests may read histograms they
-// share: the -race gate checks materialisation, and every reader must
-// see what a single reader of an identical chain saw.
+// share: the -race gate checks materialisation and SkewRatio's reads of
+// nodes other readers are materialising, and every reader must see what a
+// single reader of an identical chain saw.
 func TestLazyScaleConcurrentReaders(t *testing.T) {
 	base := uniformHist(5000, 80, 0, 100)
 	newChain := func() []*Histogram {
 		mid := base.Scale(0.4)
 		return []*Histogram{mid, mid.Scale(3), mid.Scale(0.5).Scale(1)}
 	}
-	read := func(h *Histogram) float64 { return h.NDV() + h.Rows() }
+	read := func(h *Histogram) float64 { return h.SkewRatio() + h.NDV() + h.Rows() }
 	var want []float64
 	for _, h := range newChain() {
 		want = append(want, read(h))

@@ -86,6 +86,8 @@ type Context struct {
 	explorations    []ActiveRule
 	implementations []ActiveRule
 	byID            []ActiveRule // active rules indexed by dense id; zero Rule = inactive
+
+	conj conjTable // the join rules' conjunct table
 }
 
 // SetRuleSet installs the stage's enabled rules (all rules minus the
@@ -173,54 +175,23 @@ type Rule interface {
 	Apply(ctx *Context, ge *memo.GroupExpr) error
 }
 
-// Node is a partially-materialized expression used as a rule result: either
-// an operator over child nodes, or a reference to an existing group.
-type Node struct {
-	Op       ops.Operator
-	Children []*Node
-	Leaf     memo.GroupID
-}
-
-// Op builds an internal node.
-func Op(op ops.Operator, children ...*Node) *Node {
-	return &Node{Op: op, Children: children}
-}
-
-// Leaf references an existing group.
-func Leaf(g memo.GroupID) *Node { return &Node{Op: nil, Leaf: g} }
-
-// Insert copies a rule result into the Memo, targeting the given group for
-// the root node (paper §3: "results of applying transformation rules are
-// copied-in to the Memo, which may result in creating new groups and/or
-// adding new group expressions to existing groups").
-func (ctx *Context) Insert(n *Node, target memo.GroupID) (*memo.GroupExpr, error) {
-	children := make([]memo.GroupID, len(n.Children))
-	for i, c := range n.Children {
-		if c.Op == nil {
-			children[i] = c.Leaf
-			continue
-		}
-		ge, err := ctx.Insert(c, -1)
-		if err != nil {
-			return nil, err
-		}
-		children[i] = ge.Group().ID
-	}
-	// Fresh inner-join subtrees register in canonical orientation (smaller
-	// group id on the left). The subtree registry creates one group per
-	// distinct (operator, children) shape, so without this JoinAssociativity
-	// — which synthesizes the same subset pair in path-dependent
-	// orientations — seeds duplicate groups for one logical sub-goal, and
-	// every parent expression then multiplies across the duplicates. An
-	// inner join's predicate is a symmetric conjunction, so the swap
-	// preserves semantics; JoinCommutativity still adds the mirrored
-	// expression inside the group for build-side alternatives.
-	if target < 0 && len(children) == 2 {
-		if j, ok := n.Op.(*ops.Join); ok && j.Type == ops.InnerJoin && children[0] > children[1] {
+// Insert copies one level of a rule result into the Memo (paper §3): op
+// over existing child groups, into target or, when target is -1, a fresh
+// group; a two-level result inserts its child first. The Memo keeps the
+// children slice, which Insert may reorder.
+func (ctx *Context) Insert(op ops.Operator, target memo.GroupID, children ...memo.GroupID) (*memo.GroupExpr, error) {
+	// A fresh inner join registers in canonical orientation (smaller group
+	// id left): the registry creates one group per (operator, children)
+	// shape, and JoinAssociativity builds the same pair in path-dependent
+	// orientations, so without the swap one sub-goal gets duplicate groups
+	// that every parent multiplies across. An inner join's predicate is
+	// symmetric; JoinCommutativity still adds the mirror within the group.
+	if target < 0 && len(children) == 2 && children[0] > children[1] {
+		if j, ok := op.(*ops.Join); ok && j.Type == ops.InnerJoin {
 			children[0], children[1] = children[1], children[0]
 		}
 	}
-	return ctx.Memo.InsertExpr(n.Op, children, target)
+	return ctx.Memo.InsertExpr(op, children, target)
 }
 
 // RuleNames returns the names of the given rules.

@@ -3,7 +3,6 @@ package xform
 import (
 	"math"
 
-	"orca/internal/base"
 	"orca/internal/memo"
 	"orca/internal/ops"
 )
@@ -22,7 +21,7 @@ func applyGbAgg2HashAgg(ctx *Context, ge *memo.GroupExpr) error {
 	} else {
 		op = &ops.HashAgg{Mode: ops.AggSingle, GroupCols: agg.GroupCols, Aggs: agg.Aggs}
 	}
-	_, err := ctx.Insert(Op(op, Leaf(ge.Children[0])), ge.Group().ID)
+	_, err := ctx.Insert(op, ge.Group().ID, ge.Children...)
 	return err
 }
 
@@ -36,7 +35,7 @@ func matchGbAgg2StreamAgg(agg *ops.GbAgg, _ *memo.GroupExpr) bool {
 func applyGbAgg2StreamAgg(ctx *Context, ge *memo.GroupExpr) error {
 	agg := ge.Op.(*ops.GbAgg)
 	op := &ops.StreamAgg{GroupCols: agg.GroupCols, Aggs: agg.Aggs}
-	_, err := ctx.Insert(Op(op, Leaf(ge.Children[0])), ge.Group().ID)
+	_, err := ctx.Insert(op, ge.Group().ID, ge.Children...)
 	return err
 }
 
@@ -84,7 +83,7 @@ func applyGbAgg2TwoStageAgg(ctx *Context, ge *memo.GroupExpr) error {
 		globalOp = &ops.HashAgg{Mode: ops.AggGlobal, GroupCols: agg.GroupCols, Aggs: globalAggs}
 	}
 
-	localGE, err := ctx.Insert(Op(localOp, Leaf(ge.Children[0])), -1)
+	localGE, err := ctx.Insert(localOp, -1, ge.Children...)
 	if err != nil {
 		return err
 	}
@@ -96,7 +95,7 @@ func applyGbAgg2TwoStageAgg(ctx *Context, ge *memo.GroupExpr) error {
 			localGE.Group().SetStats(gb.WithRows(rows))
 		}
 	}
-	_, err = ctx.Insert(Op(globalOp, Leaf(localGE.Group().ID)), ge.Group().ID)
+	_, err = ctx.Insert(globalOp, ge.Group().ID, localGE.Group().ID)
 	return err
 }
 
@@ -106,6 +105,3 @@ func maxInt(a, b int) int {
 	}
 	return b
 }
-
-// groupColSet is a small helper used in tests.
-func groupColSet(cols []base.ColID) base.ColSet { return base.MakeColSet(cols...) }

@@ -17,7 +17,7 @@ func applyGet2Scan(ctx *Context, ge *memo.GroupExpr) error {
 	get := ge.Op.(*ops.Get)
 	rows := groupRows(ctx, ge.Group())
 	scan := &ops.Scan{Alias: get.Alias, Rel: get.Rel, Cols: get.Cols, BaseRows: rows}
-	_, err := ctx.Insert(Op(scan), ge.Group().ID)
+	_, err := ctx.Insert(scan, ge.Group().ID)
 	return err
 }
 
@@ -53,7 +53,7 @@ func applySelect2Scan(ctx *Context, ge *memo.GroupExpr) error {
 			scan.Pruned = true
 			scan.BaseRows = baseRows * float64(len(parts)) / float64(len(get.Rel.Parts))
 		}
-		if _, err := ctx.Insert(Op(scan), ge.Group().ID); err != nil {
+		if _, err := ctx.Insert(scan, ge.Group().ID); err != nil {
 			return err
 		}
 	}
@@ -104,7 +104,7 @@ func applySelect2IndexScan(ctx *Context, ge *memo.GroupExpr) error {
 				Residual: ops.And(residual...),
 				BaseRows: groupRows(ctx, child),
 			}
-			if _, err := ctx.Insert(Op(scan), ge.Group().ID); err != nil {
+			if _, err := ctx.Insert(scan, ge.Group().ID); err != nil {
 				return err
 			}
 		}
@@ -125,14 +125,14 @@ func constrainsCol(cmp *ops.Cmp, col base.ColID) bool {
 // applySelect2Filter implements Select as a Filter over any child plan.
 func applySelect2Filter(ctx *Context, ge *memo.GroupExpr) error {
 	sel := ge.Op.(*ops.Select)
-	_, err := ctx.Insert(Op(&ops.Filter{Pred: sel.Pred}, Leaf(ge.Children[0])), ge.Group().ID)
+	_, err := ctx.Insert(&ops.Filter{Pred: sel.Pred}, ge.Group().ID, ge.Children...)
 	return err
 }
 
 // applyProject2ComputeScalar implements Project as ComputeScalar.
 func applyProject2ComputeScalar(ctx *Context, ge *memo.GroupExpr) error {
 	p := ge.Op.(*ops.Project)
-	_, err := ctx.Insert(Op(ops.NewComputeScalar(p.Elems), Leaf(ge.Children[0])), ge.Group().ID)
+	_, err := ctx.Insert(ops.NewComputeScalar(p.Elems), ge.Group().ID, ge.Children...)
 	return err
 }
 
@@ -147,7 +147,7 @@ func applyJoin2HashJoin(ctx *Context, ge *memo.GroupExpr) error {
 		return nil
 	}
 	hj := &ops.HashJoin{Type: j.Type, LeftKeys: lk, RightKeys: rk, Residual: ops.And(residual...)}
-	_, err := ctx.Insert(Op(hj, Leaf(ge.Children[0]), Leaf(ge.Children[1])), ge.Group().ID)
+	_, err := ctx.Insert(hj, ge.Group().ID, ge.Children...)
 	return err
 }
 
@@ -156,6 +156,6 @@ func applyJoin2HashJoin(ctx *Context, ge *memo.GroupExpr) error {
 func applyJoin2NLJoin(ctx *Context, ge *memo.GroupExpr) error {
 	j := ge.Op.(*ops.Join)
 	nl := &ops.NLJoin{Type: j.Type, Pred: j.Pred}
-	_, err := ctx.Insert(Op(nl, Leaf(ge.Children[0]), Leaf(ge.Children[1])), ge.Group().ID)
+	_, err := ctx.Insert(nl, ge.Group().ID, ge.Children...)
 	return err
 }

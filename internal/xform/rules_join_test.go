@@ -95,6 +95,9 @@ func TestJoinAssociativityLeftToRight(t *testing.T) {
 	}
 }
 
+// TestSplitJoinPreds: the conjunct table's split agrees with the reference
+// on a crossing, a one-sided and an outside conjunct, and refuses, as the
+// reference does, a split with no conjunct joining both sides.
 func TestSplitJoinPreds(t *testing.T) {
 	e := newEnv(t)
 	var lCols, rCols base.ColSet
@@ -107,21 +110,30 @@ func TestSplitJoinPreds(t *testing.T) {
 	leftOnly := ops.NewCmp(ops.CmpLt, ops.NewIdent(e.key("big", 1), base.TInt), ops.NewConst(base.NewInt(3)))
 	outside := e.eq("big", 0, "small", 0)
 
-	inner, outer, ok := splitJoinPreds([]ops.ScalarExpr{crossing, leftOnly, outside}, lCols, rCols)
+	tab := e.ctx.conjuncts()
+	top, lower := ops.And(crossing, outside), leftOnly
+	inner, outer, ok := tab.split(tab.setOf(top), tab.setOf(lower), lCols, rCols)
 	if !ok {
 		t.Fatal("split rejected a predicate set with a crossing conjunct")
+	}
+	refInner, refOuter, _ := splitJoinPreds([]ops.ScalarExpr{crossing, outside, leftOnly}, lCols, rCols)
+	if !inner.Equal(refInner) || !outer.Equal(refOuter) {
+		t.Errorf("split = %v | %v, reference %v | %v", inner, outer, refInner, refOuter)
 	}
 	if n := len(ops.Conjuncts(inner)); n != 2 {
 		t.Errorf("inner conjuncts = %d, want crossing + left-only", n)
 	}
-	if n := len(ops.Conjuncts(outer)); n != 1 {
-		t.Errorf("outer conjuncts = %d, want the small-referencing one", n)
+	if again, _, _ := tab.split(tab.setOf(lower), tab.setOf(top), lCols, rCols); again != inner {
+		t.Error("the same conjunct set built a second predicate")
 	}
 
 	// Without a conjunct touching both sides the new join would be a cross
 	// product; the split must refuse.
-	if _, _, ok := splitJoinPreds([]ops.ScalarExpr{leftOnly, outside}, lCols, rCols); ok {
+	if _, _, ok := tab.split(tab.setOf(leftOnly), tab.setOf(outside), lCols, rCols); ok {
 		t.Error("split accepted a set with no conjunct joining both sides")
+	}
+	if _, _, ok := splitJoinPreds([]ops.ScalarExpr{leftOnly, outside}, lCols, rCols); ok {
+		t.Error("reference accepted a set with no conjunct joining both sides")
 	}
 }
 

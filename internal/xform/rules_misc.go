@@ -14,7 +14,7 @@ import (
 func applyLimit2PhysicalLimit(ctx *Context, ge *memo.GroupExpr) error {
 	l := ge.Op.(*ops.Limit)
 	p := &ops.PhysicalLimit{Order: l.Order, Count: l.Count, Offset: l.Offset, HasCount: l.HasCount}
-	_, err := ctx.Insert(Op(p, Leaf(ge.Children[0])), ge.Group().ID)
+	_, err := ctx.Insert(p, ge.Group().ID, ge.Children...)
 	return err
 }
 
@@ -22,11 +22,7 @@ func applyLimit2PhysicalLimit(ctx *Context, ge *memo.GroupExpr) error {
 func applyUnionAll2Physical(ctx *Context, ge *memo.GroupExpr) error {
 	u := ge.Op.(*ops.UnionAll)
 	p := &ops.PhysicalUnionAll{InCols: u.InCols, OutCols: u.OutCols}
-	leaves := make([]*Node, len(ge.Children))
-	for i, c := range ge.Children {
-		leaves[i] = Leaf(c)
-	}
-	_, err := ctx.Insert(Op(p, leaves...), ge.Group().ID)
+	_, err := ctx.Insert(p, ge.Group().ID, ge.Children...)
 	return err
 }
 
@@ -40,8 +36,11 @@ func applyCTEAnchor2Sequence(ctx *Context, ge *memo.GroupExpr) error {
 	for i, c := range a.Cols {
 		cols[i] = c.ID
 	}
-	producer := Op(&ops.PhysicalCTEProducer{ID: a.ID, Cols: cols}, Leaf(ge.Children[0]))
-	_, err := ctx.Insert(Op(&ops.Sequence{}, producer, Leaf(ge.Children[1])), ge.Group().ID)
+	producer, err := ctx.Insert(&ops.PhysicalCTEProducer{ID: a.ID, Cols: cols}, -1, ge.Children[0])
+	if err != nil {
+		return err
+	}
+	_, err = ctx.Insert(&ops.Sequence{}, ge.Group().ID, producer.Group().ID, ge.Children[1])
 	return err
 }
 
@@ -49,7 +48,7 @@ func applyCTEAnchor2Sequence(ctx *Context, ge *memo.GroupExpr) error {
 func applyCTEConsumer2Physical(ctx *Context, ge *memo.GroupExpr) error {
 	c := ge.Op.(*ops.CTEConsumer)
 	p := &ops.PhysicalCTEConsumer{ID: c.ID, Cols: c.Cols, ProducerCols: c.ProducerCols}
-	_, err := ctx.Insert(Op(p), ge.Group().ID)
+	_, err := ctx.Insert(p, ge.Group().ID)
 	return err
 }
 
@@ -57,6 +56,6 @@ func applyCTEConsumer2Physical(ctx *Context, ge *memo.GroupExpr) error {
 func applyWindow2PhysicalWindow(ctx *Context, ge *memo.GroupExpr) error {
 	w := ge.Op.(*ops.Window)
 	p := &ops.PhysicalWindow{PartitionCols: w.PartitionCols, Order: w.Order, Wins: w.Wins}
-	_, err := ctx.Insert(Op(p, Leaf(ge.Children[0])), ge.Group().ID)
+	_, err := ctx.Insert(p, ge.Group().ID, ge.Children...)
 	return err
 }
