@@ -62,6 +62,28 @@ type RequestInvariant interface {
 	requestInvariant()
 }
 
+// RequestOnly marks physical operators whose AppendChildReqs reads the
+// incoming request and none of the operator's own fields: two instances of
+// one kind ask the same alternatives under every request, so search interns
+// them once per (kind, request) (memo.GroupExpr.ChildReqs) instead of once
+// per costed expression.
+type RequestOnly interface {
+	Physical
+	// RequestOnlyKind numbers the operator's kind among the request-only
+	// ones, from 0 to NumRequestOnlyKinds-1.
+	RequestOnlyKind() int
+}
+
+// The request-only operator kinds.
+const (
+	ReqOnlyNLJoin = iota
+	ReqOnlyFilter
+	ReqOnlySort
+	ReqOnlySpool
+	ReqOnlySequence
+	NumRequestOnlyKinds
+)
+
 // Enforcer marks the enforcer operators (Sort, Gather, GatherMerge,
 // Redistribute, Broadcast, Spool) that the optimizer plugs into groups to
 // deliver required properties; plan explains render them distinctly, as the

@@ -115,6 +115,10 @@ func (j *NLJoin) AppendChildReqs(req props.Required, dst []props.Required) []pro
 		props.Required{Dist: props.SingletonDist, Rewindable: true})
 }
 
+// RequestOnlyKind implements RequestOnly: the alternatives read only the
+// request's order, never the join's type or predicate.
+func (*NLJoin) RequestOnlyKind() int { return ReqOnlyNLJoin }
+
 // Derive implements Physical: distribution combines like a hash join; the
 // outer child's order is preserved.
 func (j *NLJoin) Derive(children []props.Derived) props.Derived {

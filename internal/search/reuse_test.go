@@ -18,8 +18,8 @@ func TestReleasedJobsComeBackZeroed(t *testing.T) {
 	var w Worker
 
 	opt := w.optExprs.get()
-	opt.kind, opt.Expr, opt.phase, opt.alts, opt.spawned = JobOpt, ge, 2, 3, true
-	opt.ids = opt.idBuf[:2]
+	opt.kind, opt.Expr, opt.phase, opt.alts, opt.off = JobOpt, ge, 2, 3, 5
+	opt.kids = append(opt.kidBuf[:0], w.optGroups.get())
 	opt.waiters = []Job{opt}
 	xf := w.xforms.get()
 	xf.kind, xf.Expr, xf.rule = JobXform, ge, xform.ActiveRule{ID: 7}

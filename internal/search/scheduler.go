@@ -154,6 +154,7 @@ type Worker struct {
 	children []Job
 	reqs     []props.Required
 	derived  []props.Derived
+	dids     []memo.DerivedID
 	rows     []float64
 	exprs    []*memo.GroupExpr
 	groups   []groupGoals // indexed by GroupID, grown as groups appear

@@ -48,6 +48,36 @@ func TestParseSelectShapes(t *testing.T) {
 	}
 }
 
+// TestLexFoldsCase checks the lexer's case handling: a keyword in any case
+// becomes the keyword's own upper-case text, an identifier is lower-cased,
+// and a word longer than every keyword, or one letter off, is an
+// identifier.
+func TestLexFoldsCase(t *testing.T) {
+	for k := range keywords {
+		if len(k) > maxKeyword {
+			t.Errorf("keyword %s is longer than maxKeyword %d", k, maxKeyword)
+		}
+	}
+	toks, err := lex("select Foo, bar_1 FROM Intersection wHeRe intersect partitions")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []token{
+		{tokKeyword, "SELECT", 0}, {tokIdent, "foo", 7}, {tokSymbol, ",", 10},
+		{tokIdent, "bar_1", 12}, {tokKeyword, "FROM", 18}, {tokIdent, "intersection", 23},
+		{tokKeyword, "WHERE", 36}, {tokKeyword, "INTERSECT", 42}, {tokIdent, "partitions", 52},
+		{tokEOF, "", 62},
+	}
+	if len(toks) != len(want) {
+		t.Fatalf("lexed %v, want %v", toks, want)
+	}
+	for i := range want {
+		if toks[i] != want[i] {
+			t.Errorf("token %d = %+v, want %+v", i, toks[i], want[i])
+		}
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	bad := []string{
 		"",
