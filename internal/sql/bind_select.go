@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 
 	"orca/internal/base"
 	"orca/internal/md"
@@ -200,7 +201,8 @@ func (b *binder) bindTableRef(t *TableRef, sc *scope) (*ops.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	get := &ops.Get{Alias: t.Alias, Rel: rel}
+	get := &ops.Get{Alias: t.Alias, Rel: rel, Cols: make([]*md.ColRef, 0, len(rel.Columns))}
+	sc.cols = slices.Grow(sc.cols, len(rel.Columns))
 	for i, col := range rel.Columns {
 		ref := b.f.NewTableColumn(col.Name, col.Type, rel.Mdid, i)
 		get.Cols = append(get.Cols, ref)
