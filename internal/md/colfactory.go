@@ -29,6 +29,21 @@ type ColumnFactory struct {
 	mu   sync.Mutex
 	next base.ColID
 	refs map[base.ColID]*ColRef
+	// chunk is the unused tail of the block new ColRefs are carved from: a
+	// query's columns cost one allocation per block, not one each.
+	chunk []ColRef
+}
+
+// newRef returns the next unused ColRef of the current block, set to r.
+// The caller holds f.mu.
+func (f *ColumnFactory) newRef(r ColRef) *ColRef {
+	if len(f.chunk) == 0 {
+		f.chunk = make([]ColRef, 16)
+	}
+	ref := &f.chunk[0]
+	f.chunk = f.chunk[1:]
+	*ref = r
+	return ref
 }
 
 // NewColumnFactory returns a factory allocating ids from 0.
@@ -40,7 +55,7 @@ func NewColumnFactory() *ColumnFactory {
 func (f *ColumnFactory) NewTableColumn(name string, typ base.TypeID, rel MDId, ordinal int) *ColRef {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	ref := &ColRef{ID: f.next, Name: name, Type: typ, RelMdid: rel, Ordinal: ordinal}
+	ref := f.newRef(ColRef{ID: f.next, Name: name, Type: typ, RelMdid: rel, Ordinal: ordinal})
 	f.refs[ref.ID] = ref
 	f.next++
 	return ref
@@ -51,7 +66,7 @@ func (f *ColumnFactory) NewTableColumn(name string, typ base.TypeID, rel MDId, o
 func (f *ColumnFactory) NewComputedColumn(name string, typ base.TypeID) *ColRef {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	ref := &ColRef{ID: f.next, Name: name, Type: typ, Ordinal: -1, Computed: true}
+	ref := f.newRef(ColRef{ID: f.next, Name: name, Type: typ, Ordinal: -1, Computed: true})
 	f.refs[ref.ID] = ref
 	f.next++
 	return ref
