@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -413,17 +414,28 @@ func Explain(plan *ops.Expr, f *md.ColumnFactory) string {
 	return b.String()
 }
 
+// explainNode writes one plan node and its subtree into b, formatting
+// numbers in place rather than through fmt, so that a plan's text costs
+// few allocations beyond the operators' own descriptions.
 func explainNode(b *strings.Builder, e *ops.Expr, f *md.ColumnFactory, depth int) {
-	b.WriteString(strings.Repeat("  ", depth))
+	indent(b, depth)
 	desc := ops.Describe(e.Op)
 	if f != nil {
-		desc = resolveColNames(desc, f)
+		writeColNames(b, desc, f)
+	} else {
+		b.WriteString(desc)
 	}
-	b.WriteString(desc)
 	if e.Phys != nil {
-		fmt.Fprintf(b, "   [rows=%.0f cost=%.0f dist=%s", e.Rows, e.Cost, e.Phys.Dist)
+		var num [32]byte
+		b.WriteString("   [rows=")
+		b.Write(strconv.AppendFloat(num[:0], e.Rows, 'f', 0, 64))
+		b.WriteString(" cost=")
+		b.Write(strconv.AppendFloat(num[:0], e.Cost, 'f', 0, 64))
+		b.WriteString(" dist=")
+		b.WriteString(e.Phys.Dist.String())
 		if !e.Phys.Order.IsAny() {
-			fmt.Fprintf(b, " order=%s", e.Phys.Order)
+			b.WriteString(" order=")
+			b.WriteString(e.Phys.Order.String())
 		}
 		b.WriteString("]")
 	}
@@ -434,11 +446,11 @@ func explainNode(b *strings.Builder, e *ops.Expr, f *md.ColumnFactory, depth int
 	// SubPlans (legacy Planner) carry their inner plan out-of-line.
 	switch op := e.Op.(type) {
 	case *ops.SubPlanFilter:
-		b.WriteString(strings.Repeat("  ", depth+1))
+		indent(b, depth+1)
 		b.WriteString("SubPlan:\n")
 		explainNode(b, op.Plan, f, depth+2)
 	case *ops.SubPlanProject:
-		b.WriteString(strings.Repeat("  ", depth+1))
+		indent(b, depth+1)
 		b.WriteString("SubPlan:\n")
 		explainNode(b, op.Plan, f, depth+2)
 	default:
@@ -446,9 +458,16 @@ func explainNode(b *strings.Builder, e *ops.Expr, f *md.ColumnFactory, depth int
 	}
 }
 
-// resolveColNames rewrites c<id> tokens into column names.
-func resolveColNames(s string, f *md.ColumnFactory) string {
-	var b strings.Builder
+// indent writes two spaces per level of depth.
+func indent(b *strings.Builder, depth int) {
+	for i := 0; i < depth; i++ {
+		b.WriteString("  ")
+	}
+}
+
+// writeColNames writes s into b with its c<id> tokens rewritten into column
+// names.
+func writeColNames(b *strings.Builder, s string, f *md.ColumnFactory) {
 	for i := 0; i < len(s); {
 		if s[i] == 'c' && i+1 < len(s) && s[i+1] >= '0' && s[i+1] <= '9' &&
 			(i == 0 || !isWordChar(s[i-1])) {
@@ -469,7 +488,6 @@ func resolveColNames(s string, f *md.ColumnFactory) string {
 		b.WriteByte(s[i])
 		i++
 	}
-	return b.String()
 }
 
 func isWordChar(c byte) bool {
