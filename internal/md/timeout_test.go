@@ -86,6 +86,24 @@ func TestLookupTimeoutCacheHitUnaffected(t *testing.T) {
 	}
 }
 
+// TestNameLookupInlineInMemory checks that the in-memory catalog resolves
+// names inline: under a timeout no goroutine hand-off could meet, a name
+// still resolves (its relation is cached, so no fetch is timed).
+func TestNameLookupInlineInMemory(t *testing.T) {
+	p, rel := testRel(t)
+	cache := NewCache(nil)
+	if _, err := NewAccessor(cache, p).Get(rel.Mdid); err != nil {
+		t.Fatal(err)
+	}
+	acc := NewAccessor(cache, p)
+	acc.SetLookupTimeout(time.Nanosecond)
+	for i := 0; i < 100; i++ {
+		if got, err := acc.RelationByName("t"); err != nil || got != rel {
+			t.Fatalf("RelationByName = %v, %v; want the cached relation", got, err)
+		}
+	}
+}
+
 // TestLookupTimeoutViaFaultDelay ties the fault framework to the timeout: an
 // injected provider-fetch latency is subject to the lookup deadline because
 // the fault point sits inside the timed call.

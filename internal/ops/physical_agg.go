@@ -96,6 +96,8 @@ func (a *HashAgg) AppendChildReqs(_ props.Required, dst []props.Required) []prop
 	return dst
 }
 
+func (*HashAgg) requestInvariant() {}
+
 // Derive implements Physical: the child distribution is preserved; hash
 // aggregation destroys order.
 func (a *HashAgg) Derive(children []props.Derived) props.Derived {
@@ -136,6 +138,8 @@ func (a *StreamAgg) AppendChildReqs(_ props.Required, dst []props.Required) []pr
 	return dst
 }
 
+func (*StreamAgg) requestInvariant() {}
+
 // Derive implements Physical: distribution and the group order pass through.
 func (a *StreamAgg) Derive(children []props.Derived) props.Derived {
 	return props.Derived{Dist: children[0].Dist, Order: a.GroupOrder()}
@@ -166,6 +170,8 @@ func (a *ScalarAgg) AppendChildReqs(_ props.Required, dst []props.Required) []pr
 	// Single and Global both consume everything on one host.
 	return append(dst, props.Required{Dist: props.SingletonDist})
 }
+
+func (*ScalarAgg) requestInvariant() {}
 
 // Derive implements Physical: a Local scalar aggregate emits one row per
 // segment (no placement guarantee); Single/Global emit one row on one host.
