@@ -187,7 +187,7 @@ func ledgerRows(l *ledgerInputs) []ledgerRow {
 			var m *memo.Memo
 			tree := normalizedTree(t, "q3")
 			return allocRow{
-				setup: func(testing.TB) { m = memo.New(&gpos.MemoryAccountant{}) },
+				setup: func(testing.TB) { m = memo.New(&gpos.OwnedAccountant{}) },
 				parts: single(func(t testing.TB) { insert(t, m, tree) }),
 			}
 		}},
@@ -202,7 +202,7 @@ func ledgerRows(l *ledgerInputs) []ledgerRow {
 				reversed = append(reversed, join.Children[i])
 			}
 			return allocRow{
-				setup: func(t testing.TB) { m = memo.New(&gpos.MemoryAccountant{}); insert(t, m, tree) },
+				setup: func(t testing.TB) { m = memo.New(&gpos.OwnedAccountant{}); insert(t, m, tree) },
 				parts: single(func(t testing.TB) {
 					if _, err := m.InsertExpr(join.Op, reversed, join.Group().ID); err != nil {
 						t.Fatal(err)
@@ -368,7 +368,7 @@ func insert(t testing.TB, m *memo.Memo, tree *ops.Expr) {
 // firstJoin returns the first expression with two or more inputs of tree's
 // Memo.
 func firstJoin(t testing.TB, tree *ops.Expr) *memo.GroupExpr {
-	m := memo.New(&gpos.MemoryAccountant{})
+	m := memo.New(&gpos.OwnedAccountant{})
 	insert(t, m, tree)
 	for id := 0; id < m.NumGroups(); id++ {
 		for _, ge := range m.Group(memo.GroupID(id)).Exprs() {

@@ -173,7 +173,29 @@ func TestTamperLookupUnbufferedSend(t *testing.T) {
 // cheaper plans than the ones the search recorded.
 func TestTamperBestKeepsFirst(t *testing.T) {
 	wantTestFailure(t, "../tpcds", "the reference derives", "../memo/optcontext.go",
-		"if c.best == nil || e.cost < c.bestEntry.cost {", "if c.best == nil {",
+		"if c.best == nil || e.cost < c.bestCosting.cost {", "if c.best == nil {",
+		"-timeout=60s", "-run", "^TestSearchFindsReferenceBest$")
+}
+
+// TestTamperCostingAcrossRuns lets a costing serve every later scheduler
+// run, so a second stage reuses what the first learnt of its children's
+// best plans after improving them. Caught by go test: under a two-stage
+// search the reference costing derives other costs than the local tables
+// hold.
+func TestTamperCostingAcrossRuns(t *testing.T) {
+	wantTestFailure(t, "../tpcds", "--- FAIL: TestSearchFindsReferenceBestAcrossStages", "../memo/local.go",
+		"for i := ge.costings; i > m.runStart; {", "for i := ge.costings; i != 0; {",
+		"-timeout=60s", "-run", "^TestSearchFindsReferenceBestAcrossStages$")
+}
+
+// TestTamperCostingFirstChildKey finds an expression's costing by its first
+// child's request alone, so an alternative that asks the second child for
+// something else reuses another alternative's plan. Caught by go test: the
+// reference costing finds local-table entries it cannot derive.
+func TestTamperCostingFirstChildKey(t *testing.T) {
+	wantTestFailure(t, "../tpcds", "--- FAIL: TestSearchFindsReferenceBest", "../memo/local.go",
+		"if c.off == off || slices.Equal(m.idSlice(c.off, int32(len(ids))), ids) {",
+		"if len(ids) == 0 || slices.Equal(m.idSlice(c.off, 1), ids[:1]) {",
 		"-timeout=60s", "-run", "^TestSearchFindsReferenceBest$")
 }
 

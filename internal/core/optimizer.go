@@ -263,7 +263,7 @@ func capturedDump(q *Query, cfg Config, failure *gpos.Exception) (path string) {
 // staged search, extraction) with no degradation handling.
 func optimizePass(ctx context.Context, q *Query, cfg Config) (*Result, error) {
 	start := time.Now()
-	mem := &gpos.MemoryAccountant{}
+	mem := &gpos.OwnedAccountant{}
 
 	if err := fault.Inject(fault.PointCoreNormalize); err != nil {
 		return nil, err

@@ -96,3 +96,29 @@ func TestNilAccountantIsSafe(t *testing.T) {
 		t.Error("nil accountant must be inert")
 	}
 }
+
+// TestOwnedAccountantReadsLikeShared charges an owned and a shared
+// accountant alike, non-positive amounts included, and requires the same
+// readings after every charge.
+func TestOwnedAccountantReadsLikeShared(t *testing.T) {
+	var shared MemoryAccountant
+	var owned OwnedAccountant
+	for i, n := range []int64{100, 0, 216, -5, 1, 272, 4096, 96} {
+		shared.Charge(n)
+		owned.Charge(n)
+		if owned.Current() != shared.Current() || owned.Peak() != shared.Peak() || owned.Allocs() != shared.Allocs() {
+			t.Fatalf("after charge %d: owned %d/%d/%d, shared %d/%d/%d (current/peak/allocs)", i,
+				owned.Current(), owned.Peak(), owned.Allocs(), shared.Current(), shared.Peak(), shared.Allocs())
+		}
+		for _, budget := range []int64{0, 1, 300, shared.Current(), shared.Current() + 1} {
+			if owned.Exhausted(budget) != shared.Exhausted(budget) {
+				t.Errorf("after charge %d: Exhausted(%d) owned %v, shared %v", i, budget, owned.Exhausted(budget), shared.Exhausted(budget))
+			}
+		}
+	}
+	var inert *OwnedAccountant
+	inert.Charge(10)
+	if inert.Current() != 0 || inert.Peak() != 0 || inert.Allocs() != 0 || inert.Exhausted(1) {
+		t.Error("nil owned accountant must be inert")
+	}
+}

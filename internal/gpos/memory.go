@@ -95,3 +95,54 @@ func (m *MemoryAccountant) Reset() {
 	m.allocs.Store(0)
 	m.released.Store(0)
 }
+
+// OwnedAccountant is the single-owner form of MemoryAccountant, for a tally
+// that one goroutine charges and reads: a search's Memo, which charges it
+// for every group, expression, context, statistics object and local-table
+// entry it records. Its fields are plain integers, so a charge costs three
+// additions instead of three atomic operations; its readings are those a
+// MemoryAccountant given the same charges would report. It is not safe for
+// concurrent use. A nil OwnedAccountant is inert.
+type OwnedAccountant struct {
+	current, peak, allocs int64
+}
+
+// Charge records n logically allocated bytes.
+func (m *OwnedAccountant) Charge(n int64) {
+	if m == nil || n <= 0 {
+		return
+	}
+	m.allocs++
+	m.current += n
+	m.peak = max(m.peak, m.current)
+}
+
+// Exhausted reports whether the charged bytes meet or exceed the budget,
+// as MemoryAccountant.Exhausted does.
+func (m *OwnedAccountant) Exhausted(budget int64) bool {
+	return m != nil && budget > 0 && m.current >= budget
+}
+
+// Current returns the currently charged bytes.
+func (m *OwnedAccountant) Current() int64 {
+	if m == nil {
+		return 0
+	}
+	return m.current
+}
+
+// Peak returns the high-water mark in bytes.
+func (m *OwnedAccountant) Peak() int64 {
+	if m == nil {
+		return 0
+	}
+	return m.peak
+}
+
+// Allocs returns the number of Charge calls.
+func (m *OwnedAccountant) Allocs() int64 {
+	if m == nil {
+		return 0
+	}
+	return m.allocs
+}

@@ -44,7 +44,7 @@ func benchLeaf(b *testing.B, m *Memo, id int) GroupID {
 // transformation-result path (rule outputs landing in their source group),
 // whose duplicate detection scans the group's own expressions.
 func BenchmarkMemoInsertTarget(b *testing.B) {
-	m := New(&gpos.MemoryAccountant{})
+	m := New(&gpos.OwnedAccountant{})
 	leaf := benchLeaf(b, m, 0)
 	ge, err := m.InsertExpr(&ops.Limit{Count: -1}, []GroupID{leaf}, -1)
 	if err != nil {
@@ -64,7 +64,7 @@ func BenchmarkMemoInsertTarget(b *testing.B) {
 // BenchmarkMemoGroupLookup reads the group index — the plan-extraction and
 // job-spawn path.
 func BenchmarkMemoGroupLookup(b *testing.B) {
-	m := New(&gpos.MemoryAccountant{})
+	m := New(&gpos.OwnedAccountant{})
 	const groups = 1024
 	for i := 0; i < groups; i++ {
 		benchLeaf(b, m, i)
@@ -84,7 +84,7 @@ func BenchmarkMemoGroupLookup(b *testing.B) {
 // BenchmarkMemoRuleLedger measures the rule-firing gate: every exploration
 // and implementation pass re-checks each (expression, rule) pair.
 func BenchmarkMemoRuleLedger(b *testing.B) {
-	m := New(&gpos.MemoryAccountant{})
+	m := New(&gpos.OwnedAccountant{})
 	leaf := benchLeaf(b, m, 0)
 	ge, err := m.InsertExpr(&ops.Limit{Count: 1}, []GroupID{leaf}, -1)
 	if err != nil {
@@ -104,7 +104,7 @@ func BenchmarkMemoRuleLedger(b *testing.B) {
 // per-group request table (Context/LookupContext) and the per-expression
 // local table (AddCandidate/Candidates) probed once per costing step.
 func BenchmarkMemoContextProbe(b *testing.B) {
-	m := New(&gpos.MemoryAccountant{})
+	m := New(&gpos.OwnedAccountant{})
 	leaf := benchLeaf(b, m, 0)
 	ge, err := m.InsertExpr(&ops.Limit{Count: 1}, []GroupID{leaf}, -1)
 	if err != nil {
@@ -121,7 +121,7 @@ func BenchmarkMemoContextProbe(b *testing.B) {
 	for i, r := range reqs {
 		ctx, _ := g.Context(m.InternReq(r))
 		ids[i] = m.InternReq(r)
-		ctx.Offer(ge, ge.AddCandidate(ids[i], 0, Candidate{Cost: 10}))
+		ctx.Offer(ge, ge.AddCandidate(ids[i], 0, Candidate{ChildReqs: []ReqID{ids[i]}, Cost: 10}))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

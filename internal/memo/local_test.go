@@ -12,23 +12,29 @@ import (
 
 // AddCandidate records alternative alt of the expression's child requests,
 // costed for the interned request id, as search's OptContext.Record does,
-// except that it copies the caller's child ids into the Memo's chunks and
-// always looks for an earlier entry to replace. It returns the candidate as
-// recorded.
+// except that it copies the caller's child ids into the Memo's chunks,
+// makes a costing of the candidate's own values and always looks for an
+// earlier entry to replace. It returns the candidate as recorded.
 func (ge *GroupExpr) AddCandidate(id ReqID, alt int, c Candidate) Candidate {
 	m := ge.group.memo
 	n := int32(len(c.ChildReqs))
 	off := m.reserveIDs(n)
 	copy(m.idSlice(off, n), c.ChildReqs)
-	i := ge.record(localEntry{
-		req: id, alt: int32(alt), off: off, n: n,
-		localCost: c.LocalCost, cost: c.Cost, delivered: m.InternDerived(c.Delivered),
-	}, true)
-	return m.view(i, m.entry(i))
+	k := ge.AddCosting(off, m.InternDerived(c.Delivered), 0)
+	e := m.costing(k)
+	e.localCost, e.cost, e.costed = c.LocalCost, c.Cost, true
+	ge.record(localEntry{req: id, alt: int32(alt), costing: k}, true)
+	for i := ge.local; ; i = m.entry(i).next {
+		if x := m.entry(i); x.req == id && x.alt == int32(alt) {
+			return m.view(i, e, len(ge.Children))
+		}
+	}
 }
 
 // Offer proposes a candidate AddCandidate returned to the context.
-func (c *OptContext) Offer(ge *GroupExpr, cand Candidate) { c.offer(ge, cand.entry) }
+func (c *OptContext) Offer(ge *GroupExpr, cand Candidate) {
+	c.offer(ge, ge.group.memo.entry(cand.entry).costing)
+}
 
 // hasPointers reports whether a value of type t holds any pointer the
 // collector would have to trace.
@@ -52,23 +58,29 @@ func hasPointers(t reflect.Type) bool {
 	}
 }
 
-// TestLocalTableIsPointerFree pins the local table's layout: its entries and
-// both chunk types hold no pointer, so the collector allocates the chunks
-// in spans it never scans, and an entry fits in 40 bytes.
+// TestLocalTableIsPointerFree pins the local table's layout: its entries,
+// costings and all three chunk types hold no pointer, so the collector
+// allocates the chunks in spans it never scans; an entry fits in 16 bytes
+// and a costing in 32.
 func TestLocalTableIsPointerFree(t *testing.T) {
 	for _, typ := range []reflect.Type{
 		reflect.TypeOf(localEntry{}),
+		reflect.TypeOf(costing{}),
 		reflect.TypeOf([entryChunk]localEntry{}),
+		reflect.TypeOf([costingChunk]costing{}),
 		reflect.TypeOf([idChunk]ReqID{}),
 	} {
 		if hasPointers(typ) {
 			t.Errorf("%v holds a pointer", typ)
 		}
 	}
-	if size := reflect.TypeOf(localEntry{}).Size(); size > 40 {
-		t.Errorf("localEntry is %d bytes, want at most 40", size)
+	if size := reflect.TypeOf(localEntry{}).Size(); size > 16 {
+		t.Errorf("localEntry is %d bytes, want at most 16", size)
 	}
-	for _, f := range []string{"entries", "ids"} {
+	if size := reflect.TypeOf(costing{}).Size(); size > 32 {
+		t.Errorf("costing is %d bytes, want at most 32", size)
+	}
+	for _, f := range []string{"entries", "costings", "ids"} {
 		sf, _ := reflect.TypeOf(Memo{}).FieldByName(f)
 		if sf.Type.Kind() != reflect.Slice || sf.Type.Elem().Kind() != reflect.Pointer || hasPointers(sf.Type.Elem().Elem()) {
 			t.Errorf("Memo.%s is %v, want a slice of pointers to pointer-free chunks", f, sf.Type)
@@ -82,7 +94,7 @@ func TestLocalTableIsPointerFree(t *testing.T) {
 // order per request and per expression, and in-place replacement of an
 // entry in a later chunk.
 func TestLocalTableSpansChunks(t *testing.T) {
-	m := New(&gpos.MemoryAccountant{})
+	m := New(&gpos.OwnedAccountant{})
 	root, _ := m.Insert(paperTree(md.NewColumnFactory()))
 	g := m.Group(root)
 	join := g.Exprs()[0]
@@ -144,24 +156,27 @@ func TestLocalTableSpansChunks(t *testing.T) {
 // candidate's ids would straddle its end: they must start the next chunk,
 // and every candidate must still read back its own ids.
 func TestCandidateIDsNeverStraddleChunks(t *testing.T) {
-	m := New(&gpos.MemoryAccountant{})
+	m := New(&gpos.OwnedAccountant{})
 	root, _ := m.Insert(paperTree(md.NewColumnFactory()))
 	ge := m.Group(root).Exprs()[0]
 	req := m.InternReq(props.Required{Dist: props.SingletonDist})
-	ids := func(i int) []ReqID { return []ReqID{ReqID(i), ReqID(i), ReqID(i)} }
-	const fit = idChunk / 3 // whole candidates that fit in one chunk
+	ids := func(i int) []ReqID { return []ReqID{ReqID(i), ReqID(i)} } // one per child of the join
+	// One id first, so that the join's pairs of ids cannot fill the chunk
+	// exactly; fit whole candidates fill the rest of it.
+	m.reserveIDs(1)
+	const fit = (idChunk - 1) / 2
 	for i := 0; i <= fit; i++ {
 		ge.AddCandidate(req, i, Candidate{ChildReqs: ids(i), Cost: float64(i)})
 	}
-	if len(m.ids) != 2 || m.nIDs != idChunk+3 {
-		t.Fatalf("%d id chunks, next free id %d; want 2 and %d", len(m.ids), m.nIDs, idChunk+3)
+	if len(m.ids) != 2 || m.nIDs != idChunk+2 {
+		t.Fatalf("%d id chunks, next free id %d; want 2 and %d", len(m.ids), m.nIDs, idChunk+2)
 	}
 	cands := ge.Candidates(req)
 	if len(cands) != fit+1 {
 		t.Fatalf("%d candidates, want %d", len(cands), fit+1)
 	}
 	for i, c := range cands {
-		if !reflect.DeepEqual(c.ChildReqs, ids(i)) || cap(c.ChildReqs) != 3 {
+		if !reflect.DeepEqual(c.ChildReqs, ids(i)) || cap(c.ChildReqs) != 2 {
 			t.Errorf("candidate %d reads back ids %v (cap %d)", i, c.ChildReqs, cap(c.ChildReqs))
 		}
 	}
@@ -174,7 +189,7 @@ func TestCandidateIDsNeverStraddleChunks(t *testing.T) {
 // higher cost: the table shows the new cost, while the context keeps the
 // candidate it was offered, in Best and in BestDelivered alike.
 func TestOfferKeepsOfferedCandidate(t *testing.T) {
-	m := New(&gpos.MemoryAccountant{})
+	m := New(&gpos.OwnedAccountant{})
 	root, _ := m.Insert(paperTree(md.NewColumnFactory()))
 	g := m.Group(root)
 	ge := g.Exprs()[0]
@@ -203,7 +218,7 @@ func TestOfferKeepsOfferedCandidate(t *testing.T) {
 // TestInternDerived checks the delivered-property table: exact equality,
 // dense ids in first-seen order, and tables that belong to one Memo.
 func TestInternDerived(t *testing.T) {
-	m := New(&gpos.MemoryAccountant{})
+	m := New(&gpos.OwnedAccountant{})
 	ds := []props.Derived{
 		{Dist: props.SingletonDist},
 		{Dist: props.Hashed(1, 2), Order: props.MakeOrder(2)},
@@ -237,7 +252,7 @@ func TestInternDerived(t *testing.T) {
 // TestEpochBitsets checks the per-epoch completion markers of groups and
 // contexts past the first bitset word.
 func TestEpochBitsets(t *testing.T) {
-	m := New(&gpos.MemoryAccountant{})
+	m := New(&gpos.OwnedAccountant{})
 	root, _ := m.Insert(paperTree(md.NewColumnFactory()))
 	g := m.Group(root)
 	ctx, _ := g.Context(m.InternReq(props.Required{Dist: props.SingletonDist}))

@@ -71,25 +71,30 @@ type Memo struct {
 	// without walking the whole Memo from the root.
 	cteProducers map[int]GroupID
 
-	// entries and ids are the fixed-size chunks every local table takes
-	// its entries and child-request ids from (see local.go); nEntries and
-	// nIDs are the next free slot of each.
-	entries  []*[entryChunk]localEntry
-	ids      []*[idChunk]ReqID
-	nEntries int32
-	nIDs     int32
+	// entries, costings and ids are the fixed-size chunks every local
+	// table takes its entries, costings and child-request ids from (see
+	// local.go); nEntries, nCostings and nIDs are the next free slot of
+	// each. runStart is the last costing made before the current scheduler
+	// run began: a costing serves only the run that made it.
+	entries   []*[entryChunk]localEntry
+	costings  []*[costingChunk]costing
+	ids       []*[idChunk]ReqID
+	nEntries  int32
+	nCostings int32
+	nIDs      int32
+	runStart  CostingID
 	// reqOnly locates, per request-only operator kind (ops.RequestOnly) and
 	// by request id, the interned child requests every expression of that
 	// kind asks under the request (see ChildReqs).
 	reqOnly [ops.NumRequestOnlyKinds][]idSpan
 
-	mem *gpos.MemoryAccountant
+	mem *gpos.OwnedAccountant
 
 	root GroupID
 }
 
 // New returns an empty Memo charging the given accountant (may be nil).
-func New(mem *gpos.MemoryAccountant) *Memo {
+func New(mem *gpos.OwnedAccountant) *Memo {
 	return &Memo{
 		registry:     make(map[uint64][]*GroupExpr),
 		cteProducers: make(map[int]GroupID),
@@ -398,7 +403,8 @@ func (g *Group) Rows() float64 {
 // for it, with the child requests, costs and delivered properties of each —
 // the linkage structure used for plan extraction (paper Figure 6) and TAQO's
 // uniform plan sampling space. The table's entries are not the expression's:
-// it holds the index of its first one in the Memo's pointer-free chunks.
+// it holds the index of its first one in the Memo's pointer-free chunks, and
+// each entry points at the costing its requests share.
 type GroupExpr struct {
 	Op       ops.Operator
 	Children []GroupID
@@ -413,6 +419,9 @@ type GroupExpr struct {
 	// the Memo's pointer-free chunks (local.go), so the collector never
 	// scans them.
 	local, tail int32
+	// costings is the newest of the expression's costings, chained to
+	// the oldest (see Costing); 0 when it has none.
+	costings CostingID
 	// invOff and invN locate, in the Memo's id chunks, the interned child
 	// requests of a request-invariant physical operator (see ChildReqs);
 	// invN is 0 until they are interned, and they are immutable after.

@@ -39,7 +39,7 @@ func paperTree(f *md.ColumnFactory) *ops.Expr {
 }
 
 func TestInsertCreatesGroupsBottomUp(t *testing.T) {
-	m := New(&gpos.MemoryAccountant{})
+	m := New(&gpos.OwnedAccountant{})
 	f := md.NewColumnFactory()
 	root, err := m.Insert(paperTree(f))
 	if err != nil {
@@ -70,7 +70,7 @@ func mustValidate(t *testing.T, m *Memo) {
 }
 
 func TestDuplicateDetection(t *testing.T) {
-	m := New(&gpos.MemoryAccountant{})
+	m := New(&gpos.OwnedAccountant{})
 	f := md.NewColumnFactory()
 	tree := paperTree(f)
 	root, err := m.Insert(tree)
@@ -106,7 +106,7 @@ func TestDuplicateDetection(t *testing.T) {
 }
 
 func TestGroupLogicalProps(t *testing.T) {
-	m := New(&gpos.MemoryAccountant{})
+	m := New(&gpos.OwnedAccountant{})
 	f := md.NewColumnFactory()
 	root, _ := m.Insert(paperTree(f))
 	out := m.Group(root).Logical().OutputCols
@@ -116,7 +116,7 @@ func TestGroupLogicalProps(t *testing.T) {
 }
 
 func TestOptContextDedupAndBest(t *testing.T) {
-	m := New(&gpos.MemoryAccountant{})
+	m := New(&gpos.OwnedAccountant{})
 	f := md.NewColumnFactory()
 	root, _ := m.Insert(paperTree(f))
 	g := m.Group(root)
@@ -157,7 +157,7 @@ func TestAddEnforcers(t *testing.T) {
 		{name: "after failed insert", faults: "memo/insert:error:limit=1"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			m := New(&gpos.MemoryAccountant{})
+			m := New(&gpos.OwnedAccountant{})
 			f := md.NewColumnFactory()
 			root, _ := m.Insert(paperTree(f))
 			g := m.Group(root)
@@ -238,7 +238,7 @@ func TestEnforcerUseful(t *testing.T) {
 }
 
 func TestExtractPlanFailsWithoutOptimization(t *testing.T) {
-	m := New(&gpos.MemoryAccountant{})
+	m := New(&gpos.OwnedAccountant{})
 	f := md.NewColumnFactory()
 	root, _ := m.Insert(paperTree(f))
 	if _, err := m.ExtractPlan(root, props.Required{Dist: props.SingletonDist}); err == nil {
@@ -247,7 +247,7 @@ func TestExtractPlanFailsWithoutOptimization(t *testing.T) {
 }
 
 func TestMarkApplied(t *testing.T) {
-	m := New(&gpos.MemoryAccountant{})
+	m := New(&gpos.OwnedAccountant{})
 	f := md.NewColumnFactory()
 	root, _ := m.Insert(paperTree(f))
 	ge := m.Group(root).Exprs()[0]
@@ -270,7 +270,7 @@ func TestMarkApplied(t *testing.T) {
 }
 
 func TestCandidateLinkage(t *testing.T) {
-	m := New(&gpos.MemoryAccountant{})
+	m := New(&gpos.OwnedAccountant{})
 	f := md.NewColumnFactory()
 	root, _ := m.Insert(paperTree(f))
 	ge := m.Group(root).Exprs()[0]
@@ -299,7 +299,7 @@ func TestCandidateLinkage(t *testing.T) {
 // in place, and a candidate AddCandidate recorded owns its child ids — the
 // caller's buffer can change after.
 func TestLocalTableOrderAndReplace(t *testing.T) {
-	m := New(&gpos.MemoryAccountant{})
+	m := New(&gpos.OwnedAccountant{})
 	root, _ := m.Insert(paperTree(md.NewColumnFactory()))
 	ge := m.Group(root).Exprs()[0]
 	a, b := m.InternReq(props.Required{Dist: props.SingletonDist}), m.InternReq(props.Required{Dist: props.AnyDist})
@@ -326,13 +326,53 @@ func TestLocalTableOrderAndReplace(t *testing.T) {
 	}
 }
 
+// TestMissDropsEntryOfEarlierPass records alternatives 0..2 of one request
+// around one of another, then, in a later pass, reports the chain's head
+// and tail as giving no plan: their entries go, the rest stay in order, and
+// an alternative recorded after that appends at the chain's new tail. In
+// the pass that first opened the context a miss drops nothing.
+func TestMissDropsEntryOfEarlierPass(t *testing.T) {
+	m := New(&gpos.OwnedAccountant{})
+	root, _ := m.Insert(paperTree(md.NewColumnFactory()))
+	g := m.Group(root)
+	ge := g.Exprs()[0]
+	a, b := m.InternReq(props.Required{Dist: props.SingletonDist}), m.InternReq(props.Required{Dist: props.AnyDist})
+	ctx, _ := g.Context(a)
+	ctx.Open()
+	kids := []ReqID{a, b}
+	ge.AddCandidate(a, 0, Candidate{ChildReqs: kids, Cost: 0})
+	ge.AddCandidate(b, 0, Candidate{ChildReqs: kids, Cost: 10})
+	ge.AddCandidate(a, 1, Candidate{ChildReqs: kids, Cost: 1})
+	ge.AddCandidate(a, 2, Candidate{ChildReqs: kids, Cost: 2})
+	costs := func(req ReqID) (out []float64) {
+		for _, c := range ge.Candidates(req) {
+			out = append(out, c.Cost)
+		}
+		return out
+	}
+	ctx.Miss(ge, 0)
+	if got := costs(a); !reflect.DeepEqual(got, []float64{0, 1, 2}) {
+		t.Fatalf("after a miss in the first pass the request's candidates cost %v, want [0 1 2]", got)
+	}
+	ctx.Open()
+	ctx.Miss(ge, 0)
+	ctx.Miss(ge, 2)
+	ge.AddCandidate(a, 0, Candidate{ChildReqs: kids, Cost: 5})
+	if got := costs(a); !reflect.DeepEqual(got, []float64{1, 5}) {
+		t.Errorf("after misses in a later pass the request's candidates cost %v, want [1 5]", got)
+	}
+	if got := costs(b); !reflect.DeepEqual(got, []float64{10}) {
+		t.Errorf("the other request's candidates cost %v, want [10]", got)
+	}
+}
+
 // TestChildReqsInternsAlternatives checks GroupExpr.ChildReqs against the
 // operator's own requests: ids alternative-major, one alternative per arity
 // requests, at the offset returned; a RequestInvariant operator's ids
 // interned once and shared across requests; and a RequestOnly operator's
 // interned once per request and shared by every expression of its kind.
 func TestChildReqsInternsAlternatives(t *testing.T) {
-	m := New(&gpos.MemoryAccountant{})
+	m := New(&gpos.OwnedAccountant{})
 	root, _ := m.Insert(paperTree(md.NewColumnFactory()))
 	kids := m.Group(root).Exprs()[0].Children
 	var scratch []props.Required

@@ -32,10 +32,10 @@ type OptContext struct {
 	// an earlier one.
 	opened, recost bool
 	best           *GroupExpr
-	// bestEntry is best's local-table entry as it was offered. A copy, not
-	// an index: a later pass may re-cost the entry in place without beating
-	// it, and the context keeps the candidate it chose.
-	bestEntry localEntry
+	// bestCosting is the costing of best's entry as it was offered. A
+	// copy, not an id: a later pass may point the entry at a new costing
+	// without beating it, and the context keeps the candidate it chose.
+	bestCosting costing
 }
 
 // Context returns the group's context for an interned request, creating it
@@ -80,13 +80,13 @@ func (g *Group) ContextByID(id ReqID) *OptContext {
 // they were created.
 func (g *Group) Contexts() []*OptContext { return append([]*OptContext(nil), g.ctxs...) }
 
-// offer proposes the plan of ge's local-table entry for this request,
-// keeping it if it beats the current best.
-func (c *OptContext) offer(ge *GroupExpr, entry int32) {
-	e := ge.group.memo.entry(entry)
-	if c.best == nil || e.cost < c.bestEntry.cost {
+// offer proposes the plan of ge's costing k for this request, keeping it
+// if it beats the current best.
+func (c *OptContext) offer(ge *GroupExpr, k CostingID) {
+	e := ge.group.memo.costing(k)
+	if c.best == nil || e.cost < c.bestCosting.cost {
 		c.best = ge
-		c.bestEntry = *e
+		c.bestCosting = *e
 	}
 }
 
@@ -94,16 +94,25 @@ func (c *OptContext) offer(ge *GroupExpr, entry int32) {
 // records any alternative through Record.
 func (c *OptContext) Open() { c.recost, c.opened = c.opened, true }
 
-// Record adds alternative alt of ge's child requests, costed for this
-// request at localCost and cost and delivering the interned delivered, to
-// ge's local table, and offers it. The alternative's n child ids must be
-// the ones ge.ChildReqs returned, at offset off of the id chunks: the entry
-// points at them rather than copying them. In the pass that first opened
-// the context no entry for the request exists yet, so the entry is appended
-// without a search of the chain.
-func (c *OptContext) Record(ge *GroupExpr, alt int, off, n int32, localCost, cost float64, delivered DerivedID) {
-	e := localEntry{req: c.id, alt: int32(alt), off: off, n: n, localCost: localCost, cost: cost, delivered: delivered}
-	c.offer(ge, ge.record(e, c.recost))
+// Record adds alternative alt of ge's child requests, whose plan the
+// current run's costing k gives and costs (see Memo.CostLocal), to ge's
+// local table under this request, and offers it. In the pass that first
+// opened the context no entry for the request exists yet, so the entry is
+// appended without a search of the chain.
+func (c *OptContext) Record(ge *GroupExpr, alt int, k CostingID) {
+	ge.record(localEntry{req: c.id, alt: int32(alt), costing: k}, c.recost)
+	c.offer(ge, k)
+}
+
+// Miss tells the context that alternative alt of ge gives no plan for the
+// request in this pass: a child has none, or the delivery misses the
+// request. An entry an earlier pass recorded for it is dropped, since its
+// children's best plans, and so its plan, are gone; in the pass that first
+// opened the context there is none to drop.
+func (c *OptContext) Miss(ge *GroupExpr, alt int) {
+	if c.recost {
+		ge.unlink(c.id, int32(alt))
+	}
 }
 
 // Best returns the best expression, its winning candidate, and whether any
@@ -112,7 +121,7 @@ func (c *OptContext) Best() (*GroupExpr, Candidate, bool) {
 	if c.best == nil {
 		return nil, Candidate{}, false
 	}
-	return c.best, c.Group.memo.view(0, &c.bestEntry), true
+	return c.best, c.Group.memo.view(0, &c.bestCosting, len(c.best.Children)), true
 }
 
 // BestDelivered returns what costing a parent reads of the best plan: the
@@ -123,7 +132,7 @@ func (c *OptContext) BestDelivered() (d DerivedID, cost float64, ok bool) {
 	if c.best == nil {
 		return 0, InfCost, false
 	}
-	return c.bestEntry.delivered, c.bestEntry.cost, true
+	return c.bestCosting.delivered, c.bestCosting.cost, true
 }
 
 // BestCost returns the best plan cost, or InfCost.
@@ -131,7 +140,7 @@ func (c *OptContext) BestCost() float64 {
 	if c.best == nil {
 		return InfCost
 	}
-	return c.bestEntry.cost
+	return c.bestCosting.cost
 }
 
 // MarkDone marks the context fully optimized under the given rule-set epoch.

@@ -15,7 +15,7 @@ import (
 
 func validatedMemo(t *testing.T) *Memo {
 	t.Helper()
-	m := New(&gpos.MemoryAccountant{})
+	m := New(&gpos.OwnedAccountant{})
 	root, err := m.Insert(paperTree(md.NewColumnFactory()))
 	if err != nil {
 		t.Fatal(err)

@@ -31,7 +31,7 @@ func hashedOrdered(desc, rewind bool) props.Required {
 }
 
 func TestGoalIdentityInternsEqualRequests(t *testing.T) {
-	m := memo.New(&gpos.MemoryAccountant{})
+	m := memo.New(&gpos.OwnedAccountant{})
 	g := leafExpr(t, m, 0).Group().ID
 	r1, r2 := hashedOrdered(false, false), hashedOrdered(false, false)
 	if &r1.Order.Items[0] == &r2.Order.Items[0] || &r1.Dist.Cols[0] == &r2.Dist.Cols[0] {
@@ -47,7 +47,7 @@ func TestGoalIdentityInternsEqualRequests(t *testing.T) {
 // Expression-level goals have no identity to test: the one step that spawns
 // each of them builds its job.
 func TestGoalIdentityDistinguishes(t *testing.T) {
-	m := memo.New(&gpos.MemoryAccountant{})
+	m := memo.New(&gpos.OwnedAccountant{})
 	g, other := leafExpr(t, m, 0).Group().ID, leafExpr(t, m, 1).Group().ID
 	plain := m.InternReq(hashedOrdered(false, false))
 	w := Worker{o: &Optimizer{Memo: m}}
@@ -81,7 +81,7 @@ func TestGoalIdentityDistinguishes(t *testing.T) {
 }
 
 func TestEnqueueRegisteredGoalAllocatesNothing(t *testing.T) {
-	m := memo.New(&gpos.MemoryAccountant{})
+	m := memo.New(&gpos.OwnedAccountant{})
 	g := leafExpr(t, m, 0).Group().ID
 	req := hashedOrdered(true, true)
 	s := &Scheduler{w: Worker{o: &Optimizer{Memo: m}}}
@@ -106,7 +106,7 @@ func TestEnqueueRegisteredGoalAllocatesNothing(t *testing.T) {
 }
 
 func TestJobStringNamesTheGoal(t *testing.T) {
-	m := memo.New(&gpos.MemoryAccountant{})
+	m := memo.New(&gpos.OwnedAccountant{})
 	ge := leafExpr(t, m, 7)
 	id := m.InternReq(hashedOrdered(true, true))
 	w := Worker{o: &Optimizer{Memo: m}}

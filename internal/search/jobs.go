@@ -56,6 +56,7 @@ type StageParams struct {
 // Memo.ExtractPlan).
 func (o *Optimizer) RunStage(root memo.GroupID, req props.Required, p StageParams) (float64, Stats, error) {
 	s := &Scheduler{w: Worker{o: o}, p: p}
+	o.Memo.BeginRun()
 	err := s.Run(s.w.optGroup(root, o.Memo.InternReq(req)))
 	st := s.Stats()
 	if err != nil && !Drained(err) {
@@ -383,11 +384,17 @@ type optGexprJob struct {
 	alts int
 	// kids are the Opt(child, req) jobs of the alternative in flight, in
 	// child order, backed by kidBuf up to a binary operator; nil until it
-	// spawns them.
+	// looks them up.
 	kids   []*optGroupJob
 	kidBuf [2]*optGroupJob
 }
 
+// Step takes the alternatives in order and handles as many as it can in
+// one step. An alternative the run has already costed under an earlier
+// request needs only this request's test; one whose children's Opt jobs are
+// all done is evaluated at once, which is what the LIFO queue would run
+// next anyway. Only for the others does the job spawn the children's jobs
+// and wait.
 func (j *optGexprJob) Step(w *Worker) (bool, error) {
 	if j.alts == 0 {
 		j.ids, j.off, j.alts = j.Expr.ChildReqs(j.Req, &w.reqs)
@@ -399,13 +406,13 @@ func (j *optGexprJob) Step(w *Worker) (bool, error) {
 			continue
 		}
 		if j.kids == nil {
-			j.kids = j.kidBuf[:0]
-			for i, id := range ids {
-				kid := w.optGroup(j.Expr.Children[i], id)
-				j.kids = append(j.kids, kid)
-				w.Spawn(kid)
+			if c := j.Expr.Costing(j.altOff(), ids); c != 0 {
+				if err := j.reuse(w, c); err != nil {
+					return false, err
+				}
+				continue
 			}
-			if n > 0 {
+			if j.spawnKids(w, ids) {
 				return false, nil
 			}
 		}
@@ -430,19 +437,43 @@ func (j *optGexprJob) selfCycle(ids []memo.ReqID) bool {
 	return false
 }
 
+// altOff returns the offset of the alternative in flight's child ids in the
+// Memo's id chunks.
+func (j *optGexprJob) altOff() int32 { return j.off + int32(j.phase*len(j.Expr.Children)) }
+
+// spawnKids looks up the Opt(child, req) jobs of the alternative in flight
+// and reports whether it must wait for them: when some is not done, it
+// spawns them all.
+func (j *optGexprJob) spawnKids(w *Worker, ids []memo.ReqID) (wait bool) {
+	j.kids = j.kidBuf[:0]
+	for i, id := range ids {
+		kid := w.optGroup(j.Expr.Children[i], id)
+		j.kids = append(j.kids, kid)
+		wait = wait || !kid.done
+	}
+	if wait {
+		for _, kid := range j.kids {
+			w.Spawn(kid)
+		}
+	}
+	return wait
+}
+
 // evaluate combines the children's best plans for the alternative in
-// flight, read from the contexts of the jobs that optimized them, checks
-// delivered properties against the request, costs the plan and records it
-// in the local table and the group's context (paper §4.1 step 4).
+// flight, read from the contexts of the jobs that optimized them, into the
+// run's costing of the alternative, and offers it to the request (paper
+// §4.1 step 4).
 func (j *optGexprJob) evaluate(w *Worker) error {
 	o := w.o
-	childDerived, childRows := w.derived[:0], w.rows[:0]
+	childDerived, childIDs := w.derived[:0], w.dids[:0]
 	total := 0.0
-	childIDs := w.dids[:0]
 	for i, cid := range j.Expr.Children {
 		id, cost, ok := j.kids[i].ctx.BestDelivered()
 		if !ok {
-			return nil // child not optimizable under this request
+			// Child not optimizable under this request.
+			j.Expr.AddNoPlan(j.altOff())
+			j.ctx.Miss(j.Expr, j.phase)
+			return nil
 		}
 		d, _ := o.Memo.Derived(id)
 		childIDs = append(childIDs, id)
@@ -450,31 +481,70 @@ func (j *optGexprJob) evaluate(w *Worker) error {
 		// Normally a Stats job derived these already (DeriveStats then just
 		// returns them); enforcer insertion can create expressions whose child
 		// groups were never reached by a stats job on this path.
-		cs, err := o.Memo.DeriveStats(cid, o.XCtx.Stats)
-		if err != nil {
+		if _, err := o.Memo.DeriveStats(cid, o.XCtx.Stats); err != nil {
 			return err
 		}
-		childRows = append(childRows, cs.Rows)
 		total += cost
 	}
-	w.derived, w.rows, w.dids = childDerived, childRows, childIDs // keep the grown buffers
-	phys := j.Expr.Op.(ops.Physical)
-	delivered := phys.Derive(childDerived)
+	w.derived, w.dids = childDerived, childIDs // keep the grown buffers
+	delivered := j.Expr.Op.(ops.Physical).Derive(childDerived)
+	return j.offer(w, j.Expr.AddCosting(j.altOff(), j.deliveredID(w, delivered), total), delivered)
+}
+
+// reuse offers the alternative in flight to the request from the costing
+// c that an earlier request of this run made: the children's jobs that
+// costing read are done, so none is looked up.
+func (j *optGexprJob) reuse(w *Worker, c memo.CostingID) error {
+	delivered, ok := w.o.Memo.CostingDelivered(c)
+	if !ok {
+		j.ctx.Miss(j.Expr, j.phase)
+		return nil
+	}
+	return j.offer(w, c, delivered)
+}
+
+// offer checks the delivery of the alternative in flight, whose run's
+// costing is c, against the request, costs the plan unless an earlier
+// request it satisfied did, and records it in the local table and the
+// group's context.
+func (j *optGexprJob) offer(w *Worker, c memo.CostingID, delivered props.Derived) error {
 	if !delivered.Satisfies(j.ctx.Req) {
+		j.ctx.Miss(j.Expr, j.phase)
 		return nil
 	}
 	if err := fault.Inject(fault.PointCostCompute); err != nil {
 		return err
 	}
+	if !w.o.Memo.Costed(c) {
+		local, err := j.localCost(w, delivered)
+		if err != nil {
+			return err
+		}
+		w.o.Memo.CostLocal(c, local)
+	}
+	j.ctx.Record(j.Expr, j.phase, c)
+	return nil
+}
+
+// localCost costs the expression's operator over its children's plans,
+// delivering delivered.
+func (j *optGexprJob) localCost(w *Worker, delivered props.Derived) (float64, error) {
+	o := w.o
+	childRows := w.rows[:0]
+	for _, cid := range j.Expr.Children {
+		cs, err := o.Memo.DeriveStats(cid, o.XCtx.Stats)
+		if err != nil {
+			return 0, err
+		}
+		childRows = append(childRows, cs.Rows)
+	}
+	w.rows = childRows
 	gs, err := o.Memo.DeriveStats(j.Expr.Group().ID, o.XCtx.Stats)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	local := o.Cost.LocalCost(j.Expr.Op, cost.Inputs{
-		OutRows: gs.Rows, ChildRows: childRows, Delivered: delivered, Skew: j.skew(gs, delivered)})
-	n := int32(len(j.Expr.Children))
-	j.ctx.Record(j.Expr, j.phase, j.off+int32(j.phase)*n, n, local, local+total, j.deliveredID(w, delivered))
-	return nil
+	return o.Cost.LocalCost(j.Expr.Op, cost.Inputs{
+		OutRows: gs.Rows, ChildRows: childRows, Delivered: delivered, Skew: j.skew(gs, delivered)}), nil
 }
 
 // deliveredID returns the interned id of the alternative's delivery. Most

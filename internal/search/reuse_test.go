@@ -13,7 +13,7 @@ import (
 // expression-level job is handed out again, with none of its old state,
 // while a group-level job, which the goal tables point at, never is.
 func TestReleasedJobsComeBackZeroed(t *testing.T) {
-	m := memo.New(&gpos.MemoryAccountant{})
+	m := memo.New(&gpos.OwnedAccountant{})
 	ge := leafExpr(t, m, 1)
 	var w Worker
 

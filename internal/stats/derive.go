@@ -20,12 +20,17 @@ type Stats struct {
 // Pathological inputs (NaN, negative, infinite) are clamped so one bad
 // estimate cannot poison cost comparisons across the Memo.
 func NewStats(rows float64) *Stats {
+	return &Stats{Rows: clampRows(rows), Cols: make(map[base.ColID]*Histogram)}
+}
+
+// clampRows is the cardinality NewStats stores for rows.
+func clampRows(rows float64) float64 {
 	if math.IsNaN(rows) || rows < 0 {
-		rows = 0
+		return 0
 	} else if math.IsInf(rows, 1) {
-		rows = 1e15
+		return 1e15
 	}
-	return &Stats{Rows: rows, Cols: make(map[base.ColID]*Histogram)}
+	return rows
 }
 
 // Hist returns the histogram of a column, or nil.
@@ -379,23 +384,8 @@ func clampSel(s float64) float64 {
 // possibly modified parent histogram).
 func (ctx *Context) DeriveJoin(t ops.JoinType, pred ops.ScalarExpr, left, right *Stats) *Stats {
 	leftKeys, rightKeys, residual := ops.EquiKeys(pred, colsOf(left), colsOf(right))
-	// Equi-key selectivity over the row product.
-	sel := 1.0
-	damp := 1.0
 	matchNDVs := make(map[base.ColID]float64)
-	if len(leftKeys) == 0 {
-		sel = crossSel(pred)
-	}
-	for i := range leftKeys {
-		s, ndv := JoinOverlap(left.Hist(leftKeys[i]), right.Hist(rightKeys[i]))
-		sel *= math.Pow(s, damp)
-		damp *= ctx.DampingFactor
-		if ndv > 0 {
-			matchNDVs[leftKeys[i]] = ndv
-			matchNDVs[rightKeys[i]] = ndv
-		}
-	}
-	innerRows := left.Rows * right.Rows * sel
+	innerRows := left.Rows * right.Rows * ctx.equiSel(pred, leftKeys, rightKeys, left, right, matchNDVs)
 	switch t {
 	case ops.InnerJoin, ops.LeftJoin:
 		rows := innerRows
@@ -454,6 +444,40 @@ func (ctx *Context) DeriveJoin(t ops.JoinType, pred ops.ScalarExpr, left, right 
 	default:
 		return left
 	}
+}
+
+// JoinRows returns the cardinality of the inner join of left and right on
+// pred, bit for bit the Rows of DeriveJoin(InnerJoin, pred, left, right),
+// without building the join's statistics: join ordering compares many
+// candidate trees by rows and keeps few. A predicate with a residual
+// beyond its equi keys is estimated through DeriveJoin.
+func (ctx *Context) JoinRows(pred ops.ScalarExpr, left, right *Stats) float64 {
+	leftKeys, rightKeys, residual := ops.EquiKeys(pred, colsOf(left), colsOf(right))
+	if len(residual) > 0 {
+		return ctx.DeriveJoin(ops.InnerJoin, pred, left, right).Rows
+	}
+	return clampRows(math.Max(left.Rows*right.Rows*ctx.equiSel(pred, leftKeys, rightKeys, left, right, nil), 0))
+}
+
+// equiSel returns the selectivity of a join's equi keys over the row
+// product, each key's damped by the ones before it, and records each key
+// pair's matching NDV in matchNDVs when it is not nil.
+func (ctx *Context) equiSel(pred ops.ScalarExpr, leftKeys, rightKeys []base.ColID, left, right *Stats, matchNDVs map[base.ColID]float64) float64 {
+	sel := 1.0
+	damp := 1.0
+	if len(leftKeys) == 0 {
+		sel = crossSel(pred)
+	}
+	for i := range leftKeys {
+		s, ndv := JoinOverlap(left.Hist(leftKeys[i]), right.Hist(rightKeys[i]))
+		sel *= math.Pow(s, damp)
+		damp *= ctx.DampingFactor
+		if ndv > 0 && matchNDVs != nil {
+			matchNDVs[leftKeys[i]] = ndv
+			matchNDVs[rightKeys[i]] = ndv
+		}
+	}
+	return sel
 }
 
 // crossSel estimates a join predicate with no extractable equi keys.

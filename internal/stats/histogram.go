@@ -54,14 +54,15 @@ func newHistogram(buckets []md.Bucket, ndv, nullFrac float64) *Histogram {
 	return &Histogram{n: len(buckets), buckets: buckets, ndv: ndv, nullFrac: nullFrac}
 }
 
-// FromColStats converts catalog column statistics.
+// FromColStats converts catalog column statistics. The histogram shares
+// the catalog's buckets, which every request reads and none writes: no
+// histogram's buckets are written once it is built, and the slice is capped
+// so that an append copies.
 func FromColStats(cs *md.ColStats) *Histogram {
 	if cs == nil {
 		return nil
 	}
-	buckets := make([]md.Bucket, len(cs.Buckets))
-	copy(buckets, cs.Buckets)
-	return newHistogram(buckets, cs.NDV, cs.NullFrac)
+	return newHistogram(cs.Buckets[:len(cs.Buckets):len(cs.Buckets)], cs.NDV, cs.NullFrac)
 }
 
 // m materialises h, once, and returns it.

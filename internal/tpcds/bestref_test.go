@@ -337,6 +337,68 @@ func TestSearchFindsReferenceBest(t *testing.T) {
 	}
 }
 
+// TestSearchFindsReferenceBestAcrossStages holds two-stage searches to the
+// reference: a seed stage, then the full rule set over the same Memo. The
+// second stage re-costs what the first costed, against children whose best
+// plans it may have improved, so anything of the first stage's costing that
+// leaks into the second shows up as an entry the reference cannot derive.
+// Without reassociation the seed stage misses join orders, which the second
+// stage adds as new groups and expressions; without hash joins it misses
+// the cheapest plan of nearly every join group, which the second stage
+// improves under the expressions the seed stage costed.
+func TestSearchFindsReferenceBestAcrossStages(t *testing.T) {
+	for _, seed := range [][]string{{"JoinCommutativity", "JoinAssociativity"}, {"Join2HashJoin"}} {
+		t.Run("without "+strings.Join(seed, "+"), func(t *testing.T) {
+			cfg := core.DefaultConfig(refSegments)
+			cfg.Stages = []core.Stage{{Name: "seed", DisabledRules: seed}, {Name: "full"}}
+			staged, single := referenceOptimizer(t, cfg), referenceOptimizer(t, core.DefaultConfig(refSegments))
+			optimize := func(name, text string) {
+				// The full stage explores the one-stage search's plan space, so
+				// it must find its cost: a second stage that kept the first's
+				// costings would not even reach the children it improves.
+				if got, want := staged(name, text), single(name, text); got.Cost != want.Cost {
+					t.Errorf("%s: the two-stage search costs %v, the one-stage search %v", name, got.Cost, want.Cost)
+				}
+			}
+			for _, wq := range Workload() {
+				if wq.Name == "q6" || wq.Name == "q25" {
+					optimize(wq.Name, wq.SQL)
+				}
+			}
+			for _, shape := range []string{"chain", "star", "snowflake", "cycle"} {
+				for n := 3; n <= 6; n++ {
+					optimize(fmt.Sprintf("%s/%d", shape, n), joinShapeSQL(joinGraphs[shape][:n]))
+				}
+			}
+		})
+	}
+}
+
+// refSegments is the cluster size the reference tests optimize for.
+const refSegments = 4
+
+// referenceOptimizer returns a function that binds and optimizes one query
+// under cfg over the TPC-DS catalog, holds the search to the reference and
+// returns its result.
+func referenceOptimizer(t *testing.T, cfg core.Config) func(name, text string) *core.Result {
+	p := md.NewMemProvider()
+	BuildCatalog(p, Scale{Factor: 1})
+	cache := md.NewCache(&gpos.MemoryAccountant{})
+	return func(name, text string) *core.Result {
+		t.Helper()
+		q, err := sql.Bind(text, md.NewAccessor(cache, p), md.NewColumnFactory())
+		if err != nil {
+			t.Fatalf("%s: bind: %v", name, err)
+		}
+		res, err := core.Optimize(q, cfg)
+		if err != nil {
+			t.Fatalf("%s: optimize: %v", name, err)
+		}
+		checkBestRef(t, name, res, cfg.Segments)
+		return res
+	}
+}
+
 // joinShapeSQL is the query TestJoinEnumerationComplete optimizes for a
 // join graph: the relations, every link predicate, and the first join
 // column as output.

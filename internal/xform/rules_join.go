@@ -250,15 +250,26 @@ type joinTree struct {
 	l, r  *joinTree
 	pred  ops.ScalarExpr
 	rows  float64
-	stats *stats.Stats
-	cost  float64 // cumulative intermediate-result size, the DP objective
+	stats *stats.Stats // nil until the tree is joined further (statsOf)
+	cost  float64      // cumulative intermediate-result size, the DP objective
 }
 
-// combine joins two subtrees over the conjuncts between them.
+// combine joins two subtrees over the conjuncts between them. It estimates
+// the join's rows only: the orderings compare candidate trees by rows and
+// drop most of them, so a tree's statistics wait until it is joined again.
 func (g *joinGraph) combine(ctx *Context, l, r *joinTree, between []byte) joinTree {
 	pred := g.t.pred(between)
-	st := ctx.Stats.DeriveJoin(ops.InnerJoin, pred, l.stats, r.stats)
-	return joinTree{mask: l.mask | r.mask, l: l, r: r, pred: pred, rows: st.Rows, stats: st, cost: l.cost + r.cost + st.Rows}
+	rows := ctx.Stats.JoinRows(pred, l.statsOf(ctx), r.statsOf(ctx))
+	return joinTree{mask: l.mask | r.mask, l: l, r: r, pred: pred, rows: rows, cost: l.cost + r.cost + rows}
+}
+
+// statsOf returns the tree's statistics, deriving a join's from its
+// subtrees' on first use.
+func (t *joinTree) statsOf(ctx *Context) *stats.Stats {
+	if t.stats == nil {
+		t.stats = ctx.Stats.DeriveJoin(ops.InnerJoin, t.pred, t.l.statsOf(ctx), t.r.statsOf(ctx))
+	}
+	return t.stats
 }
 
 // insert copies the tree into the Memo one level at a time, subtrees into

@@ -2,6 +2,7 @@ package xform_test
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -62,7 +63,7 @@ func (c catalog) search(t *testing.T, sqlText string) *xform.Context {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := memo.New(&gpos.MemoryAccountant{})
+	m := memo.New(&gpos.OwnedAccountant{})
 	root, err := m.Insert(tree)
 	if err != nil {
 		t.Fatal(err)
@@ -244,6 +245,59 @@ func TestJoinRulesMatchReference(t *testing.T) {
 		}
 	}
 	t.Logf("firings that inserted joins: %v", total)
+}
+
+// TestJoinRowsMatchesDeriveJoin holds the row estimate the join orderings
+// compare trees by to the statistics it stands in for: over every split of
+// every n-ary join of the 32 TPC-DS queries and the four join shapes,
+// JoinRows must equal DeriveJoin(InnerJoin, ...).Rows bit for bit.
+func TestJoinRowsMatchesDeriveJoin(t *testing.T) {
+	cat := newCatalog()
+	queries := map[string]string{}
+	for _, wq := range tpcds.Workload() {
+		queries[wq.Name] = wq.SQL
+	}
+	for name, q := range joinShapes {
+		queries[name] = q
+	}
+	splits, residual := 0, 0
+	for name, q := range queries {
+		ctx := cat.search(t, q)
+		m := ctx.Memo
+		for id := 0; id < m.NumGroups(); id++ {
+			for _, ge := range m.Group(memo.GroupID(id)).Exprs() {
+				if _, ok := ge.Op.(*ops.NAryJoin); !ok {
+					continue
+				}
+				err := xform.EachJoinSplit(ctx, ge, func(pred ops.ScalarExpr, l, r *stats.Stats) {
+					splits++
+					if _, _, rest := ops.EquiKeys(pred, statsCols(l), statsCols(r)); len(rest) > 0 {
+						residual++
+					}
+					got, want := ctx.Stats.JoinRows(pred, l, r), ctx.Stats.DeriveJoin(ops.InnerJoin, pred, l, r).Rows
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("%s: group %d, join on %v: JoinRows %v, DeriveJoin %v", name, id, pred, got, want)
+					}
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+		}
+	}
+	if splits == 0 || residual == 0 {
+		t.Errorf("%d splits, %d with a residual predicate: the comparison covers too little", splits, residual)
+	}
+	t.Logf("%d splits, %d with a residual predicate", splits, residual)
+}
+
+// statsCols returns the columns s holds statistics for.
+func statsCols(s *stats.Stats) base.ColSet {
+	var out base.ColSet
+	for c := range s.Cols {
+		out.Add(c)
+	}
+	return out
 }
 
 // TestJoinRulesBeyond64Conjuncts runs the star shape with 15 extra

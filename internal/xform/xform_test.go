@@ -39,7 +39,7 @@ func newEnv(t testing.TB) *env {
 		}}
 	}
 	acc := md.NewAccessor(md.NewCache(&gpos.MemoryAccountant{}), p)
-	m := memo.New(&gpos.MemoryAccountant{})
+	m := memo.New(&gpos.OwnedAccountant{})
 	return &env{
 		ctx: &Context{
 			Memo: m, Stats: stats.NewContext(acc), Accessor: acc,
